@@ -1063,41 +1063,4 @@ mod tests {
         assert_eq!(f.stats().search_link_traversals, 14);
         assert_eq!(f.stats().searches, 1);
     }
-
-    /// Batched execution (DESIGN.md §13) builds whole hierarchies inside a
-    /// `TagSlab` scope; the fabric participates automatically because its
-    /// tiles are `CacheArray`s. Pin both halves of that contract: every
-    /// tile's tag lane lands in the ambient slab, and a slab-backed fabric
-    /// is bit-identical to an owned-storage one.
-    #[test]
-    fn tile_tag_lanes_pack_into_an_ambient_slab_without_changing_behaviour() {
-        let slab = lnuca_mem::TagSlab::new();
-        let mut packed = slab.scoped(|| fabric(3));
-        assert!(
-            slab.allocated_words() > 0,
-            "all 14 tile lanes must be carved from the shared slab"
-        );
-        assert_eq!(slab.chunk_count(), 1, "a 3-level fabric fits one chunk");
-
-        let mut owned = fabric(3);
-        let mut cycle = 0u64;
-        for turn in 0..600u64 {
-            let addr = Addr((turn % 96) * 0x40 + (turn % 7) * 0x1000);
-            for f in [&mut packed, &mut owned] {
-                if turn % 3 == 0 {
-                    f.evict_from_root(addr, turn % 2 == 0);
-                } else {
-                    f.inject_search(addr, ReqId(turn), false, Cycle(cycle));
-                }
-            }
-            let (a, b) = (
-                run(&mut packed, cycle, 2),
-                run(&mut owned, cycle, 2),
-            );
-            assert_eq!(a, b, "turn {turn}: slab-backed outputs diverged");
-            cycle += 2;
-        }
-        assert_eq!(packed.stats(), owned.stats());
-        assert_eq!(packed.resident_lines(), owned.resident_lines());
-    }
 }

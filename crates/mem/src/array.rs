@@ -1,12 +1,9 @@
 //! The tag/state array of a set-associative cache, stored as flat parallel
 //! lanes for branch-light lookups.
 
-use crate::slab::TagSlab;
 use crate::{CacheGeometry, ReplacementPolicy};
 use lnuca_types::Addr;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Metadata stored with every resident cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,102 +38,6 @@ struct Way {
 /// geometry, which [`CacheArray::new`] debug-asserts against in `fill`.
 const EMPTY_TAG: u64 = u64::MAX;
 
-/// The packed tag lane of one [`CacheArray`], in one of two storage modes:
-///
-/// * **Owned** — a private boxed slice, the historical layout; used
-///   whenever the array is constructed outside a [`TagSlab::scoped`]
-///   region (every per-run code path).
-/// * **Slab** — a `len`-word window starting at `start` into a chunk of
-///   the thread's current [`TagSlab`], so the tag lanes of a whole
-///   simulation batch sit side by side in a few contiguous chunks
-///   (DESIGN.md §13). The words are atomics purely for safe shared
-///   ownership of the chunk; every access is relaxed (a plain load/store)
-///   and no two arrays overlap.
-///
-/// Both modes index identically; each accessor matches the mode once and
-/// then runs the same dense scan.
-#[derive(Debug)]
-enum TagLane {
-    Owned(Box<[u64]>),
-    Slab {
-        words: Arc<[AtomicU64]>,
-        start: usize,
-        len: usize,
-    },
-}
-
-impl TagLane {
-    /// A `len`-word lane of empty-way sentinels, carved from the thread's
-    /// current [`TagSlab`] if one is installed and privately boxed
-    /// otherwise.
-    fn new(len: usize) -> TagLane {
-        match TagSlab::current() {
-            Some(slab) => {
-                let (words, start) = slab.alloc(len);
-                TagLane::Slab { words, start, len }
-            }
-            None => TagLane::Owned(vec![EMPTY_TAG; len].into_boxed_slice()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            TagLane::Owned(tags) => tags.len(),
-            TagLane::Slab { len, .. } => *len,
-        }
-    }
-
-    #[inline]
-    fn get(&self, index: usize) -> u64 {
-        match self {
-            TagLane::Owned(tags) => tags[index],
-            TagLane::Slab { words, start, len } => {
-                debug_assert!(index < *len);
-                words[start + index].load(Ordering::Relaxed)
-            }
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, index: usize, tag: u64) {
-        match self {
-            TagLane::Owned(tags) => tags[index] = tag,
-            TagLane::Slab { words, start, len } => {
-                debug_assert!(index < *len);
-                words[*start + index].store(tag, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Scans the `assoc` ways starting at `base`; returns the way offset
-    /// holding `needle`.
-    #[inline]
-    fn position(&self, base: usize, assoc: usize, needle: u64) -> Option<usize> {
-        match self {
-            TagLane::Owned(tags) => tags[base..base + assoc].iter().position(|&t| t == needle),
-            TagLane::Slab { words, start, len } => {
-                debug_assert!(base + assoc <= *len);
-                words[start + base..start + base + assoc]
-                    .iter()
-                    .position(|w| w.load(Ordering::Relaxed) == needle)
-            }
-        }
-    }
-}
-
-/// Cloning detaches from any slab: the clone gets a private owned lane
-/// with the same contents, so clones never alias batch storage.
-impl Clone for TagLane {
-    fn clone(&self) -> Self {
-        match self {
-            TagLane::Owned(tags) => TagLane::Owned(tags.clone()),
-            TagLane::Slab { .. } => {
-                TagLane::Owned((0..self.len()).map(|i| self.get(i)).collect())
-            }
-        }
-    }
-}
-
 /// A set-associative tag/state array.
 ///
 /// `CacheArray` models only residency, recency and dirtiness — timing lives
@@ -157,11 +58,6 @@ impl Clone for TagLane {
 /// Set indexing is shift/mask (`sets` is always a power of two), so the hot
 /// path performs no division.
 ///
-/// When the array is constructed inside a [`TagSlab::scoped`] region the
-/// tag lane is carved out of the batch's shared slab instead of privately
-/// boxed, packing the lanes of all batch members contiguously
-/// (DESIGN.md §13); behaviour is bit-identical in both modes.
-///
 /// # Example
 ///
 /// ```
@@ -181,7 +77,7 @@ pub struct CacheArray {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
     /// Packed tag lane, `sets * ways` entries, [`EMPTY_TAG`] = empty.
-    tags: TagLane,
+    tags: Box<[u64]>,
     /// Cold per-way lane parallel to `tags`.
     ways: Box<[Way]>,
     /// `log2(block_size)`: shifts an address down to its block index.
@@ -204,7 +100,7 @@ impl CacheArray {
         CacheArray {
             geometry,
             policy,
-            tags: TagLane::new(lines),
+            tags: vec![EMPTY_TAG; lines].into_boxed_slice(),
             ways: vec![
                 Way {
                     dirty: false,
@@ -247,14 +143,21 @@ impl CacheArray {
     #[inline]
     fn addr_of(&self, index: usize) -> Addr {
         let set = (index / self.assoc) as u64;
-        Addr(((self.tags.get(index) << self.set_shift) | set) << self.block_shift)
+        Addr(((self.tags[index] << self.set_shift) | set) << self.block_shift)
+    }
+
+    /// Scans the `assoc` ways starting at `base`; returns the way offset
+    /// holding `needle`.
+    #[inline]
+    fn way_holding(&self, base: usize, needle: u64) -> Option<usize> {
+        self.tags[base..base + self.assoc].iter().position(|&t| t == needle)
     }
 
     /// Scans the set containing `addr`; returns the matching way index.
     #[inline]
     fn find(&self, addr: Addr) -> Option<usize> {
         let (base, tag) = self.slot(addr);
-        self.tags.position(base, self.assoc, tag).map(|w| base + w)
+        self.way_holding(base, tag).map(|w| base + w)
     }
 
     /// Returns `true` if the block containing `addr` is resident, without
@@ -300,7 +203,7 @@ impl CacheArray {
         debug_assert_ne!(tag, EMPTY_TAG, "tag collides with the empty sentinel");
 
         // Already resident: refresh and merge dirtiness.
-        if let Some(w) = self.tags.position(base, self.assoc, tag) {
+        if let Some(w) = self.way_holding(base, tag) {
             let way = &mut self.ways[base + w];
             way.dirty |= dirty;
             way.last_use = tick;
@@ -308,8 +211,8 @@ impl CacheArray {
         }
 
         // Free way available.
-        if let Some(w) = self.tags.position(base, self.assoc, EMPTY_TAG) {
-            self.tags.set(base + w, tag);
+        if let Some(w) = self.way_holding(base, EMPTY_TAG) {
+            self.tags[base + w] = tag;
             self.ways[base + w] = Way {
                 dirty,
                 last_use: tick,
@@ -332,7 +235,7 @@ impl CacheArray {
             addr: self.addr_of(index),
             dirty: self.ways[index].dirty,
         };
-        self.tags.set(index, tag);
+        self.tags[index] = tag;
         self.ways[index] = Way {
             dirty,
             last_use: tick,
@@ -349,7 +252,7 @@ impl CacheArray {
             addr: self.addr_of(index),
             dirty: self.ways[index].dirty,
         };
-        self.tags.set(index, EMPTY_TAG);
+        self.tags[index] = EMPTY_TAG;
         self.ways[index].dirty = false;
         self.resident -= 1;
         Some(line)
@@ -360,7 +263,7 @@ impl CacheArray {
     #[must_use]
     pub fn has_free_way(&self, addr: Addr) -> bool {
         let (base, _) = self.slot(addr);
-        self.tags.position(base, self.assoc, EMPTY_TAG).is_some()
+        self.way_holding(base, EMPTY_TAG).is_some()
     }
 
     /// Iterates over all resident lines (in no particular order).
@@ -368,12 +271,12 @@ impl CacheArray {
     /// Lines are yielded by value: the flat layout stores no `Line` structs
     /// to hand out references to.
     pub fn iter(&self) -> impl Iterator<Item = Line> + '_ {
-        (0..self.tags.len()).filter_map(|index| {
-            (self.tags.get(index) != EMPTY_TAG).then(|| Line {
+        (0..self.tags.len())
+            .filter(|&index| self.tags[index] != EMPTY_TAG)
+            .map(|index| Line {
                 addr: self.addr_of(index),
                 dirty: self.ways[index].dirty,
             })
-        })
     }
 }
 
@@ -490,46 +393,7 @@ mod tests {
         assert_eq!(from_iter, vec![line]);
     }
 
-    #[test]
-    fn slab_mode_clone_detaches_into_owned_storage() {
-        let slab = TagSlab::new();
-        let mut original = slab.scoped(small_array);
-        original.fill(Addr(0x100), true);
-        let mut clone = original.clone();
-        assert!(matches!(clone.tags, TagLane::Owned(_)), "clones never alias the slab");
-        assert!(clone.lookup(Addr(0x100)).unwrap().dirty);
-        clone.fill(Addr(0x180), false);
-        assert!(!original.contains(Addr(0x180)), "the clone's fills stay private");
-    }
-
     proptest! {
-        #[test]
-        fn slab_mode_is_bit_identical_to_owned_mode(
-            addrs in proptest::collection::vec(0u64..0x4000, 0..200),
-        ) {
-            let g = CacheGeometry::new(1024, 2, 32).unwrap();
-            let mut owned = CacheArray::new(g, ReplacementPolicy::Lru);
-            let slab = TagSlab::with_chunk_words(64);
-            // Two slab arrays interleaved in one arena; the second is a
-            // decoy exercised with shifted addresses to prove isolation.
-            let (mut packed, mut decoy) = slab.scoped(|| {
-                (
-                    CacheArray::new(g, ReplacementPolicy::Lru),
-                    CacheArray::new(g, ReplacementPolicy::Lru),
-                )
-            });
-            for &addr in &addrs {
-                let dirty = addr % 3 == 0;
-                prop_assert_eq!(owned.fill(Addr(addr), dirty), packed.fill(Addr(addr), dirty));
-                decoy.fill(Addr(addr ^ 0x1AC0), !dirty);
-                prop_assert_eq!(owned.lookup(Addr(addr)), packed.lookup(Addr(addr)));
-            }
-            prop_assert_eq!(owned.resident(), packed.resident());
-            let owned_lines: Vec<Line> = owned.iter().collect();
-            let packed_lines: Vec<Line> = packed.iter().collect();
-            prop_assert_eq!(owned_lines, packed_lines);
-        }
-
         #[test]
         fn resident_never_exceeds_capacity(addrs in proptest::collection::vec(0u64..0x4000, 0..200)) {
             let g = CacheGeometry::new(1024, 2, 32).unwrap();

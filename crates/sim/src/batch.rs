@@ -1,26 +1,30 @@
-//! Batched data-parallel execution: one worker steps N independent
-//! simulations in lockstep (DESIGN.md §13).
+//! The run driver: every simulation — solo, CMP, supervised or batched —
+//! is stepped here (DESIGN.md §13).
 //!
 //! A [`BatchRunner`] owns N fully independent members (hierarchy + core +
-//! trace, exactly what [`crate::system::System::run_spec_probed`] builds)
-//! and generalises the event-horizon engine (DESIGN.md §10) to a
-//! **per-batch horizon heap**: each live member's next due cycle sits in a
-//! min-heap, every [`BatchRunner::step`] advances the batch clock to the
-//! minimum due cycle and ticks exactly the members scheduled there (ties
-//! broken by member index). Members that finish — or go quiescent past
-//! their cycle cap — retire and drop out of the heap.
+//! trace, or a whole CMP machine) and generalises the event-horizon engine
+//! (DESIGN.md §10) to a **per-batch horizon heap**: each live member's next
+//! due cycle sits in a min-heap, every [`BatchRunner::step`] advances the
+//! batch clock to the minimum due cycle and ticks exactly the members
+//! scheduled there (ties broken by member index). Members that finish — or
+//! go quiescent past their cycle cap — retire and drop out of the heap.
+//!
+//! One member's run loop is written once, in `advance` (engine step, cycle
+//! cap, watchdog observation and horizon clamp) and `retire` (the run tail
+//! that materialises its [`RunResult`]). A solo run
+//! ([`crate::system::System::run_spec_probed`] and its wrappers), a CMP run
+//! and a supervised job ([`crate::supervise::run_job_supervised`]) are
+//! one-member batches. Once a single member is left live, running to
+//! completion drives it through `advance` directly, without the heap, so a
+//! solo run pays nothing for the lockstep machinery.
 //!
 //! Because every member is ticked at precisely the clock values its own
-//! solo run loop would visit, with identical state transitions in between,
-//! a batched run is **bit-identical** to its single-run counterpart for
-//! every member — results *and* probe event streams. This is the
-//! batch-equivalence invariant; `lnuca-verify` layers it over the
-//! differential oracle and `tests/batch_equivalence.rs` pins it across the
-//! full verify matrix.
+//! run would visit, with identical state transitions in between, a batched
+//! run is **bit-identical** to its one-member counterpart for every member
+//! — results *and* probe event streams. This is the batch-equivalence
+//! invariant; `lnuca-verify` layers it over the differential oracle and
+//! `tests/batch_equivalence.rs` pins it across the full verify matrix.
 //!
-//! Members are constructed inside one [`TagSlab`] scope, so their packed
-//! tag lanes land side by side in a few contiguous chunks
-//! (structure-of-arrays across the batch) instead of N scattered boxes.
 //! After construction the steady-state loop performs no heap allocation
 //! (DESIGN.md §9); memory is touched again only when a member retires and
 //! its [`RunResult`] is materialised.
@@ -50,10 +54,10 @@
 use crate::energy_model;
 use crate::hierarchy::AnyHierarchy;
 use crate::spec::HierarchySpec;
-use crate::supervise::{JobGuard, RunGuard};
+use crate::supervise::JobGuard;
 use crate::system::{Engine, RunResult, System};
 use lnuca_cpu::{CoreConfig, DataMemory, OooCore};
-use lnuca_mem::{NoProbe, ProbeSink, TagSlab};
+use lnuca_mem::{NoProbe, ProbeSink};
 use lnuca_types::{ConfigError, Cycle, RunError};
 use lnuca_workloads::{Suite, TraceGenerator, WorkloadProfile};
 use std::cmp::Reverse;
@@ -76,7 +80,7 @@ pub struct BatchJob<'a> {
 /// The simulated components of one member: a single-core hierarchy+core
 /// pair, or a whole CMP machine when the member's spec has `cores > 1`.
 /// Both expose the same tick/horizon/finish surface, so [`advance`] and
-/// [`retire`] replicate the corresponding solo loop either way.
+/// [`retire`] drive either one.
 enum Machine<P: ProbeSink> {
     Solo {
         hierarchy: AnyHierarchy<P>,
@@ -131,14 +135,14 @@ impl<P: ProbeSink> Machine<P> {
 }
 
 /// One in-flight member: its components plus its private clock. The clock
-/// always holds the `now` value the member's solo run loop would see at
-/// the top of its next iteration.
+/// always holds the `now` value the member's next [`advance`] ticks at.
 struct Member<P: ProbeSink> {
     machine: Machine<P>,
     workload: String,
     suite: Suite,
-    /// Safety cap, identical to the solo loop's
-    /// (`instructions * 400 + 1_000_000`).
+    /// Generous safety cap (`instructions * 400 + 1_000_000`): no
+    /// workload should need 400 cycles per instruction; hitting the cap
+    /// indicates a simulator bug and shows up as an implausible IPC.
     cap: u64,
     now: Cycle,
     done: Option<RunResult>,
@@ -162,7 +166,6 @@ pub struct BatchRunner<P: ProbeSink = NoProbe> {
     /// (preallocated: the steady-state loop must not allocate).
     due_scratch: Vec<usize>,
     live: usize,
-    slab: TagSlab,
 }
 
 impl BatchRunner<NoProbe> {
@@ -182,9 +185,8 @@ impl<P: ProbeSink> BatchRunner<P> {
     /// points, probes observe but never feed back: results are
     /// bit-identical for any sink.
     ///
-    /// All allocation happens here: member components are built inside one
-    /// [`TagSlab`] scope (co-locating their tag lanes), and the horizon
-    /// heap and scratch buffers are sized for the whole batch.
+    /// All allocation happens here: member components are built, and the
+    /// horizon heap and scratch buffers are sized for the whole batch.
     ///
     /// # Errors
     ///
@@ -202,8 +204,8 @@ impl<P: ProbeSink> BatchRunner<P> {
     /// order; `None` = unsupervised member). A member whose guard trips is
     /// quarantined — it stops being stepped and reports its failure through
     /// [`BatchRunner::run_outcomes`] — while its siblings keep stepping at
-    /// exactly the cycles their solo loops would visit, so survivors stay
-    /// bit-identical to their solo baselines.
+    /// exactly the cycles their one-member runs would visit, so survivors
+    /// stay bit-identical to their solo baselines.
     ///
     /// # Errors
     ///
@@ -214,38 +216,34 @@ impl<P: ProbeSink> BatchRunner<P> {
         mut probe: impl FnMut() -> P,
         mut guard: impl FnMut(usize) -> Option<JobGuard>,
     ) -> Result<Self, ConfigError> {
-        let slab = TagSlab::new();
-        let members = slab.scoped(|| -> Result<Vec<Member<P>>, ConfigError> {
-            let mut members = Vec::with_capacity(jobs.len());
-            for (idx, job) in jobs.iter().enumerate() {
-                let machine = if job.spec.cores > 1 {
-                    Machine::Cmp(crate::cmp::CmpMachine::from_spec(
-                        job.spec,
-                        job.profile,
-                        job.instructions,
-                        job.seed,
-                        probe(),
-                    )?)
-                } else {
-                    let hierarchy = System::build_spec_probed(job.spec, probe())?;
-                    let trace = TraceGenerator::new(job.profile.clone(), job.seed)
-                        .take(usize::try_from(job.instructions).unwrap_or(usize::MAX));
-                    let core = OooCore::new(CoreConfig::paper(), trace)?;
-                    Machine::Solo { hierarchy, core }
-                };
-                members.push(Member {
-                    machine,
-                    workload: job.profile.name.clone(),
-                    suite: job.profile.suite,
-                    cap: job.instructions.saturating_mul(400) + 1_000_000,
-                    now: Cycle(0),
-                    done: None,
-                    guard: guard(idx),
-                    failed: None,
-                });
-            }
-            Ok(members)
-        })?;
+        let mut members = Vec::with_capacity(jobs.len());
+        for (idx, job) in jobs.iter().enumerate() {
+            let machine = if job.spec.cores > 1 {
+                Machine::Cmp(crate::cmp::CmpMachine::from_spec(
+                    job.spec,
+                    job.profile,
+                    job.instructions,
+                    job.seed,
+                    probe(),
+                )?)
+            } else {
+                let hierarchy = System::build_spec_probed(job.spec, probe())?;
+                let trace = TraceGenerator::new(job.profile.clone(), job.seed)
+                    .take(usize::try_from(job.instructions).unwrap_or(usize::MAX));
+                let core = OooCore::new(CoreConfig::paper(), trace)?;
+                Machine::Solo { hierarchy, core }
+            };
+            members.push(Member {
+                machine,
+                workload: job.profile.name.clone(),
+                suite: job.profile.suite,
+                cap: job.instructions.saturating_mul(400) + 1_000_000,
+                now: Cycle(0),
+                done: None,
+                guard: guard(idx),
+                failed: None,
+            });
+        }
 
         let mut runner = BatchRunner {
             engine,
@@ -253,12 +251,10 @@ impl<P: ProbeSink> BatchRunner<P> {
             due_scratch: Vec::with_capacity(members.len()),
             live: 0,
             members,
-            slab,
         };
         for idx in 0..runner.members.len() {
-            // Mirror the solo loop's entry condition: a member that is
-            // already finished (or capped) at cycle 0 retires without a
-            // single tick, exactly as the solo `while` would never run.
+            // A member that is already finished (or capped) at cycle 0
+            // retires without a single tick.
             let member = &mut runner.members[idx];
             if member.machine.is_finished() || member.now.0 >= member.cap {
                 retire(member);
@@ -295,12 +291,6 @@ impl<P: ProbeSink> BatchRunner<P> {
         self.heap.peek().map(|&Reverse((due, _))| Cycle(due))
     }
 
-    /// The tag arena the members' packed lanes were carved from.
-    #[must_use]
-    pub fn slab(&self) -> &TagSlab {
-        &self.slab
-    }
-
     /// Advances the batch clock to the minimum due cycle and ticks every
     /// member scheduled there (ascending member index), re-scheduling each
     /// at its next due cycle or retiring it. Returns `true` while members
@@ -323,18 +313,8 @@ impl<P: ProbeSink> BatchRunner<P> {
         for i in 0..self.due_scratch.len() {
             let idx = self.due_scratch[i];
             match advance(&mut self.members[idx], self.engine) {
-                Advance::Continue(next) => self.heap.push(Reverse((next.0, idx))),
-                Advance::Retired => {
-                    retire(&mut self.members[idx]);
-                    self.live -= 1;
-                }
-                Advance::Failed(err) => {
-                    // Quarantine: the member keeps its failure, is never
-                    // finalised, and simply stops being scheduled — its
-                    // siblings' tick sequences are unaffected.
-                    self.members[idx].failed = Some(err);
-                    self.live -= 1;
-                }
+                Some(next) => self.heap.push(Reverse((next.0, idx))),
+                None => self.live -= 1,
             }
         }
         self.live > 0
@@ -362,7 +342,16 @@ impl<P: ProbeSink> BatchRunner<P> {
     /// quarantined it — plus its final hierarchy, in job order.
     #[must_use]
     pub fn run_outcomes(mut self) -> Vec<(Result<RunResult, RunError>, AnyHierarchy<P>)> {
-        while self.step() {}
+        while self.live > 1 {
+            self.step();
+        }
+        // The last live member needs no lockstep: it leaves the heap and
+        // runs to completion at exactly the cycles `step` would visit.
+        if let Some(Reverse((_, idx))) = self.heap.pop() {
+            let member = &mut self.members[idx];
+            while advance(member, self.engine).is_some() {}
+            self.live = 0;
+        }
         self.members
             .into_iter()
             .map(|m| {
@@ -383,28 +372,20 @@ impl<P: ProbeSink> BatchRunner<P> {
     }
 }
 
-/// What one [`advance`] call decided for a member.
-enum Advance {
-    /// Keep stepping; the member is next due at this cycle.
-    Continue(Cycle),
-    /// The solo loop would exit here: finalise and materialise the result.
-    Retired,
-    /// The member's watchdog tripped: quarantine it.
-    Failed(RunError),
-}
-
-/// One iteration of the member's solo run loop (same tick order, same
-/// engine formulas, same cap as [`System::run_spec_probed`]): ticks the
-/// member at `member.now`, stores its next clock value, and returns the
-/// next due cycle — or `None` when the solo loop would exit.
-fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Advance {
+/// One iteration of a member's run loop: observes the watchdog, ticks the
+/// member at `member.now`, and moves its clock to the next cycle the engine
+/// visits. Returns that cycle while the member stays live; otherwise the
+/// member has retired (its [`RunResult`] is materialised) or its watchdog
+/// tripped (it is quarantined in `failed`, never finalised) and `None`
+/// comes back.
+#[inline]
+fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Option<Cycle> {
     let now = member.now;
     let cap = member.cap;
     if let Some(guard) = member.guard.as_mut() {
-        // Same observation point as the solo guarded loop, so a watchdog
-        // trips at the same cycle batched as solo.
         if let Err(err) = guard.observe(now, member.machine.committed()) {
-            return Advance::Failed(err);
+            member.failed = Some(err);
+            return None;
         }
     }
     member.machine.tick(now);
@@ -415,6 +396,10 @@ fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Advance {
                 // Match the reference engine's final clock exactly.
                 now.next()
             } else {
+                // Jump to the earliest cycle any component can act. `None`
+                // means nothing will ever act again: jump to the cap,
+                // exactly where per-cycle stepping (all no-op ticks) would
+                // also end up.
                 let next = member
                     .machine
                     .next_event(now)
@@ -422,7 +407,9 @@ fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Advance {
                     .max(now.next())
                     .min(Cycle(cap).max(now.next()));
                 match member.guard.as_ref().and_then(JobGuard::horizon_clamp) {
-                    // Mirror the solo guarded loop's clamp exactly.
+                    // Never jump past the next cycle the watchdog must
+                    // observe, while always making progress. Ticks at
+                    // non-event cycles are no-ops, so results never change.
                     Some(clamp) => next.min(Cycle(clamp.max(now.0 + 1))),
                     None => next,
                 }
@@ -431,14 +418,18 @@ fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Advance {
     };
     member.now = next;
     if !member.machine.is_finished() && next.0 < cap {
-        Advance::Continue(next)
+        Some(next)
     } else {
-        Advance::Retired
+        retire(member);
+        None
     }
 }
 
-/// Finalises a member exactly as the solo run tail does and materialises
-/// its [`RunResult`].
+/// The run tail: closes the member's stall windows at its final clock and
+/// materialises its [`RunResult`]. Cold: it runs once per member, and
+/// keeping it out of line keeps [`advance`]'s per-iteration code small.
+#[cold]
+#[inline(never)]
 fn retire<P: ProbeSink>(member: &mut Member<P>) {
     let now = member.now;
     match &mut member.machine {
@@ -543,26 +534,6 @@ mod tests {
             .unwrap();
             assert_eq!(result, &solo);
         }
-    }
-
-    #[test]
-    fn batch_members_share_slab_chunks() {
-        let specs = paper_specs();
-        let profile = &suites::spec_int_like()[0];
-        let jobs: Vec<BatchJob> = (0..4)
-            .map(|i| BatchJob {
-                spec: &specs[0],
-                profile,
-                instructions: 100,
-                seed: i,
-            })
-            .collect();
-        let runner = BatchRunner::new(Engine::EventHorizon, &jobs).unwrap();
-        assert!(runner.slab().allocated_words() > 0, "tag lanes come from the slab");
-        assert!(
-            runner.slab().chunk_count() < 4,
-            "members' lanes are co-located, not one chunk per member"
-        );
     }
 
     #[test]

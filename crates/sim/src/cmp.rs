@@ -26,10 +26,16 @@
 //! request is rejected only by its own core's fixed in-flight window — so
 //! the sequence of directory operations is a pure function of the workload
 //! streams, independent of how the driver advances time. That makes
-//! [`Engine::CycleStep`], [`Engine::EventHorizon`] and the batched runner
+//! [`crate::system::Engine::CycleStep`],
+//! [`crate::system::Engine::EventHorizon`] and the batched runner
 //! bit-identical for CMP runs exactly as they are for single-core runs:
 //! ticking any component at a non-event cycle is a no-op, so visiting
 //! extra cycles (or skipping dead ones) cannot reorder anything.
+//!
+//! A [`CmpMachine`] has no run loop of its own: a spec with `cores > 1`
+//! runs through [`crate::system::System::run_spec_probed`] like any other,
+//! and the driver in [`crate::batch`] steps the machine through the
+//! tick/horizon/finish surface it exposes.
 //!
 //! # Zero steady-state allocation
 //!
@@ -40,14 +46,13 @@
 
 use crate::energy_model;
 use crate::spec::{BackingSpec, HierarchySpec};
-use crate::supervise::RunGuard;
-use crate::system::{Engine, RunResult};
+use crate::system::RunResult;
 use lnuca_coherence::{Directory, DirectoryConfig, DirectoryCounters, MsiState, Recall};
 use lnuca_cpu::{drain_ready, CoreConfig, CoreStats, DataMemory, OooCore};
 use lnuca_mem::{
     CacheConfig, CacheStats, ConventionalCache, MainMemory, NoProbe, ProbeEvent, ProbeSink,
 };
-use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, RunError, ServiceLevel};
+use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, ServiceLevel};
 use lnuca_workloads::{Suite, TraceGenerator, WorkloadProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -737,54 +742,6 @@ impl<P: ProbeSink> CmpMachine<P> {
     }
 }
 
-/// The CMP counterpart of the solo run loop in
-/// [`crate::system::System::run_spec_guarded`]: same cycle cap, same
-/// engine formulas, same guard observation points — `instructions` is the
-/// per-core budget.
-///
-/// # Errors
-///
-/// Returns [`RunError::Config`] if the composition is invalid, or
-/// whatever failure the guard trips with.
-pub fn run_cmp_guarded<P: ProbeSink, G: RunGuard>(
-    engine: Engine,
-    spec: &HierarchySpec,
-    profile: &WorkloadProfile,
-    instructions: u64,
-    seed: u64,
-    probe: P,
-    guard: &mut G,
-) -> Result<(RunResult, crate::hierarchy::AnyHierarchy<P>), RunError> {
-    let mut machine = CmpMachine::from_spec(spec, profile, instructions, seed, probe)?;
-    let cycle_cap = instructions.saturating_mul(400) + 1_000_000;
-    let mut now = Cycle(0);
-    while !machine.is_finished() && now.0 < cycle_cap {
-        guard.observe(now, machine.committed())?;
-        machine.tick(now);
-        now = match engine {
-            Engine::CycleStep => now.next(),
-            Engine::EventHorizon => {
-                if machine.is_finished() {
-                    now.next()
-                } else {
-                    let next = machine
-                        .next_event(now)
-                        .unwrap_or(Cycle(cycle_cap))
-                        .max(now.next())
-                        .min(Cycle(cycle_cap).max(now.next()));
-                    match guard.horizon_clamp() {
-                        Some(clamp) => next.min(Cycle(clamp.max(now.0 + 1))),
-                        None => next,
-                    }
-                }
-            }
-        };
-    }
-    machine.finalize(now);
-    let result = machine.result(now);
-    Ok((result, crate::hierarchy::AnyHierarchy::Cmp(machine.into_memory())))
-}
-
 /// Collapses an L-NUCA fabric into the private-second-level equivalent:
 /// largest power-of-two capacity not exceeding the fabric's, tile
 /// associativity (rounded down to a power of two), root-block lines, and
@@ -857,6 +814,7 @@ mod tests {
     use super::*;
     use crate::configs;
     use crate::spec::BackingSpec;
+    use crate::system::{Engine, System};
     use lnuca_workloads::{suites, AccessPattern};
 
     fn cmp_spec(cores: usize, fabric: bool, backing: BackingSpec) -> HierarchySpec {
@@ -878,14 +836,13 @@ mod tests {
     fn a_cmp_run_commits_every_core_budget_and_reports_rows() {
         let spec = cmp_spec(4, true, BackingSpec::DNuca(lnuca_dnuca::DNucaConfig::paper()));
         let profile = sharing_profile();
-        let (result, _) = run_cmp_guarded(
+        let (result, _) = System::run_spec_probed(
             Engine::EventHorizon,
             &spec,
             &profile,
             800,
             7,
             lnuca_mem::NoProbe,
-            &mut crate::supervise::NoGuard,
         )
         .unwrap();
         assert_eq!(result.instructions, 4 * 800);
@@ -904,14 +861,13 @@ mod tests {
     fn sharing_workloads_move_the_directory() {
         let spec = cmp_spec(2, false, BackingSpec::Cache(configs::paper_l3()));
         let profile = sharing_profile();
-        let (result, hierarchy) = run_cmp_guarded(
+        let (result, hierarchy) = System::run_spec_probed(
             Engine::EventHorizon,
             &spec,
             &profile,
             1_500,
             3,
             lnuca_mem::NoProbe,
-            &mut crate::supervise::NoGuard,
         )
         .unwrap();
         let coherence = result.coherence.as_ref().unwrap();
@@ -943,25 +899,23 @@ mod tests {
         ] {
             let spec = cmp_spec(4, fabric, backing);
             let profile = sharing_profile();
-            let horizon = run_cmp_guarded(
+            let horizon = System::run_spec_probed(
                 Engine::EventHorizon,
                 &spec,
                 &profile,
                 700,
                 11,
                 lnuca_mem::NoProbe,
-                &mut crate::supervise::NoGuard,
             )
             .unwrap()
             .0;
-            let step = run_cmp_guarded(
+            let step = System::run_spec_probed(
                 Engine::CycleStep,
                 &spec,
                 &profile,
                 700,
                 11,
                 lnuca_mem::NoProbe,
-                &mut crate::supervise::NoGuard,
             )
             .unwrap()
             .0;
@@ -972,19 +926,19 @@ mod tests {
     #[test]
     fn single_core_members_never_emit_coherence_traffic() {
         // The degenerate 1-core CMP machine still runs (the directory just
-        // never invalidates anyone).
+        // never invalidates anyone). The spec-level entry points run a
+        // 1-core spec on the single-core hierarchy, so step the machine
+        // directly, one cycle at a time.
         let spec = cmp_spec(1, false, BackingSpec::Cache(configs::paper_l3()));
         let profile = sharing_profile();
-        let (result, _) = run_cmp_guarded(
-            Engine::EventHorizon,
-            &spec,
-            &profile,
-            500,
-            5,
-            lnuca_mem::NoProbe,
-            &mut crate::supervise::NoGuard,
-        )
-        .unwrap();
+        let mut machine = CmpMachine::from_spec(&spec, &profile, 500, 5, NoProbe).unwrap();
+        let mut now = Cycle(0);
+        while !machine.is_finished() {
+            machine.tick(now);
+            now = now.next();
+        }
+        machine.finalize(now);
+        let result = machine.result(now);
         let coherence = result.coherence.as_ref().unwrap();
         assert_eq!(coherence.invalidations_sent, 0);
         assert_eq!(coherence.downgrades, 0);

@@ -102,8 +102,8 @@ pub struct ExperimentOptions {
     pub engine: Engine,
     /// Simulations stepped in lockstep per worker (DESIGN.md §13): the job
     /// matrix is cut into contiguous batches of this size, each run by one
-    /// [`crate::batch::BatchRunner`]. `1` (the default) preserves the
-    /// per-run path; `usize::MAX` means one batch per worker-claimed chunk
+    /// [`crate::batch::BatchRunner`]. `1` (the default) makes every batch
+    /// a single job; `usize::MAX` means one batch per worker-claimed chunk
     /// spanning everything. Like `threads` and `engine` this changes only
     /// the wall clock — every batched run is bit-identical to its solo
     /// counterpart (`tests/batch_equivalence.rs`).
@@ -260,7 +260,7 @@ impl ExperimentOptionsBuilder {
     }
 
     /// Sets how many simulations each worker steps in lockstep (clamped to
-    /// at least 1; 1 = the per-run path).
+    /// at least 1; 1 = one job per batch).
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.options.batch_size = batch_size.max(1);
@@ -948,28 +948,6 @@ struct Job<'a> {
 
 use crate::supervise::SupervisedOutcome as JobOutcome;
 
-/// Runs one job supervised and journals it if it succeeded.
-fn run_job(
-    job: &Job<'_>,
-    instructions: u64,
-    engine: Engine,
-    supervisor: &Supervisor,
-    journal: Option<&JournalWriter>,
-) -> JobOutcome {
-    let outcome = supervise::run_job_supervised(
-        engine,
-        job.spec,
-        job.profile,
-        instructions,
-        job.seed,
-        supervisor,
-    );
-    if let (Some(writer), Ok((result, perf))) = (journal, &outcome.outcome) {
-        writer.record(job.index, result, perf);
-    }
-    outcome
-}
-
 /// Runs one contiguous batch of the matrix through a supervised
 /// [`crate::batch::BatchRunner`], returning per-job outcomes in batch
 /// order and journaling the successes.
@@ -1003,18 +981,18 @@ fn run_batch(
 /// Runs the experiment matrix on up to `threads` scoped workers pulling
 /// work from a shared queue, returning the outcomes in job order.
 ///
-/// With `batch_size <= 1` the unit of work is one job; otherwise the job
-/// list is cut into contiguous batches of `batch_size` (in job order) and
-/// each worker steps a whole batch in lockstep ([`crate::batch`]).
+/// The job list is cut into contiguous batches of `batch_size` (in job
+/// order; size 1 is one-member batches) and each worker steps a whole
+/// batch in lockstep ([`crate::batch`]).
 ///
 /// Each job builds its own hierarchy, trace generator and core from nothing
 /// but the job description, so runs share no state and the outcome vector is
 /// bit-identical to a sequential execution — the workers and the batch cut
 /// only change which wall-clock instant each run happens at.
 ///
-/// `stop` is checked once per claim (job or batch): a raised signal turns
-/// every not-yet-claimed unit into failures carrying the signal's error,
-/// without simulating them.
+/// `stop` is checked once per claimed batch: a raised signal turns every
+/// not-yet-claimed batch into failures carrying the signal's error, without
+/// simulating them.
 #[allow(clippy::too_many_arguments)]
 fn run_jobs(
     jobs: &[Job<'_>],
@@ -1026,92 +1004,41 @@ fn run_jobs(
     journal: Option<&JournalWriter>,
     stop: Option<&StopSignal>,
 ) -> Vec<JobOutcome> {
-    let stopped = || stop.and_then(StopSignal::error);
-    let stop_batch = |batch: &[Job<'_>], error: &RunError| -> Vec<JobOutcome> {
-        batch
-            .iter()
-            .map(|_| JobOutcome {
-                outcome: Err(error.clone()),
-                attempts: 0,
-            })
-            .collect()
-    };
-    if batch_size > 1 {
-        let batches: Vec<&[Job<'_>]> = jobs.chunks(batch_size).collect();
-        let threads = threads.max(1).min(batches.len().max(1));
-        if threads == 1 {
-            return batches
+    let run = |batch: &[Job<'_>]| -> Vec<JobOutcome> {
+        match stop.and_then(StopSignal::error) {
+            Some(error) => batch
                 .iter()
-                .flat_map(|batch| match stopped() {
-                    Some(error) => stop_batch(batch, &error),
-                    None => run_batch(batch, instructions, engine, supervisor, journal),
-                })
-                .collect();
-        }
-        let next_batch = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Vec<JobOutcome>>>> =
-            batches.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next_batch.fetch_add(1, Ordering::Relaxed);
-                    let Some(batch) = batches.get(i) else { break };
-                    let outcomes = match stopped() {
-                        Some(error) => stop_batch(batch, &error),
-                        None => run_batch(batch, instructions, engine, supervisor, journal),
-                    };
-                    *slots[i].lock().expect("no other holder can panic") = Some(outcomes);
-                });
-            }
-        });
-        return slots
-            .into_iter()
-            .flat_map(|slot| {
-                slot.into_inner()
-                    .expect("worker panics propagate out of the scope")
-                    .expect("every batch index below batches.len() was claimed exactly once")
-            })
-            .collect();
-    }
-
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads == 1 {
-        return jobs
-            .iter()
-            .map(|job| match stopped() {
-                Some(error) => JobOutcome {
-                    outcome: Err(error),
+                .map(|_| JobOutcome {
+                    outcome: Err(error.clone()),
                     attempts: 0,
-                },
-                None => run_job(job, instructions, engine, supervisor, journal),
-            })
-            .collect();
+                })
+                .collect(),
+            None => run_batch(batch, instructions, engine, supervisor, journal),
+        }
+    };
+    let batches: Vec<&[Job<'_>]> = jobs.chunks(batch_size.max(1)).collect();
+    let threads = threads.max(1).min(batches.len().max(1));
+    if threads == 1 {
+        return batches.into_iter().flat_map(run).collect();
     }
-
-    let next_job = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let next_batch = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Vec<JobOutcome>>>> =
+        batches.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next_job.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let outcome = match stopped() {
-                    Some(error) => JobOutcome {
-                        outcome: Err(error),
-                        attempts: 0,
-                    },
-                    None => run_job(job, instructions, engine, supervisor, journal),
-                };
-                *slots[i].lock().expect("no other holder can panic") = Some(outcome);
+                let i = next_batch.fetch_add(1, Ordering::Relaxed);
+                let Some(batch) = batches.get(i) else { break };
+                *slots[i].lock().expect("no other holder can panic") = Some(run(batch));
             });
         }
     });
     slots
         .into_iter()
-        .map(|slot| {
+        .flat_map(|slot| {
             slot.into_inner()
                 .expect("worker panics propagate out of the scope")
-                .expect("every job index below jobs.len() was claimed exactly once")
+                .expect("every batch index below batches.len() was claimed exactly once")
         })
         .collect()
 }

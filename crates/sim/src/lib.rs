@@ -19,13 +19,14 @@
 //!   instruction budget,
 //! * [`energy_model`] — turns run statistics into the stacked-bar energy
 //!   accounts of Figs. 4(b) and 5(b),
-//! * [`batch`] — the [`BatchRunner`]: one worker stepping N independent
-//!   simulations in lockstep along a per-batch horizon heap, bit-identical
-//!   per member to the solo path,
+//! * [`batch`] — the [`BatchRunner`], the one run driver: one worker
+//!   stepping N independent simulations in lockstep along a per-batch
+//!   horizon heap; every solo, CMP and supervised run is a one-member
+//!   batch,
 //! * [`experiments`] — the declarative [`ExperimentPlan`] and the single
 //!   [`Study::run`] entry point (the paper studies are the built-in
-//!   `paper_*` plans); `ExperimentOptions::batch_size` routes the matrix
-//!   through the batched engine,
+//!   `paper_*` plans); `ExperimentOptions::batch_size` sets how many
+//!   jobs each batch steps,
 //! * [`supervise`] — run supervision (DESIGN.md §14): panic isolation per
 //!   job and batch member, cycle/livelock/wall-clock watchdogs, bounded
 //!   retry, the cooperative [`StopSignal`] behind service cancellation and

@@ -13,10 +13,9 @@
 //! * **Watchdogs.** A [`JobGuard`] observes the run loop once per engine
 //!   iteration and trips on a cycle budget, a no-commit livelock window or
 //!   a wall-clock timeout (the budget fields of
-//!   [`ExperimentOptions`]). Guards are generic
-//!   ([`RunGuard`]) so the unbudgeted path compiles to the exact loop it
-//!   was before supervision existed — bit-identity and the zero-allocation
-//!   pin are untouched.
+//!   [`ExperimentOptions`]). A batch member holds an optional guard; the
+//!   unbudgeted path holds none and pays one untaken branch per
+//!   iteration — bit-identity and the zero-allocation pin are untouched.
 //! * **Batch quarantine.** When a batch unwinds, the surviving members are
 //!   not lost: every member is re-run solo (which is bit-identical to its
 //!   batched run by the batch-equivalence invariant, DESIGN.md §13), so
@@ -35,7 +34,7 @@
 use crate::batch::{BatchJob, BatchRunner};
 use crate::experiments::{ExperimentOptions, RunPerf};
 use crate::spec::HierarchySpec;
-use crate::system::{Engine, RunResult, System};
+use crate::system::{Engine, RunResult};
 use lnuca_mem::NoProbe;
 use lnuca_types::{Cycle, RunError};
 use lnuca_workloads::WorkloadProfile;
@@ -50,45 +49,6 @@ use std::time::{Duration, Instant};
 /// than a simulated cycle, but the hot loop should still not pay a syscall
 /// per iteration.
 const WALL_CHECK_PERIOD: u64 = 1024;
-
-/// A watchdog observing a run loop.
-///
-/// [`System::run_spec_guarded`] and the batched
-/// [`BatchRunner`] call [`RunGuard::observe`] at the top
-/// of every engine iteration and bound event-horizon jumps by
-/// [`RunGuard::horizon_clamp`]. The trait is generic (not `dyn`) on the
-/// solo path so [`NoGuard`] compiles to nothing.
-pub trait RunGuard {
-    /// Observes one loop iteration at `now` with `committed` instructions
-    /// retired so far. Returning an error aborts the run with that failure.
-    ///
-    /// # Errors
-    ///
-    /// A [`RunError`] when a watchdog trips (or a fault hook injects one).
-    fn observe(&mut self, now: Cycle, committed: u64) -> Result<(), RunError>;
-
-    /// The latest cycle the event-horizon engine may jump to without
-    /// skipping an observation this guard needs (`None` = unbounded). The
-    /// engine clamps its jump target to `max(now + 1, clamp)`; ticking at a
-    /// non-event cycle is a no-op state-wise (the cycle-step engine proves
-    /// this every run), so clamping never changes results — it only
-    /// guarantees deterministic trip cycles.
-    fn horizon_clamp(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// The no-op guard of every unsupervised run: observes nothing, clamps
-/// nothing, compiles to nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoGuard;
-
-impl RunGuard for NoGuard {
-    #[inline(always)]
-    fn observe(&mut self, _now: Cycle, _committed: u64) -> Result<(), RunError> {
-        Ok(())
-    }
-}
 
 /// The watchdog budgets of one run, derived from the budget fields of
 /// [`ExperimentOptions`] (`None` everywhere = supervision without
@@ -177,8 +137,11 @@ fn current_fault_hook() -> Option<Arc<FaultHook>> {
 }
 
 /// The per-run watchdog: budgets plus the fault-hook snapshot for one
-/// attempt. Constructed by a [`Supervisor`]; observation does not allocate
-/// (the steady-state zero-allocation pin of DESIGN.md §9 covers guarded
+/// attempt. Constructed by a [`Supervisor`]; the [`BatchRunner`] calls
+/// [`JobGuard::observe`] at the top of every engine iteration of a
+/// member and bounds its event-horizon jumps by
+/// [`JobGuard::horizon_clamp`]. Observation does not allocate (the
+/// steady-state zero-allocation pin of DESIGN.md §9 covers guarded
 /// batches too).
 pub struct JobGuard {
     key: RunKey,
@@ -221,10 +184,14 @@ impl JobGuard {
             last_commit_cycle: 0,
         }
     }
-}
 
-impl RunGuard for JobGuard {
-    fn observe(&mut self, now: Cycle, committed: u64) -> Result<(), RunError> {
+    /// Observes one loop iteration at `now` with `committed` instructions
+    /// retired so far. Returning an error aborts the run with that failure.
+    ///
+    /// # Errors
+    ///
+    /// A [`RunError`] when a watchdog trips (or a fault hook injects one).
+    pub fn observe(&mut self, now: Cycle, committed: u64) -> Result<(), RunError> {
         self.observed = self.observed.wrapping_add(1);
         if let Some(hook) = &self.hook {
             if let Some(err) = hook(&self.key, now.0, committed) {
@@ -255,7 +222,14 @@ impl RunGuard for JobGuard {
         Ok(())
     }
 
-    fn horizon_clamp(&self) -> Option<u64> {
+    /// The latest cycle the event-horizon engine may jump to without
+    /// skipping an observation this guard needs (`None` = unbounded). The
+    /// engine clamps its jump target to `max(now + 1, clamp)`; ticking at a
+    /// non-event cycle is a no-op state-wise (the cycle-step engine proves
+    /// this every run), so clamping never changes results — it only
+    /// guarantees deterministic trip cycles.
+    #[must_use]
+    pub fn horizon_clamp(&self) -> Option<u64> {
         let mut clamp = self.cycle_budget;
         if let Some(window) = self.livelock_window {
             let lw = self.last_commit_cycle.saturating_add(window);
@@ -453,20 +427,20 @@ fn run_job_from_attempt(
     loop {
         let started = Instant::now();
         let run = catch_unwind(AssertUnwindSafe(|| {
-            match supervisor.guard(&label, &profile.name, seed, attempt) {
-                Some(mut guard) => System::run_spec_guarded(
-                    engine,
-                    spec,
-                    profile,
-                    instructions,
-                    seed,
-                    NoProbe,
-                    &mut guard,
-                )
-                .map(|(result, _)| result),
-                None => System::run_spec_with(engine, spec, profile, instructions, seed)
-                    .map_err(RunError::from),
-            }
+            let mut guard = supervisor.guard(&label, &profile.name, seed, attempt);
+            let job = BatchJob {
+                spec,
+                profile,
+                instructions,
+                seed,
+            };
+            let runner =
+                BatchRunner::with_supervision(engine, &[job], || NoProbe, |_| guard.take())?;
+            let (outcome, _) = runner
+                .run_outcomes()
+                .pop()
+                .expect("a one-member batch has one outcome");
+            outcome
         }));
         let error = match run {
             Ok(Ok(result)) => {
@@ -509,12 +483,25 @@ fn run_job_from_attempt(
 /// Per-run wall clock is unmeasurable inside a lockstep batch, so the
 /// batch's wall time is attributed to surviving members in proportion to
 /// their simulated cycles, as the unsupervised batch path always did.
+///
+/// A lone job has no siblings to quarantine: it runs exactly as
+/// [`run_job_supervised`] does.
 #[must_use]
 pub fn run_batch_supervised(
     engine: Engine,
     jobs: &[BatchJob<'_>],
     supervisor: &Supervisor,
 ) -> Vec<SupervisedOutcome> {
+    if let [job] = jobs {
+        return vec![run_job_supervised(
+            engine,
+            job.spec,
+            job.profile,
+            job.instructions,
+            job.seed,
+            supervisor,
+        )];
+    }
     let started = Instant::now();
     let batch_pass = catch_unwind(AssertUnwindSafe(|| {
         let runner = BatchRunner::with_supervision(engine, jobs, || NoProbe, |i| {

@@ -1,15 +1,20 @@
 //! A complete system: out-of-order core + memory hierarchy.
+//!
+//! [`System`] builds hierarchies and is the front door for single runs.
+//! Every run entry point is a one-member [`BatchRunner`], so the run loop
+//! (engine step, cycle cap, run tail) is written once, in
+//! [`crate::batch`]; specs with `cores > 1` run on the CMP machine
+//! (DESIGN.md §17) through the same driver.
 
+use crate::batch::{BatchJob, BatchRunner};
 use crate::configs::HierarchyKind;
-use crate::energy_model;
 use crate::hierarchy::{AnyHierarchy, ClassicHierarchy, HierarchyStats, LNucaHierarchy};
 use crate::spec::HierarchySpec;
-use crate::supervise::{NoGuard, RunGuard};
-use lnuca_cpu::{CoreConfig, CoreStats, DataMemory, OooCore};
+use lnuca_cpu::CoreStats;
 use lnuca_energy::EnergyAccount;
 use lnuca_mem::{NoProbe, ProbeSink};
-use lnuca_types::{ConfigError, Cycle, RunError};
-use lnuca_workloads::{Suite, TraceGenerator, WorkloadProfile};
+use lnuca_types::ConfigError;
+use lnuca_workloads::{Suite, WorkloadProfile};
 use serde::{Deserialize, Serialize};
 
 /// How [`System::run_workload_with`] advances simulated time.
@@ -248,7 +253,8 @@ impl System {
     }
 
     /// The spec-level core of every run entry point: see
-    /// [`System::run_workload_probed`] for the probe semantics.
+    /// [`System::run_workload_probed`] for the probe semantics. The run is
+    /// a one-member [`BatchRunner`].
     ///
     /// # Errors
     ///
@@ -261,110 +267,17 @@ impl System {
         seed: u64,
         probe: P,
     ) -> Result<(RunResult, AnyHierarchy<P>), ConfigError> {
-        match Self::run_spec_guarded(engine, spec, profile, instructions, seed, probe, &mut NoGuard)
-        {
-            Ok(pair) => Ok(pair),
-            Err(RunError::Config(err)) => Err(err),
-            Err(other) => unreachable!("NoGuard cannot trip a watchdog: {other}"),
-        }
-    }
-
-    /// [`System::run_spec_probed`] with a [`RunGuard`] observing every loop
-    /// iteration (DESIGN.md §14): the supervision layer's watchdogs hook in
-    /// here. The guard is generic, so the [`NoGuard`] path compiles to the
-    /// exact unguarded loop; with an active guard the event-horizon jump is
-    /// additionally clamped to [`RunGuard::horizon_clamp`] — extra ticks at
-    /// non-event cycles are state-wise no-ops (the cycle-step engine visits
-    /// every cycle and is bit-identical), so results never change; the
-    /// clamp only makes watchdog trip cycles deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Config`] if the composition is invalid, or
-    /// whatever failure the guard trips with.
-    pub fn run_spec_guarded<P: ProbeSink, G: RunGuard>(
-        engine: Engine,
-        spec: &HierarchySpec,
-        profile: &WorkloadProfile,
-        instructions: u64,
-        seed: u64,
-        probe: P,
-        guard: &mut G,
-    ) -> Result<(RunResult, AnyHierarchy<P>), RunError> {
-        if spec.cores > 1 {
-            // Multicore shapes run on the CMP machine (DESIGN.md §17):
-            // same engines, same guard observation points, same cap.
-            return crate::cmp::run_cmp_guarded(
-                engine,
-                spec,
-                profile,
-                instructions,
-                seed,
-                probe,
-                guard,
-            );
-        }
-        let mut hierarchy = Self::build_spec_probed(spec, probe)?;
-        let trace =
-            TraceGenerator::new(profile.clone(), seed).take(usize::try_from(instructions).unwrap_or(usize::MAX));
-        let mut core = OooCore::new(CoreConfig::paper(), trace)?;
-
-        let mut now = Cycle(0);
-        // Generous safety cap: no workload should need 400 cycles per
-        // instruction; hitting the cap indicates a simulator bug and shows up
-        // as an implausible IPC in the results.
-        let cycle_cap = instructions.saturating_mul(400) + 1_000_000;
-        while !core.is_finished() && now.0 < cycle_cap {
-            guard.observe(now, core.committed())?;
-            hierarchy.tick(now);
-            core.tick(now, &mut hierarchy);
-            now = match engine {
-                Engine::CycleStep => now.next(),
-                Engine::EventHorizon => {
-                    if core.is_finished() {
-                        // Match the reference engine's final clock exactly.
-                        now.next()
-                    } else {
-                        // Jump to the earliest cycle either side can act.
-                        // `None`+`None` means neither component will ever act
-                        // again: jump to the cap, exactly where per-cycle
-                        // stepping (all no-op ticks) would also end up.
-                        let horizon = match (hierarchy.next_event(now), core.next_event(now)) {
-                            (Some(h), Some(c)) => Some(h.min(c)),
-                            (h, c) => h.or(c),
-                        };
-                        let next = horizon
-                            .unwrap_or(Cycle(cycle_cap))
-                            .max(now.next())
-                            .min(Cycle(cycle_cap).max(now.next()));
-                        match guard.horizon_clamp() {
-                            // Never jump past the next cycle the guard must
-                            // observe, while always making progress.
-                            Some(clamp) => next.min(Cycle(clamp.max(now.0 + 1))),
-                            None => next,
-                        }
-                    }
-                }
-            };
-        }
-        core.finalize_stats(now);
-
-        let stats = hierarchy.stats();
-        let energy = energy_model::account_for(&stats, now.0);
-        let result = RunResult {
-            label: stats.label.clone(),
-            workload: profile.name.clone(),
-            suite: profile.suite,
-            instructions: core.committed(),
-            cycles: now.0,
-            ipc: core.stats().ipc(now),
-            core: *core.stats(),
-            hierarchy: stats,
-            energy,
-            per_core: Vec::new(),
-            coherence: None,
+        let job = BatchJob {
+            spec,
+            profile,
+            instructions,
+            seed,
         };
-        Ok((result, hierarchy))
+        let mut probe = Some(probe);
+        let runner = BatchRunner::with_probes(engine, &[job], || {
+            probe.take().expect("a one-member batch builds one member")
+        })?;
+        Ok(runner.run().pop().expect("a one-member batch has one result"))
     }
 }
 

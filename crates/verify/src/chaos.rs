@@ -21,7 +21,9 @@
 //! The hook is process-global, so concurrent chaos scopes would trample
 //! each other; [`ChaosPlan::with_chaos`] serialises all chaos scopes behind one mutex
 //! and guarantees the hook is disarmed again even if the scope's body
-//! panics.
+//! panics. A supervised run outside any scope would still see a sibling
+//! scope's hook, so the unfaulted baselines of chaos tests run inside
+//! [`without_faults`], which takes the same mutex with no hook installed.
 //!
 //! # Example
 //!
@@ -174,4 +176,13 @@ impl ChaosPlan {
 /// Convenience: [`ChaosPlan::with_chaos`] with a single fault.
 pub fn with_fault<R>(fault: ScheduledFault, body: impl FnOnce() -> R) -> R {
     ChaosPlan::new().fault(fault).with_chaos(body)
+}
+
+/// Runs `body` with no fault hook installed: takes the global chaos scope
+/// (so no [`ChaosPlan::with_chaos`] body runs concurrently) and runs `body`
+/// unguarded by any fault. Chaos tests run their unfaulted baselines here,
+/// so a sibling test's faults cannot leak into them.
+pub fn without_faults<R>(body: impl FnOnce() -> R) -> R {
+    let _scope = CHAOS_SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
+    body()
 }

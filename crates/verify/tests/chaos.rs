@@ -18,7 +18,7 @@ use lnuca_sim::spec::HierarchySpec;
 use lnuca_sim::supervise::{run_batch_supervised, run_job_supervised, Supervisor};
 use lnuca_sim::system::{Engine, System};
 use lnuca_types::RunError;
-use lnuca_verify::chaos::{with_fault, ChaosPlan, FaultKind, ScheduledFault};
+use lnuca_verify::chaos::{with_fault, without_faults, ChaosPlan, FaultKind, ScheduledFault};
 use lnuca_workloads::suites;
 
 fn instructions() -> u64 {
@@ -98,11 +98,13 @@ fn batch_panic_quarantines_only_the_poisoned_member() {
 
 /// Cycle-budget and livelock trips are deterministic: identical structured
 /// errors from both engines (the horizon clamp guarantees the jumping
-/// engine cannot skip the trip cycle), and never retried.
+/// engine cannot skip the trip cycle), identical whether the job runs solo
+/// or as a member of a batch, and never retried.
 #[test]
 fn watchdog_trips_are_deterministic_across_engines_and_never_retried() {
     let spec = fabric_spec();
     let profile = suites::by_name("int.compress").expect("workload exists");
+    let siblings = suites::spec_fp_like();
 
     for (options, status) in [
         (
@@ -118,13 +120,35 @@ fn watchdog_trips_are_deterministic_across_engines_and_never_retried() {
         let trips: Vec<_> = [Engine::EventHorizon, Engine::CycleStep]
             .into_iter()
             .map(|engine| {
-                let outcome =
-                    run_job_supervised(engine, &spec, &profile, instructions(), 1, &supervisor);
+                let outcome = without_faults(|| {
+                    run_job_supervised(engine, &spec, &profile, instructions(), 1, &supervisor)
+                });
                 let err = outcome.outcome.expect_err("watchdog trips");
                 assert_eq!(err.status(), status);
                 // Deterministic trips reproduce identically: no retry is
                 // ever spent on them, even with retries budgeted.
                 assert_eq!(outcome.attempts, 1);
+
+                // The same job as member 1 of a 3-member batch trips with
+                // the same error: the batch clamps its horizon exactly as
+                // the solo run does.
+                let jobs: Vec<BatchJob<'_>> = [&siblings[0], &profile, &siblings[1]]
+                    .into_iter()
+                    .map(|profile| BatchJob {
+                        spec: &spec,
+                        profile,
+                        instructions: instructions(),
+                        seed: 1,
+                    })
+                    .collect();
+                let batched = without_faults(|| run_batch_supervised(engine, &jobs, &supervisor));
+                let member = &batched[1];
+                assert_eq!(
+                    member.outcome.as_ref().expect_err("batched watchdog trips"),
+                    &err,
+                    "{status} trip differs between solo and batched runs under {engine:?}"
+                );
+                assert_eq!(member.attempts, 1);
                 err
             })
             .collect();
@@ -140,14 +164,16 @@ fn zero_wall_clock_timeout_consumes_the_retry_budget() {
     let profile = suites::by_name("int.compress").expect("workload exists");
     let options = ExperimentOptions::builder().run_timeout_ms(Some(0)).retries(2).build();
     let supervisor = Supervisor::from_options(&options);
-    let outcome = run_job_supervised(
-        Engine::EventHorizon,
-        &spec,
-        &profile,
-        instructions(),
-        1,
-        &supervisor,
-    );
+    let outcome = without_faults(|| {
+        run_job_supervised(
+            Engine::EventHorizon,
+            &spec,
+            &profile,
+            instructions(),
+            1,
+            &supervisor,
+        )
+    });
     let err = outcome.outcome.expect_err("zero timeout always trips");
     assert_eq!(err.status(), "timeout");
     assert_eq!(outcome.attempts, 3, "attempt 0 plus retries = 2");
@@ -238,7 +264,7 @@ fn threaded_study_survives_a_poisoned_workload() {
         .build()
         .expect("plan is valid");
 
-    let clean = Study::run(&plan).expect("clean study runs");
+    let clean = without_faults(|| Study::run(&plan)).expect("clean study runs");
     assert!(clean.failures.is_empty());
     let poisoned = clean.results[0].workload.clone();
 
@@ -283,7 +309,8 @@ fn torn_journal_resumes_to_a_byte_identical_report() {
         .expect("plan is valid");
 
     let path = temp_path("resume");
-    let full = Study::run_journaled(&plan, &path, false).expect("journaled run succeeds");
+    let full =
+        without_faults(|| Study::run_journaled(&plan, &path, false)).expect("journaled run succeeds");
     let full_report = report_value(&plan, &full).to_pretty();
 
     // Tear the journal the way a kill mid-write would: keep the header and
@@ -293,7 +320,8 @@ fn torn_journal_resumes_to_a_byte_identical_report() {
     std::fs::write(&path, format!("{}\n{{\"job\":1,\"result\":{{\"lab", keep.join("\n")))
         .expect("journal writable");
 
-    let resumed = Study::run_journaled(&plan, &path, true).expect("resume succeeds");
+    let resumed =
+        without_faults(|| Study::run_journaled(&plan, &path, true)).expect("resume succeeds");
     assert_eq!(
         report_value(&plan, &resumed).to_pretty(),
         full_report,

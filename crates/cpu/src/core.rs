@@ -6,7 +6,7 @@ use crate::predictor::HybridPredictor;
 use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, ReqId};
 use lnuca_workloads::{Instr, InstrKind};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Execution state of a reorder-buffer entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,23 +19,46 @@ enum EntryState {
     Completed,
 }
 
-#[derive(Debug, Clone)]
+/// One slot of the reorder-buffer ring.
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
-    seq: u64,
     kind: InstrKind,
     addr: Option<Addr>,
-    dep_seq: Option<u64>,
     state: EntryState,
     completes_at: Cycle,
+    /// Ring slot of one dispatched entry waiting on this entry's result;
+    /// the rest of the list is threaded through the waiters' `next_waiter`.
+    first_waiter: Option<u32>,
+    next_waiter: Option<u32>,
+    /// Producer sequence number, kept only for the invariant check.
+    #[cfg(test)]
+    dep_seq: Option<u64>,
 }
 
 impl RobEntry {
-    fn is_memory(&self) -> bool {
-        self.kind.is_memory()
-    }
+    const VACANT: RobEntry = RobEntry {
+        kind: InstrKind::IntAlu,
+        addr: None,
+        state: EntryState::Completed,
+        completes_at: Cycle::ZERO,
+        first_waiter: None,
+        next_waiter: None,
+        #[cfg(test)]
+        dep_seq: None,
+    };
+}
 
-    fn class(&self) -> IssueClass {
-        match self.kind {
+/// The issue window an instruction waits in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IssueClass {
+    Int,
+    Fp,
+    Mem,
+}
+
+impl IssueClass {
+    fn of(kind: InstrKind) -> IssueClass {
+        match kind {
             InstrKind::FpAlu => IssueClass::Fp,
             InstrKind::Load | InstrKind::Store => IssueClass::Mem,
             InstrKind::IntAlu | InstrKind::Branch { .. } => IssueClass::Int,
@@ -43,11 +66,80 @@ impl RobEntry {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IssueClass {
-    Int,
-    Fp,
-    Mem,
+/// A load in flight in the memory hierarchy.
+#[derive(Debug, Clone, Copy)]
+struct PendingLoad {
+    id: ReqId,
+    seq: u64,
+    issued_at: Cycle,
+}
+
+/// The loads in flight, keyed by request id: open addressing with linear
+/// probing over a power-of-two table at least twice as large as the number
+/// of loads that can be in flight, so it is never more than half full.
+/// Request ids are handed out sequentially, so their low bits already spread
+/// them over the table without hashing.
+#[derive(Debug)]
+struct LoadTable {
+    slots: Box<[Option<PendingLoad>]>,
+    len: usize,
+}
+
+impl LoadTable {
+    fn new(max_loads: usize) -> Self {
+        LoadTable {
+            slots: vec![None; (2 * max_loads).next_power_of_two()].into_boxed_slice(),
+            len: 0,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    fn home(&self, id: ReqId) -> usize {
+        id.0 as usize & self.mask()
+    }
+
+    fn insert(&mut self, load: PendingLoad) {
+        debug_assert!(2 * self.len < self.slots.len(), "more loads in flight than LSQ entries");
+        let mut i = self.home(load.id);
+        while self.slots[i].is_some() {
+            i = (i + 1) & self.mask();
+        }
+        self.slots[i] = Some(load);
+        self.len += 1;
+    }
+
+    /// The slot holding `id`, if that load is in flight.
+    fn find(&self, id: ReqId) -> Option<usize> {
+        let mut i = self.home(id);
+        loop {
+            match self.slots[i] {
+                None => return None,
+                Some(load) if load.id == id => return Some(i),
+                Some(_) => i = (i + 1) & self.mask(),
+            }
+        }
+    }
+
+    fn remove(&mut self, id: ReqId) -> Option<PendingLoad> {
+        let mut hole = self.find(id)?;
+        let load = self.slots[hole].take();
+        self.len -= 1;
+        // Backward-shift deletion: move each later member of the probe run
+        // into the hole when it stays reachable from its home slot there.
+        let mask = self.mask();
+        let mut i = (hole + 1) & mask;
+        while let Some(next) = self.slots[i] {
+            if i.wrapping_sub(self.home(next.id)) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[i].take();
+                hole = i;
+            }
+            i = (i + 1) & mask;
+        }
+        load
+    }
 }
 
 /// Aggregate counters of an [`OooCore`] run.
@@ -119,16 +211,44 @@ impl CoreStats {
 /// the mechanism the paper's IPC numbers rely on — a limited instruction
 /// window that can hide short cache latencies but not long ones, throttled
 /// further by branch mispredictions and store-buffer pressure.
+///
+/// A tick costs work in proportion to the instructions that change state in
+/// it, not to ROB occupancy (DESIGN.md §10.1). Window and LSQ occupancy are
+/// counters; executing non-loads wait in two fixed-latency completion queues,
+/// sorted because each has one latency; in-flight loads sit in a fixed slot
+/// table keyed by request id. Issue visits only ready entries: an entry
+/// becomes `Completed` no earlier than its `completes_at`, so its result is
+/// visible from the tick it completes, and that tick wakes every entry
+/// waiting on it. All of these structures are sized from the [`CoreConfig`]
+/// at construction, so ticking never allocates.
 #[derive(Debug)]
 pub struct OooCore<T> {
     config: CoreConfig,
     trace: T,
     trace_exhausted: bool,
     predictor: HybridPredictor,
-    rob: VecDeque<RobEntry>,
+    /// The reorder buffer: a ring of at least `rob_size` slots (a power of
+    /// two, whole 64-slot words) holding `head_seq..next_seq` at
+    /// `seq & rob_mask`.
+    rob: Box<[RobEntry]>,
+    rob_mask: u64,
+    /// Sequence number of the oldest in-flight instruction.
+    head_seq: u64,
     next_seq: u64,
+    /// One bit per ring slot, set while that entry is dispatched with its
+    /// operand ready: exactly the entries the issue sweep visits.
+    ready: Box<[u64]>,
+    /// Dispatched (not yet issued) entries per [`IssueClass`].
+    waiting: [usize; 3],
+    /// Loads and stores in the ROB.
+    lsq_occupancy: usize,
+    /// Executing integer ALU ops, branches and store address generations as
+    /// `(completes_at, seq)`, oldest issue first.
+    int_done: VecDeque<(Cycle, u64)>,
+    /// Executing floating-point ops, likewise.
+    fp_done: VecDeque<(Cycle, u64)>,
     store_buffer: VecDeque<Addr>,
-    pending_loads: HashMap<ReqId, (u64, Cycle)>,
+    pending_loads: LoadTable,
     next_req_id: u64,
     /// Sequence number of the mispredicted branch blocking fetch, if any.
     fetch_blocked_on: Option<u64>,
@@ -140,8 +260,6 @@ pub struct OooCore<T> {
     /// Reused per-cycle buffer for hierarchy completions (zero-allocation
     /// steady state).
     completion_scratch: Vec<MemResponse>,
-    /// Reused per-cycle buffer for the oldest-first issue sweep.
-    seq_scratch: Vec<u64>,
     /// Open ROB-full stall window: the first cycle fetch found the ROB full.
     /// Stall *cycles* are accumulated into `stats.rob_full_stalls` lazily,
     /// when the window closes — ticking inside an open window is a no-op,
@@ -170,26 +288,34 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
     /// Returns a [`ConfigError`] if the configuration is invalid.
     pub fn new(config: CoreConfig, trace: T) -> Result<Self, ConfigError> {
         config.validate()?;
+        let ring = config.rob_size.next_power_of_two().max(64);
         Ok(OooCore {
-            config,
             trace,
             trace_exhausted: false,
             predictor: HybridPredictor::new(),
-            rob: VecDeque::new(),
+            rob: vec![RobEntry::VACANT; ring].into_boxed_slice(),
+            rob_mask: ring as u64 - 1,
+            head_seq: 0,
             next_seq: 0,
-            store_buffer: VecDeque::new(),
-            pending_loads: HashMap::new(),
+            ready: vec![0; ring / 64].into_boxed_slice(),
+            waiting: [0; 3],
+            lsq_occupancy: 0,
+            int_done: VecDeque::with_capacity(config.rob_size),
+            fp_done: VecDeque::with_capacity(config.rob_size),
+            store_buffer: VecDeque::with_capacity(config.store_buffer_size),
+            // Every in-flight load holds an LSQ entry and a ROB entry.
+            pending_loads: LoadTable::new(config.lsq_size.min(config.rob_size)),
             next_req_id: 0,
             fetch_blocked_on: None,
             fetch_stalled_until: Cycle::ZERO,
             pending_fetch: None,
-            completion_scratch: Vec::new(),
-            seq_scratch: Vec::new(),
+            completion_scratch: Vec::with_capacity(config.lsq_size),
             rob_stall_since: None,
             store_stall_since: None,
             mem_reject_since: None,
             last_issue_all_rejected: false,
             stats: CoreStats::default(),
+            config,
         })
     }
 
@@ -221,7 +347,7 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
     /// has committed and every buffered store has drained.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.trace_exhausted && self.rob.is_empty() && self.store_buffer.is_empty()
+        self.trace_exhausted && self.rob_occupancy() == 0 && self.store_buffer.is_empty()
     }
 
     /// Advances the core by one cycle, exchanging requests and completions
@@ -273,114 +399,56 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
         if !self.store_buffer.is_empty() {
             return Some(floor);
         }
-        let mut horizon: Option<Cycle> = None;
-        let merge = |h: &mut Option<Cycle>, at: Cycle| Cycle::merge_horizon(h, at, floor);
+        // Commit: a completed head is left only when commit width ran out.
+        if self.rob_occupancy() > 0
+            && self.rob[self.slot(self.head_seq)].state == EntryState::Completed
+        {
+            return Some(floor);
+        }
+        // Issue: ready work issues next cycle, unless the last pass issued
+        // nothing and only collected rejected loads — then it wakes with the
+        // hierarchy, whose horizon the caller merges.
+        if !self.last_issue_all_rejected && self.ready.iter().any(|&word| word != 0) {
+            return Some(floor);
+        }
 
+        let mut horizon: Option<Cycle> = None;
         // Front end: if fetch can actually proceed (not branch-blocked, ROB
         // has room, the staged instruction is not window/LSQ-gated) it runs
         // every cycle once the misprediction penalty elapses. Blocked
         // variants need no event of their own — the commits/issues that
-        // unblock them are merged below.
+        // unblock them report theirs.
         if self.fetch_blocked_on.is_none()
             && (self.pending_fetch.is_some() || !self.trace_exhausted)
-            && self.rob.len() >= self.config.rob_size
-            && self.rob_stall_since.is_none()
         {
-            // The ROB just filled: the next attempted fetch *opens* the lazy
-            // stall window — a state change in its own right — so the core
-            // stays busy until the attempt happens (at `fetch_stalled_until`
-            // if the front end is serving a misprediction penalty).
-            merge(&mut horizon, self.fetch_stalled_until);
-            if horizon == Some(floor) {
-                return horizon;
-            }
-        }
-        if self.fetch_blocked_on.is_none()
-            && (self.pending_fetch.is_some() || !self.trace_exhausted)
-            && self.rob.len() < self.config.rob_size
-        {
-            let gated = match self.pending_fetch {
-                Some(instr) => {
-                    let class = match instr.kind {
-                        InstrKind::FpAlu => IssueClass::Fp,
-                        InstrKind::Load | InstrKind::Store => IssueClass::Mem,
-                        _ => IssueClass::Int,
-                    };
-                    let window = match class {
-                        IssueClass::Int => self.config.int_window,
-                        IssueClass::Fp => self.config.fp_window,
-                        IssueClass::Mem => self.config.mem_window,
-                    };
-                    (instr.kind.is_memory() && self.lsq_occupancy() >= self.config.lsq_size)
-                        || self.waiting_in_class(class) >= window
+            if self.rob_occupancy() >= self.config.rob_size {
+                // The ROB just filled: the next attempted fetch *opens* the
+                // lazy stall window — a state change in its own right — so
+                // the core stays busy until the attempt happens (at
+                // `fetch_stalled_until` if the front end is serving a
+                // misprediction penalty).
+                if self.rob_stall_since.is_none() {
+                    Cycle::merge_horizon(&mut horizon, self.fetch_stalled_until, floor);
                 }
-                // The next instruction is still in the trace: assume it is
-                // dispatchable (over-reporting is safe, see the contract).
-                None => false,
-            };
-            if !gated {
-                if self.fetch_stalled_until <= floor {
-                    return Some(floor);
-                }
-                merge(&mut horizon, self.fetch_stalled_until);
+            } else if !self
+                .pending_fetch
+                .is_some_and(|instr| self.dispatch_gated(instr.kind))
+            {
+                // A staged instruction that fits, or one still in the trace
+                // (assumed dispatchable: over-reporting is safe).
+                Cycle::merge_horizon(&mut horizon, self.fetch_stalled_until, floor);
             }
         }
 
-        // Commit: a completed head retires at its completion cycle (or next
-        // cycle, if commit width ran out this cycle).
-        if let Some(head) = self.rob.front() {
-            if head.state == EntryState::Completed {
-                if head.completes_at <= floor {
-                    return Some(floor);
-                }
-                merge(&mut horizon, head.completes_at);
-            }
-        }
-
-        for entry in &self.rob {
-            match entry.state {
-                EntryState::Dispatched => {
-                    if self.operands_ready(entry.seq, now) {
-                        // Ready work that was *all* rejected loads wakes with
-                        // the hierarchy (merged by the caller); anything else
-                        // will issue next cycle.
-                        if !self.last_issue_all_rejected {
-                            return Some(floor);
-                        }
-                    } else if let Some(dep) = entry.dep_seq {
-                        if let Some(producer) = self.entry(dep) {
-                            match producer.state {
-                                // Operands become ready when the producer's
-                                // result lands; executing loads wake via the
-                                // hierarchy, dispatched producers via their
-                                // own enabling event (merged in their turn).
-                                EntryState::Completed => {
-                                    merge(&mut horizon, producer.completes_at)
-                                }
-                                EntryState::Executing if !producer.kind.is_load() => {
-                                    merge(&mut horizon, producer.completes_at)
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-                // Non-load execution finishes at a known cycle; loads finish
-                // when the hierarchy says so.
-                EntryState::Executing => {
-                    if !entry.kind.is_load() {
-                        merge(&mut horizon, entry.completes_at);
-                    }
-                }
-                EntryState::Completed => {}
-            }
-        }
-
-        // Defensive: a blocked front end whose branch has already completed
-        // resolves on the next tick (normally caught within the same tick).
-        if let Some(seq) = self.fetch_blocked_on {
-            if self.entry(seq).is_some_and(|e| e.state == EntryState::Completed) {
-                return Some(floor);
+        // Execution: each completion queue has one latency, so its front is
+        // its earliest finish; loads finish when the hierarchy says so. A
+        // dispatched entry that is not ready waits on a producer that is
+        // executing (covered here or by the hierarchy) or still dispatched
+        // (woken by that producer's own events); a completed producer has
+        // already woken it. So no per-entry producer scan is needed.
+        for queue in [&self.int_done, &self.fp_done] {
+            if let Some(&(at, _)) = queue.front() {
+                Cycle::merge_horizon(&mut horizon, at, floor);
             }
         }
         horizon
@@ -393,12 +461,10 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
         responses.clear();
         memory.drain_completions(now, &mut responses);
         for &resp in &responses {
-            if let Some((seq, issued_at)) = self.pending_loads.remove(&resp.id) {
-                if let Some(entry) = self.entry_mut(seq) {
-                    entry.state = EntryState::Completed;
-                    entry.completes_at = resp.completed_at.max(now);
-                }
-                self.stats.load_latency_sum += resp.completed_at.since(issued_at);
+            if let Some(load) = self.pending_loads.remove(resp.id) {
+                debug_assert!(resp.completed_at <= now, "completion drained early");
+                self.complete(self.slot(load.seq), now);
+                self.stats.load_latency_sum += resp.completed_at.since(load.issued_at);
                 self.stats.load_latency_samples += 1;
             }
             // Store-write completions carry no dependent work: the store
@@ -408,35 +474,32 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
     }
 
     fn finish_execution(&mut self, now: Cycle) {
-        let mut unblock: Option<(u64, Cycle)> = None;
-        for entry in &mut self.rob {
-            if entry.state == EntryState::Executing
-                && !entry.kind.is_load()
-                && entry.completes_at <= now
-            {
-                entry.state = EntryState::Completed;
-                if self.fetch_blocked_on == Some(entry.seq) {
-                    unblock = Some((entry.seq, entry.completes_at));
-                }
-            } else if entry.state == EntryState::Completed
-                && self.fetch_blocked_on == Some(entry.seq)
-            {
-                unblock = Some((entry.seq, entry.completes_at));
-            }
+        while let Some((at, seq)) = pop_due(&mut self.int_done, now) {
+            self.finish(seq, at);
         }
-        if let Some((_, resolved_at)) = unblock {
+        while let Some((at, seq)) = pop_due(&mut self.fp_done, now) {
+            self.finish(seq, at);
+        }
+    }
+
+    fn finish(&mut self, seq: u64, at: Cycle) {
+        self.complete(self.slot(seq), at);
+        if self.fetch_blocked_on == Some(seq) {
             // The front end restarts on the correct path after the
             // misprediction penalty.
             self.fetch_blocked_on = None;
-            self.fetch_stalled_until = resolved_at + self.config.mispredict_penalty;
+            self.fetch_stalled_until = at + self.config.mispredict_penalty;
         }
     }
 
     fn commit(&mut self, now: Cycle) {
         let mut store_blocked = false;
         for _ in 0..self.config.commit_width {
-            let Some(head) = self.rob.front() else { break };
-            if head.state != EntryState::Completed || head.completes_at > now {
+            if self.rob_occupancy() == 0 {
+                break;
+            }
+            let head = self.rob[self.slot(self.head_seq)];
+            if head.state != EntryState::Completed {
                 break;
             }
             if head.kind.is_store() {
@@ -455,7 +518,10 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
             } else if head.kind.is_branch() {
                 self.stats.branches += 1;
             }
-            self.rob.pop_front();
+            if head.kind.is_memory() {
+                self.lsq_occupancy -= 1;
+            }
+            self.head_seq += 1;
             self.stats.committed += 1;
         }
         if !store_blocked {
@@ -487,86 +553,58 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
         let int_mem_width = self.config.issue_width_int_mem;
         let fp_width = self.config.issue_width_fp;
 
-        // Oldest-first issue, swept through a reused scratch buffer (the
-        // per-cycle zero-allocation rule of DESIGN.md §9).
-        let mut seqs = std::mem::take(&mut self.seq_scratch);
-        seqs.clear();
-        seqs.extend(
-            self.rob
-                .iter()
-                .filter(|e| e.state == EntryState::Dispatched)
-                .map(|e| e.seq),
-        );
-        for &seq in &seqs {
+        // Oldest-first over the ready entries only. Issuing wakes nobody
+        // (results appear at completion), so the ready set only shrinks
+        // during the sweep.
+        let mut cursor = self.head_seq;
+        while let Some(seq) = self.next_ready(cursor) {
+            cursor = seq + 1;
             if int_issued >= int_mem_width && fp_issued >= fp_width {
                 break;
             }
-            if !self.operands_ready(seq, now) {
+            let slot = self.slot(seq);
+            let RobEntry { kind, addr, .. } = self.rob[slot];
+            let class = IssueClass::of(kind);
+            let (issued, width) = if class == IssueClass::Fp {
+                (&mut fp_issued, fp_width)
+            } else {
+                (&mut int_issued, int_mem_width)
+            };
+            if *issued >= width {
                 continue;
             }
-            let (class, kind, addr) = {
-                let e = self.entry(seq).expect("seq collected from the ROB");
-                (e.class(), e.kind, e.addr)
-            };
-            match class {
-                IssueClass::Fp => {
-                    if fp_issued >= fp_width {
+            match kind {
+                InstrKind::Load => {
+                    let id = self.alloc_req_id();
+                    let req = MemRequest::read(id, addr.expect("loads carry an address"), now);
+                    if !memory.issue(req, now) {
+                        // Hierarchy back-pressure (ports/MSHRs full): the
+                        // request id is simply never used again, and the
+                        // load stays ready.
+                        rejected += 1;
                         continue;
                     }
-                    let done = now + self.config.fp_latency;
-                    let entry = self.entry_mut(seq).expect("entry exists");
-                    entry.state = EntryState::Executing;
-                    entry.completes_at = done;
-                    fp_issued += 1;
+                    self.pending_loads.insert(PendingLoad {
+                        id,
+                        seq,
+                        issued_at: now,
+                    });
                 }
-                IssueClass::Int => {
-                    if int_issued >= int_mem_width {
-                        continue;
-                    }
-                    let done = now + self.config.int_latency;
-                    let entry = self.entry_mut(seq).expect("entry exists");
-                    entry.state = EntryState::Executing;
-                    entry.completes_at = done;
-                    int_issued += 1;
+                InstrKind::FpAlu => {
+                    self.fp_done.push_back((now + self.config.fp_latency, seq));
                 }
-                IssueClass::Mem => {
-                    if int_issued >= int_mem_width {
-                        continue;
-                    }
-                    match kind {
-                        InstrKind::Store => {
-                            // Address generation only; the write itself is
-                            // performed from the store buffer after commit.
-                            let done = now + self.config.int_latency;
-                            let entry = self.entry_mut(seq).expect("entry exists");
-                            entry.state = EntryState::Executing;
-                            entry.completes_at = done;
-                            int_issued += 1;
-                        }
-                        InstrKind::Load => {
-                            let id = self.alloc_req_id();
-                            let req = MemRequest::read(
-                                id,
-                                addr.expect("loads carry an address"),
-                                now,
-                            );
-                            if memory.issue(req, now) {
-                                self.pending_loads.insert(id, (seq, now));
-                                let entry = self.entry_mut(seq).expect("entry exists");
-                                entry.state = EntryState::Executing;
-                                int_issued += 1;
-                            } else {
-                                // Hierarchy back-pressure (ports/MSHRs full):
-                                // the request id is simply never used again.
-                                rejected += 1;
-                            }
-                        }
-                        _ => unreachable!("memory class covers only loads and stores"),
-                    }
+                // Integer ops, branches, and store address generation (the
+                // write itself is performed from the store buffer after
+                // commit).
+                InstrKind::IntAlu | InstrKind::Branch { .. } | InstrKind::Store => {
+                    self.int_done.push_back((now + self.config.int_latency, seq));
                 }
             }
+            *issued += 1;
+            self.rob[slot].state = EntryState::Executing;
+            self.ready[slot / 64] &= !(1 << (slot % 64));
+            self.waiting[class as usize] -= 1;
         }
-        self.seq_scratch = seqs;
 
         // A pass that issued nothing and only collected rejections will
         // repeat itself verbatim every cycle until the hierarchy's state
@@ -600,7 +638,7 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
             return;
         }
         for _ in 0..self.config.fetch_width {
-            if self.rob.len() >= self.config.rob_size {
+            if self.rob_occupancy() >= self.config.rob_size {
                 // Lazy ROB-full accounting: open the window once; every
                 // subsequent full cycle is a no-op and the cycles are summed
                 // into `rob_full_stalls` when the window closes below.
@@ -618,23 +656,8 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
                 self.trace_exhausted = true;
                 return;
             };
-            if instr.kind.is_memory() && self.lsq_occupancy() >= self.config.lsq_size {
-                return;
-            }
-            // Issue-window occupancy limits dispatch per class.
-            let class = match instr.kind {
-                InstrKind::FpAlu => IssueClass::Fp,
-                InstrKind::Load | InstrKind::Store => IssueClass::Mem,
-                _ => IssueClass::Int,
-            };
-            let window = match class {
-                IssueClass::Int => self.config.int_window,
-                IssueClass::Fp => self.config.fp_window,
-                IssueClass::Mem => self.config.mem_window,
-            };
-            if self.waiting_in_class(class) >= window {
-                // Leave the instruction for the next cycle.
-                self.pending_fetch = Some(instr);
+            if self.dispatch_gated(instr.kind) {
+                // Leave the instruction staged for a later cycle.
                 return;
             }
             self.pending_fetch = None;
@@ -654,14 +677,32 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
                     self.stats.mispredictions += 1;
                 }
             }
-            self.rob.push_back(RobEntry {
-                seq,
+            let slot = self.slot(seq);
+            self.rob[slot] = RobEntry {
                 kind: instr.kind,
                 addr: instr.addr,
-                dep_seq,
                 state: EntryState::Dispatched,
                 completes_at: Cycle::ZERO,
-            });
+                first_waiter: None,
+                next_waiter: None,
+                #[cfg(test)]
+                dep_seq,
+            };
+            self.waiting[IssueClass::of(instr.kind) as usize] += 1;
+            if instr.kind.is_memory() {
+                self.lsq_occupancy += 1;
+            }
+            // The operand is ready unless its producer is still in flight
+            // and has not completed; then this entry joins the producer's
+            // waiter list, and the producer's completion wakes it.
+            match dep_seq.filter(|&dep| dep >= self.head_seq) {
+                Some(dep) if self.rob[self.slot(dep)].state != EntryState::Completed => {
+                    let producer = self.slot(dep);
+                    self.rob[slot].next_waiter =
+                        self.rob[producer].first_waiter.replace(slot as u32);
+                }
+                _ => self.ready[slot / 64] |= 1 << (slot % 64),
+            }
             // This entry was dispatched *after* this tick's issue pass, so
             // that pass's everything-was-a-rejected-load analysis no longer
             // describes the ROB: the newcomer may be ready right now and
@@ -685,38 +726,48 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
         id
     }
 
-    fn entry(&self, seq: u64) -> Option<&RobEntry> {
-        let first = self.rob.front()?.seq;
-        self.rob.get(usize::try_from(seq.checked_sub(first)?).ok()?)
-    }
-
-    fn entry_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let first = self.rob.front()?.seq;
-        self.rob
-            .get_mut(usize::try_from(seq.checked_sub(first)?).ok()?)
-    }
-
-    fn operands_ready(&self, seq: u64, now: Cycle) -> bool {
-        let Some(entry) = self.entry(seq) else { return false };
-        match entry.dep_seq {
-            None => true,
-            Some(dep) => match self.entry(dep) {
-                // Producer already committed (left the ROB).
-                None => true,
-                Some(p) => p.state == EntryState::Completed && p.completes_at <= now,
-            },
+    /// Marks the entry at `slot` completed at `at` (never later than the
+    /// current tick) and makes every entry waiting on it ready.
+    fn complete(&mut self, slot: usize, at: Cycle) {
+        let entry = &mut self.rob[slot];
+        entry.state = EntryState::Completed;
+        entry.completes_at = at;
+        let mut waiter = entry.first_waiter.take();
+        while let Some(w) = waiter {
+            let w = w as usize;
+            waiter = self.rob[w].next_waiter.take();
+            self.ready[w / 64] |= 1 << (w % 64);
         }
     }
 
-    fn lsq_occupancy(&self) -> usize {
-        self.rob.iter().filter(|e| e.is_memory()).count()
+    /// The oldest ready entry with sequence number `>= from`, if any.
+    fn next_ready(&self, from: u64) -> Option<u64> {
+        let mut seq = from;
+        while seq < self.next_seq {
+            let slot = self.slot(seq);
+            let bits = self.ready[slot / 64] >> (slot % 64);
+            if bits != 0 {
+                // A set bit past `next_seq` belongs to an entry older than
+                // `from` (the scan wrapped around the ring), so none is left.
+                let found = seq + u64::from(bits.trailing_zeros());
+                return (found < self.next_seq).then_some(found);
+            }
+            // Whole words never straddle the end of the ring.
+            seq += 64 - (slot % 64) as u64;
+        }
+        None
     }
 
-    fn waiting_in_class(&self, class: IssueClass) -> usize {
-        self.rob
-            .iter()
-            .filter(|e| e.state == EntryState::Dispatched && e.class() == class)
-            .count()
+    /// `true` when the LSQ or `kind`'s issue window is full.
+    fn dispatch_gated(&self, kind: InstrKind) -> bool {
+        let class = IssueClass::of(kind);
+        let window = match class {
+            IssueClass::Int => self.config.int_window,
+            IssueClass::Fp => self.config.fp_window,
+            IssueClass::Mem => self.config.mem_window,
+        };
+        (kind.is_memory() && self.lsq_occupancy >= self.config.lsq_size)
+            || self.waiting[class as usize] >= window
     }
 
     fn peek_or_fetch(&mut self) -> Option<Instr> {
@@ -729,36 +780,172 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
     }
 }
 
+/// Pops the front of a fixed-latency completion queue if it is due at `now`.
+fn pop_due(queue: &mut VecDeque<(Cycle, u64)>, now: Cycle) -> Option<(Cycle, u64)> {
+    if queue.front()?.0 <= now {
+        queue.pop_front()
+    } else {
+        None
+    }
+}
+
 impl<T> OooCore<T> {
     /// Returns the number of instructions currently in the reorder buffer.
     #[must_use]
     pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.rob_mask) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::FixedLatencyMemory;
+    use crate::memory::{drain_ready, FixedLatencyMemory};
+    use lnuca_types::ServiceLevel;
     use lnuca_workloads::{TraceGenerator, WorkloadProfile};
+    use proptest::prelude::*;
+
+    impl<T> OooCore<T> {
+        /// Recounts every incremental structure from the ROB entries and
+        /// panics on the first disagreement. Call right after a tick at
+        /// `now`.
+        fn check_invariants(&self, now: Cycle) {
+            let mut waiting = [0; 3];
+            let mut lsq = 0;
+            let mut ready = 0;
+            let mut not_ready = 0;
+            let mut int_executing = Vec::new();
+            let mut fp_executing = Vec::new();
+            let mut loads_in_flight = 0;
+            for seq in self.head_seq..self.next_seq {
+                let slot = self.slot(seq);
+                let entry = &self.rob[slot];
+                let bit = (self.ready[slot / 64] >> (slot % 64)) & 1 == 1;
+                lsq += usize::from(entry.kind.is_memory());
+                match entry.state {
+                    EntryState::Dispatched => {
+                        waiting[IssueClass::of(entry.kind) as usize] += 1;
+                        let producer = entry
+                            .dep_seq
+                            .filter(|&dep| dep >= self.head_seq)
+                            .map(|dep| self.rob[self.slot(dep)]);
+                        let operand_ready = producer.is_none_or(|p| {
+                            p.state == EntryState::Completed && p.completes_at <= now
+                        });
+                        assert_eq!(bit, operand_ready, "ready bit of seq {seq}");
+                        if operand_ready {
+                            ready += 1;
+                        } else {
+                            not_ready += 1;
+                            let producer = self.slot(entry.dep_seq.expect("has a producer"));
+                            let on_list = self.waiters(producer).filter(|&w| w == slot).count();
+                            assert_eq!(on_list, 1, "seq {seq} waits on its producer once");
+                        }
+                    }
+                    EntryState::Executing => {
+                        assert!(!bit, "executing seq {seq} is marked ready");
+                        match entry.kind {
+                            InstrKind::Load => loads_in_flight += 1,
+                            InstrKind::FpAlu => fp_executing.push(seq),
+                            _ => int_executing.push(seq),
+                        }
+                    }
+                    EntryState::Completed => {
+                        assert!(!bit, "completed seq {seq} is marked ready");
+                        assert!(entry.completes_at <= now, "seq {seq} completed early");
+                        assert!(entry.first_waiter.is_none(), "seq {seq} left waiters asleep");
+                    }
+                }
+            }
+            assert_eq!(waiting, self.waiting, "issue-window counts");
+            assert_eq!(lsq, self.lsq_occupancy, "LSQ count");
+            let ready_bits: u32 = self.ready.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(ready_bits as usize, ready, "stray ready bits");
+            let listed: usize = (self.head_seq..self.next_seq)
+                .map(|seq| self.waiters(self.slot(seq)).count())
+                .sum();
+            assert_eq!(listed, not_ready, "waiter lists hold exactly the unready entries");
+
+            for (queue, executing) in
+                [(&self.int_done, int_executing), (&self.fp_done, fp_executing)]
+            {
+                assert!(queue.iter().zip(queue.iter().skip(1)).all(|(a, b)| a.0 <= b.0));
+                let mut seqs: Vec<u64> = queue.iter().map(|&(_, seq)| seq).collect();
+                seqs.sort_unstable();
+                assert_eq!(seqs, executing, "completion queue holds the executing entries");
+            }
+
+            let table = &self.pending_loads;
+            assert_eq!(table.len, loads_in_flight, "slot table size");
+            for (i, load) in table.slots.iter().enumerate() {
+                let Some(load) = load else { continue };
+                assert_eq!(table.find(load.id), Some(i), "load {} unreachable", load.id);
+                assert!((self.head_seq..self.next_seq).contains(&load.seq));
+                let entry = &self.rob[self.slot(load.seq)];
+                assert!(entry.kind.is_load() && entry.state == EntryState::Executing);
+            }
+
+            if let Some(seq) = self.fetch_blocked_on {
+                assert!((self.head_seq..self.next_seq).contains(&seq));
+                assert_ne!(self.rob[self.slot(seq)].state, EntryState::Completed);
+            }
+        }
+
+        /// Ring slots on the waiter list of the entry at `slot`.
+        fn waiters(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
+            std::iter::successors(self.rob[slot].first_waiter, |&w| {
+                self.rob[w as usize].next_waiter
+            })
+            .map(|w| w as usize)
+        }
+    }
+
+    /// Runs `core` to completion against `memory`, ticking every cycle or
+    /// jumping to the merged core/memory horizon, and checks the core's
+    /// invariants after every tick. Returns the counters, the final clock
+    /// and whether any tick skipped cycles.
+    fn drive<T: Iterator<Item = Instr>>(
+        mut core: OooCore<T>,
+        memory: &mut dyn DataMemory,
+        event_horizon: bool,
+        max_cycles: u64,
+    ) -> (CoreStats, Cycle, bool) {
+        let mut now = Cycle(0);
+        let mut jumped = false;
+        while !core.is_finished() && now.0 < max_cycles {
+            memory.tick(now);
+            core.tick(now, memory);
+            core.check_invariants(now);
+            now = if event_horizon && !core.is_finished() {
+                let horizon = match (memory.next_event(now), core.next_event(now)) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+                let target = horizon.unwrap_or_else(|| now.next()).max(now.next());
+                jumped |= target > now.next();
+                target
+            } else {
+                now.next()
+            };
+        }
+        assert!(core.is_finished(), "run did not converge within {max_cycles} cycles");
+        core.finalize_stats(now);
+        (*core.stats(), now, jumped)
+    }
 
     fn run_trace(
         instrs: Vec<Instr>,
         latency: u64,
         max_cycles: u64,
     ) -> (CoreStats, Cycle, FixedLatencyMemory) {
-        let mut core = OooCore::new(CoreConfig::paper(), instrs.into_iter()).unwrap();
+        let core = OooCore::new(CoreConfig::paper(), instrs.into_iter()).unwrap();
         let mut mem = FixedLatencyMemory::new(latency);
-        let mut now = Cycle(0);
-        while !core.is_finished() && now.0 < max_cycles {
-            mem.tick(now);
-            core.tick(now, &mut mem);
-            now = now.next();
-        }
-        assert!(core.is_finished(), "run did not converge within {max_cycles} cycles");
-        core.finalize_stats(now);
-        (*core.stats(), now, mem)
+        let (stats, end, _) = drive(core, &mut mem, false, max_cycles);
+        (stats, end, mem)
     }
 
     #[test]
@@ -932,5 +1119,132 @@ mod tests {
         assert!(core.is_finished());
         assert_eq!(core.committed(), 0);
         assert_eq!(core.rob_occupancy(), 0);
+    }
+
+    /// A memory with a per-request latency, a bound on requests in flight
+    /// and a bound on requests accepted per cycle. Its refusals depend only
+    /// on state that changes at its own events, as the hierarchies'
+    /// do, so rejected-load deferral stays exact.
+    struct RefusingMemory {
+        min_latency: u64,
+        latency_span: u64,
+        capacity: usize,
+        ports: usize,
+        ports_used: usize,
+        in_flight: VecDeque<MemResponse>,
+    }
+
+    impl RefusingMemory {
+        fn new((min_latency, latency_span, capacity, ports): (u64, u64, usize, usize)) -> Self {
+            RefusingMemory {
+                min_latency,
+                latency_span,
+                capacity,
+                ports,
+                ports_used: 0,
+                in_flight: VecDeque::new(),
+            }
+        }
+    }
+
+    impl DataMemory for RefusingMemory {
+        fn issue(&mut self, req: MemRequest, now: Cycle) -> bool {
+            if self.in_flight.len() >= self.capacity || self.ports_used >= self.ports {
+                return false;
+            }
+            self.ports_used += 1;
+            // Not a function of the request id: rejected loads consume ids
+            // on every retry, which event-horizon stepping skips.
+            let latency = self.min_latency + (req.addr.0 / 64 + now.0) % (self.latency_span + 1);
+            self.in_flight
+                .push_back(MemResponse::for_request(&req, now + latency, ServiceLevel::L1));
+            true
+        }
+
+        fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
+            drain_ready(&mut self.in_flight, now, out);
+        }
+
+        fn tick(&mut self, _now: Cycle) {
+            self.ports_used = 0;
+        }
+
+        fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            if self.ports_used > 0 {
+                // The ports free up at the next tick.
+                return Some(now.next());
+            }
+            self.in_flight
+                .iter()
+                .map(|r| r.completed_at.max(now.next()))
+                .min()
+        }
+    }
+
+    /// Builds a trace from `(kind, dependency distance, block, taken)`.
+    fn program(ops: &[(u8, u32, u64, bool)]) -> Vec<Instr> {
+        ops.iter()
+            .map(|&(kind, dep_distance, block, taken)| {
+                let kind = match kind {
+                    0 => InstrKind::IntAlu,
+                    1 => InstrKind::FpAlu,
+                    2 => InstrKind::Load,
+                    3 => InstrKind::Store,
+                    _ => InstrKind::Branch { pc: block % 8, taken },
+                };
+                Instr {
+                    kind,
+                    addr: kind.is_memory().then_some(Addr(block * 64)),
+                    dep_distance,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refused_loads_defer_to_the_memory_and_count_reject_stalls() {
+        let ops: Vec<_> = (0..300u64).map(|i| (2, (i % 3) as u32, i, false)).collect();
+        let run = |event_horizon| {
+            let core = OooCore::new(CoreConfig::paper(), program(&ops).into_iter()).unwrap();
+            drive(core, &mut RefusingMemory::new((60, 20, 2, 1)), event_horizon, 1_000_000)
+        };
+        let (naive, naive_end, _) = run(false);
+        let (stats, end, jumped) = run(true);
+        assert!(naive.memory_reject_stalls > 0, "a two-entry memory must refuse loads");
+        assert!(jumped, "refused loads must not keep the core busy");
+        assert_eq!((stats, end), (naive, naive_end));
+    }
+
+    proptest! {
+        #[test]
+        fn bookkeeping_and_event_stepping_match_naive_per_cycle_runs(
+            ops in prop::collection::vec((0u8..5, 0u32..=8, 0u64..32, any::<bool>()), 1..120),
+            buffers in (1usize..=130, 1usize..=64, 1usize..=8),
+            windows in (1usize..=32, 1usize..=24, 1usize..=16, 1usize..=4),
+            memory in (1u64..30, 0u64..40, 1usize..=8, 1usize..=3),
+        ) {
+            let (rob_size, lsq_size, store_buffer_size) = buffers;
+            let (int_window, fp_window, mem_window, width) = windows;
+            let config = CoreConfig {
+                fetch_width: width,
+                issue_width_int_mem: width,
+                issue_width_fp: width,
+                commit_width: width,
+                rob_size,
+                lsq_size,
+                int_window,
+                fp_window,
+                mem_window,
+                store_buffer_size,
+                ..CoreConfig::paper()
+            };
+            let run = |event_horizon| {
+                let core = OooCore::new(config.clone(), program(&ops).into_iter()).unwrap();
+                let (stats, end, _) =
+                    drive(core, &mut RefusingMemory::new(memory), event_horizon, 1_000_000);
+                (stats, end)
+            };
+            prop_assert_eq!(run(true), run(false));
+        }
     }
 }

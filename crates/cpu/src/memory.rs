@@ -19,6 +19,9 @@ pub trait DataMemory {
     /// Appends the completions that have become available up to and
     /// including `now` to `out`, oldest first.
     ///
+    /// Every appended response must have `completed_at <= now`: the core
+    /// wakes a load's consumers at the tick that drains its response.
+    ///
     /// `out` is not cleared: the caller owns the scratch buffer and reuses
     /// its capacity across cycles, so a steady-state cycle performs no heap
     /// allocation (the zero-allocation invariant of DESIGN.md §9).

@@ -7,12 +7,14 @@
 //!    `Study::run` produces `RunResult`s **bit-identical** to the
 //!    programmatic paper plans (`ExperimentPlan::paper_conventional` /
 //!    `ExperimentPlan::paper_dnuca`),
-//! 3. a non-paper hierarchy loaded from a scenario file runs end to end.
+//! 3. a non-paper hierarchy loaded from a scenario file runs end to end,
+//! 4. every built-in plan keeps its journal digest.
 //!
 //! (The differential-oracle coverage of the non-paper shapes lives in
 //! `crates/verify/tests/custom_shapes.rs`.)
 
 use lnuca_suite::sim::experiments::{ExperimentOptions, ExperimentPlan, Study};
+use lnuca_suite::sim::journal;
 use lnuca_suite::sim::scenario::{self, Scenario};
 use std::path::PathBuf;
 
@@ -119,4 +121,29 @@ fn non_paper_hierarchies_run_from_their_scenario_files() {
         assert_eq!(result.hierarchy.deeper_levels.len(), 1, "the L2B level reports stats");
         assert!(result.hierarchy.l2.is_some() && result.hierarchy.l3.is_some());
     }
+}
+
+/// The plan digest is the content address of every journal and every serve
+/// cache entry: a changed digest silently orphans both. Each built-in
+/// scenario's digest is pinned here, so a change to the scenario encoding
+/// (which the digest is computed over) fails loudly instead.
+#[test]
+fn builtin_plan_digests_are_pinned() {
+    for (name, expected) in [
+        ("paper-conventional", "66216f53e571f7e0"),
+        ("paper-dnuca", "823159020b3382a0"),
+        ("adversarial", "647a0d5e8f0d4446"),
+        ("ablation-tile-size", "20645a1fce81755e"),
+        ("ablation-routing", "c0e30b0aa594ca9d"),
+        ("ln3-no-l3", "98c265b2b3466a1a"),
+        ("deep-stack", "4e6d8310748e169e"),
+        ("trace-replay", "d896ddc7b2ea09ca"),
+        ("cmp-sharing", "447bc996c3bfba97"),
+        ("cmp-lnuca-dnuca", "29c6635117b655f6"),
+    ] {
+        let plan = scenario::builtin(name).expect("registry resolves its own names").plan;
+        let digest = journal::plan_digest(&plan).expect("built-in workloads resolve");
+        assert_eq!(format!("{digest:016x}"), expected, "{name}: plan digest drifted");
+    }
+    assert_eq!(scenario::builtin_names().len(), 10, "pin the digest of every built-in");
 }

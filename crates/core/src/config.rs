@@ -3,7 +3,6 @@
 use lnuca_mem::ReplacementPolicy;
 use lnuca_noc::RoutingPolicy;
 use lnuca_types::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an [`LNuca`](crate::LNuca) fabric.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// cfg.validate()?;
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LNucaConfig {
     /// Number of levels including the root tile (2..=8).
     pub levels: u8,

@@ -22,13 +22,10 @@
 //!   cache level.
 
 use lnuca_types::{ByteSize, ConfigError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Position of a tile relative to the root tile.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileCoord {
     /// Column offset from the root tile (negative = left).
     pub col: i16,
@@ -72,7 +69,7 @@ impl fmt::Display for TileCoord {
 }
 
 /// Where a message goes next: to another tile or to the root tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Hop {
     /// Another tile, identified by its index in [`LNucaGeometry::tiles`].
     Tile(usize),
@@ -94,7 +91,7 @@ pub enum Hop {
 /// assert_eq!(g.capacity_bytes(8 * 1024), 14 * 8 * 1024);
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LNucaGeometry {
     levels: u8,
     tiles: Vec<TileCoord>,

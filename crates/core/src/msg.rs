@@ -8,10 +8,9 @@
 //! paper.
 
 use lnuca_types::{Addr, Cycle, ReqId};
-use serde::{Deserialize, Serialize};
 
 /// A miss request travelling outward on the Search (broadcast tree) network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchMsg {
     /// Address being searched.
     pub addr: Addr,
@@ -25,7 +24,7 @@ pub struct SearchMsg {
 
 /// A hit block travelling toward the root tile on the Transport (2-D mesh)
 /// network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportMsg {
     /// Block-aligned address of the data.
     pub addr: Addr,
@@ -44,7 +43,7 @@ pub struct TransportMsg {
 }
 
 /// An evicted block travelling outward on the Replacement network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplMsg {
     /// Block-aligned address of the victim.
     pub addr: Addr,
@@ -53,7 +52,7 @@ pub struct ReplMsg {
 }
 
 /// A hit block delivered to the root tile, as observed by the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Block-aligned address of the delivered block.
     pub addr: Addr,
@@ -74,7 +73,7 @@ pub struct Arrival {
 
 /// A global miss: no tile holds the block, the request must go to the next
 /// cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalMiss {
     /// Address that missed everywhere.
     pub addr: Addr,
@@ -87,7 +86,7 @@ pub struct GlobalMiss {
 }
 
 /// A block evicted out of the fabric toward the next cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Spill {
     /// Block-aligned address of the spilled block.
     pub addr: Addr,

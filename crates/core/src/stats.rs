@@ -1,6 +1,5 @@
 //! Statistics collected by the L-NUCA fabric.
 
-use serde::{Deserialize, Serialize};
 
 /// Event counters accumulated by an [`LNuca`](crate::LNuca) fabric.
 ///
@@ -8,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// hits per level and the average-to-minimum transport latency ratio), the
 /// energy model (tile accesses, link traversals) and the general sanity
 /// assertions in the test suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LNucaStats {
     /// Searches injected by the root tile.
     pub searches: u64,

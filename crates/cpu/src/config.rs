@@ -1,10 +1,9 @@
 //! Core (pipeline) configuration.
 
 use lnuca_types::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the out-of-order core, mirroring Table I of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Instructions fetched and dispatched per cycle.
     pub fetch_width: usize,

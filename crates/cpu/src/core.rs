@@ -5,7 +5,6 @@ use crate::memory::DataMemory;
 use crate::predictor::HybridPredictor;
 use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, ReqId};
 use lnuca_workloads::{Instr, InstrKind};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Execution state of a reorder-buffer entry.
@@ -143,7 +142,7 @@ impl LoadTable {
 }
 
 /// Aggregate counters of an [`OooCore`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreStats {
     /// Instructions fetched (and dispatched) into the ROB.
     pub fetched: u64,

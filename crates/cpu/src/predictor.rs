@@ -1,6 +1,5 @@
 //! Bimodal + gshare hybrid branch predictor.
 
-use serde::{Deserialize, Serialize};
 
 /// Number of bits of global history (paper: 16-bit gshare).
 const HISTORY_BITS: u32 = 16;
@@ -39,7 +38,7 @@ fn predicts_taken(counter: u8) -> bool {
 /// }
 /// assert!(p.predict_and_update(42, true));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HybridPredictor {
     bimodal: Vec<u8>,
     gshare: Vec<u8>,

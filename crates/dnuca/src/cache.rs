@@ -4,10 +4,9 @@ use crate::config::{DNucaConfig, SearchPolicy};
 use lnuca_mem::{CacheArray, CacheGeometry, EvictedLine, ReplacementPolicy};
 use lnuca_noc::{MeshConfig, WormholeMesh};
 use lnuca_types::{Addr, ConfigError, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Timing outcome of a D-NUCA access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DNucaOutcome {
     /// The block was found in a bank of the addressed bank set.
     Hit {
@@ -43,7 +42,7 @@ impl DNucaOutcome {
 }
 
 /// Event counters of a [`DNuca`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DNucaStats {
     /// Total accesses.
     pub accesses: u64,

@@ -1,10 +1,9 @@
 //! D-NUCA configuration.
 
 use lnuca_types::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// How the banks of a bank set are searched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SearchPolicy {
     /// The request is multicast to every bank of the bank set at once
     /// (the performance-oriented policy of Kim et al. used by the paper).
@@ -20,7 +19,7 @@ pub enum SearchPolicy {
 /// The defaults (via [`DNucaConfig::paper`]) reproduce Table I's `DN-4x8`:
 /// 8 MB in 32 banks of 256 KB arranged as 8 columns (sparse bank sets) by
 /// 4 rows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DNucaConfig {
     /// Number of bank rows (distance levels from the controller).
     pub rows: usize,

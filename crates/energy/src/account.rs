@@ -1,6 +1,5 @@
 //! Energy bookkeeping for a simulation run.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An energy ledger with one dynamic and one static bucket per named
@@ -22,7 +21,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(account.static_pj("L3"), 1_000_000.0);
 /// assert!(account.total_pj() > 1_000_000.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyAccount {
     dynamic: BTreeMap<String, f64>,
     static_: BTreeMap<String, f64>,

@@ -1,10 +1,9 @@
 //! Cache and network area models (Table II).
 
-use serde::{Deserialize, Serialize};
 
 /// One row of the paper's Table II: configuration name, total L1+second-level
 /// area in mm² and the percentage of that area spent on the tile network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table2Row {
     /// Configuration name as printed in the paper.
     pub name: &'static str,
@@ -30,7 +29,7 @@ pub const PAPER_TABLE2: [Table2Row; 4] = [
 /// the published Table II values within roughly 10–15 % and, more
 /// importantly, preserves their ordering (LN3 smaller than the L2 baseline,
 /// LN4 substantially larger), which is what the headline claim uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Area per byte of single-ported high-performance SRAM, in mm².
     pub mm2_per_byte: f64,

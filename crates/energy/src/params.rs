@@ -1,6 +1,5 @@
 //! Per-component energy parameters (Table I values plus network estimates).
 
-use serde::{Deserialize, Serialize};
 
 /// Processor cycle time in nanoseconds.
 ///
@@ -12,7 +11,7 @@ pub fn cycle_time_ns() -> f64 {
 }
 
 /// Dynamic and static energy parameters of one cache-like component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheEnergyParams {
     /// Energy of one read hit, in picojoules.
     pub read_pj: f64,
@@ -93,7 +92,7 @@ impl CacheEnergyParams {
 /// encode that relationship: an L-NUCA link traversal moves one 32-byte
 /// message through a short link and a cut-through crossbar, while a D-NUCA
 /// flit-hop traverses a 256-bit link plus a 4-VC wormhole router pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkEnergyParams {
     /// Energy of moving one message across one L-NUCA link (link + buffer +
     /// cut-through crossbar), in picojoules.

@@ -3,10 +3,9 @@
 
 use crate::{CacheGeometry, ReplacementPolicy};
 use lnuca_types::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Metadata stored with every resident cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Line {
     /// Block-aligned base address of the cached block.
     pub addr: Addr,
@@ -15,7 +14,7 @@ pub struct Line {
 }
 
 /// A line that was evicted to make room for a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
     /// Block-aligned base address of the evicted block.
     pub addr: Addr,
@@ -26,7 +25,7 @@ pub struct EvictedLine {
 /// Per-way state that is *not* scanned during a lookup: the dirty bit and
 /// the replacement metadata. Kept in a lane parallel to the packed tag
 /// array so the tag scan touches nothing but dense `u64` words.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Way {
     dirty: bool,
     last_use: u64,
@@ -72,7 +71,7 @@ const EMPTY_TAG: u64 = u64::MAX;
 /// assert!(array.lookup(Addr(0x5f)).is_some()); // same 32-byte block
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheArray {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,

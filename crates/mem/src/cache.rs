@@ -2,7 +2,6 @@
 
 use crate::{CacheArray, CacheGeometry, EvictedLine, ReplacementPolicy};
 use lnuca_types::{Addr, ConfigError, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Whether tag and data arrays are accessed in parallel or serially.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// all data ways while the tags are compared, which is faster but burns more
 /// dynamic energy. Serial access (used by the L2) reads only the matching
 /// data way after tag comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AccessMode {
     /// Tags and data accessed concurrently.
     #[default]
@@ -20,7 +19,7 @@ pub enum AccessMode {
 }
 
 /// How writes that hit are propagated to the next level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WritePolicy {
     /// Every write is forwarded to the next level (paper's L1/r-tile).
     WriteThrough,
@@ -35,7 +34,7 @@ pub enum WritePolicy {
 /// Use [`CacheConfig::builder`] to construct one; the builder applies the
 /// paper's defaults (LRU replacement, copy-back, parallel access, one port)
 /// and validates the result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Human-readable name used in reports ("L1", "L2", ...).
     pub name: String,
@@ -218,7 +217,7 @@ impl CacheConfigBuilder {
 }
 
 /// The timing outcome of a cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// The block is resident; data is available at `ready_at`.
     Hit {
@@ -251,7 +250,7 @@ impl AccessOutcome {
 }
 
 /// Event counters of a [`ConventionalCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses (reads + writes).
     pub accesses: u64,
@@ -303,7 +302,7 @@ impl CacheStats {
 /// MSHR and querying the next level, then calls [`ConventionalCache::fill`]
 /// when the data returns. This keeps the cache reusable both as an L2/L3 and
 /// as the tag/data pipeline inside D-NUCA banks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConventionalCache {
     config: CacheConfig,
     array: CacheArray,

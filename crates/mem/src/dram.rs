@@ -1,14 +1,13 @@
 //! The main-memory (DRAM) timing model.
 
 use lnuca_types::{ConfigError, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Main memory timing parameters.
 ///
 /// The paper's configuration (Table I): the first 16-byte chunk arrives after
 /// 200 cycles and each subsequent chunk after 4 more cycles, over 16-byte
 /// wires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryConfig {
     /// Cycles until the first chunk of the block arrives.
     pub first_chunk_cycles: u64,
@@ -76,7 +75,7 @@ impl MemoryConfig {
 /// assert_eq!(ready, Cycle(228)); // 200 + 7 * 4
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MainMemory {
     config: MemoryConfig,
     channel_free_at: Cycle,

@@ -1,7 +1,6 @@
 //! Cache geometry: size, associativity and block size bookkeeping.
 
 use lnuca_types::{Addr, ConfigError};
-use serde::{Deserialize, Serialize};
 
 /// The geometric parameters of a set-associative cache and the address
 /// slicing they imply.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.set_index(a), ((0x1_2345u64 >> 5) % 128) as usize);
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     size_bytes: u64,
     ways: usize,

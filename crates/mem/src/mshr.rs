@@ -1,10 +1,9 @@
 //! Miss status holding registers (MSHRs).
 
 use lnuca_types::{Addr, ConfigError, ReqId};
-use serde::{Deserialize, Serialize};
 
 /// Result of trying to allocate an MSHR for a missing block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrAllocation {
     /// The miss is the first one to this block: a new entry was allocated and
     /// a request must be sent to the next level.
@@ -34,7 +33,7 @@ impl MshrAllocation {
 
 /// One physical MSHR slot. Dead slots keep their `waiters` allocation so a
 /// steady-state allocate/retire cycle never touches the heap (DESIGN.md §9).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct MshrSlot {
     block: Addr,
     live: bool,
@@ -61,7 +60,7 @@ struct MshrSlot {
 /// assert_eq!(done, vec![ReqId(1), ReqId(2)]);
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MshrFile {
     /// Fixed-length slot array (`capacity` entries, live or dead).
     slots: Vec<MshrSlot>,

@@ -1,12 +1,11 @@
 //! Replacement policies for set-associative arrays.
 
-use serde::{Deserialize, Serialize};
 
 /// Which line to evict when a set is full.
 ///
 /// The paper uses LRU everywhere ("All caches use LRU replacement"); the
 /// other policies are provided for the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplacementPolicy {
     /// Evict the least-recently-used line (paper default).
     #[default]

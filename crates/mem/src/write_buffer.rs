@@ -1,7 +1,6 @@
 //! A coalescing write buffer.
 
 use lnuca_types::{Addr, ConfigError};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A FIFO write buffer that coalesces writes to the same block.
@@ -24,7 +23,7 @@ use std::collections::VecDeque;
 /// assert_eq!(wb.drain_one(), Some(Addr(0x100)));
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WriteBuffer {
     entries: VecDeque<Addr>,
     capacity: usize,

@@ -1,7 +1,6 @@
 //! A per-cycle crossbar / switch-allocation model.
 
 use lnuca_types::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// A cut-through crossbar that grants each output port to at most one input
 /// per cycle and counts traversals for the energy model.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(xbar.try_grant(2, 0, Cycle(5)));
 /// assert_eq!(xbar.traversals(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Crossbar {
     inputs: usize,
     outputs: usize,

@@ -7,10 +7,9 @@
 //! model lives in the generic NoC crate and is consumed by `lnuca-dnuca`.
 
 use lnuca_types::{ConfigError, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`WormholeMesh`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshConfig {
     /// Number of columns of routers.
     pub cols: usize,
@@ -51,7 +50,7 @@ impl MeshConfig {
 }
 
 /// Statistics accumulated by a [`WormholeMesh`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MeshStats {
     /// Messages injected.
     pub messages: u64,
@@ -84,7 +83,7 @@ pub struct MeshStats {
 /// assert_eq!(arrival, Cycle(12));
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WormholeMesh {
     config: MeshConfig,
     /// `vc_free_at[link][vc]`, links indexed as directed edges.

@@ -2,7 +2,6 @@
 
 use crate::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a node chooses among several valid output links.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// randomly to spread load; dimension-order is provided as the ablation
 /// baseline it is compared against ("reduces contention in comparison to
 /// dimensional order routing").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingPolicy {
     /// Pick uniformly at random among the valid outputs (paper default).
     #[default]

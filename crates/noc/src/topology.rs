@@ -1,13 +1,10 @@
 //! Directed network topologies over abstract node identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a network node (a tile, a bank or a router).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -38,7 +35,7 @@ impl fmt::Display for NodeId {
 /// assert_eq!(t.distance(NodeId(0), NodeId(2)), Some(2));
 /// assert_eq!(t.distance(NodeId(2), NodeId(0)), None); // links are unidirectional
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     out_edges: Vec<Vec<NodeId>>,
     in_edges: Vec<Vec<NodeId>>,

@@ -54,7 +54,6 @@ use lnuca_mem::{
 };
 use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, ServiceLevel};
 use lnuca_workloads::{Suite, TraceGenerator, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Per-core in-flight window: how many demand requests one core may have
@@ -73,7 +72,7 @@ pub const REMOTE_CYCLES: u64 = 10;
 
 /// Serializable snapshot of the MSI directory counters, carried in
 /// [`RunResult::coherence`] for CMP runs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoherenceStats {
     /// Read transactions handled by the directory.
     pub reads: u64,
@@ -115,7 +114,7 @@ impl From<&DirectoryCounters> for CoherenceStats {
 }
 
 /// One per-core row of a CMP [`RunResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreRow {
     /// Core index.
     pub core: usize,

@@ -4,7 +4,6 @@
 use lnuca_core::LNucaConfig;
 use lnuca_dnuca::DNucaConfig;
 use lnuca_mem::{AccessMode, CacheConfig, MemoryConfig, WritePolicy};
-use serde::{Deserialize, Serialize};
 
 /// Number of MSHR entries in front of the L1 / root tile (Table I).
 pub const L1_MSHRS: usize = 16;
@@ -92,7 +91,7 @@ pub fn paper_memory() -> MemoryConfig {
 }
 
 /// Configuration of the conventional three-level hierarchy (Fig. 1(a)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConventionalConfig {
     /// First-level cache.
     pub l1: CacheConfig,
@@ -105,7 +104,7 @@ pub struct ConventionalConfig {
 }
 
 /// Configuration of the L-NUCA + L3 hierarchy (Fig. 1(b)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LNucaL3Config {
     /// Root tile (L1).
     pub l1: CacheConfig,
@@ -118,7 +117,7 @@ pub struct LNucaL3Config {
 }
 
 /// Configuration of the L1 + D-NUCA hierarchy (Fig. 1(c)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DNucaOnlyConfig {
     /// First-level cache.
     pub l1: CacheConfig,
@@ -129,7 +128,7 @@ pub struct DNucaOnlyConfig {
 }
 
 /// Configuration of the L-NUCA + D-NUCA hierarchy (Fig. 1(d)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LNucaDNucaConfig {
     /// Root tile (L1).
     pub l1: CacheConfig,
@@ -143,7 +142,7 @@ pub struct LNucaDNucaConfig {
 
 /// One of the four hierarchies under study, ready to be instantiated by
 /// [`crate::system::System`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HierarchyKind {
     /// Conventional L1 + L2 + L3 (the Fig. 4 baseline, `L2-256KB`).
     Conventional(ConventionalConfig),

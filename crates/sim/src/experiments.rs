@@ -22,13 +22,12 @@ use lnuca_energy::{AreaModel, PAPER_TABLE2};
 use lnuca_types::stats::harmonic_mean;
 use lnuca_types::{ConfigError, RunError};
 use lnuca_workloads::{suites, Suite, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Which workload profiles an experiment matrix runs over.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum WorkloadSelection {
     /// The paper's 22 synthetic benchmarks (11 INT-like + 11 FP-like).
     #[default]
@@ -78,7 +77,7 @@ impl WorkloadSelection {
 /// and mutate fields) — three consecutive PRs added fields here by breaking
 /// every downstream struct literal; the builder ends that.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentOptions {
     /// Instructions simulated per (configuration, benchmark) pair.
     pub instructions: u64,
@@ -338,7 +337,7 @@ impl ExperimentOptionsBuilder {
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentPlan {
     /// Plan name (the scenario name when loaded from a file).
     pub name: String,
@@ -493,7 +492,7 @@ impl ExperimentPlanBuilder {
 }
 
 /// All simulation results of one half of the evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Study {
     /// Label of the baseline configuration the others are normalised to.
     pub baseline: String,
@@ -514,7 +513,7 @@ pub struct Study {
 
 /// One cell of the experiment matrix that failed to produce a result, with
 /// the structured reason and the attempts spent (DESIGN.md §14).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailedRun {
     /// Configuration label of the failed run.
     pub label: String,
@@ -536,7 +535,7 @@ pub struct FailedRun {
 /// index of [`Study::results`]. This is the simulator's own throughput (the
 /// perf-trajectory metric of `BENCH_baseline.json`), not a property of the
 /// modelled hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunPerf {
     /// Configuration label.
     pub label: String,
@@ -551,7 +550,7 @@ pub struct RunPerf {
 }
 
 /// One row of Fig. 4(a) / Fig. 5(a): harmonic-mean IPC per suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IpcSummaryRow {
     /// Configuration label.
     pub label: String,
@@ -567,7 +566,7 @@ pub struct IpcSummaryRow {
 
 /// One row of Fig. 4(b) / Fig. 5(b): energy normalised to the baseline,
 /// split into the paper's four bar segments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergySummaryRow {
     /// Configuration label.
     pub label: String,
@@ -585,7 +584,7 @@ pub struct EnergySummaryRow {
 
 /// One row of Table III: read hits per L-NUCA level relative to the read
 /// hits of the baseline's second level, plus the transport-contention ratio.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HitDistributionRow {
     /// Configuration label.
     pub label: String,
@@ -600,7 +599,7 @@ pub struct HitDistributionRow {
 }
 
 /// One row of Table II: configuration areas, paper value and model value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaRow {
     /// Configuration label.
     pub label: String,
@@ -616,7 +615,7 @@ pub struct AreaRow {
 
 /// The headline comparison of the paper's abstract/conclusion: LN3-144KB
 /// versus L2-256KB.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadlineSummary {
     /// Area change of LN3 versus the baseline, in percent (negative = saves
     /// area).

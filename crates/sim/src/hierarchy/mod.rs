@@ -12,11 +12,10 @@ pub use outer::{Backing, OuterLevel};
 use lnuca_cpu::DataMemory;
 use lnuca_mem::{NoProbe, ProbeSink};
 use lnuca_types::{Cycle, MemRequest, MemResponse};
-use serde::{Deserialize, Serialize};
 
 /// A snapshot of every counter a hierarchy accumulated during a run, in the
 /// shape the experiment and energy code consume.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HierarchyStats {
     /// Configuration label (e.g. `LN3-144KB`).
     pub label: String,

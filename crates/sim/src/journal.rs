@@ -5,7 +5,9 @@
 //! then one self-checked record line per **completed** run, appended (and
 //! pushed to the OS in a single `write` call) the moment the run finishes.
 //! Failures are never journaled — they are deterministic (or worth
-//! retrying) and simply run again on resume.
+//! retrying) and simply run again on resume. Both line kinds are declared
+//! in the crate's JSON codec and written compactly; every float is stored
+//! as its exact bit pattern, so a resumed report is byte-identical.
 //!
 //! The header carries a digest over the plan's *semantic* fields only: the
 //! resolved workload names, the instruction budget, the base seed and the
@@ -25,7 +27,9 @@
 //!   [`RunError::JournalCorrupt`] — never a panic, never silent reuse of
 //!   data from a different plan.
 
+use crate::codec::{self, names, record, At, Bits, DecodeError, Kind, Obj, Omit};
 use crate::experiments::{ExperimentPlan, RunPerf};
+use crate::hierarchy::HierarchyStats;
 use crate::scenario::spec_to_value;
 use crate::system::RunResult;
 use lnuca_core::LNucaStats;
@@ -46,7 +50,7 @@ use std::sync::{Mutex, PoisonError};
 pub const JOURNAL_SCHEMA: &str = "lnuca-journal/v1";
 
 // ---------------------------------------------------------------------------
-// Digests and compact encoding
+// Digests
 // ---------------------------------------------------------------------------
 
 /// FNV-1a 64-bit over a byte string — stable, dependency-free, plenty for
@@ -61,80 +65,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Renders a [`Value`] as single-line compact JSON (no spaces, no
-/// trailing newline) — the canonical byte string journal digests are
-/// computed over. The vendored document model only ships a pretty-printer;
-/// record lines must be exactly one line each.
-fn write_compact(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::UInt(v) => out.push_str(&v.to_string()),
-        Value::Int(v) => out.push_str(&v.to_string()),
-        Value::Float(v) => {
-            // Journal records never hold Float (floats travel as bit
-            // patterns), but keep the writer total and JSON-valid.
-            if v.is_finite() {
-                let s = format!("{v}");
-                if s.contains('.') || s.contains('e') || s.contains('E') {
-                    out.push_str(&s);
-                } else {
-                    out.push_str(&s);
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("0.0");
-            }
-        }
-        Value::String(s) => write_json_string(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(members) => {
-            out.push('{');
-            for (i, (key, value)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_string(out, key);
-                out.push(':');
-                write_compact(value, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn compact(value: &Value) -> String {
-    let mut out = String::new();
-    write_compact(value, &mut out);
-    out
-}
-
 /// The semantic identity of a plan: exactly the fields that determine the
 /// bit-identical results of its matrix. Workloads are resolved to their
 /// final name list (capturing both the selection keyword and any
@@ -146,16 +76,21 @@ fn plan_semantic_value(plan: &ExperimentPlan) -> Result<Value, ConfigError> {
         .iter()
         .map(|profile| Value::String(profile.name.clone()))
         .collect();
-    Ok(Value::Object(vec![
-        ("schema".to_owned(), Value::String(JOURNAL_SCHEMA.to_owned())),
-        ("instructions".to_owned(), Value::UInt(plan.options.instructions)),
+    let mut members = Vec::new();
+    codec::push_schema(&mut members, JOURNAL_SCHEMA);
+    members.extend([
+        (
+            "instructions".to_owned(),
+            Value::UInt(plan.options.instructions),
+        ),
         ("seed".to_owned(), Value::UInt(plan.options.seed)),
         ("workloads".to_owned(), Value::Array(workloads)),
         (
             "configs".to_owned(),
             Value::Array(plan.configs.iter().map(spec_to_value).collect()),
         ),
-    ]))
+    ]);
+    Ok(Value::Object(members))
 }
 
 /// Digest of a plan's semantic fields (see `plan_semantic_value`) — the
@@ -167,7 +102,7 @@ fn plan_semantic_value(plan: &ExperimentPlan) -> Result<Value, ConfigError> {
 /// resolve.
 pub fn plan_digest(plan: &ExperimentPlan) -> Result<u64, RunError> {
     let value = plan_semantic_value(plan).map_err(RunError::Config)?;
-    Ok(fnv1a(compact(&value).as_bytes()))
+    Ok(fnv1a(value.to_compact().as_bytes()))
 }
 
 /// Number of (configuration, workload) cells in a plan's matrix — the
@@ -187,483 +122,252 @@ fn hex(digest: u64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Result/perf codec (bit-exact: floats travel as `f64::to_bits`)
+// Lines (bit-exact: floats travel as `f64::to_bits`)
 // ---------------------------------------------------------------------------
 
-fn bits(v: f64) -> Value {
-    Value::UInt(v.to_bits())
+/// The header line binding a journal to its plan.
+#[derive(Default)]
+pub(crate) struct Header {
+    plan: String,
+    digest: String,
+    jobs: usize,
 }
 
-fn u64v(v: u64) -> Value {
-    Value::UInt(v)
+record! {
+    /// The header line.
+    JournalHeader(Header), required, schema JOURNAL_SCHEMA {
+        "plan" => plan: String,
+        "digest" => digest: String,
+        "jobs" => jobs: usize,
+    }
 }
 
-fn strv(s: &str) -> Value {
-    Value::String(s.to_owned())
+/// One record line, without its `check` member.
+#[derive(Default)]
+pub(crate) struct Record {
+    job: usize,
+    result: RunResult,
+    perf: RunPerf,
 }
 
-fn opt(value: Option<Value>) -> Value {
-    value.unwrap_or(Value::Null)
+record! {
+    /// A record line's body: the matrix index and the completed run.
+    JournalRecord(Record), required {
+        "job" => job: usize,
+        "result" => result: JournalResult,
+        "perf" => perf: JournalPerf,
+    }
 }
 
-fn suite_to_value(suite: Suite) -> Value {
-    Value::String(
-        match suite {
-            Suite::Integer => "int",
-            Suite::FloatingPoint => "fp",
+names! { Suite, "suite" {
+    Suite::Integer => "int",
+    Suite::FloatingPoint => "fp",
+} }
+
+record! {
+    /// A [`RunResult`]. The CMP members are written only for CMP results,
+    /// so single-core lines (and their digests) match older releases, and
+    /// lines from before the multicore model still decode.
+    JournalResult(RunResult), required {
+        "label" => label: String,
+        "workload" => workload: String,
+        "suite" => suite: Suite,
+        "instructions" => instructions: u64,
+        "cycles" => cycles: u64,
+        "ipc" => ipc: Bits,
+        "core" => core: JournalCoreStats,
+        "hierarchy" => hierarchy: JournalHierarchy,
+        "energy" => energy: JournalEnergy,
+        "per_core" => per_core: Omit<Vec<JournalCoreRow>>,
+        "coherence" => coherence: Omit<Option<JournalCoherence>>,
+    }
+}
+
+record! {
+    /// A [`RunPerf`].
+    JournalPerf(RunPerf), required {
+        "label" => label: String,
+        "workload" => workload: String,
+        "wall_nanos" => wall_nanos: u64,
+        "cycles" => cycles: u64,
+        "kcycles_per_sec" => kcycles_per_sec: Bits,
+    }
+}
+
+record! {
+    /// A [`CoreStats`].
+    JournalCoreStats(CoreStats), required {
+        "fetched" => fetched: u64,
+        "committed" => committed: u64,
+        "loads" => loads: u64,
+        "stores" => stores: u64,
+        "branches" => branches: u64,
+        "mispredictions" => mispredictions: u64,
+        "load_latency_sum" => load_latency_sum: u64,
+        "load_latency_samples" => load_latency_samples: u64,
+        "rob_full_stalls" => rob_full_stalls: u64,
+        "memory_reject_stalls" => memory_reject_stalls: u64,
+        "store_buffer_stalls" => store_buffer_stalls: u64,
+    }
+}
+
+record! {
+    /// A [`CacheStats`].
+    JournalCacheStats(CacheStats), required {
+        "accesses" => accesses: u64,
+        "read_hits" => read_hits: u64,
+        "read_misses" => read_misses: u64,
+        "write_hits" => write_hits: u64,
+        "write_misses" => write_misses: u64,
+        "fills" => fills: u64,
+        "clean_evictions" => clean_evictions: u64,
+        "dirty_evictions" => dirty_evictions: u64,
+    }
+}
+
+record! {
+    /// A [`HierarchyStats`].
+    JournalHierarchy(HierarchyStats), required {
+        "label" => label: String,
+        "l1" => l1: JournalCacheStats,
+        "l2" => l2: Option<JournalCacheStats>,
+        "deeper_levels" => deeper_levels: Vec<JournalCacheStats>,
+        "l3" => l3: Option<JournalCacheStats>,
+        "lnuca" => lnuca: Option<JournalLNucaStats>,
+        "lnuca_tiles" => lnuca_tiles: usize,
+        "dnuca" => dnuca: Option<JournalDNucaStats>,
+        "dnuca_mesh" => dnuca_mesh: Option<JournalMeshStats>,
+        "dnuca_banks" => dnuca_banks: usize,
+        "memory_accesses" => memory_accesses: u64,
+        "write_drains" => write_drains: u64,
+    }
+}
+
+record! {
+    /// An [`LNucaStats`].
+    JournalLNucaStats(LNucaStats), required {
+        "searches" => searches: u64,
+        "read_hits_per_level" => read_hits_per_level: Vec<u64>,
+        "write_hits_per_level" => write_hits_per_level: Vec<u64>,
+        "global_misses" => global_misses: u64,
+        "tile_lookups" => tile_lookups: u64,
+        "in_flight_hits" => in_flight_hits: u64,
+        "tile_fills" => tile_fills: u64,
+        "spills" => spills: u64,
+        "root_evictions" => root_evictions: u64,
+        "transport_deliveries" => transport_deliveries: u64,
+        "transport_latency_sum" => transport_latency_sum: u64,
+        "transport_min_latency_sum" => transport_min_latency_sum: u64,
+        "transport_stall_cycles" => transport_stall_cycles: u64,
+        "replacement_stall_cycles" => replacement_stall_cycles: u64,
+        "search_link_traversals" => search_link_traversals: u64,
+        "transport_link_traversals" => transport_link_traversals: u64,
+        "replacement_link_traversals" => replacement_link_traversals: u64,
+    }
+}
+
+record! {
+    /// A [`DNucaStats`].
+    JournalDNucaStats(DNucaStats), required {
+        "accesses" => accesses: u64,
+        "hits_per_row" => hits_per_row: Vec<u64>,
+        "misses" => misses: u64,
+        "bank_lookups" => bank_lookups: u64,
+        "bank_fills" => bank_fills: u64,
+        "migrations" => migrations: u64,
+        "dirty_evictions" => dirty_evictions: u64,
+        "hit_latency_sum" => hit_latency_sum: u64,
+    }
+}
+
+record! {
+    /// A D-NUCA [`MeshStats`].
+    JournalMeshStats(MeshStats), required {
+        "messages" => messages: u64,
+        "hops" => hops: u64,
+        "flit_hops" => flit_hops: u64,
+        "contention_cycles" => contention_cycles: u64,
+    }
+}
+
+record! {
+    /// A [`CoreRow`](crate::cmp::CoreRow) of a CMP result.
+    JournalCoreRow(crate::cmp::CoreRow), required {
+        "core" => core: usize,
+        "instructions" => instructions: u64,
+        "ipc" => ipc: Bits,
+        "stats" => stats: JournalCoreStats,
+        "l1" => l1: JournalCacheStats,
+        "fabric" => fabric: Option<JournalCacheStats>,
+        "coherence_hits" => coherence_hits: u64,
+        "coherence_misses" => coherence_misses: u64,
+        "invalidations_received" => invalidations_received: u64,
+    }
+}
+
+record! {
+    /// The [`CoherenceStats`](crate::cmp::CoherenceStats) of a CMP result.
+    JournalCoherence(crate::cmp::CoherenceStats), required {
+        "reads" => reads: u64,
+        "writes" => writes: u64,
+        "hits" => hits: u64,
+        "misses" => misses: u64,
+        "evictions" => evictions: u64,
+        "invalidations_sent" => invalidations_sent: u64,
+        "downgrades" => downgrades: u64,
+        "writebacks" => writebacks: u64,
+        "recalls" => recalls: u64,
+        "per_core_invalidations" => per_core_invalidations: Vec<u64>,
+    }
+}
+
+/// The energy ledger: its `dynamic` and `static` buckets, each an object of
+/// component name to exact bit pattern.
+pub(crate) struct JournalEnergy;
+
+impl Kind for JournalEnergy {
+    type T = EnergyAccount;
+    fn base() -> EnergyAccount {
+        EnergyAccount::new()
+    }
+    fn encode(account: &EnergyAccount) -> Value {
+        let bucket = |entries: &mut dyn Iterator<Item = (&str, f64)>| {
+            Value::Object(
+                entries
+                    .map(|(name, pj)| (name.to_owned(), Bits::encode(&pj)))
+                    .collect(),
+            )
+        };
+        Value::Object(vec![
+            ("dynamic".to_owned(), bucket(&mut account.dynamic_entries())),
+            ("static".to_owned(), bucket(&mut account.static_entries())),
+        ])
+    }
+    fn decode(at: At<'_>, json: &Value, slot: &mut EnergyAccount) -> Result<(), DecodeError> {
+        let mut obj = Obj::new(at, json)?;
+        let mut account = EnergyAccount::new();
+        type Add = fn(&mut EnergyAccount, &str, f64);
+        let buckets: [(&str, Add); 2] = [
+            ("dynamic", EnergyAccount::add_dynamic),
+            ("static", EnergyAccount::add_static),
+        ];
+        for (key, add) in buckets {
+            let bucket_at = at.key(key);
+            let bucket = obj.need(key)?;
+            let entries = bucket.as_object().ok_or_else(|| {
+                bucket_at.error(format!("expected an object, got {}", bucket.type_name()))
+            })?;
+            for (name, pj) in entries {
+                add(
+                    &mut account,
+                    name,
+                    codec::read::<Bits>(bucket_at.key(name), pj)?,
+                );
+            }
         }
-        .to_owned(),
-    )
-}
-
-fn cache_stats_to_value(s: &CacheStats) -> Value {
-    Value::Object(vec![
-        ("accesses".to_owned(), u64v(s.accesses)),
-        ("read_hits".to_owned(), u64v(s.read_hits)),
-        ("read_misses".to_owned(), u64v(s.read_misses)),
-        ("write_hits".to_owned(), u64v(s.write_hits)),
-        ("write_misses".to_owned(), u64v(s.write_misses)),
-        ("fills".to_owned(), u64v(s.fills)),
-        ("clean_evictions".to_owned(), u64v(s.clean_evictions)),
-        ("dirty_evictions".to_owned(), u64v(s.dirty_evictions)),
-    ])
-}
-
-fn core_stats_to_value(s: &CoreStats) -> Value {
-    Value::Object(vec![
-        ("fetched".to_owned(), u64v(s.fetched)),
-        ("committed".to_owned(), u64v(s.committed)),
-        ("loads".to_owned(), u64v(s.loads)),
-        ("stores".to_owned(), u64v(s.stores)),
-        ("branches".to_owned(), u64v(s.branches)),
-        ("mispredictions".to_owned(), u64v(s.mispredictions)),
-        ("load_latency_sum".to_owned(), u64v(s.load_latency_sum)),
-        ("load_latency_samples".to_owned(), u64v(s.load_latency_samples)),
-        ("rob_full_stalls".to_owned(), u64v(s.rob_full_stalls)),
-        ("memory_reject_stalls".to_owned(), u64v(s.memory_reject_stalls)),
-        ("store_buffer_stalls".to_owned(), u64v(s.store_buffer_stalls)),
-    ])
-}
-
-fn u64_array(values: &[u64]) -> Value {
-    Value::Array(values.iter().copied().map(u64v).collect())
-}
-
-fn lnuca_stats_to_value(s: &LNucaStats) -> Value {
-    Value::Object(vec![
-        ("searches".to_owned(), u64v(s.searches)),
-        ("read_hits_per_level".to_owned(), u64_array(&s.read_hits_per_level)),
-        ("write_hits_per_level".to_owned(), u64_array(&s.write_hits_per_level)),
-        ("global_misses".to_owned(), u64v(s.global_misses)),
-        ("tile_lookups".to_owned(), u64v(s.tile_lookups)),
-        ("in_flight_hits".to_owned(), u64v(s.in_flight_hits)),
-        ("tile_fills".to_owned(), u64v(s.tile_fills)),
-        ("spills".to_owned(), u64v(s.spills)),
-        ("root_evictions".to_owned(), u64v(s.root_evictions)),
-        ("transport_deliveries".to_owned(), u64v(s.transport_deliveries)),
-        ("transport_latency_sum".to_owned(), u64v(s.transport_latency_sum)),
-        (
-            "transport_min_latency_sum".to_owned(),
-            u64v(s.transport_min_latency_sum),
-        ),
-        ("transport_stall_cycles".to_owned(), u64v(s.transport_stall_cycles)),
-        (
-            "replacement_stall_cycles".to_owned(),
-            u64v(s.replacement_stall_cycles),
-        ),
-        ("search_link_traversals".to_owned(), u64v(s.search_link_traversals)),
-        (
-            "transport_link_traversals".to_owned(),
-            u64v(s.transport_link_traversals),
-        ),
-        (
-            "replacement_link_traversals".to_owned(),
-            u64v(s.replacement_link_traversals),
-        ),
-    ])
-}
-
-fn dnuca_stats_to_value(s: &DNucaStats) -> Value {
-    Value::Object(vec![
-        ("accesses".to_owned(), u64v(s.accesses)),
-        ("hits_per_row".to_owned(), u64_array(&s.hits_per_row)),
-        ("misses".to_owned(), u64v(s.misses)),
-        ("bank_lookups".to_owned(), u64v(s.bank_lookups)),
-        ("bank_fills".to_owned(), u64v(s.bank_fills)),
-        ("migrations".to_owned(), u64v(s.migrations)),
-        ("dirty_evictions".to_owned(), u64v(s.dirty_evictions)),
-        ("hit_latency_sum".to_owned(), u64v(s.hit_latency_sum)),
-    ])
-}
-
-fn mesh_stats_to_value(s: &MeshStats) -> Value {
-    Value::Object(vec![
-        ("messages".to_owned(), u64v(s.messages)),
-        ("hops".to_owned(), u64v(s.hops)),
-        ("flit_hops".to_owned(), u64v(s.flit_hops)),
-        ("contention_cycles".to_owned(), u64v(s.contention_cycles)),
-    ])
-}
-
-fn energy_to_value(account: &EnergyAccount) -> Value {
-    let bucket = |entries: Vec<(&str, f64)>| {
-        Value::Object(
-            entries
-                .into_iter()
-                .map(|(name, pj)| (name.to_owned(), bits(pj)))
-                .collect(),
-        )
-    };
-    Value::Object(vec![
-        ("dynamic".to_owned(), bucket(account.dynamic_entries().collect())),
-        ("static".to_owned(), bucket(account.static_entries().collect())),
-    ])
-}
-
-fn hierarchy_stats_to_value(s: &crate::hierarchy::HierarchyStats) -> Value {
-    Value::Object(vec![
-        ("label".to_owned(), strv(&s.label)),
-        ("l1".to_owned(), cache_stats_to_value(&s.l1)),
-        ("l2".to_owned(), opt(s.l2.as_ref().map(cache_stats_to_value))),
-        (
-            "deeper_levels".to_owned(),
-            Value::Array(s.deeper_levels.iter().map(cache_stats_to_value).collect()),
-        ),
-        ("l3".to_owned(), opt(s.l3.as_ref().map(cache_stats_to_value))),
-        ("lnuca".to_owned(), opt(s.lnuca.as_ref().map(lnuca_stats_to_value))),
-        ("lnuca_tiles".to_owned(), u64v(s.lnuca_tiles as u64)),
-        ("dnuca".to_owned(), opt(s.dnuca.as_ref().map(dnuca_stats_to_value))),
-        (
-            "dnuca_mesh".to_owned(),
-            opt(s.dnuca_mesh.as_ref().map(mesh_stats_to_value)),
-        ),
-        ("dnuca_banks".to_owned(), u64v(s.dnuca_banks as u64)),
-        ("memory_accesses".to_owned(), u64v(s.memory_accesses)),
-        ("write_drains".to_owned(), u64v(s.write_drains)),
-    ])
-}
-
-fn core_row_to_value(row: &crate::cmp::CoreRow) -> Value {
-    Value::Object(vec![
-        ("core".to_owned(), u64v(row.core as u64)),
-        ("instructions".to_owned(), u64v(row.instructions)),
-        ("ipc".to_owned(), bits(row.ipc)),
-        ("stats".to_owned(), core_stats_to_value(&row.stats)),
-        ("l1".to_owned(), cache_stats_to_value(&row.l1)),
-        ("fabric".to_owned(), opt(row.fabric.as_ref().map(cache_stats_to_value))),
-        ("coherence_hits".to_owned(), u64v(row.coherence_hits)),
-        ("coherence_misses".to_owned(), u64v(row.coherence_misses)),
-        (
-            "invalidations_received".to_owned(),
-            u64v(row.invalidations_received),
-        ),
-    ])
-}
-
-fn coherence_stats_to_value(s: &crate::cmp::CoherenceStats) -> Value {
-    Value::Object(vec![
-        ("reads".to_owned(), u64v(s.reads)),
-        ("writes".to_owned(), u64v(s.writes)),
-        ("hits".to_owned(), u64v(s.hits)),
-        ("misses".to_owned(), u64v(s.misses)),
-        ("evictions".to_owned(), u64v(s.evictions)),
-        ("invalidations_sent".to_owned(), u64v(s.invalidations_sent)),
-        ("downgrades".to_owned(), u64v(s.downgrades)),
-        ("writebacks".to_owned(), u64v(s.writebacks)),
-        ("recalls".to_owned(), u64v(s.recalls)),
-        (
-            "per_core_invalidations".to_owned(),
-            Value::Array(s.per_core_invalidations.iter().copied().map(u64v).collect()),
-        ),
-    ])
-}
-
-fn result_to_value(result: &RunResult) -> Value {
-    let mut fields = vec![
-        ("label".to_owned(), strv(&result.label)),
-        ("workload".to_owned(), strv(&result.workload)),
-        ("suite".to_owned(), suite_to_value(result.suite)),
-        ("instructions".to_owned(), u64v(result.instructions)),
-        ("cycles".to_owned(), u64v(result.cycles)),
-        ("ipc".to_owned(), bits(result.ipc)),
-        ("core".to_owned(), core_stats_to_value(&result.core)),
-        ("hierarchy".to_owned(), hierarchy_stats_to_value(&result.hierarchy)),
-        ("energy".to_owned(), energy_to_value(&result.energy)),
-    ];
-    // CMP-only fields are emitted only for CMP results, so single-core
-    // journal lines (and their digests) are byte-identical to older
-    // releases.
-    if !result.per_core.is_empty() {
-        fields.push((
-            "per_core".to_owned(),
-            Value::Array(result.per_core.iter().map(core_row_to_value).collect()),
-        ));
+        *slot = account;
+        obj.finish()
     }
-    if let Some(coherence) = &result.coherence {
-        fields.push(("coherence".to_owned(), coherence_stats_to_value(coherence)));
-    }
-    Value::Object(fields)
-}
-
-fn perf_to_value(perf: &RunPerf) -> Value {
-    Value::Object(vec![
-        ("label".to_owned(), strv(&perf.label)),
-        ("workload".to_owned(), strv(&perf.workload)),
-        ("wall_nanos".to_owned(), u64v(perf.wall_nanos)),
-        ("cycles".to_owned(), u64v(perf.cycles)),
-        ("kcycles_per_sec".to_owned(), bits(perf.kcycles_per_sec)),
-    ])
-}
-
-// --- decoding -------------------------------------------------------------
-
-type DecodeResult<T> = Result<T, String>;
-
-fn field<'a>(value: &'a Value, key: &str) -> DecodeResult<&'a Value> {
-    value.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn field_u64(value: &Value, key: &str) -> DecodeResult<u64> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not a non-negative integer"))
-}
-
-fn field_usize(value: &Value, key: &str) -> DecodeResult<usize> {
-    usize::try_from(field_u64(value, key)?)
-        .map_err(|_| format!("field {key:?} does not fit in usize"))
-}
-
-fn field_bits(value: &Value, key: &str) -> DecodeResult<f64> {
-    Ok(f64::from_bits(field_u64(value, key)?))
-}
-
-fn field_str(value: &Value, key: &str) -> DecodeResult<String> {
-    Ok(field(value, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))?
-        .to_owned())
-}
-
-fn field_u64_array(value: &Value, key: &str) -> DecodeResult<Vec<u64>> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| format!("field {key:?} is not an array"))?
-        .iter()
-        .map(|item| {
-            item.as_u64()
-                .ok_or_else(|| format!("field {key:?} holds a non-integer element"))
-        })
-        .collect()
-}
-
-/// `Null` → `None`, anything else decoded by `decode`.
-fn field_opt<T>(
-    value: &Value,
-    key: &str,
-    decode: impl Fn(&Value) -> DecodeResult<T>,
-) -> DecodeResult<Option<T>> {
-    match field(value, key)? {
-        Value::Null => Ok(None),
-        present => decode(present).map(Some),
-    }
-}
-
-fn suite_from_value(value: &Value, key: &str) -> DecodeResult<Suite> {
-    match field_str(value, key)?.as_str() {
-        "int" => Ok(Suite::Integer),
-        "fp" => Ok(Suite::FloatingPoint),
-        other => Err(format!("unknown suite {other:?} (expected \"int\" or \"fp\")")),
-    }
-}
-
-fn cache_stats_from_value(value: &Value) -> DecodeResult<CacheStats> {
-    Ok(CacheStats {
-        accesses: field_u64(value, "accesses")?,
-        read_hits: field_u64(value, "read_hits")?,
-        read_misses: field_u64(value, "read_misses")?,
-        write_hits: field_u64(value, "write_hits")?,
-        write_misses: field_u64(value, "write_misses")?,
-        fills: field_u64(value, "fills")?,
-        clean_evictions: field_u64(value, "clean_evictions")?,
-        dirty_evictions: field_u64(value, "dirty_evictions")?,
-    })
-}
-
-fn core_stats_from_value(value: &Value) -> DecodeResult<CoreStats> {
-    Ok(CoreStats {
-        fetched: field_u64(value, "fetched")?,
-        committed: field_u64(value, "committed")?,
-        loads: field_u64(value, "loads")?,
-        stores: field_u64(value, "stores")?,
-        branches: field_u64(value, "branches")?,
-        mispredictions: field_u64(value, "mispredictions")?,
-        load_latency_sum: field_u64(value, "load_latency_sum")?,
-        load_latency_samples: field_u64(value, "load_latency_samples")?,
-        rob_full_stalls: field_u64(value, "rob_full_stalls")?,
-        memory_reject_stalls: field_u64(value, "memory_reject_stalls")?,
-        store_buffer_stalls: field_u64(value, "store_buffer_stalls")?,
-    })
-}
-
-fn lnuca_stats_from_value(value: &Value) -> DecodeResult<LNucaStats> {
-    Ok(LNucaStats {
-        searches: field_u64(value, "searches")?,
-        read_hits_per_level: field_u64_array(value, "read_hits_per_level")?,
-        write_hits_per_level: field_u64_array(value, "write_hits_per_level")?,
-        global_misses: field_u64(value, "global_misses")?,
-        tile_lookups: field_u64(value, "tile_lookups")?,
-        in_flight_hits: field_u64(value, "in_flight_hits")?,
-        tile_fills: field_u64(value, "tile_fills")?,
-        spills: field_u64(value, "spills")?,
-        root_evictions: field_u64(value, "root_evictions")?,
-        transport_deliveries: field_u64(value, "transport_deliveries")?,
-        transport_latency_sum: field_u64(value, "transport_latency_sum")?,
-        transport_min_latency_sum: field_u64(value, "transport_min_latency_sum")?,
-        transport_stall_cycles: field_u64(value, "transport_stall_cycles")?,
-        replacement_stall_cycles: field_u64(value, "replacement_stall_cycles")?,
-        search_link_traversals: field_u64(value, "search_link_traversals")?,
-        transport_link_traversals: field_u64(value, "transport_link_traversals")?,
-        replacement_link_traversals: field_u64(value, "replacement_link_traversals")?,
-    })
-}
-
-fn dnuca_stats_from_value(value: &Value) -> DecodeResult<DNucaStats> {
-    Ok(DNucaStats {
-        accesses: field_u64(value, "accesses")?,
-        hits_per_row: field_u64_array(value, "hits_per_row")?,
-        misses: field_u64(value, "misses")?,
-        bank_lookups: field_u64(value, "bank_lookups")?,
-        bank_fills: field_u64(value, "bank_fills")?,
-        migrations: field_u64(value, "migrations")?,
-        dirty_evictions: field_u64(value, "dirty_evictions")?,
-        hit_latency_sum: field_u64(value, "hit_latency_sum")?,
-    })
-}
-
-fn mesh_stats_from_value(value: &Value) -> DecodeResult<MeshStats> {
-    Ok(MeshStats {
-        messages: field_u64(value, "messages")?,
-        hops: field_u64(value, "hops")?,
-        flit_hops: field_u64(value, "flit_hops")?,
-        contention_cycles: field_u64(value, "contention_cycles")?,
-    })
-}
-
-fn energy_from_value(value: &Value) -> DecodeResult<EnergyAccount> {
-    let mut account = EnergyAccount::new();
-    let bucket = |value: &Value, key: &str| -> DecodeResult<Vec<(String, f64)>> {
-        field(value, key)?
-            .as_object()
-            .ok_or_else(|| format!("energy bucket {key:?} is not an object"))?
-            .iter()
-            .map(|(name, pj)| {
-                let bits = pj
-                    .as_u64()
-                    .ok_or_else(|| format!("energy entry {name:?} is not a bit pattern"))?;
-                Ok((name.clone(), f64::from_bits(bits)))
-            })
-            .collect()
-    };
-    for (name, pj) in bucket(value, "dynamic")? {
-        account.add_dynamic(&name, pj);
-    }
-    for (name, pj) in bucket(value, "static")? {
-        account.add_static(&name, pj);
-    }
-    Ok(account)
-}
-
-fn hierarchy_stats_from_value(value: &Value) -> DecodeResult<crate::hierarchy::HierarchyStats> {
-    Ok(crate::hierarchy::HierarchyStats {
-        label: field_str(value, "label")?,
-        l1: cache_stats_from_value(field(value, "l1")?)?,
-        l2: field_opt(value, "l2", cache_stats_from_value)?,
-        deeper_levels: field(value, "deeper_levels")?
-            .as_array()
-            .ok_or_else(|| "field \"deeper_levels\" is not an array".to_owned())?
-            .iter()
-            .map(cache_stats_from_value)
-            .collect::<DecodeResult<_>>()?,
-        l3: field_opt(value, "l3", cache_stats_from_value)?,
-        lnuca: field_opt(value, "lnuca", lnuca_stats_from_value)?,
-        lnuca_tiles: field_usize(value, "lnuca_tiles")?,
-        dnuca: field_opt(value, "dnuca", dnuca_stats_from_value)?,
-        dnuca_mesh: field_opt(value, "dnuca_mesh", mesh_stats_from_value)?,
-        dnuca_banks: field_usize(value, "dnuca_banks")?,
-        memory_accesses: field_u64(value, "memory_accesses")?,
-        write_drains: field_u64(value, "write_drains")?,
-    })
-}
-
-fn core_row_from_value(value: &Value) -> DecodeResult<crate::cmp::CoreRow> {
-    Ok(crate::cmp::CoreRow {
-        core: field_usize(value, "core")?,
-        instructions: field_u64(value, "instructions")?,
-        ipc: field_bits(value, "ipc")?,
-        stats: core_stats_from_value(field(value, "stats")?)?,
-        l1: cache_stats_from_value(field(value, "l1")?)?,
-        fabric: field_opt(value, "fabric", cache_stats_from_value)?,
-        coherence_hits: field_u64(value, "coherence_hits")?,
-        coherence_misses: field_u64(value, "coherence_misses")?,
-        invalidations_received: field_u64(value, "invalidations_received")?,
-    })
-}
-
-fn coherence_stats_from_value(value: &Value) -> DecodeResult<crate::cmp::CoherenceStats> {
-    Ok(crate::cmp::CoherenceStats {
-        reads: field_u64(value, "reads")?,
-        writes: field_u64(value, "writes")?,
-        hits: field_u64(value, "hits")?,
-        misses: field_u64(value, "misses")?,
-        evictions: field_u64(value, "evictions")?,
-        invalidations_sent: field_u64(value, "invalidations_sent")?,
-        downgrades: field_u64(value, "downgrades")?,
-        writebacks: field_u64(value, "writebacks")?,
-        recalls: field_u64(value, "recalls")?,
-        per_core_invalidations: field_u64_array(value, "per_core_invalidations")?,
-    })
-}
-
-fn result_from_value(value: &Value) -> DecodeResult<RunResult> {
-    // Both CMP fields are absent from pre-multicore journals and from every
-    // single-core line, so they decode as empty/None when missing.
-    let per_core = match value.get("per_core") {
-        None | Some(Value::Null) => Vec::new(),
-        Some(rows) => rows
-            .as_array()
-            .ok_or_else(|| "field \"per_core\" is not an array".to_owned())?
-            .iter()
-            .map(core_row_from_value)
-            .collect::<DecodeResult<_>>()?,
-    };
-    let coherence = match value.get("coherence") {
-        None | Some(Value::Null) => None,
-        Some(stats) => Some(coherence_stats_from_value(stats)?),
-    };
-    Ok(RunResult {
-        label: field_str(value, "label")?,
-        workload: field_str(value, "workload")?,
-        suite: suite_from_value(value, "suite")?,
-        instructions: field_u64(value, "instructions")?,
-        cycles: field_u64(value, "cycles")?,
-        ipc: field_bits(value, "ipc")?,
-        core: core_stats_from_value(field(value, "core")?)?,
-        hierarchy: hierarchy_stats_from_value(field(value, "hierarchy")?)?,
-        energy: energy_from_value(field(value, "energy")?)?,
-        per_core,
-        coherence,
-    })
-}
-
-fn perf_from_value(value: &Value) -> DecodeResult<RunPerf> {
-    Ok(RunPerf {
-        label: field_str(value, "label")?,
-        workload: field_str(value, "workload")?,
-        wall_nanos: field_u64(value, "wall_nanos")?,
-        cycles: field_u64(value, "cycles")?,
-        kcycles_per_sec: field_bits(value, "kcycles_per_sec")?,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -699,14 +403,13 @@ impl JournalWriter {
     /// plan's workloads do not resolve.
     pub fn create(path: &Path, plan: &ExperimentPlan, jobs: usize) -> Result<Self, RunError> {
         let digest = plan_digest(plan)?;
-        let header = Value::Object(vec![
-            ("schema".to_owned(), Value::String(JOURNAL_SCHEMA.to_owned())),
-            ("plan".to_owned(), Value::String(plan.name.clone())),
-            ("digest".to_owned(), Value::String(hex(digest))),
-            ("jobs".to_owned(), Value::UInt(jobs as u64)),
-        ]);
+        let header = JournalHeader::encode(&Header {
+            plan: plan.name.clone(),
+            digest: hex(digest),
+            jobs,
+        });
         let mut file = File::create(path).map_err(|e| corrupt(path, &e.to_string()))?;
-        let mut line = compact(&header);
+        let mut line = header.to_compact();
         line.push('\n');
         file.write_all(line.as_bytes())
             .map_err(|e| corrupt(path, &e.to_string()))?;
@@ -734,17 +437,17 @@ impl JournalWriter {
     /// Appends one completed run. Never fails the caller — I/O errors are
     /// remembered and surfaced by [`JournalWriter::finish`].
     pub fn record(&self, index: usize, result: &RunResult, perf: &RunPerf) {
-        let body = Value::Object(vec![
-            ("job".to_owned(), Value::UInt(index as u64)),
-            ("result".to_owned(), result_to_value(result)),
-            ("perf".to_owned(), perf_to_value(perf)),
-        ]);
-        let check = fnv1a(compact(&body).as_bytes());
+        let body = JournalRecord::encode(&Record {
+            job: index,
+            result: result.clone(),
+            perf: perf.clone(),
+        });
+        let check = fnv1a(body.to_compact().as_bytes());
         let Value::Object(mut members) = body else {
-            unreachable!("body was constructed as an object")
+            unreachable!("records encode as objects")
         };
         members.push(("check".to_owned(), Value::String(hex(check))));
-        let mut line = compact(&Value::Object(members));
+        let mut line = Value::Object(members).to_compact();
         line.push('\n');
         let mut inner = self
             .inner
@@ -808,30 +511,29 @@ pub fn read_journal(
     let Some((&header_line, records)) = lines.split_first() else {
         return Err(corrupt(path, "journal is empty (no header line)"));
     };
-    let header = json::parse(header_line).map_err(|e| corrupt(path, &format!("header: {e}")))?;
-    let schema = header.get("schema").and_then(Value::as_str).unwrap_or("");
-    if schema != JOURNAL_SCHEMA {
-        return Err(corrupt(
-            path,
-            &format!("unknown journal schema {schema:?} (expected {JOURNAL_SCHEMA:?})"),
-        ));
-    }
-    let header_digest = header.get("digest").and_then(Value::as_str).unwrap_or("");
-    if header_digest != hex(digest) {
+    let header = json::parse(header_line)
+        .map_err(|e| e.to_string())
+        .and_then(|json| {
+            codec::read::<JournalHeader>(At::Root("$"), &json).map_err(|e| e.to_string())
+        })
+        .map_err(|e| corrupt(path, &format!("header: {e}")))?;
+    if header.digest != hex(digest) {
         return Err(corrupt(
             path,
             &format!(
-                "journal was written for a different plan (digest {header_digest}, this plan \
-                 is {})",
+                "journal was written for a different plan (digest {}, this plan is {})",
+                header.digest,
                 hex(digest)
             ),
         ));
     }
-    let header_jobs = header.get("jobs").and_then(Value::as_u64);
-    if header_jobs != Some(jobs as u64) {
+    if header.jobs != jobs {
         return Err(corrupt(
             path,
-            &format!("journal header declares {header_jobs:?} jobs, this plan has {jobs}"),
+            &format!(
+                "journal header declares {} jobs, this plan has {jobs}",
+                header.jobs
+            ),
         ));
     }
 
@@ -851,32 +553,32 @@ pub fn read_journal(
     Ok(loaded)
 }
 
-fn decode_record(line: &str, jobs: usize) -> DecodeResult<(usize, RunResult, RunPerf)> {
+fn decode_record(line: &str, jobs: usize) -> Result<(usize, RunResult, RunPerf), String> {
     let value = json::parse(line).map_err(|e| e.to_string())?;
-    let stored_check = field_str(&value, "check")?;
     let members = value
         .as_object()
         .ok_or_else(|| "record is not an object".to_owned())?;
-    let body = Value::Object(
-        members
-            .iter()
-            .filter(|(key, _)| key != "check")
-            .cloned()
-            .collect(),
-    );
-    let computed = hex(fnv1a(compact(&body).as_bytes()));
+    let (checks, body): (Vec<_>, Vec<_>) =
+        members.iter().cloned().partition(|(key, _)| key == "check");
+    let stored_check = match checks.as_slice() {
+        [(_, Value::String(check))] => check.clone(),
+        _ => return Err("missing checksum".to_owned()),
+    };
+    let body = Value::Object(body);
+    let computed = hex(fnv1a(body.to_compact().as_bytes()));
     if stored_check != computed {
         return Err(format!(
             "checksum mismatch (stored {stored_check}, computed {computed})"
         ));
     }
-    let index = field_usize(&value, "job")?;
-    if index >= jobs {
-        return Err(format!("job index {index} out of range (plan has {jobs} jobs)"));
+    let record = codec::read::<JournalRecord>(At::Root("$"), &body).map_err(|e| e.to_string())?;
+    if record.job >= jobs {
+        return Err(format!(
+            "job index {} out of range (plan has {jobs} jobs)",
+            record.job
+        ));
     }
-    let result = result_from_value(field(&value, "result")?)?;
-    let perf = perf_from_value(field(&value, "perf")?)?;
-    Ok((index, result, perf))
+    Ok((record.job, record.result, record.perf))
 }
 
 // ---------------------------------------------------------------------------
@@ -921,9 +623,11 @@ mod tests {
         let plan = tiny_plan("codec");
         let study = Study::run(&plan).expect("tiny plan runs");
         for (result, perf) in study.results.iter().zip(&study.perf) {
-            let back = result_from_value(&result_to_value(result)).expect("decodes");
+            let back = codec::read::<JournalResult>(At::Root("$"), &JournalResult::encode(result))
+                .expect("decodes");
             assert_eq!(&back, result);
-            let perf_back = perf_from_value(&perf_to_value(perf)).expect("decodes");
+            let perf_back = codec::read::<JournalPerf>(At::Root("$"), &JournalPerf::encode(perf))
+                .expect("decodes");
             assert_eq!(&perf_back, perf);
         }
     }
@@ -1028,18 +732,22 @@ mod tests {
 
     #[test]
     fn compact_writer_is_parseable_and_stable() {
-        let value = Value::Object(vec![
-            ("s".to_owned(), Value::String("a\"b\\c\nd".to_owned())),
-            (
-                "a".to_owned(),
-                Value::Array(vec![Value::UInt(1), Value::Null, Value::Bool(true)]),
-            ),
-            ("n".to_owned(), Value::Int(-3)),
-        ]);
-        let text = compact(&value);
+        // A journal line is the compact rendering of its record: one line
+        // that parses back to the same value and re-renders to the same
+        // bytes, escapes included.
+        let record = Record {
+            job: 3,
+            result: RunResult {
+                label: "a\"b\\c\nd".to_owned(),
+                ..RunResult::default()
+            },
+            perf: RunPerf::default(),
+        };
+        let value = JournalRecord::encode(&record);
+        let text = value.to_compact();
         assert!(!text.contains('\n'), "compact output must be one line");
         let reparsed = json::parse(&text).expect("compact output parses");
         assert_eq!(reparsed, value);
-        assert_eq!(compact(&reparsed), text);
+        assert_eq!(reparsed.to_compact(), text);
     }
 }

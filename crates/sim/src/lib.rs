@@ -61,6 +61,7 @@
 
 pub mod batch;
 pub mod cmp;
+mod codec;
 pub mod configs;
 pub mod energy_model;
 pub mod experiments;

@@ -9,13 +9,18 @@
 //!
 //! Parsing is **strict**: unknown object keys are rejected with their path
 //! (schema drift in a committed scenario file fails CI instead of being
-//! silently ignored), integers are range-checked, and name lookups (built-in
-//! scenarios, presets, workload names) fail with the full valid-name list
-//! through the shared [`UnknownNameError`] type.
+//! silently ignored), integers are range-checked, and name lookups (presets,
+//! workload names) fail with the full valid-name list through the shared
+//! [`UnknownNameError`] message.
 //!
-//! The document model is the vendored `serde::json` shim (the offline
-//! container has no real serde); every type converts explicitly through
-//! [`Value`], which is also what keeps the unknown-field rejection exact.
+//! The document model is the vendored `serde::json` shim. Each document
+//! type declares its JSON members once, in the crate's declared codec: the
+//! scenario, report and journal encoders and their strict decoders are all
+//! generated from those declarations, so a key cannot be spelled one way on
+//! the way out and another on the way in. Only the rules that span several
+//! members are written by hand here: the presets and the `levels`
+//! shortcut, the `*_kb` size aliases, the `workloads` keyword-or-array, the
+//! `backing` tagged union, the zero checks, and the report's status switch.
 //!
 //! # Scenario schema (`lnuca-scenario/v1`)
 //!
@@ -42,19 +47,29 @@
 //! Every `configs` entry starts from a preset (or from the builder default:
 //! paper L1 root, no fabric, memory backing) and overrides components;
 //! cache/fabric/D-NUCA objects work the same way (`preset` + field
-//! overrides). `"workloads"` is a keyword or an explicit name array;
-//! `"threads": 0` means "auto" (the CLI resolves it to the hardware thread
-//! count; [`Study::run`](crate::experiments::Study::run) itself treats it
-//! as 1). DESIGN.md §12 documents the full schema and the layering rules.
+//! overrides). A size may be given in bytes or, for hand-written files, in
+//! KiB (`size_kb`, `tile_size_kb`, `bank_size_kb`), but not both.
+//! `"workloads"` is a keyword or an explicit name array; `"threads": 0`
+//! means "auto" (the CLI resolves it to the hardware thread count;
+//! [`Study::run`](crate::experiments::Study::run) itself treats it as 1).
+//! DESIGN.md §12 documents the full schema and the layering rules.
 
-use crate::configs;
-use crate::experiments::{ExperimentOptions, ExperimentPlan, Study, WorkloadSelection};
+use crate::cmp::{CoherenceStats, CoreRow};
+use crate::codec::{self, names, record, At, DecodeError, Float, Kind, Maybe, Obj, Omit};
+use crate::configs::{self, HierarchyKind};
+use crate::experiments::{
+    EnergySummaryRow, ExperimentOptions, ExperimentPlan, HitDistributionRow, IpcSummaryRow, Study,
+    WorkloadSelection,
+};
 use crate::spec::{BackingSpec, HierarchySpec, IntermediateSpec};
+use crate::sweep::{ReportSweep, SweepSummary};
 use crate::system::Engine;
 use lnuca_core::LNucaConfig;
 use lnuca_dnuca::{DNucaConfig, SearchPolicy};
 use lnuca_mem::{AccessMode, CacheConfig, MemoryConfig, ReplacementPolicy, WritePolicy};
+use lnuca_noc::RoutingPolicy;
 use lnuca_types::{ConfigError, UnknownNameError};
+use lnuca_workloads::Suite;
 use serde::json::{self, Value};
 use std::fmt;
 
@@ -92,16 +107,7 @@ impl Scenario {
     /// The scenario as a JSON [`Value`] tree.
     #[must_use]
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("schema".to_owned(), Value::String(SCENARIO_SCHEMA.to_owned())),
-            ("name".to_owned(), Value::String(self.plan.name.clone())),
-            ("description".to_owned(), Value::String(self.description.clone())),
-            ("options".to_owned(), options_to_value(&self.plan.options)),
-            (
-                "configs".to_owned(),
-                Value::Array(self.plan.configs.iter().map(spec_to_value).collect()),
-            ),
-        ])
+        ScenarioDoc::encode(self)
     }
 
     /// Parses a scenario document.
@@ -109,8 +115,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] on JSON syntax errors, schema violations
-    /// (including unknown fields), unknown preset names or invalid
-    /// configurations.
+    /// (including unknown fields and unknown preset or workload names) or
+    /// invalid configurations.
     pub fn from_json(text: &str) -> Result<Self, ScenarioError> {
         Self::from_value(&json::parse(text)?)
     }
@@ -121,42 +127,15 @@ impl Scenario {
     ///
     /// See [`Scenario::from_json`].
     pub fn from_value(value: &Value) -> Result<Self, ScenarioError> {
-        let mut fields = Fields::new("$", value)?;
-        let schema = fields.required_str("schema")?;
-        if schema != SCENARIO_SCHEMA {
-            return Err(ScenarioError::schema(
-                "$.schema",
-                format!("expected {SCENARIO_SCHEMA:?}, got {schema:?}"),
-            ));
-        }
-        let name = fields.required_str("name")?.to_owned();
-        let description = fields
-            .optional("description")
-            .map(|v| expect_str("$.description", v))
-            .transpose()?
-            .unwrap_or_default()
-            .to_owned();
-        let options = match fields.optional("options") {
-            Some(v) => options_from_value("$.options", v)?,
-            None => ExperimentOptions::default(),
-        };
-        let configs_value = fields.required("configs")?;
-        let Some(entries) = configs_value.as_array() else {
-            return Err(ScenarioError::schema(
-                "$.configs",
-                format!("expected an array, got {}", configs_value.type_name()),
-            ));
-        };
-        let mut specs = Vec::with_capacity(entries.len());
-        for (i, entry) in entries.iter().enumerate() {
-            specs.push(spec_from_value(&format!("$.configs[{i}]"), entry)?);
-        }
-        fields.finish()?;
-        let plan = ExperimentPlan::builder(name)
-            .configs(specs)
-            .options(options)
+        let doc = codec::read::<ScenarioDoc>(At::Root("$"), value).map_err(schema_error)?;
+        let plan = ExperimentPlan::builder(doc.plan.name)
+            .configs(doc.plan.configs)
+            .options(doc.plan.options)
             .build()?;
-        Ok(Scenario { description, plan })
+        Ok(Scenario {
+            description: doc.description,
+            plan,
+        })
     }
 }
 
@@ -166,25 +145,23 @@ pub enum ScenarioError {
     /// The text is not valid JSON.
     Parse(json::ParseError),
     /// The document violates the schema: wrong type, missing or unknown
-    /// field, out-of-range value. Carries the JSON path.
+    /// field, out-of-range value, unknown preset or workload name, or an
+    /// invalid configuration. Carries the JSON path.
     Schema {
         /// JSON path of the violation (e.g. `$.configs[1].fabric.levels`).
         path: String,
         /// What is wrong there.
         message: String,
     },
-    /// A name lookup (built-in scenario, preset, workload) failed.
-    Name(UnknownNameError),
-    /// The document parsed but describes an invalid configuration.
+    /// The document parsed but describes an invalid plan (e.g. two
+    /// configurations with the same label).
     Config(ConfigError),
 }
 
-impl ScenarioError {
-    fn schema(path: impl Into<String>, message: impl Into<String>) -> Self {
-        ScenarioError::Schema {
-            path: path.into(),
-            message: message.into(),
-        }
+fn schema_error(e: DecodeError) -> ScenarioError {
+    ScenarioError::Schema {
+        path: e.path,
+        message: e.message,
     }
 }
 
@@ -195,7 +172,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Schema { path, message } => {
                 write!(f, "invalid scenario at {path}: {message}")
             }
-            ScenarioError::Name(e) => write!(f, "{e}"),
             ScenarioError::Config(e) => write!(f, "{e}"),
         }
     }
@@ -209,12 +185,6 @@ impl From<json::ParseError> for ScenarioError {
     }
 }
 
-impl From<UnknownNameError> for ScenarioError {
-    fn from(e: UnknownNameError) -> Self {
-        ScenarioError::Name(e)
-    }
-}
-
 impl From<ConfigError> for ScenarioError {
     fn from(e: ConfigError) -> Self {
         ScenarioError::Config(e)
@@ -222,371 +192,180 @@ impl From<ConfigError> for ScenarioError {
 }
 
 // ---------------------------------------------------------------------------
-// Strict object walking
+// Scenario documents
 // ---------------------------------------------------------------------------
 
-/// Tracks which members of an object have been consumed so that
-/// [`Fields::finish`] can reject unknown keys with their path.
-struct Fields<'a> {
-    path: String,
-    members: &'a [(String, Value)],
-    seen: Vec<bool>,
+record! {
+    /// An `lnuca-scenario/v1` document. `from_value` rebuilds the plan
+    /// through its builder, which validates it as a whole.
+    ScenarioDoc(Scenario), required, schema SCENARIO_SCHEMA, base {
+        Scenario {
+            description: String::new(),
+            plan: ExperimentPlan {
+                name: String::new(),
+                configs: Vec::new(),
+                options: ExperimentOptions::default(),
+            },
+        }
+    } {
+        "name" => plan.name: String,
+        "description" => description: Maybe<String>,
+        "options" => plan.options: Maybe<ScenarioOptions>,
+        "configs" => plan.configs: Vec<ScenarioSpec>,
+    }
 }
 
-impl<'a> Fields<'a> {
-    fn new(path: impl Into<String>, value: &'a Value) -> Result<Self, ScenarioError> {
-        let path = path.into();
-        let Some(members) = value.as_object() else {
-            return Err(ScenarioError::schema(
-                path,
-                format!("expected an object, got {}", value.type_name()),
-            ));
-        };
-        Ok(Fields {
-            path,
-            seen: vec![false; members.len()],
-            members,
-        })
+record! {
+    /// The run options. A report's `options` object is validated by this
+    /// same declaration, so the two documents cannot drift apart.
+    ScenarioOptions(ExperimentOptions), optional {
+        "instructions" => instructions: u64,
+        "seed" => seed: u64,
+        // Null and absent both mean "no cap", the field default.
+        "benchmarks_per_suite" => benchmarks_per_suite: Option<usize>
+            where codec::at_least_one("must be at least 1 (omit or null to run every benchmark)"),
+        "workloads" => workloads: Workloads,
+        "threads" => threads: usize,
+        "engine" => engine: Engine,
+        "batch_size" => batch_size: usize where codec::at_least_one(
+            "must be at least 1 (a zero-wide batch would simulate nothing)",
+        ),
+        // Watchdog knobs (DESIGN.md §14): null and absent both mean "off".
+        "cycle_budget" => cycle_budget: Option<u64>,
+        "run_timeout_ms" => run_timeout_ms: Option<u64>,
+        "livelock_window" => livelock_window: Option<u64>,
+        "retries" => retries: u32,
     }
+}
 
-    fn optional(&mut self, key: &str) -> Option<&'a Value> {
-        for (i, (k, v)) in self.members.iter().enumerate() {
-            if k == key {
-                self.seen[i] = true;
-                return if matches!(v, Value::Null) { None } else { Some(v) };
-            }
-        }
-        None
+/// `workloads`: a selection keyword, or an explicit array of profile names.
+pub(crate) struct Workloads;
+
+impl Kind for Workloads {
+    type T = WorkloadSelection;
+    fn base() -> WorkloadSelection {
+        WorkloadSelection::default()
     }
-
-    fn required(&mut self, key: &str) -> Result<&'a Value, ScenarioError> {
-        self.optional(key).ok_or_else(|| {
-            ScenarioError::schema(&self.path, format!("missing required field {key:?}"))
-        })
-    }
-
-    fn required_str(&mut self, key: &str) -> Result<&'a str, ScenarioError> {
-        let path = format!("{}.{key}", self.path);
-        expect_str(&path, self.required(key)?)
-    }
-
-    fn child_path(&self, key: &str) -> String {
-        format!("{}.{key}", self.path)
-    }
-
-    /// Rejects any member that was never consumed.
-    fn finish(self) -> Result<(), ScenarioError> {
-        let unknown: Vec<&str> = self
-            .members
-            .iter()
-            .zip(&self.seen)
-            .filter(|(_, seen)| !**seen)
-            .map(|((k, _), _)| k.as_str())
-            .collect();
-        if unknown.is_empty() {
-            Ok(())
-        } else {
-            Err(ScenarioError::schema(
-                self.path,
-                format!("unknown field(s): {}", unknown.join(", ")),
-            ))
+    fn encode(workloads: &WorkloadSelection) -> Value {
+        match workloads {
+            WorkloadSelection::Named(names) => Vec::<String>::encode(names),
+            keyword => Value::String(keyword.keyword().unwrap_or_default().to_owned()),
         }
     }
-}
-
-fn expect_str<'a>(path: &str, value: &'a Value) -> Result<&'a str, ScenarioError> {
-    value.as_str().ok_or_else(|| {
-        ScenarioError::schema(path, format!("expected a string, got {}", value.type_name()))
-    })
-}
-
-fn expect_u64(path: &str, value: &Value) -> Result<u64, ScenarioError> {
-    value.as_u64().ok_or_else(|| {
-        ScenarioError::schema(
-            path,
-            format!("expected a non-negative integer, got {}", value.type_name()),
-        )
-    })
-}
-
-fn expect_bool(path: &str, value: &Value) -> Result<bool, ScenarioError> {
-    value.as_bool().ok_or_else(|| {
-        ScenarioError::schema(path, format!("expected a boolean, got {}", value.type_name()))
-    })
-}
-
-fn expect_usize(path: &str, value: &Value) -> Result<usize, ScenarioError> {
-    usize::try_from(expect_u64(path, value)?)
-        .map_err(|_| ScenarioError::schema(path, "value does not fit in usize"))
-}
-
-/// Applies an optional `u64` override.
-fn override_u64(
-    fields: &mut Fields<'_>,
-    key: &str,
-    slot: &mut u64,
-) -> Result<(), ScenarioError> {
-    if let Some(v) = fields.optional(key) {
-        *slot = expect_u64(&fields.child_path(key), v)?;
-    }
-    Ok(())
-}
-
-fn override_usize(
-    fields: &mut Fields<'_>,
-    key: &str,
-    slot: &mut usize,
-) -> Result<(), ScenarioError> {
-    if let Some(v) = fields.optional(key) {
-        *slot = expect_usize(&fields.child_path(key), v)?;
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Options
-// ---------------------------------------------------------------------------
-
-fn options_to_value(options: &ExperimentOptions) -> Value {
-    let workloads = match (&options.workloads, options.workloads.keyword()) {
-        (_, Some(keyword)) => Value::String(keyword.to_owned()),
-        (WorkloadSelection::Named(names), None) => {
-            Value::Array(names.iter().map(|n| Value::String(n.clone())).collect())
-        }
-        _ => unreachable!("keyword() is None only for Named"),
-    };
-    Value::Object(vec![
-        ("instructions".to_owned(), Value::UInt(options.instructions)),
-        ("seed".to_owned(), Value::UInt(options.seed)),
-        (
-            "benchmarks_per_suite".to_owned(),
-            options
-                .benchmarks_per_suite
-                .map_or(Value::Null, |n| Value::UInt(n as u64)),
-        ),
-        ("workloads".to_owned(), workloads),
-        ("threads".to_owned(), Value::UInt(options.threads as u64)),
-        (
-            "engine".to_owned(),
-            Value::String(options.engine.label().to_owned()),
-        ),
-        (
-            "batch_size".to_owned(),
-            Value::UInt(options.batch_size as u64),
-        ),
-        (
-            "cycle_budget".to_owned(),
-            options.cycle_budget.map_or(Value::Null, Value::UInt),
-        ),
-        (
-            "run_timeout_ms".to_owned(),
-            options.run_timeout_ms.map_or(Value::Null, Value::UInt),
-        ),
-        (
-            "livelock_window".to_owned(),
-            options.livelock_window.map_or(Value::Null, Value::UInt),
-        ),
-        ("retries".to_owned(), Value::UInt(u64::from(options.retries))),
-    ])
-}
-
-fn options_from_value(path: &str, value: &Value) -> Result<ExperimentOptions, ScenarioError> {
-    let mut fields = Fields::new(path, value)?;
-    let mut options = ExperimentOptions::default();
-    override_u64(&mut fields, "instructions", &mut options.instructions)?;
-    override_u64(&mut fields, "seed", &mut options.seed)?;
-    // `optional` maps JSON null to None, which here means "no cap" — the
-    // field default — so null and absent coincide, as intended.
-    if let Some(v) = fields.optional("benchmarks_per_suite") {
-        let path = fields.child_path("benchmarks_per_suite");
-        let n = expect_usize(&path, v)?;
-        if n == 0 {
-            return Err(ScenarioError::schema(
-                &path,
-                "must be at least 1 (omit or null to run every benchmark)",
-            ));
-        }
-        options.benchmarks_per_suite = Some(n);
-    }
-    if let Some(v) = fields.optional("workloads") {
-        let path = fields.child_path("workloads");
-        options.workloads = match v {
-            Value::String(keyword) => WorkloadSelection::from_keyword(keyword).ok_or_else(|| {
-                ScenarioError::schema(
-                    &path,
-                    format!(
+    fn decode(at: At<'_>, json: &Value, slot: &mut WorkloadSelection) -> Result<(), DecodeError> {
+        *slot = match json {
+            Value::String(keyword) => {
+                WorkloadSelection::from_keyword(keyword).ok_or_else(|| {
+                    at.error(format!(
                         "unknown workload keyword {keyword:?} (expected paper, extended or \
                          adversarial; use an array for explicit names)"
-                    ),
-                )
-            })?,
-            Value::Array(items) => {
-                let mut names = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    names.push(expect_str(&format!("{path}[{i}]"), item)?.to_owned());
-                }
+                    ))
+                })?
+            }
+            Value::Array(_) => {
+                let names = codec::read::<Vec<String>>(at, json)?;
                 // Resolve now so a typo fails at load time with the full
                 // valid-name list rather than at run time.
                 for name in &names {
-                    lnuca_workloads::suites::by_name(name)?;
+                    lnuca_workloads::suites::by_name(name).map_err(|e| at.error(e.to_string()))?;
                 }
                 WorkloadSelection::Named(names)
             }
             other => {
-                return Err(ScenarioError::schema(
-                    &path,
-                    format!("expected a keyword string or a name array, got {}", other.type_name()),
-                ))
+                return Err(at.error(format!(
+                    "expected a keyword string or a name array, got {}",
+                    other.type_name()
+                )))
             }
         };
+        Ok(())
     }
-    override_usize(&mut fields, "threads", &mut options.threads)?;
-    if let Some(v) = fields.optional("batch_size") {
-        let path = fields.child_path("batch_size");
-        let n = expect_usize(&path, v)?;
-        if n == 0 {
-            return Err(ScenarioError::schema(
-                &path,
-                "must be at least 1 (a zero-wide batch would simulate nothing)",
-            ));
-        }
-        options.batch_size = n;
-    }
-    // Watchdog knobs (DESIGN.md §14): null and absent both mean "off",
-    // matching the field defaults.
-    if let Some(v) = fields.optional("cycle_budget") {
-        options.cycle_budget = Some(expect_u64(&fields.child_path("cycle_budget"), v)?);
-    }
-    if let Some(v) = fields.optional("run_timeout_ms") {
-        options.run_timeout_ms = Some(expect_u64(&fields.child_path("run_timeout_ms"), v)?);
-    }
-    if let Some(v) = fields.optional("livelock_window") {
-        options.livelock_window = Some(expect_u64(&fields.child_path("livelock_window"), v)?);
-    }
-    if let Some(v) = fields.optional("retries") {
-        let path = fields.child_path("retries");
-        options.retries = u32::try_from(expect_u64(&path, v)?)
-            .map_err(|_| ScenarioError::schema(&path, "value does not fit in u32"))?;
-    }
-    if let Some(v) = fields.optional("engine") {
-        let path = fields.child_path("engine");
-        let raw = expect_str(&path, v)?;
-        options.engine = Engine::parse(raw).ok_or_else(|| {
-            ScenarioError::schema(&path, format!("unknown engine {raw:?} (expected event or cycle)"))
-        })?;
-    }
-    fields.finish()?;
-    Ok(options)
 }
 
-// ---------------------------------------------------------------------------
-// Hierarchy specs
-// ---------------------------------------------------------------------------
-
-/// Serializes a spec fully explicitly (presets expanded).
-#[must_use]
-pub fn spec_to_value(spec: &HierarchySpec) -> Value {
-    let mut members = Vec::new();
-    if let Some(label) = &spec.label {
-        members.push(("label".to_owned(), Value::String(label.clone())));
+/// `engine`: written as its label, read through [`Engine::parse`] (which
+/// also accepts the `LNUCA_ENGINE` spellings).
+impl Kind for Engine {
+    type T = Engine;
+    fn base() -> Engine {
+        Engine::default()
     }
-    members.push(("root".to_owned(), cache_to_value(&spec.root)));
-    if let Some(fabric) = &spec.fabric {
-        members.push(("fabric".to_owned(), fabric_to_value(fabric)));
+    fn encode(engine: &Engine) -> Value {
+        Value::String(engine.label().to_owned())
     }
-    if !spec.intermediate.is_empty() {
-        members.push((
-            "intermediate".to_owned(),
-            Value::Array(spec.intermediate.iter().map(intermediate_to_value).collect()),
-        ));
+    fn decode(at: At<'_>, json: &Value, slot: &mut Engine) -> Result<(), DecodeError> {
+        let raw = codec::read::<String>(at, json)?;
+        *slot = Engine::parse(&raw)
+            .ok_or_else(|| at.error(format!("unknown engine {raw:?} (expected event or cycle)")))?;
+        Ok(())
     }
-    members.push(("backing".to_owned(), backing_to_value(&spec.backing)));
-    members.push(("memory".to_owned(), memory_to_value(&spec.memory)));
-    if spec.cores > 1 {
-        // Emitted only for CMP shapes, so every committed single-core
-        // scenario document stays byte-identical.
-        members.push(("cores".to_owned(), Value::UInt(spec.cores as u64)));
-    }
-    Value::Object(members)
 }
 
-/// Deserializes a spec: an optional hierarchy `preset` plus component
-/// overrides, validated on the way out.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] on schema violations, unknown presets or an
-/// invalid composition.
-pub fn spec_from_value(path: &str, value: &Value) -> Result<HierarchySpec, ScenarioError> {
-    let mut fields = Fields::new(path, value)?;
-    // Start from the preset's spec (or the builder defaults).
-    let mut spec = match fields.optional("preset") {
-        Some(v) => {
-            let preset_path = fields.child_path("preset");
-            let name = expect_str(&preset_path, v)?;
-            let levels = match fields.optional("levels") {
-                Some(v) => {
-                    let raw = expect_u64(&fields.child_path("levels"), v)?;
-                    Some(u8::try_from(raw).map_err(|_| {
-                        ScenarioError::schema(fields.child_path("levels"), "out of range")
-                    })?)
-                }
-                None => None,
-            };
-            hierarchy_preset(path, name, levels)?
+names! { AccessMode, "access mode" {
+    AccessMode::Parallel => "parallel",
+    AccessMode::Serial => "serial",
+} }
+
+names! { WritePolicy, "write policy" {
+    WritePolicy::WriteThrough => "write-through",
+    WritePolicy::CopyBack => "copy-back",
+} }
+
+names! { ReplacementPolicy, "replacement policy" {
+    ReplacementPolicy::Lru => "lru",
+    ReplacementPolicy::Fifo => "fifo",
+    ReplacementPolicy::Random => "random",
+} }
+
+names! { RoutingPolicy, "routing policy" {
+    RoutingPolicy::RandomValid => "random" | "random-valid",
+    RoutingPolicy::DimensionOrder => "dimension-order" | "dim-order",
+} }
+
+names! { SearchPolicy, "search policy" {
+    SearchPolicy::Multicast => "multicast",
+    SearchPolicy::Incremental => "incremental",
+} }
+
+record! {
+    /// One `configs` entry: an optional hierarchy `preset` (plus the
+    /// `levels` shortcut of the fabric presets) and component overrides,
+    /// validated as a whole.
+    ScenarioSpec(HierarchySpec), optional,
+        base { HierarchySpec::builder().build().expect("builder defaults are valid") },
+        decode spec_members {
+        "label" => label: Omit<Option<String>>,
+        "root" => root: ScenarioCache,
+        "fabric" => fabric: Omit<Option<ScenarioFabric>>,
+        "intermediate" => intermediate: Omit<Vec<ScenarioIntermediate>>,
+        "backing" => backing: Backing,
+        "memory" => memory: ScenarioMemory,
+        "cores" => cores: Cores where codec::at_least_one("a machine has at least one core"),
+    }
+}
+
+fn spec_members(obj: &mut Obj<'_, '_>, spec: &mut HierarchySpec) -> Result<(), DecodeError> {
+    let here = obj.at;
+    let levels = obj
+        .present("levels")
+        .map(|json| codec::read::<u8>(here.key("levels"), json))
+        .transpose()?;
+    match obj.present("preset") {
+        Some(json) => {
+            let name = codec::read::<String>(here.key("preset"), json)?;
+            *spec = hierarchy_preset(here, &name, levels)?;
         }
-        None => {
-            if fields.optional("levels").is_some() {
-                return Err(ScenarioError::schema(
-                    fields.child_path("levels"),
-                    "\"levels\" shortcuts a fabric preset; set fabric.levels instead",
-                ));
-            }
-            HierarchySpec::builder().build().expect("builder defaults are valid")
+        None if levels.is_some() => {
+            return Err(here
+                .key("levels")
+                .error("\"levels\" shortcuts a fabric preset; set fabric.levels instead"))
         }
-    };
-    if let Some(v) = fields.optional("label") {
-        spec.label = Some(expect_str(&fields.child_path("label"), v)?.to_owned());
+        None => {}
     }
-    if let Some(v) = fields.optional("root") {
-        spec.root = cache_from_value(&fields.child_path("root"), v, None)?;
-    }
-    if let Some(v) = fields.optional("fabric") {
-        let base = spec.fabric.take();
-        spec.fabric = Some(fabric_from_value(&fields.child_path("fabric"), v, base)?);
-    }
-    if let Some(v) = fields.optional("intermediate") {
-        let inter_path = fields.child_path("intermediate");
-        let Some(items) = v.as_array() else {
-            return Err(ScenarioError::schema(
-                &inter_path,
-                format!("expected an array, got {}", v.type_name()),
-            ));
-        };
-        spec.intermediate = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| intermediate_from_value(&format!("{inter_path}[{i}]"), item))
-            .collect::<Result<Vec<_>, _>>()?;
-    }
-    if let Some(v) = fields.optional("backing") {
-        spec.backing = backing_from_value(&fields.child_path("backing"), v)?;
-    }
-    if let Some(v) = fields.optional("memory") {
-        spec.memory = memory_from_value(&fields.child_path("memory"), v)?;
-    }
-    if let Some(v) = fields.optional("cores") {
-        let cores_path = fields.child_path("cores");
-        let raw = expect_u64(&cores_path, v)?;
-        if raw == 0 {
-            return Err(ScenarioError::schema(&cores_path, "a machine has at least one core"));
-        }
-        spec.cores = usize::try_from(raw)
-            .map_err(|_| ScenarioError::schema(&cores_path, "out of range"))?;
-    }
-    fields.finish()?;
-    spec.validate()?;
-    Ok(spec)
+    ScenarioSpec::fields(obj, spec)?;
+    spec.memory
+        .validate()
+        .and_then(|()| spec.validate())
+        .map_err(|e| here.error(e.to_string()))
 }
 
 /// The spec-level presets: the paper's four shapes by name. `levels`
@@ -594,441 +373,276 @@ pub fn spec_from_value(path: &str, value: &Value) -> Result<HierarchySpec, Scena
 /// presets — pairing it with `conventional`/`dnuca` is rejected rather
 /// than silently ignored (the strict-parsing promise).
 fn hierarchy_preset(
-    path: &str,
+    at: At<'_>,
     name: &str,
     levels: Option<u8>,
-) -> Result<HierarchySpec, ScenarioError> {
-    let reject_levels = || -> Result<(), ScenarioError> {
-        if levels.is_some() {
-            return Err(ScenarioError::schema(
-                format!("{path}.levels"),
-                format!("the {name:?} preset has no fabric; \"levels\" does not apply"),
-            ));
+) -> Result<HierarchySpec, DecodeError> {
+    let fabric =
+        || LNucaConfig::paper(levels.unwrap_or(3)).map(|f| HierarchySpec::builder().fabric(f));
+    let spec = match (name, levels) {
+        ("conventional" | "dnuca", Some(_)) => {
+            return Err(at.key("levels").error(format!(
+                "the {name:?} preset has no fabric; \"levels\" does not apply"
+            )))
         }
-        Ok(())
+        ("conventional", None) => {
+            Ok(HierarchyKind::Conventional(configs::conventional()).to_spec())
+        }
+        ("dnuca", None) => Ok(HierarchyKind::DNuca(configs::dnuca_hierarchy()).to_spec()),
+        ("lnuca-l3", _) => fabric().and_then(|b| b.backing_cache(configs::paper_l3()).build()),
+        ("lnuca-dnuca", _) => fabric().and_then(|b| b.backing_dnuca(DNucaConfig::paper()).build()),
+        (other, _) => {
+            let valid = ["conventional", "lnuca-l3", "dnuca", "lnuca-dnuca"];
+            return Err(at
+                .key("preset")
+                .error(UnknownNameError::new("hierarchy preset", other, valid).to_string()));
+        }
     };
-    let fabric = || LNucaConfig::paper(levels.unwrap_or(3)).map_err(ScenarioError::Config);
-    Ok(match name {
-        "conventional" => {
-            reject_levels()?;
-            crate::configs::HierarchyKind::Conventional(configs::conventional()).to_spec()
-        }
-        "lnuca-l3" => HierarchySpec::builder()
-            .fabric(fabric()?)
-            .backing_cache(configs::paper_l3())
-            .build()?,
-        "dnuca" => {
-            reject_levels()?;
-            crate::configs::HierarchyKind::DNuca(configs::dnuca_hierarchy()).to_spec()
-        }
-        "lnuca-dnuca" => HierarchySpec::builder()
-            .fabric(fabric()?)
-            .backing_dnuca(DNucaConfig::paper())
-            .build()?,
-        other => {
-            return Err(UnknownNameError::new(
-                "hierarchy preset",
-                other,
-                ["conventional", "lnuca-l3", "dnuca", "lnuca-dnuca"],
-            )
-            .into())
-        }
-    })
+    spec.map_err(|e| at.error(e.to_string()))
 }
 
-fn cache_to_value(cache: &CacheConfig) -> Value {
-    Value::Object(vec![
-        ("name".to_owned(), Value::String(cache.name.clone())),
-        ("size_bytes".to_owned(), Value::UInt(cache.size_bytes)),
-        ("ways".to_owned(), Value::UInt(cache.ways as u64)),
-        ("block_size".to_owned(), Value::UInt(cache.block_size)),
-        ("completion_cycles".to_owned(), Value::UInt(cache.completion_cycles)),
-        ("initiation_interval".to_owned(), Value::UInt(cache.initiation_interval)),
-        (
-            "miss_determination_cycles".to_owned(),
-            Value::UInt(cache.miss_determination_cycles),
-        ),
-        ("ports".to_owned(), Value::UInt(cache.ports as u64)),
-        (
-            "access_mode".to_owned(),
-            Value::String(
-                match cache.access_mode {
-                    AccessMode::Parallel => "parallel",
-                    AccessMode::Serial => "serial",
-                }
-                .to_owned(),
-            ),
-        ),
-        (
-            "write_policy".to_owned(),
-            Value::String(
-                match cache.write_policy {
-                    WritePolicy::WriteThrough => "write-through",
-                    WritePolicy::CopyBack => "copy-back",
-                }
-                .to_owned(),
-            ),
-        ),
-        (
-            "replacement".to_owned(),
-            Value::String(
-                match cache.replacement {
-                    ReplacementPolicy::Lru => "lru",
-                    ReplacementPolicy::Fifo => "fifo",
-                    ReplacementPolicy::Random => "random",
-                }
-                .to_owned(),
-            ),
-        ),
-    ])
+/// A component preset: its name and its constructor.
+type Preset<T> = (&'static str, fn() -> T);
+
+/// Resolves a component `preset` member through its name table.
+fn preset<T>(
+    at: At<'_>,
+    json: &Value,
+    what: &'static str,
+    table: &[Preset<T>],
+) -> Result<T, DecodeError> {
+    let name = codec::read::<String>(at, json)?;
+    table
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|(_, make)| make())
+        .ok_or_else(|| {
+            let valid = table.iter().map(|(known, _)| *known);
+            at.error(UnknownNameError::new(what, name, valid).to_string())
+        })
 }
 
-fn cache_from_value(
-    path: &str,
-    value: &Value,
-    base: Option<CacheConfig>,
-) -> Result<CacheConfig, ScenarioError> {
-    let mut fields = Fields::new(path, value)?;
-    let mut cache = match fields.optional("preset") {
-        Some(v) => {
-            let preset_path = fields.child_path("preset");
-            match expect_str(&preset_path, v)? {
-                "paper-l1" => configs::paper_l1(),
-                "paper-l2" => configs::paper_l2(),
-                "paper-l3" => configs::paper_l3(),
-                other => {
-                    return Err(UnknownNameError::new(
-                        "cache preset",
-                        other,
-                        ["paper-l1", "paper-l2", "paper-l3"],
-                    )
-                    .into())
-                }
-            }
-        }
-        None => base.unwrap_or_else(configs::paper_l1),
+/// The `<stem>_kb` shorthand of a `<stem>_bytes` member: KiB for
+/// hand-written files. Rejected next to the byte form (which one would win
+/// is not obvious) and when the byte count overflows.
+fn kib(obj: &mut Obj<'_, '_>, stem: &str, bytes: &mut u64) -> Result<(), DecodeError> {
+    let key = format!("{stem}_kb");
+    let Some(json) = obj.present(&key) else {
+        return Ok(());
     };
-    if let Some(v) = fields.optional("name") {
-        cache.name = expect_str(&fields.child_path("name"), v)?.to_owned();
+    let here = obj.at;
+    let at = here.key(&key);
+    let bytes_key = format!("{stem}_bytes");
+    if obj.present(&bytes_key).is_some() {
+        return Err(at.error(format!(
+            "conflicts with {bytes_key:?}; give the size one way"
+        )));
     }
-    override_u64(&mut fields, "size_bytes", &mut cache.size_bytes)?;
-    if let Some(v) = fields.optional("size_kb") {
-        cache.size_bytes = expect_u64(&fields.child_path("size_kb"), v)? * 1024;
-    }
-    override_usize(&mut fields, "ways", &mut cache.ways)?;
-    override_u64(&mut fields, "block_size", &mut cache.block_size)?;
-    override_u64(&mut fields, "completion_cycles", &mut cache.completion_cycles)?;
-    override_u64(&mut fields, "initiation_interval", &mut cache.initiation_interval)?;
-    override_u64(
-        &mut fields,
-        "miss_determination_cycles",
-        &mut cache.miss_determination_cycles,
-    )?;
-    override_usize(&mut fields, "ports", &mut cache.ports)?;
-    if let Some(v) = fields.optional("access_mode") {
-        let path = fields.child_path("access_mode");
-        cache.access_mode = match expect_str(&path, v)? {
-            "parallel" => AccessMode::Parallel,
-            "serial" => AccessMode::Serial,
-            other => {
-                return Err(ScenarioError::schema(
-                    &path,
-                    format!("unknown access mode {other:?} (expected parallel or serial)"),
-                ))
-            }
-        };
-    }
-    if let Some(v) = fields.optional("write_policy") {
-        let path = fields.child_path("write_policy");
-        cache.write_policy = match expect_str(&path, v)? {
-            "write-through" => WritePolicy::WriteThrough,
-            "copy-back" => WritePolicy::CopyBack,
-            other => {
-                return Err(ScenarioError::schema(
-                    &path,
-                    format!("unknown write policy {other:?} (expected write-through or copy-back)"),
-                ))
-            }
-        };
-    }
-    if let Some(v) = fields.optional("replacement") {
-        let path = fields.child_path("replacement");
-        cache.replacement = match expect_str(&path, v)? {
-            "lru" => ReplacementPolicy::Lru,
-            "fifo" => ReplacementPolicy::Fifo,
-            "random" => ReplacementPolicy::Random,
-            other => {
-                return Err(ScenarioError::schema(
-                    &path,
-                    format!("unknown replacement policy {other:?} (expected lru, fifo or random)"),
-                ))
-            }
-        };
-    }
-    fields.finish()?;
-    Ok(cache)
+    *bytes = codec::read::<u64>(at, json)?
+        .checked_mul(1024)
+        .ok_or_else(|| at.error("size in bytes does not fit in 64 bits"))?;
+    Ok(())
 }
 
-fn fabric_to_value(fabric: &LNucaConfig) -> Value {
-    Value::Object(vec![
-        ("levels".to_owned(), Value::UInt(u64::from(fabric.levels))),
-        ("tile_size_bytes".to_owned(), Value::UInt(fabric.tile_size_bytes)),
-        ("tile_ways".to_owned(), Value::UInt(fabric.tile_ways as u64)),
-        ("block_size".to_owned(), Value::UInt(fabric.block_size)),
-        ("buffer_entries".to_owned(), Value::UInt(fabric.buffer_entries as u64)),
-        (
-            "routing".to_owned(),
-            Value::String(
-                match fabric.routing {
-                    lnuca_noc::RoutingPolicy::RandomValid => "random",
-                    lnuca_noc::RoutingPolicy::DimensionOrder => "dimension-order",
-                }
-                .to_owned(),
-            ),
-        ),
-        (
-            "tile_replacement".to_owned(),
-            Value::String(
-                match fabric.tile_replacement {
-                    ReplacementPolicy::Lru => "lru",
-                    ReplacementPolicy::Fifo => "fifo",
-                    ReplacementPolicy::Random => "random",
-                }
-                .to_owned(),
-            ),
-        ),
-        ("seed".to_owned(), Value::UInt(fabric.seed)),
-    ])
+record! {
+    /// A cache: an optional `preset` (`paper-l1/-l2/-l3`), field overrides
+    /// and the `size_kb` alias.
+    ScenarioCache(CacheConfig), optional, base { configs::paper_l1() }, decode cache_members {
+        "name" => name: String,
+        "size_bytes" => size_bytes: u64,
+        "ways" => ways: usize,
+        "block_size" => block_size: u64,
+        "completion_cycles" => completion_cycles: u64,
+        "initiation_interval" => initiation_interval: u64,
+        "miss_determination_cycles" => miss_determination_cycles: u64,
+        "ports" => ports: usize,
+        "access_mode" => access_mode: AccessMode,
+        "write_policy" => write_policy: WritePolicy,
+        "replacement" => replacement: ReplacementPolicy,
+    }
 }
 
-fn fabric_from_value(
-    path: &str,
-    value: &Value,
-    base: Option<LNucaConfig>,
-) -> Result<LNucaConfig, ScenarioError> {
-    let mut fields = Fields::new(path, value)?;
-    let mut fabric = base.unwrap_or_default();
-    if let Some(v) = fields.optional("levels") {
-        let raw = expect_u64(&fields.child_path("levels"), v)?;
-        fabric.levels = u8::try_from(raw)
-            .map_err(|_| ScenarioError::schema(fields.child_path("levels"), "out of range"))?;
+fn cache_members(obj: &mut Obj<'_, '_>, cache: &mut CacheConfig) -> Result<(), DecodeError> {
+    if let Some(json) = obj.present("preset") {
+        let presets: [Preset<CacheConfig>; 3] = [
+            ("paper-l1", configs::paper_l1),
+            ("paper-l2", configs::paper_l2),
+            ("paper-l3", configs::paper_l3),
+        ];
+        *cache = preset(obj.at.key("preset"), json, "cache preset", &presets)?;
     }
-    override_u64(&mut fields, "tile_size_bytes", &mut fabric.tile_size_bytes)?;
-    if let Some(v) = fields.optional("tile_size_kb") {
-        fabric.tile_size_bytes = expect_u64(&fields.child_path("tile_size_kb"), v)? * 1024;
-    }
-    override_usize(&mut fields, "tile_ways", &mut fabric.tile_ways)?;
-    override_u64(&mut fields, "block_size", &mut fabric.block_size)?;
-    override_usize(&mut fields, "buffer_entries", &mut fabric.buffer_entries)?;
-    if let Some(v) = fields.optional("routing") {
-        let path = fields.child_path("routing");
-        fabric.routing = match expect_str(&path, v)? {
-            "random" | "random-valid" => lnuca_noc::RoutingPolicy::RandomValid,
-            "dimension-order" | "dim-order" => lnuca_noc::RoutingPolicy::DimensionOrder,
-            other => {
-                return Err(ScenarioError::schema(
-                    &path,
-                    format!("unknown routing policy {other:?} (expected random or dimension-order)"),
-                ))
-            }
-        };
-    }
-    if let Some(v) = fields.optional("tile_replacement") {
-        let path = fields.child_path("tile_replacement");
-        fabric.tile_replacement = match expect_str(&path, v)? {
-            "lru" => ReplacementPolicy::Lru,
-            "fifo" => ReplacementPolicy::Fifo,
-            "random" => ReplacementPolicy::Random,
-            other => {
-                return Err(ScenarioError::schema(
-                    &path,
-                    format!("unknown replacement policy {other:?} (expected lru, fifo or random)"),
-                ))
-            }
-        };
-    }
-    override_u64(&mut fields, "seed", &mut fabric.seed)?;
-    fields.finish()?;
-    Ok(fabric)
+    ScenarioCache::fields(obj, cache)?;
+    kib(obj, "size", &mut cache.size_bytes)
 }
 
-fn intermediate_to_value(level: &IntermediateSpec) -> Value {
-    Value::Object(vec![
-        ("cache".to_owned(), cache_to_value(&level.cache)),
-        (
-            "request_transfer_cycles".to_owned(),
-            Value::UInt(level.request_transfer_cycles),
-        ),
-        (
-            "response_transfer_cycles".to_owned(),
-            Value::UInt(level.response_transfer_cycles),
-        ),
-    ])
-}
-
-fn intermediate_from_value(path: &str, value: &Value) -> Result<IntermediateSpec, ScenarioError> {
-    let mut fields = Fields::new(path, value)?;
-    let mut level = match fields.optional("preset") {
-        Some(v) => {
-            let preset_path = fields.child_path("preset");
-            match expect_str(&preset_path, v)? {
-                "paper-l2" => IntermediateSpec::paper_l2(),
-                other => {
-                    return Err(UnknownNameError::new("intermediate preset", other, ["paper-l2"]).into())
-                }
-            }
-        }
-        None => IntermediateSpec::new(configs::paper_l2()),
-    };
-    if let Some(v) = fields.optional("cache") {
-        level.cache = cache_from_value(&fields.child_path("cache"), v, Some(level.cache))?;
+record! {
+    /// An L-NUCA fabric: field overrides and the `tile_size_kb` alias.
+    ScenarioFabric(LNucaConfig), optional, decode fabric_members {
+        "levels" => levels: u8,
+        "tile_size_bytes" => tile_size_bytes: u64,
+        "tile_ways" => tile_ways: usize,
+        "block_size" => block_size: u64,
+        "buffer_entries" => buffer_entries: usize,
+        "routing" => routing: RoutingPolicy,
+        "tile_replacement" => tile_replacement: ReplacementPolicy,
+        "seed" => seed: u64,
     }
-    override_u64(&mut fields, "request_transfer_cycles", &mut level.request_transfer_cycles)?;
-    override_u64(
-        &mut fields,
-        "response_transfer_cycles",
-        &mut level.response_transfer_cycles,
-    )?;
-    fields.finish()?;
-    Ok(level)
 }
 
-fn backing_to_value(backing: &BackingSpec) -> Value {
-    match backing {
-        BackingSpec::Cache(cache) => Value::Object(vec![
-            ("kind".to_owned(), Value::String("cache".to_owned())),
-            ("cache".to_owned(), cache_to_value(cache)),
-        ]),
-        BackingSpec::DNuca(dnuca) => Value::Object(vec![
-            ("kind".to_owned(), Value::String("dnuca".to_owned())),
-            ("dnuca".to_owned(), dnuca_to_value(dnuca)),
-        ]),
-        BackingSpec::Memory => Value::Object(vec![(
+fn fabric_members(obj: &mut Obj<'_, '_>, fabric: &mut LNucaConfig) -> Result<(), DecodeError> {
+    ScenarioFabric::fields(obj, fabric)?;
+    kib(obj, "tile_size", &mut fabric.tile_size_bytes)
+}
+
+record! {
+    /// An intermediate level: an optional `preset` (`paper-l2`) and
+    /// overrides.
+    ScenarioIntermediate(IntermediateSpec), optional,
+        base { IntermediateSpec::new(configs::paper_l2()) }, decode intermediate_members {
+        "cache" => cache: ScenarioCache,
+        "request_transfer_cycles" => request_transfer_cycles: u64,
+        "response_transfer_cycles" => response_transfer_cycles: u64,
+    }
+}
+
+fn intermediate_members(
+    obj: &mut Obj<'_, '_>,
+    level: &mut IntermediateSpec,
+) -> Result<(), DecodeError> {
+    if let Some(json) = obj.present("preset") {
+        let presets: [Preset<IntermediateSpec>; 1] = [("paper-l2", IntermediateSpec::paper_l2)];
+        *level = preset(obj.at.key("preset"), json, "intermediate preset", &presets)?;
+    }
+    ScenarioIntermediate::fields(obj, level)
+}
+
+/// `backing`: a union tagged by `kind`; the `cache` and `dnuca` payloads
+/// override the paper L3 and the paper D-NUCA.
+pub(crate) struct Backing;
+
+impl Kind for Backing {
+    type T = BackingSpec;
+    fn base() -> BackingSpec {
+        BackingSpec::Memory
+    }
+    fn encode(backing: &BackingSpec) -> Value {
+        let mut out = vec![(
             "kind".to_owned(),
-            Value::String("memory".to_owned()),
-        )]),
+            Value::String(backing.kind_name().to_owned()),
+        )];
+        match backing {
+            BackingSpec::Cache(cache) => {
+                out.push(("cache".to_owned(), ScenarioCache::encode(cache)));
+            }
+            BackingSpec::DNuca(dnuca) => {
+                out.push(("dnuca".to_owned(), ScenarioDNuca::encode(dnuca)));
+            }
+            BackingSpec::Memory => {}
+        }
+        Value::Object(out)
     }
-}
-
-fn backing_from_value(path: &str, value: &Value) -> Result<BackingSpec, ScenarioError> {
-    let mut fields = Fields::new(path, value)?;
-    let kind = fields.required_str("kind")?;
-    let backing = match kind {
-        "cache" => {
-            let cache = match fields.optional("cache") {
-                Some(v) => cache_from_value(&fields.child_path("cache"), v, Some(configs::paper_l3()))?,
-                None => configs::paper_l3(),
-            };
-            BackingSpec::Cache(cache)
+    fn decode(at: At<'_>, json: &Value, slot: &mut BackingSpec) -> Result<(), DecodeError> {
+        fn payload<K: Kind>(
+            obj: &mut Obj<'_, '_>,
+            key: &str,
+            mut value: K::T,
+        ) -> Result<K::T, DecodeError> {
+            if let Some(json) = obj.present(key) {
+                K::decode(obj.at.key(key), json, &mut value)?;
+            }
+            Ok(value)
         }
-        "dnuca" => {
-            let dnuca = match fields.optional("dnuca") {
-                Some(v) => dnuca_from_value(&fields.child_path("dnuca"), v)?,
-                None => DNucaConfig::paper(),
-            };
-            BackingSpec::DNuca(dnuca)
-        }
-        "memory" => BackingSpec::Memory,
-        other => {
-            return Err(ScenarioError::schema(
-                fields.child_path("kind"),
-                format!("unknown backing kind {other:?} (expected cache, dnuca or memory)"),
-            ))
-        }
-    };
-    fields.finish()?;
-    Ok(backing)
-}
-
-fn dnuca_to_value(dnuca: &DNucaConfig) -> Value {
-    Value::Object(vec![
-        ("rows".to_owned(), Value::UInt(dnuca.rows as u64)),
-        ("cols".to_owned(), Value::UInt(dnuca.cols as u64)),
-        ("bank_size_bytes".to_owned(), Value::UInt(dnuca.bank_size_bytes)),
-        ("bank_ways".to_owned(), Value::UInt(dnuca.bank_ways as u64)),
-        ("block_size".to_owned(), Value::UInt(dnuca.block_size)),
-        (
-            "bank_completion_cycles".to_owned(),
-            Value::UInt(dnuca.bank_completion_cycles),
-        ),
-        (
-            "bank_initiation_interval".to_owned(),
-            Value::UInt(dnuca.bank_initiation_interval),
-        ),
-        ("flit_bytes".to_owned(), Value::UInt(dnuca.flit_bytes)),
-        ("routing_latency".to_owned(), Value::UInt(dnuca.routing_latency)),
-        ("virtual_channels".to_owned(), Value::UInt(dnuca.virtual_channels as u64)),
-        (
-            "search".to_owned(),
-            Value::String(
-                match dnuca.search {
-                    SearchPolicy::Multicast => "multicast",
-                    SearchPolicy::Incremental => "incremental",
-                }
-                .to_owned(),
-            ),
-        ),
-        ("promotion".to_owned(), Value::Bool(dnuca.promotion)),
-    ])
-}
-
-fn dnuca_from_value(path: &str, value: &Value) -> Result<DNucaConfig, ScenarioError> {
-    let mut fields = Fields::new(path, value)?;
-    let mut dnuca = DNucaConfig::paper();
-    override_usize(&mut fields, "rows", &mut dnuca.rows)?;
-    override_usize(&mut fields, "cols", &mut dnuca.cols)?;
-    override_u64(&mut fields, "bank_size_bytes", &mut dnuca.bank_size_bytes)?;
-    if let Some(v) = fields.optional("bank_size_kb") {
-        dnuca.bank_size_bytes = expect_u64(&fields.child_path("bank_size_kb"), v)? * 1024;
-    }
-    override_usize(&mut fields, "bank_ways", &mut dnuca.bank_ways)?;
-    override_u64(&mut fields, "block_size", &mut dnuca.block_size)?;
-    override_u64(&mut fields, "bank_completion_cycles", &mut dnuca.bank_completion_cycles)?;
-    override_u64(
-        &mut fields,
-        "bank_initiation_interval",
-        &mut dnuca.bank_initiation_interval,
-    )?;
-    override_u64(&mut fields, "flit_bytes", &mut dnuca.flit_bytes)?;
-    override_u64(&mut fields, "routing_latency", &mut dnuca.routing_latency)?;
-    override_usize(&mut fields, "virtual_channels", &mut dnuca.virtual_channels)?;
-    if let Some(v) = fields.optional("search") {
-        let path = fields.child_path("search");
-        dnuca.search = match expect_str(&path, v)? {
-            "multicast" => SearchPolicy::Multicast,
-            "incremental" => SearchPolicy::Incremental,
+        let mut obj = Obj::new(at, json)?;
+        let kind_at = at.key("kind");
+        *slot = match codec::read::<String>(kind_at, obj.need("kind")?)?.as_str() {
+            "cache" => {
+                let l3 = configs::paper_l3();
+                BackingSpec::Cache(payload::<ScenarioCache>(&mut obj, "cache", l3)?)
+            }
+            "dnuca" => {
+                let paper = DNucaConfig::paper();
+                BackingSpec::DNuca(payload::<ScenarioDNuca>(&mut obj, "dnuca", paper)?)
+            }
+            "memory" => BackingSpec::Memory,
             other => {
-                return Err(ScenarioError::schema(
-                    &path,
-                    format!("unknown search policy {other:?} (expected multicast or incremental)"),
-                ))
+                return Err(kind_at.error(format!(
+                    "unknown backing kind {other:?} (expected cache, dnuca or memory)"
+                )))
             }
         };
+        obj.finish()
     }
-    if let Some(v) = fields.optional("promotion") {
-        dnuca.promotion = expect_bool(&fields.child_path("promotion"), v)?;
-    }
-    fields.finish()?;
-    Ok(dnuca)
 }
 
-fn memory_to_value(memory: &MemoryConfig) -> Value {
-    Value::Object(vec![
-        ("first_chunk_cycles".to_owned(), Value::UInt(memory.first_chunk_cycles)),
-        ("inter_chunk_cycles".to_owned(), Value::UInt(memory.inter_chunk_cycles)),
-        ("chunk_bytes".to_owned(), Value::UInt(memory.chunk_bytes)),
-    ])
+record! {
+    /// A D-NUCA: field overrides of the paper D-NUCA and the `bank_size_kb`
+    /// alias.
+    ScenarioDNuca(DNucaConfig), optional, base { DNucaConfig::paper() }, decode dnuca_members {
+        "rows" => rows: usize,
+        "cols" => cols: usize,
+        "bank_size_bytes" => bank_size_bytes: u64,
+        "bank_ways" => bank_ways: usize,
+        "block_size" => block_size: u64,
+        "bank_completion_cycles" => bank_completion_cycles: u64,
+        "bank_initiation_interval" => bank_initiation_interval: u64,
+        "flit_bytes" => flit_bytes: u64,
+        "routing_latency" => routing_latency: u64,
+        "virtual_channels" => virtual_channels: usize,
+        "search" => search: SearchPolicy,
+        "promotion" => promotion: bool,
+    }
 }
 
-fn memory_from_value(path: &str, value: &Value) -> Result<MemoryConfig, ScenarioError> {
-    let mut fields = Fields::new(path, value)?;
-    let mut memory = configs::paper_memory();
-    override_u64(&mut fields, "first_chunk_cycles", &mut memory.first_chunk_cycles)?;
-    override_u64(&mut fields, "inter_chunk_cycles", &mut memory.inter_chunk_cycles)?;
-    override_u64(&mut fields, "chunk_bytes", &mut memory.chunk_bytes)?;
-    fields.finish()?;
-    memory.validate()?;
-    Ok(memory)
+fn dnuca_members(obj: &mut Obj<'_, '_>, dnuca: &mut DNucaConfig) -> Result<(), DecodeError> {
+    ScenarioDNuca::fields(obj, dnuca)?;
+    kib(obj, "bank_size", &mut dnuca.bank_size_bytes)
+}
+
+record! {
+    /// Main-memory timing (validated with the spec that holds it).
+    ScenarioMemory(MemoryConfig), optional, base { configs::paper_memory() } {
+        "first_chunk_cycles" => first_chunk_cycles: u64,
+        "inter_chunk_cycles" => inter_chunk_cycles: u64,
+        "chunk_bytes" => chunk_bytes: u64,
+    }
+}
+
+/// `cores`: written only for CMP shapes, so every single-core document
+/// keeps its bytes.
+pub(crate) struct Cores;
+
+impl Kind for Cores {
+    type T = usize;
+    fn base() -> usize {
+        1
+    }
+    fn encode(cores: &usize) -> Value {
+        usize::encode(cores)
+    }
+    fn decode(at: At<'_>, json: &Value, slot: &mut usize) -> Result<(), DecodeError> {
+        usize::decode(at, json, slot)
+    }
+    fn omit(cores: &usize) -> bool {
+        *cores <= 1
+    }
+}
+
+/// Encodes a spec fully explicitly (presets expanded).
+#[must_use]
+pub fn spec_to_value(spec: &HierarchySpec) -> Value {
+    ScenarioSpec::encode(spec)
+}
+
+/// Decodes a spec: an optional hierarchy `preset` plus component
+/// overrides, validated on the way out. `path` names the spec's position
+/// in its document (`$` for a standalone value).
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError::Schema`] on schema violations, unknown
+/// presets or an invalid composition.
+pub fn spec_from_value(path: &str, value: &Value) -> Result<HierarchySpec, ScenarioError> {
+    codec::read::<ScenarioSpec>(At::Root(path), value).map_err(schema_error)
 }
 
 // ---------------------------------------------------------------------------
@@ -1323,477 +937,278 @@ type ExperimentPlanBuilderResult = Result<ExperimentPlan, ConfigError>;
 // Reports (lnuca-report/v1)
 // ---------------------------------------------------------------------------
 
+/// An `lnuca-report/v1` document, as [`ReportDoc`] writes and checks it.
+#[derive(Default)]
+pub(crate) struct Report {
+    scenario: String,
+    options: ExperimentOptions,
+    baseline: String,
+    configs: Vec<String>,
+    results: Vec<ResultRow>,
+    ipc_summary: Vec<IpcSummaryRow>,
+    energy_summary: Vec<EnergySummaryRow>,
+    hit_distribution: Vec<HitDistributionRow>,
+    /// The `lnuca sweep` extension (DESIGN.md §16).
+    pub(crate) sweep: Option<SweepSummary>,
+}
+
+/// One `results` row: a completed run's measurement, or a failed run's
+/// structured failure (DESIGN.md §14). The `status` member tells which.
+pub(crate) enum ResultRow {
+    Completed(RunRow),
+    Failed(FailRow),
+}
+
+/// A completed run (`status` is `ok`).
+#[derive(Default)]
+pub(crate) struct RunRow {
+    label: String,
+    workload: String,
+    suite: Suite,
+    status: String,
+    instructions: u64,
+    cycles: u64,
+    ipc: f64,
+    memory_accesses: u64,
+    write_drains: u64,
+    energy_total_pj: f64,
+    per_core: Vec<CoreRow>,
+    coherence: Option<CoherenceStats>,
+}
+
+/// A run that produced no result.
+#[derive(Default)]
+pub(crate) struct FailRow {
+    label: String,
+    workload: String,
+    suite: Suite,
+    status: String,
+    seed: u64,
+    error: String,
+    attempts: u32,
+}
+
+names! { SuiteLabel(Suite), "suite" {
+    Suite::Integer => "Int",
+    Suite::FloatingPoint => "FP",
+} }
+
+record! {
+    /// The whole report. Each array row has an exact member set; unknown
+    /// members fail with their JSON path anywhere in the document.
+    ReportDoc(Report), required, schema REPORT_SCHEMA {
+        "scenario" => scenario: String,
+        "options" => options: ScenarioOptions,
+        "baseline" => baseline: String,
+        "configs" => configs: Vec<String> where codec::non_empty("report lists no configurations"),
+        "results" => results: Vec<ReportResult> where codec::non_empty("report carries no results"),
+        "ipc_summary" => ipc_summary: Vec<ReportIpc>,
+        "energy_summary" => energy_summary: Vec<ReportEnergy>,
+        "hit_distribution" => hit_distribution: Vec<ReportHits>,
+        "sweep" => sweep: Omit<Option<ReportSweep>>,
+    }
+}
+
+fn known_status(status: &str) -> Result<(), String> {
+    if lnuca_types::RunError::is_known_status(status) {
+        Ok(())
+    } else {
+        let known = lnuca_types::RUN_STATUSES.join(", ");
+        Err(format!("unknown status {status:?} (known: {known})"))
+    }
+}
+
+record! {
+    /// A completed run. The CMP members appear only for `cores > 1`, so
+    /// single-core rows are unchanged.
+    ReportRun(RunRow), required {
+        "label" => label: String,
+        "workload" => workload: String,
+        "suite" => suite: SuiteLabel,
+        "status" => status: String,
+        "instructions" => instructions: u64,
+        "cycles" => cycles: u64,
+        "ipc" => ipc: Float,
+        "memory_accesses" => memory_accesses: u64,
+        "write_drains" => write_drains: u64,
+        "energy_total_pj" => energy_total_pj: Float,
+        "per_core" => per_core: Omit<Vec<ReportCore>>
+            where codec::non_empty("a CMP result reports at least one core"),
+        "coherence" => coherence: Omit<Option<ReportCoherence>>,
+    }
+}
+
+record! {
+    /// A failed run.
+    ReportFailure(FailRow), required {
+        "label" => label: String,
+        "workload" => workload: String,
+        "suite" => suite: SuiteLabel,
+        "status" => status: String where known_status,
+        "seed" => seed: u64,
+        "error" => error: String,
+        "attempts" => attempts: u32,
+    }
+}
+
+/// A `results` row, in the exact shape its `status` selects.
+pub(crate) struct ReportResult;
+
+impl Kind for ReportResult {
+    type T = ResultRow;
+    fn base() -> ResultRow {
+        ResultRow::Completed(RunRow::default())
+    }
+    fn encode(row: &ResultRow) -> Value {
+        match row {
+            ResultRow::Completed(run) => ReportRun::encode(run),
+            ResultRow::Failed(failure) => ReportFailure::encode(failure),
+        }
+    }
+    fn decode(at: At<'_>, json: &Value, row: &mut ResultRow) -> Result<(), DecodeError> {
+        *row = if json.get("status").and_then(Value::as_str) == Some("ok") {
+            let run = codec::read::<ReportRun>(at, json)?;
+            if run.per_core.is_empty() != run.coherence.is_none() {
+                return Err(at.error("\"per_core\" and \"coherence\" must appear together"));
+            }
+            ResultRow::Completed(run)
+        } else {
+            ResultRow::Failed(codec::read::<ReportFailure>(at, json)?)
+        };
+        Ok(())
+    }
+}
+
+record! {
+    /// One core of a CMP result.
+    ReportCore(CoreRow), required {
+        "core" => core: usize,
+        "instructions" => instructions: u64,
+        "ipc" => ipc: Float,
+        "coherence_hits" => coherence_hits: u64,
+        "coherence_misses" => coherence_misses: u64,
+        "invalidations_received" => invalidations_received: u64,
+    }
+}
+
+record! {
+    /// The MSI directory counters of a CMP result.
+    ReportCoherence(CoherenceStats), required {
+        "reads" => reads: u64,
+        "writes" => writes: u64,
+        "hits" => hits: u64,
+        "misses" => misses: u64,
+        "evictions" => evictions: u64,
+        "invalidations_sent" => invalidations_sent: u64,
+        "downgrades" => downgrades: u64,
+        "writebacks" => writebacks: u64,
+        "recalls" => recalls: u64,
+    }
+}
+
+record! {
+    /// One Fig. 4(a)/5(a) row.
+    ReportIpc(IpcSummaryRow), required {
+        "label" => label: String,
+        "int_ipc" => int_ipc: Float,
+        "fp_ipc" => fp_ipc: Float,
+        "int_gain_pct" => int_gain_pct: Float,
+        "fp_gain_pct" => fp_gain_pct: Float,
+    }
+}
+
+record! {
+    /// One Fig. 4(b)/5(b) row.
+    ReportEnergy(EnergySummaryRow), required {
+        "label" => label: String,
+        "dynamic" => dynamic: Float,
+        "static_l1" => static_l1: Float,
+        "static_second" => static_second: Float,
+        "static_last" => static_last: Float,
+        "total" => total: Float,
+    }
+}
+
+record! {
+    /// One Table III row.
+    ReportHits(HitDistributionRow), required {
+        "label" => label: String,
+        "suite" => suite: SuiteLabel,
+        "level_percent" => level_percent: Vec<Float>,
+        "all_levels_percent" => all_levels_percent: Float,
+        "avg_to_min_transport" => avg_to_min_transport: Float,
+    }
+}
+
+/// The report of one scenario run, before encoding.
+pub(crate) fn report(plan: &ExperimentPlan, study: &Study) -> Report {
+    let completed = study.results.iter().map(|r| {
+        ResultRow::Completed(RunRow {
+            label: r.label.clone(),
+            workload: r.workload.clone(),
+            suite: r.suite,
+            status: "ok".to_owned(),
+            instructions: r.instructions,
+            cycles: r.cycles,
+            ipc: r.ipc,
+            memory_accesses: r.hierarchy.memory_accesses,
+            write_drains: r.hierarchy.write_drains,
+            energy_total_pj: r.energy.total_pj(),
+            per_core: r.per_core.clone(),
+            coherence: r.coherence.clone(),
+        })
+    });
+    // Failed runs appear in the same array with their structured status
+    // (DESIGN.md §14), so a report always accounts for the whole matrix.
+    let failed = study.failures.iter().map(|f| {
+        ResultRow::Failed(FailRow {
+            label: f.label.clone(),
+            workload: f.workload.clone(),
+            suite: f.suite,
+            status: f.error.status().to_owned(),
+            seed: f.seed,
+            error: f.error.to_string(),
+            attempts: f.attempts,
+        })
+    });
+    Report {
+        scenario: plan.name.clone(),
+        options: plan.options.clone(),
+        baseline: study.baseline.clone(),
+        configs: study.configs.clone(),
+        results: completed.chain(failed).collect(),
+        ipc_summary: study.ipc_summary(),
+        energy_summary: study.energy_summary(),
+        hit_distribution: study.hit_distribution(),
+        sweep: None,
+    }
+}
+
 /// Renders the structured report of one scenario run: the resolved options,
 /// every [`RunResult`](crate::system::RunResult) in run order, and the
 /// derived summaries the text tables print.
 #[must_use]
 pub fn report_value(plan: &ExperimentPlan, study: &Study) -> Value {
-    let mut results: Vec<Value> = study
-        .results
-        .iter()
-        .map(|r| {
-            let mut members = vec![
-                ("label".to_owned(), Value::String(r.label.clone())),
-                ("workload".to_owned(), Value::String(r.workload.clone())),
-                (
-                    "suite".to_owned(),
-                    Value::String(r.suite.label().trim_end_matches('.').to_owned()),
-                ),
-                ("status".to_owned(), Value::String("ok".to_owned())),
-                ("instructions".to_owned(), Value::UInt(r.instructions)),
-                ("cycles".to_owned(), Value::UInt(r.cycles)),
-                ("ipc".to_owned(), Value::Float(r.ipc)),
-                ("memory_accesses".to_owned(), Value::UInt(r.hierarchy.memory_accesses)),
-                ("write_drains".to_owned(), Value::UInt(r.hierarchy.write_drains)),
-                ("energy_total_pj".to_owned(), Value::Float(r.energy.total_pj())),
-            ];
-            // CMP rows (present only for cores > 1, so single-core report
-            // documents are unchanged): one object per core plus the
-            // run-wide MSI directory counters.
-            if !r.per_core.is_empty() {
-                members.push((
-                    "per_core".to_owned(),
-                    Value::Array(
-                        r.per_core
-                            .iter()
-                            .map(|row| {
-                                Value::Object(vec![
-                                    ("core".to_owned(), Value::UInt(row.core as u64)),
-                                    ("instructions".to_owned(), Value::UInt(row.instructions)),
-                                    ("ipc".to_owned(), Value::Float(row.ipc)),
-                                    (
-                                        "coherence_hits".to_owned(),
-                                        Value::UInt(row.coherence_hits),
-                                    ),
-                                    (
-                                        "coherence_misses".to_owned(),
-                                        Value::UInt(row.coherence_misses),
-                                    ),
-                                    (
-                                        "invalidations_received".to_owned(),
-                                        Value::UInt(row.invalidations_received),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            if let Some(c) = &r.coherence {
-                members.push((
-                    "coherence".to_owned(),
-                    Value::Object(vec![
-                        ("reads".to_owned(), Value::UInt(c.reads)),
-                        ("writes".to_owned(), Value::UInt(c.writes)),
-                        ("hits".to_owned(), Value::UInt(c.hits)),
-                        ("misses".to_owned(), Value::UInt(c.misses)),
-                        ("evictions".to_owned(), Value::UInt(c.evictions)),
-                        (
-                            "invalidations_sent".to_owned(),
-                            Value::UInt(c.invalidations_sent),
-                        ),
-                        ("downgrades".to_owned(), Value::UInt(c.downgrades)),
-                        ("writebacks".to_owned(), Value::UInt(c.writebacks)),
-                        ("recalls".to_owned(), Value::UInt(c.recalls)),
-                    ]),
-                ));
-            }
-            Value::Object(members)
-        })
-        .collect();
-    // Failed runs appear in the same array with their structured status
-    // (DESIGN.md §14), so a report always accounts for the whole matrix.
-    results.extend(study.failures.iter().map(|f| {
-        Value::Object(vec![
-            ("label".to_owned(), Value::String(f.label.clone())),
-            ("workload".to_owned(), Value::String(f.workload.clone())),
-            (
-                "suite".to_owned(),
-                Value::String(f.suite.label().trim_end_matches('.').to_owned()),
-            ),
-            ("status".to_owned(), Value::String(f.error.status().to_owned())),
-            ("seed".to_owned(), Value::UInt(f.seed)),
-            ("error".to_owned(), Value::String(f.error.to_string())),
-            ("attempts".to_owned(), Value::UInt(u64::from(f.attempts))),
-        ])
-    }));
-    let ipc = study
-        .ipc_summary()
-        .into_iter()
-        .map(|row| {
-            Value::Object(vec![
-                ("label".to_owned(), Value::String(row.label)),
-                ("int_ipc".to_owned(), Value::Float(row.int_ipc)),
-                ("fp_ipc".to_owned(), Value::Float(row.fp_ipc)),
-                ("int_gain_pct".to_owned(), Value::Float(row.int_gain_pct)),
-                ("fp_gain_pct".to_owned(), Value::Float(row.fp_gain_pct)),
-            ])
-        })
-        .collect();
-    let energy = study
-        .energy_summary()
-        .into_iter()
-        .map(|row| {
-            Value::Object(vec![
-                ("label".to_owned(), Value::String(row.label)),
-                ("dynamic".to_owned(), Value::Float(row.dynamic)),
-                ("static_l1".to_owned(), Value::Float(row.static_l1)),
-                ("static_second".to_owned(), Value::Float(row.static_second)),
-                ("static_last".to_owned(), Value::Float(row.static_last)),
-                ("total".to_owned(), Value::Float(row.total)),
-            ])
-        })
-        .collect();
-    let hits = study
-        .hit_distribution()
-        .into_iter()
-        .map(|row| {
-            Value::Object(vec![
-                ("label".to_owned(), Value::String(row.label)),
-                (
-                    "suite".to_owned(),
-                    Value::String(row.suite.label().trim_end_matches('.').to_owned()),
-                ),
-                (
-                    "level_percent".to_owned(),
-                    Value::Array(row.level_percent.iter().map(|&v| Value::Float(v)).collect()),
-                ),
-                ("all_levels_percent".to_owned(), Value::Float(row.all_levels_percent)),
-                ("avg_to_min_transport".to_owned(), Value::Float(row.avg_to_min_transport)),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("schema".to_owned(), Value::String(REPORT_SCHEMA.to_owned())),
-        ("scenario".to_owned(), Value::String(plan.name.clone())),
-        ("options".to_owned(), options_to_value(&plan.options)),
-        ("baseline".to_owned(), Value::String(study.baseline.clone())),
-        (
-            "configs".to_owned(),
-            Value::Array(study.configs.iter().map(|c| Value::String(c.clone())).collect()),
-        ),
-        ("results".to_owned(), Value::Array(results)),
-        ("ipc_summary".to_owned(), Value::Array(ipc)),
-        ("energy_summary".to_owned(), Value::Array(energy)),
-        ("hit_distribution".to_owned(), Value::Array(hits)),
-    ])
+    ReportDoc::encode(&report(plan, study))
 }
 
-fn report_err(path: &str, message: impl std::fmt::Display) -> String {
-    format!("invalid report at {path}: {message}")
-}
-
-/// The report-side twin of [`Fields`]: tracks consumed members so unknown
-/// keys fail with their JSON path, exactly like the scenario parser — but
-/// with `invalid report at …` messages and `String` errors (the
-/// `check-report` surface).
-struct ReportFields<'a> {
-    path: String,
-    members: &'a [(String, Value)],
-    seen: Vec<bool>,
-}
-
-impl<'a> ReportFields<'a> {
-    fn new(path: impl Into<String>, value: &'a Value) -> Result<Self, String> {
-        let path = path.into();
-        let Some(members) = value.as_object() else {
-            return Err(report_err(
-                &path,
-                format!("expected an object, got {}", value.type_name()),
-            ));
-        };
-        Ok(ReportFields {
-            seen: vec![false; members.len()],
-            members,
-            path,
-        })
-    }
-
-    fn optional(&mut self, key: &str) -> Option<&'a Value> {
-        for (i, (k, v)) in self.members.iter().enumerate() {
-            if k == key {
-                self.seen[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn required(&mut self, key: &str) -> Result<&'a Value, String> {
-        self.optional(key)
-            .ok_or_else(|| report_err(&self.path, format!("missing required field {key:?}")))
-    }
-
-    fn child_path(&self, key: &str) -> String {
-        format!("{}.{key}", self.path)
-    }
-
-    fn string(&mut self, key: &str) -> Result<&'a str, String> {
-        let path = self.child_path(key);
-        let v = self.required(key)?;
-        v.as_str()
-            .ok_or_else(|| report_err(&path, format!("expected a string, got {}", v.type_name())))
-    }
-
-    fn uint(&mut self, key: &str) -> Result<u64, String> {
-        let path = self.child_path(key);
-        let v = self.required(key)?;
-        v.as_u64().ok_or_else(|| {
-            report_err(&path, format!("expected a non-negative integer, got {}", v.type_name()))
-        })
-    }
-
-    fn float(&mut self, key: &str) -> Result<f64, String> {
-        let path = self.child_path(key);
-        let v = self.required(key)?;
-        v.as_f64()
-            .ok_or_else(|| report_err(&path, format!("expected a number, got {}", v.type_name())))
-    }
-
-    fn array(&mut self, key: &str) -> Result<&'a [Value], String> {
-        let path = self.child_path(key);
-        let v = self.required(key)?;
-        v.as_array()
-            .ok_or_else(|| report_err(&path, format!("expected an array, got {}", v.type_name())))
-    }
-
-    /// Rejects any member that was never consumed, with the object's path.
-    fn finish(self) -> Result<(), String> {
-        let unknown: Vec<&str> = self
-            .members
-            .iter()
-            .zip(&self.seen)
-            .filter(|(_, seen)| !**seen)
-            .map(|((k, _), _)| k.as_str())
-            .collect();
-        if unknown.is_empty() {
-            Ok(())
-        } else {
-            Err(report_err(
-                &self.path,
-                format!("unknown field(s): {}", unknown.join(", ")),
-            ))
-        }
-    }
-}
-
-/// Validates one row of a flat summary table: the exact field set, every
-/// non-label field a number.
-fn validate_summary_rows(path: &str, rows: &[Value], fields: &[&str]) -> Result<(), String> {
-    for (i, row) in rows.iter().enumerate() {
-        let mut walker = ReportFields::new(format!("{path}[{i}]"), row)?;
-        walker.string("label")?;
-        for &field in fields {
-            walker.float(field)?;
-        }
-        walker.finish()?;
-    }
-    Ok(())
-}
-
-/// Structurally validates an `lnuca-report/v1` document: schema marker, the
-/// exact top-level field set, the exact per-row field sets of `results` and
-/// every summary table, and — when present — the `sweep` extension. Unknown
-/// fields anywhere fail with their JSON path, with the same strictness the
-/// scenario parser applies on the way in ([`Scenario::from_json`]). Used by
-/// `lnuca check-report` (and CI) to catch emission drift.
+/// Structurally validates an `lnuca-report/v1` document against the same
+/// declarations [`report_value`] writes from: the schema marker, the exact
+/// member set of the document, of every `results` row (completed or
+/// failed) and of every summary table, and — when present — the `sweep`
+/// extension. Unknown fields anywhere fail with their JSON path, with the
+/// same strictness the scenario parser applies on the way in
+/// ([`Scenario::from_json`]); the `options` object is checked by the
+/// scenario parser's own declaration. Used by `lnuca check-report` (and CI)
+/// to catch emission drift.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation, carrying its JSON path.
 pub fn validate_report(value: &Value) -> Result<(), String> {
-    let mut root = ReportFields::new("$", value)?;
-    let schema = root.string("schema")?;
-    if schema != REPORT_SCHEMA {
-        return Err(report_err(
-            "$.schema",
-            format!("expected {REPORT_SCHEMA:?}, got {schema:?}"),
-        ));
-    }
-    root.string("scenario")?;
-    // The options object is validated by the scenario parser itself — the
-    // exact same code that admits options on the way in — so the two layers
-    // cannot drift apart. Only the message prefix is adapted.
-    let options = root.required("options")?;
-    options_from_value("$.options", options).map_err(|e| match e {
-        ScenarioError::Schema { path, message } => report_err(&path, message),
-        other => report_err("$.options", other),
-    })?;
-    root.string("baseline")?;
-    let configs = root.array("configs")?;
-    if configs.is_empty() {
-        return Err(report_err("$.configs", "report lists no configurations"));
-    }
-    for (i, config) in configs.iter().enumerate() {
-        if config.as_str().is_none() {
-            return Err(report_err(
-                &format!("$.configs[{i}]"),
-                format!("expected a string label, got {}", config.type_name()),
-            ));
-        }
-    }
-    let results = root.array("results")?;
-    if results.is_empty() {
-        return Err(report_err("$.results", "report carries no results"));
-    }
-    for (i, result) in results.iter().enumerate() {
-        let path = format!("$.results[{i}]");
-        let mut row = ReportFields::new(&path, result)?;
-        let status = row.string("status")?;
-        if !lnuca_types::RunError::is_known_status(status) {
-            return Err(report_err(
-                &row.child_path("status"),
-                format!(
-                    "unknown status {status:?} (known: {})",
-                    lnuca_types::RUN_STATUSES.join(", ")
-                ),
-            ));
-        }
-        row.string("label")?;
-        row.string("workload")?;
-        row.string("suite")?;
-        // Completed rows carry the full measurement; failed rows carry the
-        // structured failure instead (DESIGN.md §14). Each shape is exact.
-        if status == "ok" {
-            row.uint("instructions")?;
-            row.uint("cycles")?;
-            row.float("ipc")?;
-            row.uint("memory_accesses")?;
-            row.uint("write_drains")?;
-            row.float("energy_total_pj")?;
-            // CMP rows: per-core breakdown + directory counters, present
-            // together or not at all (single-core rows carry neither).
-            let per_core = row.optional("per_core").cloned();
-            let coherence = row.optional("coherence").cloned();
-            if per_core.is_some() != coherence.is_some() {
-                return Err(report_err(
-                    &path,
-                    "\"per_core\" and \"coherence\" must appear together",
-                ));
-            }
-            if let Some(rows) = &per_core {
-                let Some(cores) = rows.as_array() else {
-                    return Err(report_err(
-                        &format!("{path}.per_core"),
-                        format!("expected an array, got {}", rows.type_name()),
-                    ));
-                };
-                if cores.is_empty() {
-                    return Err(report_err(
-                        &format!("{path}.per_core"),
-                        "a CMP result reports at least one core",
-                    ));
-                }
-                for (j, core_row) in cores.iter().enumerate() {
-                    let core_path = format!("{path}.per_core[{j}]");
-                    let mut walker = ReportFields::new(&core_path, core_row)?;
-                    walker.uint("core")?;
-                    walker.uint("instructions")?;
-                    walker.float("ipc")?;
-                    walker.uint("coherence_hits")?;
-                    walker.uint("coherence_misses")?;
-                    walker.uint("invalidations_received")?;
-                    walker.finish()?;
-                }
-            }
-            if let Some(counters) = &coherence {
-                let mut walker = ReportFields::new(format!("{path}.coherence"), counters)?;
-                for key in [
-                    "reads",
-                    "writes",
-                    "hits",
-                    "misses",
-                    "evictions",
-                    "invalidations_sent",
-                    "downgrades",
-                    "writebacks",
-                    "recalls",
-                ] {
-                    walker.uint(key)?;
-                }
-                walker.finish()?;
-            }
-        } else {
-            row.uint("seed")?;
-            row.string("error")?;
-            row.uint("attempts")?;
-        }
-        row.finish()?;
-    }
-    validate_summary_rows(
-        "$.ipc_summary",
-        root.array("ipc_summary")?,
-        &["int_ipc", "fp_ipc", "int_gain_pct", "fp_gain_pct"],
-    )?;
-    validate_summary_rows(
-        "$.energy_summary",
-        root.array("energy_summary")?,
-        &["dynamic", "static_l1", "static_second", "static_last", "total"],
-    )?;
-    let hits = root.array("hit_distribution")?;
-    for (i, row) in hits.iter().enumerate() {
-        let path = format!("$.hit_distribution[{i}]");
-        let mut walker = ReportFields::new(&path, row)?;
-        walker.string("label")?;
-        walker.string("suite")?;
-        let levels = walker.array("level_percent")?;
-        for (j, level) in levels.iter().enumerate() {
-            if level.as_f64().is_none() {
-                return Err(report_err(
-                    &format!("{path}.level_percent[{j}]"),
-                    format!("expected a number, got {}", level.type_name()),
-                ));
-            }
-        }
-        walker.float("all_levels_percent")?;
-        walker.float("avg_to_min_transport")?;
-        walker.finish()?;
-    }
-    // The optional sweep extension (`lnuca sweep`, DESIGN.md §16).
-    if let Some(sweep) = root.optional("sweep") {
-        let mut walker = ReportFields::new("$.sweep", sweep)?;
-        let evaluated = walker.uint("evaluated")?;
-        let pruned = walker.uint("pruned")?;
-        let survivors = walker.uint("survivors")?;
-        if pruned + survivors != evaluated {
-            return Err(report_err(
-                "$.sweep",
-                format!("pruned ({pruned}) + survivors ({survivors}) must equal evaluated ({evaluated})"),
-            ));
-        }
-        walker.float("epsilon")?;
-        walker.uint("probe_instructions")?;
-        // The core-count axis (optional: pre-CMP sweep reports omit it).
-        if let Some(cores) = walker.optional("cores") {
-            let Some(items) = cores.as_array() else {
-                return Err(report_err(
-                    "$.sweep.cores",
-                    format!("expected an array, got {}", cores.type_name()),
-                ));
-            };
-            if items.is_empty() {
-                return Err(report_err("$.sweep.cores", "the cores axis holds at least one count"));
-            }
-            for (i, item) in items.iter().enumerate() {
-                match item.as_u64() {
-                    Some(c) if c >= 1 => {}
-                    _ => {
-                        return Err(report_err(
-                            &format!("$.sweep.cores[{i}]"),
-                            "core counts are positive integers",
-                        ));
-                    }
-                }
-            }
-        }
-        let frontier = walker.array("frontier")?;
-        if frontier.is_empty() {
-            return Err(report_err("$.sweep.frontier", "a sweep always keeps at least one point"));
-        }
-        validate_summary_rows("$.sweep.frontier", frontier, &["ipc", "energy_pj", "area_mm2"])?;
-        walker.finish()?;
-    }
-    root.finish()
+    codec::read::<ReportDoc>(At::Root("$"), value)
+        .map(drop)
+        .map_err(|e| format!("invalid report at {}: {}", e.path, e.message))
 }
 
 #[cfg(test)]
@@ -2073,5 +1488,61 @@ mod tests {
         // 1 stays accepted.
         Scenario::from_json(&scenario_with_options(r#"{"batch_size": 1, "benchmarks_per_suite": 1}"#))
             .expect("nonzero values are valid");
+    }
+
+    #[test]
+    fn kib_sizes_reject_overflow_and_conflicts_with_their_paths() {
+        let scenario_with = |config: &str| {
+            format!(r#"{{"schema": "lnuca-scenario/v1", "name": "t", "configs": [{config}]}}"#)
+        };
+        let schema_error = |config: &str| match Scenario::from_json(&scenario_with(config)) {
+            Err(ScenarioError::Schema { path, message }) => (path, message),
+            other => panic!("{config}: expected a schema error, got {other:?}"),
+        };
+        // 2^54 + 1 KiB is 2^64 + 1024 bytes: an unchecked multiply wraps to
+        // a 1 KiB cache.
+        let huge = 18_014_398_509_481_985_u64;
+        for (config, at) in [
+            (
+                format!(r#"{{"root": {{"preset": "paper-l1", "size_kb": {huge}}}}}"#),
+                "$.configs[0].root.size_kb",
+            ),
+            (
+                format!(r#"{{"preset": "lnuca-l3", "fabric": {{"tile_size_kb": {huge}}}}}"#),
+                "$.configs[0].fabric.tile_size_kb",
+            ),
+            (
+                format!(
+                    r#"{{"backing": {{"kind": "dnuca", "dnuca": {{"bank_size_kb": {huge}}}}}}}"#
+                ),
+                "$.configs[0].backing.dnuca.bank_size_kb",
+            ),
+        ] {
+            let (path, message) = schema_error(&config);
+            assert_eq!(path, at, "{message}");
+            assert!(message.contains("does not fit in 64 bits"), "{message}");
+        }
+        for (config, at) in [
+            (
+                r#"{"root": {"size_bytes": 16384, "size_kb": 16}}"#,
+                "$.configs[0].root.size_kb",
+            ),
+            (
+                r#"{"preset": "lnuca-l3", "fabric": {"tile_size_bytes": 8192, "tile_size_kb": 8}}"#,
+                "$.configs[0].fabric.tile_size_kb",
+            ),
+            (
+                r#"{"backing": {"kind": "dnuca",
+                    "dnuca": {"bank_size_bytes": 65536, "bank_size_kb": 64}}}"#,
+                "$.configs[0].backing.dnuca.bank_size_kb",
+            ),
+        ] {
+            let (path, message) = schema_error(config);
+            assert_eq!(path, at, "{message}");
+            assert!(message.contains("conflicts with"), "{message}");
+        }
+        // Either form alone is accepted.
+        let scenario = Scenario::from_json(&scenario_with(r#"{"root": {"size_kb": 16}}"#)).unwrap();
+        assert_eq!(scenario.plan.configs[0].root.size_bytes, 16 * 1024);
     }
 }

@@ -22,7 +22,6 @@ use lnuca_core::LNucaConfig;
 use lnuca_dnuca::DNucaConfig;
 use lnuca_mem::{CacheConfig, MemoryConfig};
 use lnuca_types::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// One intermediate conventional cache level between the root (or fabric)
 /// and the backing store, with the bus transfer cycles a request pays to
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// ([`configs::L2_REQUEST_TRANSFER_CYCLES`] /
 /// [`configs::L2_RESPONSE_TRANSFER_CYCLES`]).
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntermediateSpec {
     /// The cache at this level.
     pub cache: CacheConfig,
@@ -79,7 +78,7 @@ impl IntermediateSpec {
 /// What sits behind the last intermediate level (or directly behind the
 /// root/fabric when there are no intermediates).
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BackingSpec {
     /// An L3-style conventional cache whose latencies already include its
     /// wire delay (no extra transfer cycles are charged).
@@ -125,7 +124,7 @@ impl BackingSpec {
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchySpec {
     /// Label override; `None` derives one from the composition
     /// ([`HierarchySpec::label`]).

@@ -20,6 +20,7 @@
 //! frontier — which `lnuca check-report` validates field-for-field
 //! ([`crate::scenario::validate_report`]).
 
+use crate::codec::{self, record, DecodeError, Float, Kind, Obj, Omit};
 use crate::configs;
 use crate::experiments::{ExperimentOptions, ExperimentPlan, Study};
 use crate::spec::{BackingSpec, HierarchySpec};
@@ -30,10 +31,9 @@ use lnuca_noc::RoutingPolicy;
 use lnuca_types::ConfigError;
 use lnuca_workloads::WorkloadProfile;
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
 
 /// What sits behind the fabric in a sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepBacking {
     /// The paper's 8 MB L3.
     PaperL3,
@@ -57,7 +57,7 @@ impl SweepBacking {
 /// 160-point default) or [`SweepConfig::miniature`] (a 16-point grid for CI
 /// and tests) and mutate fields.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Sweep (and report/plan) name.
     pub name: String,
@@ -262,7 +262,7 @@ fn probe_profile() -> WorkloadProfile {
 }
 
 /// The cheap (IPC, energy, area) estimate of one grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbePoint {
     /// Spec label of the point.
     pub label: String,
@@ -297,7 +297,7 @@ fn dominated_mask(points: &[ProbePoint], epsilon: f64) -> Vec<bool> {
 
 /// One surviving point of the final Pareto frontier, carrying the
 /// full-fidelity metrics of the survivor evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrontierPoint {
     /// Spec label of the point.
     pub label: String,
@@ -420,40 +420,76 @@ impl SweepOutcome {
     /// plus the `sweep` extension object `check-report` validates.
     #[must_use]
     pub fn report_value(&self) -> Value {
-        let mut report = crate::scenario::report_value(&self.plan, &self.study);
-        let frontier: Vec<Value> = self
-            .frontier
-            .iter()
-            .map(|p| {
-                Value::Object(vec![
-                    ("label".to_owned(), Value::String(p.label.clone())),
-                    ("ipc".to_owned(), Value::Float(p.ipc)),
-                    ("energy_pj".to_owned(), Value::Float(p.energy_pj)),
-                    ("area_mm2".to_owned(), Value::Float(p.area_mm2)),
-                ])
-            })
-            .collect();
-        let sweep = Value::Object(vec![
-            ("evaluated".to_owned(), Value::UInt(self.evaluated() as u64)),
-            ("pruned".to_owned(), Value::UInt(self.pruned as u64)),
-            ("survivors".to_owned(), Value::UInt(self.survivors() as u64)),
-            ("epsilon".to_owned(), Value::Float(self.config.epsilon)),
-            (
-                "probe_instructions".to_owned(),
-                Value::UInt(self.config.probe_instructions),
-            ),
-            (
-                "cores".to_owned(),
-                Value::Array(
-                    self.config.cores.iter().map(|&c| Value::UInt(c as u64)).collect(),
-                ),
-            ),
-            ("frontier".to_owned(), Value::Array(frontier)),
-        ]);
-        if let Value::Object(fields) = &mut report {
-            fields.push(("sweep".to_owned(), sweep));
-        }
-        report
+        let mut report = crate::scenario::report(&self.plan, &self.study);
+        report.sweep = Some(SweepSummary {
+            evaluated: self.evaluated(),
+            pruned: self.pruned,
+            survivors: self.survivors(),
+            epsilon: self.config.epsilon,
+            probe_instructions: self.config.probe_instructions,
+            cores: self.config.cores.clone(),
+            frontier: self.frontier.clone(),
+        });
+        crate::scenario::ReportDoc::encode(&report)
+    }
+}
+
+/// The `sweep` extension of a sweep's report.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct SweepSummary {
+    evaluated: usize,
+    pruned: usize,
+    survivors: usize,
+    epsilon: f64,
+    probe_instructions: u64,
+    cores: Vec<usize>,
+    frontier: Vec<FrontierPoint>,
+}
+
+record! {
+    /// The `sweep` report extension (`cores` is absent from pre-CMP
+    /// reports).
+    ReportSweep(SweepSummary), required, decode sweep_members {
+        "evaluated" => evaluated: usize,
+        "pruned" => pruned: usize,
+        "survivors" => survivors: usize,
+        "epsilon" => epsilon: Float,
+        "probe_instructions" => probe_instructions: u64,
+        "cores" => cores: Omit<Vec<usize>> where core_counts,
+        "frontier" => frontier: Vec<ReportFrontier>
+            where codec::non_empty("a sweep always keeps at least one point"),
+    }
+}
+
+fn core_counts(cores: &[usize]) -> Result<(), String> {
+    if cores.is_empty() {
+        Err("the cores axis holds at least one count".to_owned())
+    } else if cores.contains(&0) {
+        Err("core counts are positive integers".to_owned())
+    } else {
+        Ok(())
+    }
+}
+
+fn sweep_members(obj: &mut Obj<'_, '_>, sweep: &mut SweepSummary) -> Result<(), DecodeError> {
+    ReportSweep::fields(obj, sweep)?;
+    if sweep.pruned.checked_add(sweep.survivors) == Some(sweep.evaluated) {
+        Ok(())
+    } else {
+        Err(obj.at.error(format!(
+            "pruned ({}) + survivors ({}) must equal evaluated ({})",
+            sweep.pruned, sweep.survivors, sweep.evaluated
+        )))
+    }
+}
+
+record! {
+    /// One point of the reported Pareto frontier.
+    ReportFrontier(FrontierPoint), required {
+        "label" => label: String,
+        "ipc" => ipc: Float,
+        "energy_pj" => energy_pj: Float,
+        "area_mm2" => area_mm2: Float,
     }
 }
 

@@ -15,7 +15,6 @@ use lnuca_energy::EnergyAccount;
 use lnuca_mem::{NoProbe, ProbeSink};
 use lnuca_types::ConfigError;
 use lnuca_workloads::{Suite, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 
 /// How [`System::run_workload_with`] advances simulated time.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// **bit-identical** in every [`RunResult`] field — pinned by
 /// `tests/event_horizon_determinism.rs` — they differ only in how much wall
 /// clock is wasted crawling through dead cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Advance `now` by one cycle per iteration (the reference engine).
     CycleStep,
@@ -63,7 +62,7 @@ impl Engine {
 /// Every field is a deterministic function of (hierarchy kind, workload
 /// profile, instruction count, seed) — `PartialEq` compares bit-exactly,
 /// which is what the parallel-vs-sequential determinism tests rely on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunResult {
     /// Hierarchy label (e.g. `LN3-144KB`).
     pub label: String,

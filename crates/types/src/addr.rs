@@ -1,6 +1,5 @@
 //! Byte addresses and block-level helpers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A physical byte address.
@@ -20,9 +19,7 @@ use std::fmt;
 /// assert_eq!(a.block_index(64), 0x48);
 /// assert_eq!(a.offset_in_block(64), 0x34);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
 
 impl Addr {

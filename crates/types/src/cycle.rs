@@ -1,6 +1,5 @@
 //! Simulation time expressed in processor cycles.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -20,9 +19,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(done, Cycle(120));
 /// assert_eq!(done - start, 20);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
 impl Cycle {

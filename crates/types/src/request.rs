@@ -1,7 +1,6 @@
 //! Memory requests, responses and hit attribution.
 
 use crate::{Addr, Cycle};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of an in-flight memory request.
@@ -9,9 +8,7 @@ use std::fmt;
 /// Identifiers are allocated by the request originator (the core model or an
 /// experiment driver) and carried unchanged through the hierarchy so that
 /// completions can be matched back to the issuing instruction.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReqId(pub u64);
 
 impl fmt::Display for ReqId {
@@ -21,7 +18,7 @@ impl fmt::Display for ReqId {
 }
 
 /// The kind of memory access performed by a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A data load (read).
     Read,
@@ -56,7 +53,7 @@ impl fmt::Display for AccessKind {
 ///
 /// This is the attribution used by Table III of the paper (hits per L-NUCA
 /// level) and by the energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceLevel {
     /// The L1 cache / L-NUCA root tile.
     L1,
@@ -121,7 +118,7 @@ impl fmt::Display for ServiceLevel {
 /// assert_eq!(req.id, ReqId(7));
 /// assert!(req.kind.is_write());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRequest {
     /// Identifier used to match the response.
     pub id: ReqId,
@@ -159,7 +156,7 @@ impl MemRequest {
 }
 
 /// A completed memory request, annotated with where and when it was serviced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemResponse {
     /// Identifier of the original request.
     pub id: ReqId,

@@ -1,6 +1,5 @@
 //! Human-friendly byte sizes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A capacity expressed in bytes, with convenience constructors and a
@@ -15,9 +14,7 @@ use std::fmt;
 /// assert_eq!(ByteSize::mib(8).to_string(), "8 MB");
 /// assert_eq!(ByteSize::new(72 * 1024).to_string(), "72 KB");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {

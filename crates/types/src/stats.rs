@@ -6,7 +6,6 @@
 //! a streaming [`Counter`], a [`RunningMean`], a bounded [`Histogram`], and
 //! free functions for harmonic/geometric means.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A saturating event counter.
@@ -21,7 +20,7 @@ use std::fmt;
 /// hits.incr();
 /// assert_eq!(hits.value(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -68,7 +67,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(m.mean(), 4.0);
 /// assert_eq!(m.count(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningMean {
     count: u64,
     mean: f64,
@@ -125,7 +124,7 @@ impl RunningMean {
 /// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.total(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     overflow: u64,

@@ -1,10 +1,9 @@
 //! The trace instruction format consumed by the core model.
 
 use lnuca_types::Addr;
-use serde::{Deserialize, Serialize};
 
 /// The class of a traced instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrKind {
     /// Integer ALU operation (1-cycle latency in the core model).
     IntAlu,
@@ -62,7 +61,7 @@ impl InstrKind {
 /// the trace (0 means no register dependency). This is how the synthetic
 /// traces control the achievable instruction-level parallelism without
 /// carrying full register names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instr {
     /// Instruction class (and branch outcome for branches).
     pub kind: InstrKind,

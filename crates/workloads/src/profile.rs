@@ -1,14 +1,14 @@
 //! Workload profiles: the knobs of one synthetic benchmark.
 
 use lnuca_types::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Which SPEC-like suite a profile belongs to. The paper reports Integer and
 /// Floating-Point results separately (harmonic means per suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Suite {
     /// Integer-code behaviour class (pointer chasing, branchy control flow,
     /// small-to-medium working sets).
+    #[default]
     Integer,
     /// Floating-point behaviour class (streaming loops, large working sets,
     /// predictable branches, higher FP-op density).
@@ -38,7 +38,7 @@ impl Suite {
 /// [`WorkloadProfile::footprint_bytes`]; the spatial-stride shortcut can
 /// additionally walk a run of word-sized steps past a region's edge, like
 /// it always could under the region model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AccessPattern {
     /// The three-region reuse model plus streaming walker (paper default).
     #[default]
@@ -139,7 +139,7 @@ impl AccessPattern {
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Benchmark name used in reports.
     pub name: String,

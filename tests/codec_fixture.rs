@@ -30,11 +30,16 @@ fn read(path: &PathBuf) -> String {
 
 fn plan() -> ExperimentPlan {
     let text = read(&fixture("codec-shapes.json"));
-    Scenario::from_json(&text).expect("the fixture scenario parses").plan
+    Scenario::from_json(&text)
+        .expect("the fixture scenario parses")
+        .plan
 }
 
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lnuca-codec-fixture-{tag}-{}.jsonl", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "lnuca-codec-fixture-{tag}-{}.jsonl",
+        std::process::id()
+    ))
 }
 
 #[test]
@@ -47,10 +52,18 @@ fn resumed_fixture_journal_renders_the_fixture_report_byte_for_byte() {
     let study = Study::run_journaled(&plan, &copy, true).expect("the fixture journal resumes");
     assert!(study.failures.is_empty());
     let report = scenario::report_value(&plan, &study).to_pretty();
-    assert_eq!(report, read(&fixture("codec-shapes.report.json")), "report bytes drifted");
+    assert_eq!(
+        report,
+        read(&fixture("codec-shapes.report.json")),
+        "report bytes drifted"
+    );
     scenario::validate_report(&scenario::report_value(&plan, &study)).expect("report validates");
     // Every job came from the journal: nothing re-ran, nothing was appended.
-    assert_eq!(read(&copy), journal_text, "resume must not re-run a journaled job");
+    assert_eq!(
+        read(&copy),
+        journal_text,
+        "resume must not re-run a journaled job"
+    );
     std::fs::remove_file(&copy).ok();
 }
 

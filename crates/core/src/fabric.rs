@@ -28,6 +28,18 @@ struct SearchInFlight {
     resolved: bool,
 }
 
+/// The set bits of `mask`, in ascending order.
+fn bits(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let bit = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(bit)
+    })
+}
+
 /// A buffered network message plus the cycle from which it may be forwarded
 /// (store-and-forward: one hop per cycle).
 #[derive(Debug, Clone, Copy)]
@@ -50,6 +62,20 @@ struct Buffered<T> {
 ///    and [`LNuca::drain_spills_into`] to collect the fabric's outputs into
 ///    caller-owned scratch buffers (the allocating [`LNuca::pop_arrivals`]
 ///    et al. remain as conveniences for tests and examples).
+///
+/// # Busy-tile sets
+///
+/// A tick costs work only for tiles that hold a message. Two `u128` masks
+/// track them: `transport_busy` has one bit per position in
+/// `transport_order` (so ascending set bits are the Transport phase's visit
+/// order), and `replacement_busy` one bit per tile index. A bit is set at
+/// every push into the tile's buffers or pending slots and cleared when the
+/// phase visiting the tile leaves it empty; a set bit on an idle tile is
+/// harmless, a clear bit on a busy tile never happens. Both phases and
+/// [`LNuca::next_event`] walk only the set bits, in ascending order, so the
+/// routing RNG is drawn and the stall counters advance exactly as a walk
+/// over every tile would. The masks bound a fabric to 128 tiles, which
+/// [`LNucaGeometry::MAX_LEVELS`] (119 tiles) respects.
 ///
 /// # Zero-allocation invariant
 ///
@@ -106,10 +132,19 @@ pub struct LNuca {
     replacement_next: Vec<Vec<usize>>,
     root_targets: Vec<usize>,
     transport_order: Vec<usize>,
+    /// Inverse of `transport_order`: a tile's bit in `transport_busy`.
+    transport_pos: Vec<u8>,
     min_transport_latency: Vec<u64>,
     tile_level: Vec<u8>,
 
-    search_touched: Vec<bool>,
+    /// Tiles the search phase looked up this cycle (bit = tile index).
+    search_touched: u128,
+    /// Tiles whose `transport_in` or `pending_transport` may hold a message
+    /// (bit = position in `transport_order`).
+    transport_busy: u128,
+    /// Tiles whose `replacement_in` or `pending_victims` may hold a message
+    /// (bit = tile index).
+    replacement_busy: u128,
     last_injection: Option<Cycle>,
     stats: LNucaStats,
 
@@ -152,6 +187,11 @@ impl LNuca {
         let tile_level: Vec<u8> = (0..n).map(|i| geometry.coord(i).level()).collect();
         let mut transport_order: Vec<usize> = (0..n).collect();
         transport_order.sort_by_key(|&i| min_transport_latency[i]);
+        assert!(n <= 128, "the busy-tile masks hold at most 128 tiles");
+        let mut transport_pos = vec![0u8; n];
+        for (pos, &tile) in transport_order.iter().enumerate() {
+            transport_pos[tile] = pos as u8;
+        }
 
         let stats = LNucaStats::new(config.levels);
         let rng = SmallRng::seed_from_u64(config.seed);
@@ -178,9 +218,12 @@ impl LNuca {
             replacement_next,
             root_targets,
             transport_order,
+            transport_pos,
             min_transport_latency,
             tile_level,
-            search_touched: vec![false; n],
+            search_touched: 0,
+            transport_busy: 0,
+            replacement_busy: 0,
             last_injection: None,
             stats,
             scratch_hits: Vec::new(),
@@ -443,46 +486,57 @@ impl LNuca {
     /// reports "busy" (`now + 1`). With the tiles and networks drained, the
     /// only remaining events are the timestamps of undelivered outputs,
     /// which the hierarchy must drain at exactly their maturity cycles.
+    ///
+    /// Only the tiles in the busy sets are inspected.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let floor = now.next();
-        if !self.searches.is_empty()
-            || !self.root_evict_queue.is_empty()
-            || self.pending_victims.iter().any(Option::is_some)
-            || self.pending_transport.iter().any(|p| !p.is_empty())
-        {
+        if !self.searches.is_empty() || !self.root_evict_queue.is_empty() {
             return Some(floor);
         }
         let mut horizon: Option<Cycle> = None;
         let merge = |cur: &mut Option<Cycle>, at: Cycle| Cycle::merge_horizon(cur, at, floor);
-        for buffer in &self.transport_in {
-            if let Some(at) = buffer.next_event_by(|m| m.forwardable_at) {
+        for pos in bits(self.transport_busy) {
+            let tile = self.transport_order[pos];
+            if !self.pending_transport[tile].is_empty() {
+                return Some(floor);
+            }
+            if let Some(at) = self.transport_in[tile].next_event_by(|m| m.forwardable_at) {
                 merge(&mut horizon, at);
             }
         }
-        for buffer in &self.replacement_in {
-            if let Some(at) = buffer.next_event_by(|m| m.forwardable_at) {
+        for tile in bits(self.replacement_busy) {
+            if self.pending_victims[tile].is_some() {
+                return Some(floor);
+            }
+            if let Some(at) = self.replacement_in[tile].next_event_by(|m| m.forwardable_at) {
                 merge(&mut horizon, at);
             }
         }
+        self.merge_output_fronts(&mut horizon, floor);
+        horizon
+    }
+
+    /// Folds the fronts of the three output queues into `horizon`.
+    fn merge_output_fronts(&self, horizon: &mut Option<Cycle>, floor: Cycle) {
+        let merge = |cur: &mut Option<Cycle>, at: Cycle| Cycle::merge_horizon(cur, at, floor);
         // Output queues are pushed in timestamp order, so the fronts are the
         // minima (the same ordering `drain_*_into` relies on).
         if let Some(arrival) = self.arrivals.front() {
-            merge(&mut horizon, arrival.available_at);
+            merge(horizon, arrival.available_at);
         }
         if let Some(miss) = self.global_misses.front() {
-            merge(&mut horizon, miss.determined_at);
+            merge(horizon, miss.determined_at);
         }
         if let Some(spill) = self.spills.front() {
-            merge(&mut horizon, spill.at);
+            merge(horizon, spill.at);
         }
-        horizon
     }
 
     /// Advances the fabric by one cycle. Must be called exactly once per
     /// simulated cycle with a non-decreasing `now`.
     pub fn tick(&mut self, now: Cycle) {
-        self.search_touched.iter_mut().for_each(|t| *t = false);
+        self.search_touched = 0;
         self.search_phase(now);
         self.transport_phase(now);
         self.replacement_phase(now);
@@ -514,7 +568,7 @@ impl LNuca {
             self.scratch_frontier.clear();
             let mut hit_this_level = false;
             for &tile in &active {
-                self.search_touched[tile] = true;
+                self.search_touched |= 1 << tile;
                 self.stats.tile_lookups += 1;
 
                 // The U buffers are searched in parallel with the tag array to
@@ -642,6 +696,7 @@ impl LNuca {
                         forwardable_at: now.next(),
                     })
                     .unwrap_or_else(|_| unreachable!("buffer was checked to be On"));
+                self.transport_busy |= 1 << self.transport_pos[node.0];
             }
             None => {
                 // All downstream buffers Off: hold the message in the tile
@@ -653,6 +708,7 @@ impl LNuca {
                     msg,
                     forwardable_at: now.next(),
                 });
+                self.transport_busy |= 1 << self.transport_pos[tile];
             }
         }
     }
@@ -675,11 +731,11 @@ impl LNuca {
     }
 
     fn transport_phase(&mut self, now: Cycle) {
-        // Indexed loop rather than iteration: `forward_transport` needs the
-        // whole `&mut self`, and `transport_order` never changes, so cloning
-        // it every cycle was pure allocation overhead.
-        for order_idx in 0..self.transport_order.len() {
-            let tile = self.transport_order[order_idx];
+        // Walks a snapshot of the busy set in `transport_order`. A tile that
+        // turns busy during the phase only holds messages pushed at `now`,
+        // forwardable at `now + 1`, so skipping it changes nothing.
+        for pos in bits(self.transport_busy) {
+            let tile = self.transport_order[pos];
             // How many messages can this tile forward this cycle: one per
             // output link.
             let max_sends = self.transport_next[tile].len();
@@ -707,13 +763,19 @@ impl LNuca {
                 self.forward_transport(tile, msg.msg, now);
                 sent += 1;
             }
+            if self.pending_transport[tile].is_empty() && self.transport_in[tile].is_empty() {
+                self.transport_busy &= !(1 << pos);
+            }
         }
     }
 
     fn replacement_phase(&mut self, now: Cycle) {
-        for tile in 0..self.tiles.len() {
+        // Walks a snapshot of the busy set in tile order; as in the
+        // Transport phase, a tile turning busy mid-phase holds nothing
+        // forwardable before `now + 1`.
+        for tile in bits(self.replacement_busy) {
             // Replacement only proceeds during search-idle cycles.
-            if self.search_touched[tile] {
+            if self.search_touched & (1 << tile) != 0 {
                 continue;
             }
             // 1. Try to push the pending victim one hop outward.
@@ -745,6 +807,7 @@ impl LNuca {
                                     forwardable_at: now.next(),
                                 })
                                 .unwrap_or_else(|_| unreachable!("buffer was checked to be On"));
+                            self.replacement_busy |= 1 << node.0;
                         }
                         None => {
                             self.stats.replacement_stall_cycles += 1;
@@ -770,6 +833,9 @@ impl LNuca {
                     }
                 }
             }
+            if self.pending_victims[tile].is_none() && self.replacement_in[tile].is_empty() {
+                self.replacement_busy &= !(1 << tile);
+            }
         }
     }
 
@@ -790,6 +856,7 @@ impl LNuca {
                         forwardable_at: now.next(),
                     })
                     .unwrap_or_else(|_| unreachable!("buffer was checked to be On"));
+                self.replacement_busy |= 1 << node.0;
             } else {
                 self.stats.replacement_stall_cycles += 1;
             }
@@ -807,9 +874,103 @@ impl LNuca {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl LNuca {
+        /// Recounts the busy-tile sets from the buffers and panics unless
+        /// every tile holding a message has its bit set and no bit names a
+        /// tile past the fabric. Call after every tick.
+        fn check_busy_sets(&self) {
+            let n = self.tiles.len();
+            for tile in 0..n {
+                if !self.transport_in[tile].is_empty() || !self.pending_transport[tile].is_empty() {
+                    let pos = self.transport_pos[tile];
+                    assert!(self.transport_busy & (1 << pos) != 0, "tile {tile}: transport");
+                }
+                if !self.replacement_in[tile].is_empty() || self.pending_victims[tile].is_some() {
+                    assert!(self.replacement_busy & (1 << tile) != 0, "tile {tile}: replacement");
+                }
+            }
+            assert_eq!(self.transport_busy >> n, 0, "transport bit past the fabric");
+            assert_eq!(self.replacement_busy >> n, 0, "replacement bit past the fabric");
+        }
+
+        /// [`LNuca::next_event`] as a scan of every tile, ignoring the busy
+        /// sets: the reference the busy-set horizon must equal.
+        fn next_event_full_scan(&self, now: Cycle) -> Option<Cycle> {
+            let floor = now.next();
+            if !self.searches.is_empty()
+                || !self.root_evict_queue.is_empty()
+                || self.pending_victims.iter().any(Option::is_some)
+                || self.pending_transport.iter().any(|p| !p.is_empty())
+            {
+                return Some(floor);
+            }
+            let mut horizon: Option<Cycle> = None;
+            fn ready<T>(m: &Buffered<T>) -> Cycle {
+                m.forwardable_at
+            }
+            let transport = self.transport_in.iter().map(|b| b.next_event_by(ready));
+            let replacement = self.replacement_in.iter().map(|b| b.next_event_by(ready));
+            for at in transport.chain(replacement).flatten() {
+                Cycle::merge_horizon(&mut horizon, at, floor);
+            }
+            self.merge_output_fronts(&mut horizon, floor);
+            horizon
+        }
+    }
 
     fn fabric(levels: u8) -> LNuca {
         LNuca::new(LNucaConfig::paper(levels).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn the_largest_geometry_fits_the_busy_masks() {
+        let geometry = LNucaGeometry::new(LNucaGeometry::MAX_LEVELS).unwrap();
+        assert!(geometry.tile_count() <= 128, "a u128 busy mask holds at most 128 tiles");
+    }
+
+    proptest! {
+        /// Random searches, root evictions and invalidations on 2..=8
+        /// levels: after every tick each busy tile has its bit set, and the
+        /// busy-set horizon equals the full scan.
+        #[test]
+        fn busy_sets_cover_every_busy_tile(
+            levels in 2u8..=8,
+            ops in proptest::collection::vec((0u8..4, 0u64..48), 1..120),
+        ) {
+            let mut f = fabric(levels);
+            let mut out = (Vec::new(), Vec::new(), Vec::new());
+            let mut tick = |f: &mut LNuca, c: u64| {
+                f.tick(Cycle(c));
+                f.drain_arrivals_into(Cycle(c), &mut out.0);
+                f.drain_global_misses_into(Cycle(c), &mut out.1);
+                f.drain_spills_into(Cycle(c), &mut out.2);
+                f.check_busy_sets();
+                assert_eq!(f.next_event(Cycle(c)), f.next_event_full_scan(Cycle(c)), "cycle {c}");
+            };
+            for (c, &(op, block)) in ops.iter().enumerate() {
+                let c = c as u64;
+                // Two sets of an Le tile, so dominoes and spills come quickly.
+                let addr = Addr(block * 0x800);
+                match op {
+                    0 => {
+                        let _ = f.inject_search(addr, ReqId(c), block % 3 == 0, Cycle(c));
+                    }
+                    1 => f.evict_from_root(addr, block % 2 == 0),
+                    2 => {
+                        let _ = f.invalidate(addr);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(f.next_event(Cycle(c)), f.next_event_full_scan(Cycle(c)));
+                tick(&mut f, c);
+            }
+            let end = ops.len() as u64;
+            for c in end..end + 64 {
+                tick(&mut f, c);
+            }
+        }
     }
 
     /// Runs the fabric for `cycles` cycles starting at `start`, collecting

@@ -803,7 +803,7 @@ impl<T> OooCore<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{drain_ready, FixedLatencyMemory};
+    use crate::memory::{CompletionQueue, FixedLatencyMemory};
     use lnuca_types::ServiceLevel;
     use lnuca_workloads::{TraceGenerator, WorkloadProfile};
     use proptest::prelude::*;
@@ -1130,7 +1130,7 @@ mod tests {
         capacity: usize,
         ports: usize,
         ports_used: usize,
-        in_flight: VecDeque<MemResponse>,
+        in_flight: CompletionQueue,
     }
 
     impl RefusingMemory {
@@ -1141,7 +1141,7 @@ mod tests {
                 capacity,
                 ports,
                 ports_used: 0,
-                in_flight: VecDeque::new(),
+                in_flight: CompletionQueue::new(),
             }
         }
     }
@@ -1156,12 +1156,12 @@ mod tests {
             // on every retry, which event-horizon stepping skips.
             let latency = self.min_latency + (req.addr.0 / 64 + now.0) % (self.latency_span + 1);
             self.in_flight
-                .push_back(MemResponse::for_request(&req, now + latency, ServiceLevel::L1));
+                .push(MemResponse::for_request(&req, now + latency, ServiceLevel::L1));
             true
         }
 
         fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-            drain_ready(&mut self.in_flight, now, out);
+            self.in_flight.drain_ready(now, out);
         }
 
         fn tick(&mut self, _now: Cycle) {
@@ -1173,10 +1173,7 @@ mod tests {
                 // The ports free up at the next tick.
                 return Some(now.next());
             }
-            self.in_flight
-                .iter()
-                .map(|r| r.completed_at.max(now.next()))
-                .min()
+            self.in_flight.earliest().map(|at| at.max(now.next()))
         }
     }
 

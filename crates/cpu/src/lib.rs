@@ -46,5 +46,5 @@ pub mod predictor;
 
 pub use crate::core::{CoreStats, OooCore};
 pub use config::CoreConfig;
-pub use memory::{drain_ready, DataMemory, FixedLatencyMemory};
+pub use memory::{CompletionQueue, DataMemory, FixedLatencyMemory};
 pub use predictor::HybridPredictor;

@@ -60,20 +60,99 @@ pub trait DataMemory {
     }
 }
 
-/// Moves every response with `completed_at <= now` from `queue` to `out`
-/// (oldest first), keeping the rest in order — one rotation of the queue,
-/// no temporary allocation.
+/// Responses waiting for their completion cycle, with the earliest
+/// `completed_at` cached so an idle cycle costs one comparison.
 ///
-/// The shared building block for [`DataMemory::drain_completions`]
-/// implementations whose completion queue is not sorted by completion time.
-pub fn drain_ready(queue: &mut VecDeque<MemResponse>, now: Cycle, out: &mut Vec<MemResponse>) {
-    for _ in 0..queue.len() {
-        let resp = queue.pop_front().expect("length checked");
-        if resp.completed_at <= now {
-            out.push(resp);
-        } else {
-            queue.push_back(resp);
+/// The shared building block of every [`DataMemory::drain_completions`] and
+/// [`DataMemory::next_event`] implementation whose responses do not complete
+/// in insertion order. [`CompletionQueue::drain_ready`] returns at once
+/// while nothing has matured; otherwise it moves the matured responses out
+/// in insertion order (keeping the rest in order) and recomputes the cached
+/// minimum in the same pass.
+///
+/// # Example
+///
+/// ```
+/// use lnuca_cpu::CompletionQueue;
+/// use lnuca_types::{Addr, Cycle, MemRequest, MemResponse, ReqId, ServiceLevel};
+///
+/// let req = |id| MemRequest::read(ReqId(id), Addr(0x40), Cycle(0));
+/// let mut queue = CompletionQueue::new();
+/// queue.push(MemResponse::for_request(&req(1), Cycle(9), ServiceLevel::L1));
+/// queue.push(MemResponse::for_request(&req(2), Cycle(4), ServiceLevel::L1));
+/// assert_eq!(queue.earliest(), Some(Cycle(4)));
+///
+/// let mut out = Vec::new();
+/// queue.drain_ready(Cycle(5), &mut out);
+/// assert_eq!(out.len(), 1);
+/// assert_eq!(queue.earliest(), Some(Cycle(9)));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct CompletionQueue {
+    entries: VecDeque<MemResponse>,
+    earliest: Option<Cycle>,
+}
+
+impl CompletionQueue {
+    /// An empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty queue with room for `capacity` responses before it grows.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        CompletionQueue {
+            entries: VecDeque::with_capacity(capacity),
+            earliest: None,
         }
+    }
+
+    /// Number of responses not yet drained.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when no response is waiting.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The smallest `completed_at` among the waiting responses, or `None`
+    /// when the queue is empty.
+    #[must_use]
+    pub fn earliest(&self) -> Option<Cycle> {
+        self.earliest
+    }
+
+    /// Appends a response.
+    pub fn push(&mut self, response: MemResponse) {
+        let at = response.completed_at;
+        self.earliest = Some(self.earliest.map_or(at, |e| e.min(at)));
+        self.entries.push_back(response);
+    }
+
+    /// Moves every response with `completed_at <= now` to `out`, in
+    /// insertion order, keeping the rest in order. No allocation beyond
+    /// `out`'s growth.
+    pub fn drain_ready(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
+        if self.earliest.is_none_or(|e| e > now) {
+            return;
+        }
+        let mut earliest: Option<Cycle> = None;
+        self.entries.retain(|r| {
+            if r.completed_at <= now {
+                out.push(*r);
+                false
+            } else {
+                earliest = Some(earliest.map_or(r.completed_at, |e| e.min(r.completed_at)));
+                true
+            }
+        });
+        self.earliest = earliest;
     }
 }
 
@@ -95,7 +174,7 @@ pub fn drain_ready(queue: &mut VecDeque<MemResponse>, now: Cycle, out: &mut Vec<
 #[derive(Debug, Clone)]
 pub struct FixedLatencyMemory {
     latency: u64,
-    in_flight: VecDeque<MemResponse>,
+    in_flight: CompletionQueue,
     accepted: u64,
 }
 
@@ -105,7 +184,7 @@ impl FixedLatencyMemory {
     pub fn new(latency: u64) -> Self {
         FixedLatencyMemory {
             latency,
-            in_flight: VecDeque::new(),
+            in_flight: CompletionQueue::new(),
             accepted: 0,
         }
     }
@@ -120,7 +199,7 @@ impl FixedLatencyMemory {
 impl DataMemory for FixedLatencyMemory {
     fn issue(&mut self, req: MemRequest, now: Cycle) -> bool {
         self.accepted += 1;
-        self.in_flight.push_back(MemResponse::for_request(
+        self.in_flight.push(MemResponse::for_request(
             &req,
             now + self.latency,
             ServiceLevel::L1,
@@ -129,16 +208,13 @@ impl DataMemory for FixedLatencyMemory {
     }
 
     fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        drain_ready(&mut self.in_flight, now, out);
+        self.in_flight.drain_ready(now, out);
     }
 
     fn tick(&mut self, _now: Cycle) {}
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.in_flight
-            .iter()
-            .map(|r| r.completed_at.max(now.next()))
-            .min()
+        self.in_flight.earliest().map(|at| at.max(now.next()))
     }
 }
 
@@ -146,6 +222,50 @@ impl DataMemory for FixedLatencyMemory {
 mod tests {
     use super::*;
     use lnuca_types::{Addr, ReqId};
+    use proptest::prelude::*;
+
+    /// The drain every completion queue used before [`CompletionQueue`]:
+    /// one full rotation per call, kept as the reference.
+    fn rotating_drain(queue: &mut VecDeque<MemResponse>, now: Cycle, out: &mut Vec<MemResponse>) {
+        for _ in 0..queue.len() {
+            let resp = queue.pop_front().expect("length checked");
+            if resp.completed_at <= now {
+                out.push(resp);
+            } else {
+                queue.push_back(resp);
+            }
+        }
+    }
+
+    proptest! {
+        /// Random push/drain sequences drain exactly what the rotating
+        /// reference drains, in the same order, and `earliest()` is always
+        /// the minimum pending completion.
+        #[test]
+        fn completion_queue_matches_the_rotating_drain(
+            ops in proptest::collection::vec((0u8..3, 0u64..40), 1..200),
+        ) {
+            let mut queue = CompletionQueue::new();
+            let mut reference: VecDeque<MemResponse> = VecDeque::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut now = Cycle(0);
+            for (i, &(op, delta)) in ops.iter().enumerate() {
+                if op == 0 {
+                    now += delta % 8;
+                    queue.drain_ready(now, &mut got);
+                    rotating_drain(&mut reference, now, &mut want);
+                    prop_assert_eq!(&got, &want);
+                } else {
+                    let req = MemRequest::read(ReqId(i as u64), Addr(64 * i as u64), now);
+                    let resp = MemResponse::for_request(&req, now + delta, ServiceLevel::L1);
+                    queue.push(resp);
+                    reference.push_back(resp);
+                }
+                prop_assert_eq!(queue.len(), reference.len());
+                prop_assert_eq!(queue.earliest(), reference.iter().map(|r| r.completed_at).min());
+            }
+        }
+    }
 
     #[test]
     fn fixed_latency_memory_completes_after_latency() {

@@ -48,13 +48,12 @@ use crate::energy_model;
 use crate::spec::{BackingSpec, HierarchySpec};
 use crate::system::RunResult;
 use lnuca_coherence::{Directory, DirectoryConfig, DirectoryCounters, MsiState, Recall};
-use lnuca_cpu::{drain_ready, CoreConfig, CoreStats, DataMemory, OooCore};
+use lnuca_cpu::{CompletionQueue, CoreConfig, CoreStats, DataMemory, OooCore};
 use lnuca_mem::{
     CacheConfig, CacheStats, ConventionalCache, MainMemory, NoProbe, ProbeEvent, ProbeSink,
 };
 use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, ServiceLevel};
 use lnuca_workloads::{Suite, TraceGenerator, WorkloadProfile};
-use std::collections::VecDeque;
 
 /// Per-core in-flight window: how many demand requests one core may have
 /// outstanding before [`CmpMemory`] rejects further issues (mirrors the
@@ -142,7 +141,7 @@ pub struct CoreRow {
 struct Lane {
     l1: ConventionalCache,
     fabric: Option<ConventionalCache>,
-    pending: VecDeque<MemResponse>,
+    pending: CompletionQueue,
     coherence_hits: u64,
     coherence_misses: u64,
 }
@@ -197,7 +196,7 @@ impl<P: ProbeSink> CmpMemory<P> {
                         .clone()
                         .map(ConventionalCache::new)
                         .transpose()?,
-                    pending: VecDeque::with_capacity(CORE_SLOTS),
+                    pending: CompletionQueue::with_capacity(CORE_SLOTS),
                     coherence_hits: 0,
                     coherence_misses: 0,
                 })
@@ -349,7 +348,7 @@ impl<P: ProbeSink> CmpMemory<P> {
             self.service_transaction(core, line, line_addr, is_write, in_l1 || in_fabric, now)
         };
         let resp = MemResponse::for_request(&req, done, served);
-        self.lanes[core].pending.push_back(resp);
+        self.lanes[core].pending.push(resp);
         true
     }
 
@@ -543,9 +542,9 @@ impl<P: ProbeSink> CmpMemory<P> {
     fn pending_next_event(&self, now: Cycle) -> Option<Cycle> {
         self.lanes
             .iter()
-            .flat_map(|lane| lane.pending.iter())
-            .map(|r| r.completed_at.max(now.next()))
+            .filter_map(|lane| lane.pending.earliest())
             .min()
+            .map(|at| at.max(now.next()))
     }
 }
 
@@ -559,7 +558,7 @@ impl<P: ProbeSink> DataMemory for CmpMemory<P> {
 
     fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
         for lane in &mut self.lanes {
-            drain_ready(&mut lane.pending, now, out);
+            lane.pending.drain_ready(now, out);
         }
     }
 
@@ -583,7 +582,7 @@ impl<P: ProbeSink> DataMemory for CoreView<'_, P> {
     }
 
     fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        drain_ready(&mut self.mem.lanes[self.core].pending, now, out);
+        self.mem.lanes[self.core].pending.drain_ready(now, out);
     }
 
     fn tick(&mut self, _now: Cycle) {}
@@ -591,9 +590,8 @@ impl<P: ProbeSink> DataMemory for CoreView<'_, P> {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         self.mem.lanes[self.core]
             .pending
-            .iter()
-            .map(|r| r.completed_at.max(now.next()))
-            .min()
+            .earliest()
+            .map(|at| at.max(now.next()))
     }
 }
 

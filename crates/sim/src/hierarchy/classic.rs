@@ -4,13 +4,12 @@
 use crate::configs::{self, ConventionalConfig, DNucaOnlyConfig, HierarchyKind};
 use crate::hierarchy::{HierarchyStats, OuterLevel};
 use crate::spec::HierarchySpec;
-use lnuca_cpu::DataMemory;
+use lnuca_cpu::{CompletionQueue, DataMemory};
 use lnuca_mem::{
     AccessClass, AccessOutcome, ConventionalCache, MainMemory, MshrAllocation, MshrFile, NoProbe,
     ProbeEvent, ProbeSink, WriteBuffer,
 };
 use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, ServiceLevel};
-use std::collections::VecDeque;
 
 /// One in-flight block fetch: its L1 block index, when it completes and who
 /// serviced it.
@@ -49,7 +48,11 @@ pub struct ClassicHierarchy<P: ProbeSink = NoProbe> {
     /// this array exactly). First-fit allocation and an index-order retire
     /// sweep keep the order deterministic without any per-miss map churn.
     outstanding: [Option<OutstandingFetch>; configs::L1_MSHRS],
-    completions: VecDeque<MemResponse>,
+    /// The earliest `completion` in `outstanding` (`None` when every slot
+    /// is free): the retire sweep and the horizon read it instead of
+    /// walking the slots.
+    outstanding_earliest: Option<Cycle>,
+    completions: CompletionQueue,
     write_drains: u64,
 }
 
@@ -141,7 +144,8 @@ impl<P: ProbeSink> ClassicHierarchy<P> {
             memory: MainMemory::new(spec.memory)?,
             probe,
             outstanding: [None; configs::L1_MSHRS],
-            completions: VecDeque::new(),
+            outstanding_earliest: None,
+            completions: CompletionQueue::new(),
             write_drains: 0,
         })
     }
@@ -221,6 +225,8 @@ impl<P: ProbeSink> ClassicHierarchy<P> {
             completion,
             served,
         });
+        self.outstanding_earliest =
+            Some(self.outstanding_earliest.map_or(completion, |e| e.min(completion)));
     }
 }
 
@@ -243,7 +249,7 @@ impl<P: ProbeSink> DataMemory for ClassicHierarchy<P> {
                         is_write,
                         class: AccessClass::Merged,
                     });
-                    self.completions.push_back(MemResponse::for_request(
+                    self.completions.push(MemResponse::for_request(
                         &req,
                         completion.max(now),
                         served,
@@ -271,7 +277,7 @@ impl<P: ProbeSink> DataMemory for ClassicHierarchy<P> {
                     class: AccessClass::Hit,
                 });
                 self.completions
-                    .push_back(MemResponse::for_request(&req, ready_at, ServiceLevel::L1));
+                    .push(MemResponse::for_request(&req, ready_at, ServiceLevel::L1));
                 true
             }
             AccessOutcome::Miss { determined_at } => {
@@ -297,27 +303,35 @@ impl<P: ProbeSink> DataMemory for ClassicHierarchy<P> {
                 });
                 self.record_outstanding(key, completion, served);
                 self.completions
-                    .push_back(MemResponse::for_request(&req, completion, served));
+                    .push(MemResponse::for_request(&req, completion, served));
                 true
             }
         }
     }
 
     fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        lnuca_cpu::drain_ready(&mut self.completions, now, out);
+        self.completions.drain_ready(now, out);
     }
 
     fn tick(&mut self, now: Cycle) {
         // Retire finished fetches so their MSHR entries free up, sweeping
-        // the fixed slot array in index order (stable across runs).
-        let block_size = self.l1.config().block_size;
-        for slot in &mut self.outstanding {
-            if let Some(fetch) = slot {
-                if fetch.completion <= now {
-                    let _ = self.l1_mshrs.retire(Addr(fetch.key * block_size));
-                    *slot = None;
+        // the fixed slot array in index order (stable across runs) — only
+        // on cycles where the earliest fetch has completed.
+        if self.outstanding_earliest.is_some_and(|e| e <= now) {
+            let block_size = self.l1.config().block_size;
+            let mut earliest: Option<Cycle> = None;
+            for slot in &mut self.outstanding {
+                if let Some(fetch) = slot {
+                    if fetch.completion <= now {
+                        let _ = self.l1_mshrs.retire(Addr(fetch.key * block_size));
+                        *slot = None;
+                    } else {
+                        let at = fetch.completion;
+                        earliest = Some(earliest.map_or(at, |e| e.min(at)));
+                    }
                 }
             }
+            self.outstanding_earliest = earliest;
         }
         // Drain one coalesced write per cycle toward the outer level.
         if let Some(addr) = self.write_buffer.drain_one() {
@@ -338,11 +352,11 @@ impl<P: ProbeSink> DataMemory for ClassicHierarchy<P> {
         let merge = |cur: &mut Option<Cycle>, at: Cycle| Cycle::merge_horizon(cur, at, floor);
         // Undelivered responses mature at their completion cycles; in-flight
         // fetches retire (freeing MSHRs) at theirs.
-        for response in &self.completions {
-            merge(&mut horizon, response.completed_at);
-        }
-        for fetch in self.outstanding.iter().flatten() {
-            merge(&mut horizon, fetch.completion);
+        for at in [self.completions.earliest(), self.outstanding_earliest]
+            .into_iter()
+            .flatten()
+        {
+            merge(&mut horizon, at);
         }
         horizon
     }

@@ -5,7 +5,7 @@ use crate::configs::{self, HierarchyKind, LNucaDNucaConfig, LNucaL3Config};
 use crate::hierarchy::{HierarchyStats, OuterLevel};
 use crate::spec::HierarchySpec;
 use lnuca_core::LNuca;
-use lnuca_cpu::DataMemory;
+use lnuca_cpu::{CompletionQueue, DataMemory};
 use lnuca_mem::{
     AccessClass, AccessOutcome, ConventionalCache, MainMemory, MshrAllocation, MshrFile, NoProbe,
     ProbeEvent, ProbeSink, WriteBuffer,
@@ -60,7 +60,7 @@ pub struct LNucaHierarchy<P: ProbeSink = NoProbe> {
     write_buffer: WriteBuffer,
     pending_searches: VecDeque<PendingSearch>,
     waiters: Vec<WaiterSlot>,
-    completions: VecDeque<MemResponse>,
+    completions: CompletionQueue,
     write_drains: u64,
     // Reused per-cycle buffers for the fabric's outputs (zero-allocation
     // steady state; see DESIGN.md §9). Each is cleared, refilled via the
@@ -166,7 +166,7 @@ impl<P: ProbeSink> LNucaHierarchy<P> {
                     reqs: Vec::new(),
                 })
                 .collect(),
-            completions: VecDeque::new(),
+            completions: CompletionQueue::new(),
             write_drains: 0,
             arrival_scratch: Vec::new(),
             miss_scratch: Vec::new(),
@@ -274,7 +274,7 @@ impl<P: ProbeSink> LNucaHierarchy<P> {
             slot.live = false;
             for req in slot.reqs.drain(..) {
                 self.completions
-                    .push_back(MemResponse::for_request(&req, at, served_by));
+                    .push(MemResponse::for_request(&req, at, served_by));
             }
         }
     }
@@ -320,7 +320,7 @@ impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
                     class: AccessClass::Hit,
                 });
                 self.completions
-                    .push_back(MemResponse::for_request(&req, ready_at, ServiceLevel::L1));
+                    .push(MemResponse::for_request(&req, ready_at, ServiceLevel::L1));
                 true
             }
             AccessOutcome::Miss { determined_at } => {
@@ -352,7 +352,7 @@ impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
     }
 
     fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        lnuca_cpu::drain_ready(&mut self.completions, now, out);
+        self.completions.drain_ready(now, out);
     }
 
     fn tick(&mut self, now: Cycle) {
@@ -451,8 +451,8 @@ impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
         if let Some(front) = self.pending_searches.front() {
             merge(&mut horizon, front.ready_at);
         }
-        for response in &self.completions {
-            merge(&mut horizon, response.completed_at);
+        if let Some(at) = self.completions.earliest() {
+            merge(&mut horizon, at);
         }
         horizon
     }

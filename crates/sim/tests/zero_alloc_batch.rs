@@ -6,6 +6,9 @@
 //! depend on lnuca-sim (it sits below it in the crate DAG), so the batched
 //! case lives here beside the solo-hierarchy binary `tests/zero_alloc.rs`.
 //!
+//! A `cores = 2` member (the `cmp-sharing` shape) covers the CMP memory
+//! side: per-core completion queues and the MSI directory.
+//!
 //! The test binary installs a counting global allocator; it contains only
 //! this one test so the counter observes nothing but the code under test.
 //! Member retirement is excluded by construction (it materialises a
@@ -14,6 +17,7 @@
 
 use lnuca_sim::batch::{BatchJob, BatchRunner};
 use lnuca_sim::configs::{self, HierarchyKind};
+use lnuca_sim::spec::HierarchySpec;
 use lnuca_sim::system::Engine;
 use lnuca_workloads::suites;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -51,8 +55,21 @@ fn batched_steady_state_does_not_allocate() {
         HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)).to_spec(),
         HierarchyKind::DNuca(configs::dnuca_hierarchy()).to_spec(),
         HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2)).to_spec(),
+        HierarchySpec::builder()
+            .backing_cache(configs::paper_l3())
+            .cores(2)
+            .build()
+            .expect("the 2-core shape is valid"),
     ];
-    let profiles = suites::extended();
+    let extended = suites::extended();
+    let sharing = suites::by_name("sh.prodcons").expect("a built-in profile");
+    let profiles = [
+        &extended[0],
+        &extended[6],
+        &extended[12],
+        &extended[18],
+        &sharing,
+    ];
 
     // Budgets far beyond the stepped window: no member retires while the
     // counter is live, so the only allocation sites the window can see are
@@ -62,7 +79,7 @@ fn batched_steady_state_does_not_allocate() {
         .enumerate()
         .map(|(i, spec)| BatchJob {
             spec,
-            profile: &profiles[i * 6],
+            profile: profiles[i],
             instructions: 50_000_000,
             seed: 11 + i as u64,
         })

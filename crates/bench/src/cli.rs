@@ -748,9 +748,10 @@ USAGE:
                                         lnuca-scenario/v1 file(s); --report
                                         (one scenario only) also writes the
                                         lnuca-report/v1 JSON document;
-                                        --batch-size steps N simulations in
-                                        lockstep per worker (bit-identical
-                                        results, DESIGN.md §13);
+                                        --batch-size sets how many
+                                        consecutive jobs a worker claims at
+                                        a time (identical results,
+                                        DESIGN.md §13);
                                         --journal (one scenario only)
                                         appends completed runs to a
                                         crash-safe lnuca-journal/v1 file and

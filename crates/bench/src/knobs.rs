@@ -136,8 +136,8 @@ pub fn parse_epsilon(raw: &str) -> Option<f64> {
 }
 
 /// Parses an `LNUCA_BATCH` value: a batch size of at least 1, or
-/// `full`/`max` for one full-width batch per worker-claimed chunk
-/// (`usize::MAX`, see `ExperimentOptions::batch_size`). `None` for `0` or
+/// `full`/`max` for the whole matrix as one chunk (`usize::MAX`, see
+/// `ExperimentOptions::batch_size`). `None` for `0` or
 /// anything unrecognised.
 #[must_use]
 pub fn parse_batch(raw: &str) -> Option<usize> {

@@ -39,13 +39,12 @@
 //!   (single-step every cycle). Results are bit-identical either way
 //!   (`tests/event_horizon_determinism.rs`); only throughput changes, and
 //!   the chosen engine is recorded in the baseline's `engine` field,
-//! * `LNUCA_BATCH` — simulations stepped in lockstep per worker by one
-//!   `BatchRunner` (DESIGN.md §13): a batch size of at least 1 (default 1,
-//!   the per-run path) or `full` for one batch per worker-claimed chunk.
-//!   Like `LNUCA_THREADS` and `LNUCA_ENGINE` this changes only the wall
-//!   clock — every batched run is bit-identical to its solo counterpart
-//!   (`tests/batch_equivalence.rs`) — and it is recorded in the baseline's
-//!   `batch_size` field,
+//! * `LNUCA_BATCH` — consecutive jobs a worker claims at a time
+//!   (DESIGN.md §13): a batch size of at least 1 (default 1) or `full` for
+//!   the whole matrix as one chunk. The worker runs a chunk's jobs one
+//!   after another, each supervised and timed on its own, so like
+//!   `LNUCA_THREADS` and `LNUCA_ENGINE` this changes only the wall clock;
+//!   it is recorded in the baseline's `batch_size` field,
 //! * `LNUCA_BENCH_JSON` — where `all_experiments` writes the machine-readable
 //!   perf baseline (default `BENCH_baseline.json`, deliberately the path of
 //!   the committed trajectory point — rerunning refreshes it; empty or `-`

@@ -2,28 +2,25 @@
 //! is stepped here (DESIGN.md §13).
 //!
 //! A [`BatchRunner`] owns N fully independent members (hierarchy + core +
-//! trace, or a whole CMP machine) and generalises the event-horizon engine
-//! (DESIGN.md §10) to a **per-batch horizon heap**: each live member's next
-//! due cycle sits in a min-heap, every [`BatchRunner::step`] advances the
-//! batch clock to the minimum due cycle and ticks exactly the members
-//! scheduled there (ties broken by member index). Members that finish — or
-//! go quiescent past their cycle cap — retire and drop out of the heap.
+//! trace, or a whole CMP machine), all built when the runner is, and runs
+//! them **one after another**: every [`BatchRunner::step`] advances the
+//! current member one engine iteration (DESIGN.md §10), and a member that
+//! finishes — or goes quiescent past its cycle cap — retires and hands
+//! over to the next.
 //!
 //! One member's run loop is written once, in `advance` (engine step, cycle
 //! cap, watchdog observation and horizon clamp) and `retire` (the run tail
 //! that materialises its [`RunResult`]). A solo run
 //! ([`crate::system::System::run_spec_probed`] and its wrappers), a CMP run
 //! and a supervised job ([`crate::supervise::run_job_supervised`]) are
-//! one-member batches. Once a single member is left live, running to
-//! completion drives it through `advance` directly, without the heap, so a
-//! solo run pays nothing for the lockstep machinery.
+//! one-member batches.
 //!
-//! Because every member is ticked at precisely the clock values its own
-//! run would visit, with identical state transitions in between, a batched
-//! run is **bit-identical** to its one-member counterpart for every member
-//! — results *and* probe event streams. This is the batch-equivalence
-//! invariant; `lnuca-verify` layers it over the differential oracle and
-//! `tests/batch_equivalence.rs` pins it across the full verify matrix.
+//! Members share no state, and each is ticked at precisely the clock
+//! values its own run would visit, so a batched run is **bit-identical**
+//! to its one-member counterpart for every member — results *and* probe
+//! event streams. This is the batch-equivalence invariant; `lnuca-verify`
+//! layers it over the differential oracle and `tests/batch_equivalence.rs`
+//! pins it across the full verify matrix.
 //!
 //! After construction the steady-state loop performs no heap allocation
 //! (DESIGN.md §9); memory is touched again only when a member retires and
@@ -60,8 +57,6 @@ use lnuca_cpu::{CoreConfig, DataMemory, OooCore};
 use lnuca_mem::{NoProbe, ProbeSink};
 use lnuca_types::{ConfigError, Cycle, RunError};
 use lnuca_workloads::{Suite, TraceGenerator, WorkloadProfile};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One member of a batch: the same (spec, profile, instructions, seed)
 /// quadruple a solo [`System::run_spec_with`] call takes.
@@ -149,22 +144,20 @@ struct Member<P: ProbeSink> {
     /// Watchdog of a supervised member (`None` on the plain path, which
     /// then has zero per-tick observation overhead).
     guard: Option<JobGuard>,
-    /// A tripped watchdog quarantines the member here; its stats are never
-    /// finalised and `done` stays empty.
+    /// A tripped watchdog's failure lands here; the member's stats are
+    /// never finalised and `done` stays empty.
     failed: Option<RunError>,
 }
 
-/// Steps a batch of independent simulations in lockstep; see the
+/// Runs a batch of independent simulations one after another; see the
 /// [module docs](self) for the execution model and the equivalence
 /// invariant.
 pub struct BatchRunner<P: ProbeSink = NoProbe> {
     engine: Engine,
     members: Vec<Member<P>>,
-    /// Min-heap of `(due cycle, member index)` over the live members.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Scratch for the member indices due at the current horizon
-    /// (preallocated: the steady-state loop must not allocate).
-    due_scratch: Vec<usize>,
+    /// The member [`BatchRunner::step`] advances; every member before it
+    /// has retired.
+    current: usize,
     live: usize,
 }
 
@@ -185,8 +178,8 @@ impl<P: ProbeSink> BatchRunner<P> {
     /// points, probes observe but never feed back: results are
     /// bit-identical for any sink.
     ///
-    /// All allocation happens here: member components are built, and the
-    /// horizon heap and scratch buffers are sized for the whole batch.
+    /// All allocation happens here: every member's components are built
+    /// up front.
     ///
     /// # Errors
     ///
@@ -201,11 +194,12 @@ impl<P: ProbeSink> BatchRunner<P> {
 
     /// [`BatchRunner::with_probes`] plus per-member supervision
     /// (DESIGN.md §14): `guard` produces each member's watchdog (in job
-    /// order; `None` = unsupervised member). A member whose guard trips is
-    /// quarantined — it stops being stepped and reports its failure through
-    /// [`BatchRunner::run_outcomes`] — while its siblings keep stepping at
-    /// exactly the cycles their one-member runs would visit, so survivors
-    /// stay bit-identical to their solo baselines.
+    /// order; `None` = unsupervised member). A member whose guard trips
+    /// stops being stepped and reports its failure through
+    /// [`BatchRunner::run_outcomes`]; the members after it run as if it
+    /// had finished. A guard's wall clock starts when the guard is built,
+    /// so a supervised job runs as a one-member batch
+    /// ([`crate::supervise::run_job_supervised`]).
     ///
     /// # Errors
     ///
@@ -245,25 +239,22 @@ impl<P: ProbeSink> BatchRunner<P> {
             });
         }
 
-        let mut runner = BatchRunner {
-            engine,
-            heap: BinaryHeap::with_capacity(members.len() + 1),
-            due_scratch: Vec::with_capacity(members.len()),
-            live: 0,
-            members,
-        };
-        for idx in 0..runner.members.len() {
+        let mut live = 0;
+        for member in &mut members {
             // A member that is already finished (or capped) at cycle 0
             // retires without a single tick.
-            let member = &mut runner.members[idx];
             if member.machine.is_finished() || member.now.0 >= member.cap {
                 retire(member);
             } else {
-                runner.heap.push(Reverse((member.now.0, idx)));
-                runner.live += 1;
+                live += 1;
             }
         }
-        Ok(runner)
+        Ok(BatchRunner {
+            engine,
+            members,
+            current: 0,
+            live,
+        })
     }
 
     /// Number of members (live or retired).
@@ -284,40 +275,25 @@ impl<P: ProbeSink> BatchRunner<P> {
         self.live
     }
 
-    /// The batch clock: the minimum due cycle across live members (`None`
-    /// once every member has retired).
-    #[must_use]
-    pub fn clock(&self) -> Option<Cycle> {
-        self.heap.peek().map(|&Reverse((due, _))| Cycle(due))
-    }
-
-    /// Advances the batch clock to the minimum due cycle and ticks every
-    /// member scheduled there (ascending member index), re-scheduling each
-    /// at its next due cycle or retiring it. Returns `true` while members
-    /// remain live.
+    /// Advances the current member one engine iteration (one horizon, or
+    /// one cycle under [`Engine::CycleStep`]), moving on to the next live
+    /// member once it retires. Returns `true` while members remain live.
     ///
     /// The steady-state path performs no heap allocation; a retiring
     /// member allocates once to materialise its [`RunResult`].
     pub fn step(&mut self) -> bool {
-        let Some(&Reverse((horizon, _))) = self.heap.peek() else {
-            return false;
-        };
-        self.due_scratch.clear();
-        while let Some(&Reverse((due, idx))) = self.heap.peek() {
-            if due != horizon {
-                break;
+        while let Some(member) = self.members.get_mut(self.current) {
+            if member.done.is_some() || member.failed.is_some() {
+                self.current += 1;
+                continue;
             }
-            self.heap.pop();
-            self.due_scratch.push(idx);
-        }
-        for i in 0..self.due_scratch.len() {
-            let idx = self.due_scratch[i];
-            match advance(&mut self.members[idx], self.engine) {
-                Some(next) => self.heap.push(Reverse((next.0, idx))),
-                None => self.live -= 1,
+            if advance(member, self.engine).is_none() {
+                self.live -= 1;
+                self.current += 1;
             }
+            return self.live > 0;
         }
-        self.live > 0
+        false
     }
 
     /// Runs the batch to completion and returns every member's result and
@@ -339,19 +315,10 @@ impl<P: ProbeSink> BatchRunner<P> {
 
     /// Runs the batch to completion and returns every member's outcome —
     /// its bit-identical [`RunResult`] or the watchdog failure that
-    /// quarantined it — plus its final hierarchy, in job order.
+    /// stopped it — plus its final hierarchy, in job order.
     #[must_use]
     pub fn run_outcomes(mut self) -> Vec<(Result<RunResult, RunError>, AnyHierarchy<P>)> {
-        while self.live > 1 {
-            self.step();
-        }
-        // The last live member needs no lockstep: it leaves the heap and
-        // runs to completion at exactly the cycles `step` would visit.
-        if let Some(Reverse((_, idx))) = self.heap.pop() {
-            let member = &mut self.members[idx];
-            while advance(member, self.engine).is_some() {}
-            self.live = 0;
-        }
+        while self.step() {}
         self.members
             .into_iter()
             .map(|m| {
@@ -376,7 +343,7 @@ impl<P: ProbeSink> BatchRunner<P> {
 /// member at `member.now`, and moves its clock to the next cycle the engine
 /// visits. Returns that cycle while the member stays live; otherwise the
 /// member has retired (its [`RunResult`] is materialised) or its watchdog
-/// tripped (it is quarantined in `failed`, never finalised) and `None`
+/// tripped (the failure is kept in `failed`, never finalised) and `None`
 /// comes back.
 #[inline]
 fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Option<Cycle> {
@@ -516,9 +483,16 @@ mod tests {
         let mut runner = BatchRunner::new(Engine::EventHorizon, &jobs).unwrap();
         assert_eq!(runner.len(), 3);
         assert_eq!(runner.live(), 3, "even a zero-budget member gets its first tick, as solo would");
-        while runner.step() {}
+        // Members run in job order: the live count drops as each retires.
+        let mut live_seen = vec![runner.live()];
+        while runner.step() {
+            if live_seen.last() != Some(&runner.live()) {
+                live_seen.push(runner.live());
+            }
+        }
+        assert_eq!(live_seen, [3, 2, 1]);
         assert_eq!(runner.live(), 0);
-        assert!(runner.clock().is_none());
+        assert!(!runner.step(), "a finished batch stays finished");
         let results = runner.run_results();
         assert_eq!(results[0].instructions, 4_000);
         assert_eq!(results[1].instructions, 0);

@@ -99,13 +99,13 @@ pub struct ExperimentOptions {
     /// (`tests/event_horizon_determinism.rs`), so summaries never depend on
     /// it. Recorded in the `lnuca-bench-baseline/v2` perf baseline.
     pub engine: Engine,
-    /// Simulations stepped in lockstep per worker (DESIGN.md §13): the job
-    /// matrix is cut into contiguous batches of this size, each run by one
-    /// [`crate::batch::BatchRunner`]. `1` (the default) makes every batch
-    /// a single job; `usize::MAX` means one batch per worker-claimed chunk
-    /// spanning everything. Like `threads` and `engine` this changes only
-    /// the wall clock — every batched run is bit-identical to its solo
-    /// counterpart (`tests/batch_equivalence.rs`).
+    /// Consecutive jobs a worker claims at a time (DESIGN.md §13): the job
+    /// matrix is cut into contiguous chunks of this size, and the worker
+    /// that claims a chunk runs its jobs one after another, each supervised
+    /// and timed on its own. `1` (the default) claims job by job;
+    /// `usize::MAX` makes the whole matrix one chunk. Like `threads` and
+    /// `engine` this changes only the wall clock — never a result, a
+    /// failure or a watchdog verdict.
     pub batch_size: usize,
     /// Watchdog: abort any run whose simulated clock reaches this many
     /// cycles with the workload unfinished (`None` = no budget; the
@@ -258,8 +258,8 @@ impl ExperimentOptionsBuilder {
         self
     }
 
-    /// Sets how many simulations each worker steps in lockstep (clamped to
-    /// at least 1; 1 = one job per batch).
+    /// Sets how many consecutive jobs a worker claims at a time (clamped to
+    /// at least 1; 1 = job by job).
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.options.batch_size = batch_size.max(1);
@@ -680,9 +680,11 @@ impl Study {
     /// cooperative [`StopSignal`].
     ///
     /// Raising the signal mid-study stops the worker pool cleanly at run
-    /// granularity: in-flight runs finish (and are journaled), every run
-    /// not yet started lands in [`Study::failures`] with the signal's
-    /// [`RunError`] (`Cancelled` or `Shutdown`). Because failures are never
+    /// granularity, whatever the batch size: the signal is checked before
+    /// each job starts, in-flight runs finish (and are journaled as each
+    /// one completes), and every run not yet started lands in
+    /// [`Study::failures`] with the signal's [`RunError`] (`Cancelled` or
+    /// `Shutdown`) and `attempts == 0`. Because failures are never
     /// journaled, re-running the same plan against the same journal with
     /// `resume = true` replays the completed runs and simulates only the
     /// rest — producing a report byte-identical to one from a single
@@ -947,51 +949,56 @@ struct Job<'a> {
 
 use crate::supervise::SupervisedOutcome as JobOutcome;
 
-/// Runs one contiguous batch of the matrix through a supervised
-/// [`crate::batch::BatchRunner`], returning per-job outcomes in batch
-/// order and journaling the successes.
-fn run_batch(
-    batch: &[Job<'_>],
+/// Runs one worker-claimed chunk of the matrix job by job, returning the
+/// outcomes in chunk order. Before each job the stop signal is checked: a
+/// raised signal fails the job with the signal's error, unsimulated
+/// (`attempts == 0`). Each job runs supervised on its own, so its watchdog
+/// clock and [`RunPerf`] cover that job alone, and a success is journaled
+/// as soon as it finishes.
+fn run_chunk(
+    chunk: &[Job<'_>],
     instructions: u64,
     engine: Engine,
     supervisor: &Supervisor,
     journal: Option<&JournalWriter>,
+    stop: Option<&StopSignal>,
 ) -> Vec<JobOutcome> {
-    let batch_jobs: Vec<crate::batch::BatchJob<'_>> = batch
+    chunk
         .iter()
-        .map(|job| crate::batch::BatchJob {
-            spec: job.spec,
-            profile: job.profile,
-            instructions,
-            seed: job.seed,
-        })
-        .collect();
-    let outcomes = supervise::run_batch_supervised(engine, &batch_jobs, supervisor);
-    if let Some(writer) = journal {
-        for (job, outcome) in batch.iter().zip(&outcomes) {
-            if let Ok((result, perf)) = &outcome.outcome {
+        .map(|job| {
+            if let Some(error) = stop.and_then(StopSignal::error) {
+                return JobOutcome {
+                    outcome: Err(error),
+                    attempts: 0,
+                };
+            }
+            let outcome = supervise::run_job_supervised(
+                engine,
+                job.spec,
+                job.profile,
+                instructions,
+                job.seed,
+                supervisor,
+            );
+            if let (Some(writer), Ok((result, perf))) = (journal, &outcome.outcome) {
                 writer.record(job.index, result, perf);
             }
-        }
-    }
-    outcomes
+            outcome
+        })
+        .collect()
 }
 
 /// Runs the experiment matrix on up to `threads` scoped workers pulling
 /// work from a shared queue, returning the outcomes in job order.
 ///
-/// The job list is cut into contiguous batches of `batch_size` (in job
-/// order; size 1 is one-member batches) and each worker steps a whole
-/// batch in lockstep ([`crate::batch`]).
+/// The job list is cut into contiguous chunks of `batch_size` (in job
+/// order); a worker claims one chunk at a time and runs its jobs one after
+/// another ([`run_chunk`]).
 ///
 /// Each job builds its own hierarchy, trace generator and core from nothing
 /// but the job description, so runs share no state and the outcome vector is
-/// bit-identical to a sequential execution — the workers and the batch cut
+/// bit-identical to a sequential execution — the workers and the chunk cut
 /// only change which wall-clock instant each run happens at.
-///
-/// `stop` is checked once per claimed batch: a raised signal turns every
-/// not-yet-claimed batch into failures carrying the signal's error, without
-/// simulating them.
 #[allow(clippy::too_many_arguments)]
 fn run_jobs(
     jobs: &[Job<'_>],
@@ -1003,32 +1010,21 @@ fn run_jobs(
     journal: Option<&JournalWriter>,
     stop: Option<&StopSignal>,
 ) -> Vec<JobOutcome> {
-    let run = |batch: &[Job<'_>]| -> Vec<JobOutcome> {
-        match stop.and_then(StopSignal::error) {
-            Some(error) => batch
-                .iter()
-                .map(|_| JobOutcome {
-                    outcome: Err(error.clone()),
-                    attempts: 0,
-                })
-                .collect(),
-            None => run_batch(batch, instructions, engine, supervisor, journal),
-        }
-    };
-    let batches: Vec<&[Job<'_>]> = jobs.chunks(batch_size.max(1)).collect();
-    let threads = threads.max(1).min(batches.len().max(1));
+    let run = |chunk: &[Job<'_>]| run_chunk(chunk, instructions, engine, supervisor, journal, stop);
+    let chunks: Vec<&[Job<'_>]> = jobs.chunks(batch_size.max(1)).collect();
+    let threads = threads.max(1).min(chunks.len().max(1));
     if threads == 1 {
-        return batches.into_iter().flat_map(run).collect();
+        return chunks.into_iter().flat_map(run).collect();
     }
-    let next_batch = AtomicUsize::new(0);
+    let next_chunk = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Vec<JobOutcome>>>> =
-        batches.iter().map(|_| Mutex::new(None)).collect();
+        chunks.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next_batch.fetch_add(1, Ordering::Relaxed);
-                let Some(batch) = batches.get(i) else { break };
-                *slots[i].lock().expect("no other holder can panic") = Some(run(batch));
+                let i = next_chunk.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = chunks.get(i) else { break };
+                *slots[i].lock().expect("no other holder can panic") = Some(run(chunk));
             });
         }
     });
@@ -1037,7 +1033,7 @@ fn run_jobs(
         .flat_map(|slot| {
             slot.into_inner()
                 .expect("worker panics propagate out of the scope")
-                .expect("every batch index below batches.len() was claimed exactly once")
+                .expect("every chunk index below chunks.len() was claimed exactly once")
         })
         .collect()
 }
@@ -1281,6 +1277,48 @@ mod tests {
         opts.batch_size = 3;
         let both = conventional(&opts).unwrap();
         assert_eq!(sequential.results, both.results);
+    }
+
+    #[test]
+    fn full_batch_wall_clock_timeout_times_each_job_alone() {
+        use crate::configs::{self, HierarchyKind};
+        // Many equal jobs (one workload, one seed per repetition) in one
+        // full-width chunk on one worker.
+        let plan = |options: ExperimentOptions| {
+            ExperimentPlan::builder("timeout-per-job")
+                .config(HierarchyKind::Conventional(configs::conventional()).to_spec())
+                .options(options)
+                .build()
+                .unwrap()
+        };
+        let options = ExperimentOptions::builder()
+            .instructions(6_000)
+            .workloads(WorkloadSelection::Named(vec!["int.compress".to_owned(); 48]))
+            .threads(1);
+        let solo = Study::run(&plan(options.clone().build())).unwrap();
+        let slowest = solo.perf.iter().map(|p| p.wall_nanos).max().unwrap();
+        // A budget 25x the slowest job: far beyond one job, far below the
+        // whole chunk, so only a per-job clock keeps every run inside it.
+        // The 200 ms floor keeps scheduler jitter from tripping the ~1 ms
+        // jobs of an optimised build.
+        let timeout_ms = (slowest * 25).div_ceil(1_000_000).max(200);
+        let timed = Study::run(&plan(
+            options
+                .batch_size(usize::MAX)
+                .retries(0)
+                .run_timeout_ms(Some(timeout_ms))
+                .build(),
+        ))
+        .unwrap();
+        // With no retries, a run without a failure row succeeded on its
+        // first attempt.
+        assert!(
+            timed.failures.is_empty(),
+            "{} of {} runs timed out at {timeout_ms} ms",
+            timed.failures.len(),
+            solo.results.len()
+        );
+        assert_eq!(timed.results, solo.results);
     }
 
     #[test]

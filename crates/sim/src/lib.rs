@@ -19,16 +19,15 @@
 //!   instruction budget,
 //! * [`energy_model`] — turns run statistics into the stacked-bar energy
 //!   accounts of Figs. 4(b) and 5(b),
-//! * [`batch`] — the [`BatchRunner`], the one run driver: one worker
-//!   stepping N independent simulations in lockstep along a per-batch
-//!   horizon heap; every solo, CMP and supervised run is a one-member
-//!   batch,
+//! * [`batch`] — the [`BatchRunner`], the one run driver: it runs N
+//!   independent simulations one after another; every solo, CMP and
+//!   supervised run is a one-member batch,
 //! * [`experiments`] — the declarative [`ExperimentPlan`] and the single
 //!   [`Study::run`] entry point (the paper studies are the built-in
 //!   `paper_*` plans); `ExperimentOptions::batch_size` sets how many
-//!   jobs each batch steps,
+//!   consecutive jobs a worker claims at a time,
 //! * [`supervise`] — run supervision (DESIGN.md §14): panic isolation per
-//!   job and batch member, cycle/livelock/wall-clock watchdogs, bounded
+//!   job, per-job cycle/livelock/wall-clock watchdogs, bounded
 //!   retry, the cooperative [`StopSignal`] behind service cancellation and
 //!   drain (DESIGN.md §15), and the deterministic fault-injection seam,
 //! * [`journal`] — the crash-safe, content-addressed study journal behind

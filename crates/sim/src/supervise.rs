@@ -1,26 +1,22 @@
 //! Run supervision: panic isolation, watchdogs and bounded retry
 //! (DESIGN.md §14).
 //!
-//! The experiment engine fans thousands of jobs across workers and batches;
-//! at that scale one poisoned run — a panic in a hot loop, a livelocked
-//! horizon heap, a runaway configuration — must not take down a whole
-//! study. This module wraps every job and every batch behind a
-//! [`Supervisor`]:
+//! The experiment engine fans thousands of jobs across workers; at that
+//! scale one poisoned run — a panic in a hot loop, a livelocked core, a
+//! runaway configuration — must not take down a whole study. Every job of
+//! a study runs on its own behind a [`Supervisor`]
+//! ([`run_job_supervised`]):
 //!
-//! * **Panic isolation.** Each solo job and each whole batch runs under
-//!   `catch_unwind`; a panic becomes a structured
-//!   [`RunError::Panic`] instead of unwinding through the worker pool.
+//! * **Panic isolation.** Each job runs under `catch_unwind`; a panic
+//!   becomes a structured [`RunError::Panic`] instead of unwinding through
+//!   the worker pool, and the jobs after it run untouched.
 //! * **Watchdogs.** A [`JobGuard`] observes the run loop once per engine
 //!   iteration and trips on a cycle budget, a no-commit livelock window or
-//!   a wall-clock timeout (the budget fields of
-//!   [`ExperimentOptions`]). A batch member holds an optional guard; the
-//!   unbudgeted path holds none and pays one untaken branch per
-//!   iteration — bit-identity and the zero-allocation pin are untouched.
-//! * **Batch quarantine.** When a batch unwinds, the surviving members are
-//!   not lost: every member is re-run solo (which is bit-identical to its
-//!   batched run by the batch-equivalence invariant, DESIGN.md §13), so
-//!   only the poisoned member fails and its siblings' results are exactly
-//!   their solo baselines.
+//!   a wall-clock timeout (the budget fields of [`ExperimentOptions`]).
+//!   The guard is built when its job starts, so the wall clock counts
+//!   that job alone. The unbudgeted path holds no guard and pays one
+//!   untaken branch per iteration — bit-identity and the zero-allocation
+//!   pin are untouched.
 //! * **Bounded retry.** Transient failures (panic, wall-clock timeout) get
 //!   up to [`ExperimentOptions::retries`] extra attempts; deterministic
 //!   trips (cycle budget, livelock) reproduce identically and are never
@@ -94,8 +90,8 @@ pub struct RunKey {
     pub workload: String,
     /// Trace seed of the run.
     pub seed: u64,
-    /// Zero-based attempt number (0 = first try; retries and the solo
-    /// quarantine fallback of an unwound batch count up from there).
+    /// Zero-based attempt number (0 = first try; each retry counts up by
+    /// one).
     pub attempt: u32,
 }
 
@@ -138,11 +134,11 @@ fn current_fault_hook() -> Option<Arc<FaultHook>> {
 
 /// The per-run watchdog: budgets plus the fault-hook snapshot for one
 /// attempt. Constructed by a [`Supervisor`]; the [`BatchRunner`] calls
-/// [`JobGuard::observe`] at the top of every engine iteration of a
+/// [`JobGuard::observe`] at the top of every engine iteration of its
 /// member and bounds its event-horizon jumps by
 /// [`JobGuard::horizon_clamp`]. Observation does not allocate (the
 /// steady-state zero-allocation pin of DESIGN.md §9 covers guarded
-/// batches too).
+/// runs too).
 pub struct JobGuard {
     key: RunKey,
     cycle_budget: Option<u64>,
@@ -246,7 +242,7 @@ impl JobGuard {
 pub struct SupervisedOutcome {
     /// The run's result, or why it could not produce one.
     pub outcome: Result<(RunResult, RunPerf), RunError>,
-    /// Total attempts consumed (batch pass + retries).
+    /// Total attempts consumed (first try + retries; 0 = never started).
     pub attempts: u32,
 }
 
@@ -298,9 +294,9 @@ impl Supervisor {
 /// controller — the seam behind the serve daemon's per-job cancellation and
 /// its SIGTERM graceful drain.
 ///
-/// The worker pool checks the signal before claiming each job (and each
-/// batch): once raised, every not-yet-started run of the study fails with
-/// the carried [`RunError`] (`Cancelled` or `Shutdown`) instead of
+/// The worker pool checks the signal before starting each job, at any
+/// batch size: once raised, every not-yet-started run of the study fails
+/// with the carried [`RunError`] (`Cancelled` or `Shutdown`) instead of
 /// executing. Runs already in flight finish normally — a stop is clean at
 /// run granularity, so every result the study does produce is bit-identical
 /// to an unstopped run's, and a journaled study resumes byte-identically.
@@ -366,7 +362,7 @@ impl StopSignal {
 
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
 /// produces; anything else becomes a placeholder). Public so outer
-/// quarantine layers (the serve daemon's per-job `catch_unwind`) report
+/// isolation layers (the serve daemon's per-job `catch_unwind`) report
 /// panics the same way the per-run supervision does.
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -378,7 +374,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// [`RunPerf`] of a solo run, mirroring the pre-supervision math exactly.
+/// [`RunPerf`] of one run, measured over that run alone.
 fn perf_of(result: &RunResult, wall: Duration) -> RunPerf {
     let wall_nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
     let seconds = wall.as_secs_f64();
@@ -407,23 +403,8 @@ pub fn run_job_supervised(
     seed: u64,
     supervisor: &Supervisor,
 ) -> SupervisedOutcome {
-    run_job_from_attempt(engine, spec, profile, instructions, seed, supervisor, 0)
-}
-
-/// The retry loop behind [`run_job_supervised`], starting at
-/// `first_attempt` (the batch quarantine fallback enters at 1: the batch
-/// pass was attempt 0).
-fn run_job_from_attempt(
-    engine: Engine,
-    spec: &HierarchySpec,
-    profile: &WorkloadProfile,
-    instructions: u64,
-    seed: u64,
-    supervisor: &Supervisor,
-    first_attempt: u32,
-) -> SupervisedOutcome {
     let label = spec.label();
-    let mut attempt = first_attempt;
+    let mut attempt = 0;
     loop {
         let started = Instant::now();
         let run = catch_unwind(AssertUnwindSafe(|| {
@@ -455,9 +436,6 @@ fn run_job_from_attempt(
                 message: panic_message(payload.as_ref()),
             },
         };
-        // `retries` bounds the total extra attempts a run ever gets,
-        // counting a lost batch pass: entering at `first_attempt = 1`
-        // leaves `retries - 1` further solo attempts.
         if error.is_transient() && attempt < supervisor.retries {
             attempt += 1;
             continue;
@@ -467,134 +445,4 @@ fn run_job_from_attempt(
             attempts: attempt + 1,
         };
     }
-}
-
-/// Runs one contiguous batch under supervision.
-///
-/// The whole batch runs under one `catch_unwind`; per-member watchdog trips
-/// are clean (the member quarantines, its siblings keep stepping). When the
-/// batch itself unwinds — one member panicked mid-tick, poisoning the
-/// shared heap — every member falls back to a supervised **solo** run
-/// (attempt 1): solo results are bit-identical to batched ones
-/// (DESIGN.md §13), so the survivors' results are exactly their solo
-/// baselines and only the poisoned member (whose fault re-fires
-/// deterministically) reports a failure.
-///
-/// Per-run wall clock is unmeasurable inside a lockstep batch, so the
-/// batch's wall time is attributed to surviving members in proportion to
-/// their simulated cycles, as the unsupervised batch path always did.
-///
-/// A lone job has no siblings to quarantine: it runs exactly as
-/// [`run_job_supervised`] does.
-#[must_use]
-pub fn run_batch_supervised(
-    engine: Engine,
-    jobs: &[BatchJob<'_>],
-    supervisor: &Supervisor,
-) -> Vec<SupervisedOutcome> {
-    if let [job] = jobs {
-        return vec![run_job_supervised(
-            engine,
-            job.spec,
-            job.profile,
-            job.instructions,
-            job.seed,
-            supervisor,
-        )];
-    }
-    let started = Instant::now();
-    let batch_pass = catch_unwind(AssertUnwindSafe(|| {
-        let runner = BatchRunner::with_supervision(engine, jobs, || NoProbe, |i| {
-            supervisor.guard(&jobs[i].spec.label(), &jobs[i].profile.name, jobs[i].seed, 0)
-        })?;
-        Ok::<_, lnuca_types::ConfigError>(
-            runner
-                .run_outcomes()
-                .into_iter()
-                .map(|(outcome, _)| outcome)
-                .collect::<Vec<_>>(),
-        )
-    }));
-    let wall = started.elapsed();
-
-    let outcomes = match batch_pass {
-        // The batch unwound: quarantine. Re-run every member solo from
-        // attempt 1 (the batch pass was everyone's attempt 0).
-        Err(_payload) => {
-            return jobs
-                .iter()
-                .map(|job| {
-                    run_job_from_attempt(
-                        engine,
-                        job.spec,
-                        job.profile,
-                        job.instructions,
-                        job.seed,
-                        supervisor,
-                        1,
-                    )
-                })
-                .collect();
-        }
-        Ok(Err(config)) => {
-            return jobs
-                .iter()
-                .map(|_| SupervisedOutcome {
-                    outcome: Err(RunError::Config(config.clone())),
-                    attempts: 1,
-                })
-                .collect();
-        }
-        Ok(Ok(outcomes)) => outcomes,
-    };
-
-    let total_cycles: u64 = outcomes
-        .iter()
-        .filter_map(|o| o.as_ref().ok())
-        .map(|r| r.cycles)
-        .sum();
-    outcomes
-        .into_iter()
-        .zip(jobs)
-        .map(|(outcome, job)| match outcome {
-            Ok(result) => {
-                let share = if total_cycles == 0 {
-                    1.0 / jobs.len().max(1) as f64
-                } else {
-                    result.cycles as f64 / total_cycles as f64
-                };
-                let seconds = wall.as_secs_f64() * share;
-                let perf = RunPerf {
-                    label: result.label.clone(),
-                    workload: result.workload.clone(),
-                    wall_nanos: (wall.as_nanos() as f64 * share) as u64,
-                    cycles: result.cycles,
-                    kcycles_per_sec: if seconds > 0.0 {
-                        result.cycles as f64 / 1_000.0 / seconds
-                    } else {
-                        0.0
-                    },
-                };
-                SupervisedOutcome {
-                    outcome: Ok((result, perf)),
-                    attempts: 1,
-                }
-            }
-            // A clean member trip inside the batch: transient failures get
-            // their solo retries, deterministic trips are final.
-            Err(err) if err.is_transient() && supervisor.retries > 0 => run_job_from_attempt(
-                engine,
-                job.spec,
-                job.profile,
-                job.instructions,
-                job.seed,
-                supervisor,
-                1,
-            ),
-            Err(err) => SupervisedOutcome {
-                outcome: Err(err),
-                attempts: 1,
-            },
-        })
-        .collect()
 }

@@ -1,13 +1,14 @@
-//! Extends the zero-allocation discipline (DESIGN.md §9) to the batched
-//! engine (DESIGN.md §13): once a [`lnuca_sim::batch::BatchRunner`] is
-//! constructed — members built, horizon heap seeded —
-//! steady-state stepping must perform no heap allocation. ISSUE 6 names
-//! `crates/core/tests/zero_alloc.rs` for this case, but lnuca-core cannot
-//! depend on lnuca-sim (it sits below it in the crate DAG), so the batched
-//! case lives here beside the solo-hierarchy binary `tests/zero_alloc.rs`.
+//! Extends the zero-allocation discipline (DESIGN.md §9) to
+//! [`lnuca_sim::batch::BatchRunner`] (DESIGN.md §13): once a runner is
+//! constructed — its member built — steady-state stepping must perform no
+//! heap allocation. lnuca-core cannot depend on lnuca-sim (it sits below
+//! it in the crate DAG), so the whole-system case lives here beside the
+//! solo-hierarchy binary `tests/zero_alloc.rs`.
 //!
-//! A `cores = 2` member (the `cmp-sharing` shape) covers the CMP memory
-//! side: per-core completion queues and the MSI directory.
+//! Five shapes each get their own one-member runner: conventional, LN3,
+//! D-NUCA, LN2 + D-NUCA, and a `cores = 2` member (the `cmp-sharing`
+//! shape) that covers the CMP memory side: per-core completion queues and
+//! the MSI directory.
 //!
 //! The test binary installs a counting global allocator; it contains only
 //! this one test so the counter observes nothing but the code under test.
@@ -72,8 +73,9 @@ fn batched_steady_state_does_not_allocate() {
     ];
 
     // Budgets far beyond the stepped window: no member retires while the
-    // counter is live, so the only allocation sites the window can see are
-    // the per-cycle paths the zero-allocation rule covers.
+    // counter is live, so the only allocation sites a window can see are
+    // the per-cycle paths the zero-allocation rule covers. Every runner is
+    // built before any window is counted.
     let jobs: Vec<BatchJob<'_>> = specs
         .iter()
         .enumerate()
@@ -84,30 +86,33 @@ fn batched_steady_state_does_not_allocate() {
             seed: 11 + i as u64,
         })
         .collect();
-    let mut runner =
-        BatchRunner::new(Engine::EventHorizon, &jobs).expect("valid paper configurations");
+    let mut runners: Vec<BatchRunner> = jobs
+        .iter()
+        .map(|job| {
+            BatchRunner::new(Engine::EventHorizon, &[*job]).expect("valid paper configurations")
+        })
+        .collect();
 
-    // Warm-up: queues, MSHR waiter slots, core scoreboards, scratch
-    // buffers and the horizon heap all reach steady-state capacity.
-    for _ in 0..40_000 {
-        assert!(runner.step(), "no member may finish during warm-up");
+    for (runner, spec) in runners.iter_mut().zip(&specs) {
+        let label = spec.label();
+        // Warm-up: queues, MSHR waiter slots, core scoreboards and scratch
+        // buffers all reach steady-state capacity.
+        for _ in 0..40_000 {
+            assert!(runner.step(), "{label} may not finish during warm-up");
+        }
+
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..10_000 {
+            assert!(runner.step(), "{label} may not finish in the measured window");
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+        assert_eq!(runner.live(), 1, "{label} is still in flight");
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state stepping of {label} allocated {} times",
+            after - before
+        );
     }
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..10_000 {
-        assert!(runner.step(), "no member may finish in the measured window");
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-
-    assert_eq!(runner.live(), jobs.len(), "every member is still in flight");
-    assert!(
-        runner.clock().is_some_and(|c| c.0 > 10_000),
-        "the batch clock must have advanced through the window"
-    );
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state batched stepping allocated {} times",
-        after - before
-    );
 }

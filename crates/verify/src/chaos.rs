@@ -1,8 +1,8 @@
 //! Deterministic chaos harness for the supervised experiment engine
 //! (DESIGN.md §14).
 //!
-//! The supervision layer's claims — a panic in one batch member leaves its
-//! siblings bit-identical to their solo baselines, watchdogs trip at
+//! The supervision layer's claims — a panic in one job leaves every other
+//! job of its study bit-identical to its solo baseline, watchdogs trip at
 //! reproducible cycles, a killed study resumes to a byte-identical report —
 //! are only worth anything if something hostile exercises them. This module
 //! is that something: a declarative [`ChaosPlan`] of [`ScheduledFault`]s is
@@ -19,11 +19,12 @@
 //! to model deterministic poison.
 //!
 //! The hook is process-global, so concurrent chaos scopes would trample
-//! each other; [`ChaosPlan::with_chaos`] serialises all chaos scopes behind one mutex
-//! and guarantees the hook is disarmed again even if the scope's body
-//! panics. A supervised run outside any scope would still see a sibling
-//! scope's hook, so the unfaulted baselines of chaos tests run inside
-//! [`without_faults`], which takes the same mutex with no hook installed.
+//! each other; [`with_hook`] (behind [`ChaosPlan::with_chaos`]) serialises
+//! all chaos scopes behind one mutex and guarantees the hook is disarmed
+//! again even if the scope's body panics. A supervised run outside any
+//! scope would still see a sibling scope's hook, so the unfaulted
+//! baselines of chaos tests run inside [`without_faults`], which takes the
+//! same mutex with no hook installed.
 //!
 //! # Example
 //!
@@ -59,14 +60,15 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// What an armed [`ScheduledFault`] does when it fires.
 #[derive(Debug, Clone)]
 pub enum FaultKind {
-    /// Panic inside the guarded run loop — the hard-crash model. Under a
-    /// batch this unwinds the whole batch (poisoning its shared heap), which
-    /// is exactly the quarantine path the harness wants to exercise.
+    /// Panic inside the guarded run loop — the hard-crash model. The panic
+    /// unwinds only the job it fires in: the job's own `catch_unwind`
+    /// turns it into a [`RunError::Panic`], and the jobs after it run
+    /// untouched.
     Panic,
     /// Return this structured failure from the guard — the clean-trip model
-    /// (a member quarantines without taking its batch down). The injected
-    /// error's retry semantics follow [`RunError::is_transient`], just as a
-    /// genuine watchdog trip would.
+    /// (the job stops without unwinding). The injected error's retry
+    /// semantics follow [`RunError::is_transient`], just as a genuine
+    /// watchdog trip would.
     Trip(RunError),
 }
 
@@ -123,7 +125,7 @@ pub struct ChaosPlan {
 }
 
 /// Serialises chaos scopes: the fault hook is process-global state, so two
-/// concurrent [`ChaosPlan::with_chaos`] bodies would observe each other's faults.
+/// concurrent [`with_hook`] bodies would observe each other's faults.
 static CHAOS_SCOPE: Mutex<()> = Mutex::new(());
 
 /// Disarms the hook when a chaos scope ends — including by panic, so one
@@ -150,27 +152,44 @@ impl ChaosPlan {
         self
     }
 
-    /// Runs `body` with this plan's faults armed: takes the global chaos
-    /// scope, installs the compiled fault hook, runs `body`, and disarms
-    /// the hook again (even if `body` panics).
-    pub fn with_chaos<R>(&self, body: impl FnOnce() -> R) -> R {
-        // A previous scope whose body panicked poisoned nothing real — the
-        // lock guards no data — so recover the guard and continue.
-        let scope = CHAOS_SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
-        let _disarm = Disarm(scope);
-        let faults = self.faults.clone();
-        install_fault_hook(Arc::new(move |key: &RunKey, cycle: u64, _committed: u64| {
-            let fault = faults.iter().find(|f| f.matches(key, cycle))?;
-            match &fault.kind {
-                FaultKind::Panic => panic!(
-                    "chaos: injected panic in {}/{} (seed {}, attempt {}) at cycle {cycle}",
-                    key.label, key.workload, key.seed, key.attempt
-                ),
-                FaultKind::Trip(error) => Some(error.clone()),
-            }
-        }));
-        body()
+    /// Fires the first fault matching `key` at `cycle`: panics for a
+    /// [`FaultKind::Panic`], returns the error of a [`FaultKind::Trip`],
+    /// and returns `None` when no fault matches. This is the hook
+    /// [`ChaosPlan::with_chaos`] installs; a test hook that also observes
+    /// runs delegates to it.
+    pub fn fire(&self, key: &RunKey, cycle: u64) -> Option<RunError> {
+        let fault = self.faults.iter().find(|f| f.matches(key, cycle))?;
+        match &fault.kind {
+            FaultKind::Panic => panic!(
+                "chaos: injected panic in {}/{} (seed {}, attempt {}) at cycle {cycle}",
+                key.label, key.workload, key.seed, key.attempt
+            ),
+            FaultKind::Trip(error) => Some(error.clone()),
+        }
     }
+
+    /// Runs `body` with this plan's faults armed (see [`with_hook`]).
+    pub fn with_chaos<R>(&self, body: impl FnOnce() -> R) -> R {
+        let plan = self.clone();
+        with_hook(move |key, cycle, _committed| plan.fire(key, cycle), body)
+    }
+}
+
+/// Runs `body` with `hook` as the process-global fault hook: takes the
+/// global chaos scope, installs the hook, runs `body`, and disarms the hook
+/// again (even if `body` panics). [`ChaosPlan::with_chaos`] installs a
+/// plan's faults this way; a test installs its own hook to observe every
+/// guarded run or to act on a study from inside one of its jobs.
+pub fn with_hook<R>(
+    hook: impl Fn(&RunKey, u64, u64) -> Option<RunError> + Send + Sync + 'static,
+    body: impl FnOnce() -> R,
+) -> R {
+    // A previous scope whose body panicked poisoned nothing real — the
+    // lock guards no data — so recover the guard and continue.
+    let scope = CHAOS_SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = Disarm(scope);
+    install_fault_hook(Arc::new(hook));
+    body()
 }
 
 /// Convenience: [`ChaosPlan::with_chaos`] with a single fault.
@@ -179,7 +198,7 @@ pub fn with_fault<R>(fault: ScheduledFault, body: impl FnOnce() -> R) -> R {
 }
 
 /// Runs `body` with no fault hook installed: takes the global chaos scope
-/// (so no [`ChaosPlan::with_chaos`] body runs concurrently) and runs `body`
+/// (so no [`with_hook`] body runs concurrently) and runs `body`
 /// unguarded by any fault. Chaos tests run their unfaulted baselines here,
 /// so a sibling test's faults cannot leak into them.
 pub fn without_faults<R>(body: impl FnOnce() -> R) -> R {

@@ -26,8 +26,8 @@
 //! * [`mod@chaos`] — the deterministic fault-injection harness
 //!   (DESIGN.md §14): [`chaos::ChaosPlan`] schedules panics and watchdog
 //!   trips at exact cycles of exact runs through the supervision layer's
-//!   fault hook, pinning quarantine, bounded retry and checkpoint/resume
-//!   behaviour without any timing dependence.
+//!   fault hook, pinning per-job isolation, bounded retry, stop and
+//!   checkpoint/resume behaviour without any timing dependence.
 //! * [`mod@batch`] — the batch-equivalence layer (DESIGN.md §13):
 //!   [`batch::SequentialBaseline`] verifies every case through the oracle
 //!   once, then [`batch::SequentialBaseline::check_batched`] pins a

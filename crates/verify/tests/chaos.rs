@@ -3,23 +3,28 @@
 //!
 //! Every test schedules faults at exact cycles of exact runs through
 //! [`lnuca_verify::chaos`] and asserts the supervision layer's contracts:
-//! batch quarantine leaves survivors bit-identical to their solo baselines,
-//! watchdog trips reproduce identically across engines and are never
-//! retried, transient faults are retried to bit-identical results, and a
-//! torn study journal resumes to a byte-identical report.
+//! a poisoned job fails alone while every other job of a full-width batch
+//! matches its solo baseline on its first attempt, watchdog trips
+//! reproduce identically across engines and batch widths and are never
+//! retried, transient faults are retried to bit-identical results, a stop
+//! raised mid-batch takes effect at the next job, and a torn study journal
+//! resumes to a byte-identical report.
 //! `LNUCA_VERIFY_INSTRUCTIONS` scales the per-run instruction budget
 //! (default 1 500), matching the differential matrix.
 
-use lnuca_sim::batch::BatchJob;
 use lnuca_sim::configs::{self, HierarchyKind};
-use lnuca_sim::experiments::{ExperimentOptions, ExperimentPlan, Study};
+use lnuca_sim::experiments::{ExperimentOptions, ExperimentPlan, Study, WorkloadSelection};
 use lnuca_sim::scenario::report_value;
 use lnuca_sim::spec::HierarchySpec;
-use lnuca_sim::supervise::{run_batch_supervised, run_job_supervised, Supervisor};
+use lnuca_sim::supervise::{run_job_supervised, RunKey, StopSignal, Supervisor};
 use lnuca_sim::system::{Engine, System};
 use lnuca_types::RunError;
-use lnuca_verify::chaos::{with_fault, without_faults, ChaosPlan, FaultKind, ScheduledFault};
+use lnuca_verify::chaos::{
+    with_fault, with_hook, without_faults, ChaosPlan, FaultKind, ScheduledFault,
+};
 use lnuca_workloads::suites;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn instructions() -> u64 {
     std::env::var("LNUCA_VERIFY_INSTRUCTIONS")
@@ -38,68 +43,92 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     path
 }
 
-/// A panic injected into one member of a batch unwinds the whole batch;
-/// quarantine must re-run the survivors solo and hand back results
-/// bit-identical to their solo baselines, with only the poisoned member
-/// reporting a structured failure.
+/// A one-configuration plan over `workloads`, all in one full-width batch
+/// on one worker. The base seed is 0, so workload `i` runs at seed `i`.
+fn full_batch_plan(name: &str, workloads: &[&str], mut options: ExperimentOptions) -> ExperimentPlan {
+    options.instructions = instructions();
+    options.seed = 0;
+    options.threads = 1;
+    options.batch_size = usize::MAX;
+    options.workloads =
+        WorkloadSelection::Named(workloads.iter().map(|w| (*w).to_owned()).collect());
+    ExperimentPlan::builder(name)
+        .config(fabric_spec())
+        .options(options)
+        .build()
+        .expect("plan is valid")
+}
+
+/// Runs `body` under `plan`'s faults and returns, beside its value, the
+/// highest attempt number each workload's guard was observed at.
+fn with_recorded_chaos<R>(plan: ChaosPlan, body: impl FnOnce() -> R) -> (R, BTreeMap<String, u32>) {
+    let attempts = Arc::new(Mutex::new(BTreeMap::new()));
+    let seen = Arc::clone(&attempts);
+    let value = with_hook(
+        move |key: &RunKey, cycle, _committed| {
+            {
+                let mut seen = seen.lock().unwrap_or_else(PoisonError::into_inner);
+                let max = seen.entry(key.workload.clone()).or_insert(0);
+                *max = key.attempt.max(*max);
+            }
+            plan.fire(key, cycle)
+        },
+        body,
+    );
+    let attempts = attempts.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    (value, attempts)
+}
+
+/// A panic injected into one job of a full-width batch fails that job
+/// alone: every other job runs to a result bit-identical to its solo
+/// baseline on its first and only attempt.
 #[test]
-fn batch_panic_quarantines_only_the_poisoned_member() {
-    let instructions = instructions();
-    let spec = fabric_spec();
+fn panic_in_a_full_batch_fails_only_the_poisoned_job() {
     let profiles = suites::spec_int_like();
     assert!(profiles.len() >= 3, "need at least 3 workloads");
-    let jobs: Vec<BatchJob<'_>> = profiles[..3]
-        .iter()
-        .map(|profile| BatchJob {
-            spec: &spec,
-            profile,
-            instructions,
-            seed: 1,
-        })
-        .collect();
-    let poisoned = &profiles[1].name;
+    let names: Vec<&str> = profiles[..3].iter().map(|p| p.name.as_str()).collect();
+    let plan = full_batch_plan("chaos-panic", &names, ExperimentOptions::default());
+    let poisoned = names[1];
 
-    // Solo baselines, unsupervised: what every member must equal.
-    let baselines: Vec<_> = jobs
+    // Solo baselines, unsupervised: what every other job must equal.
+    let spec = fabric_spec();
+    let baselines: Vec<_> = profiles[..3]
         .iter()
-        .map(|job| {
-            System::run_spec_with(Engine::EventHorizon, job.spec, job.profile, instructions, 1)
+        .zip(0..)
+        .map(|(profile, seed)| {
+            System::run_spec_with(Engine::EventHorizon, &spec, profile, instructions(), seed)
                 .expect("baseline runs")
         })
         .collect();
 
-    let supervisor = Supervisor::from_options(&ExperimentOptions::default());
-    let outcomes = with_fault(
-        ScheduledFault {
-            workload: Some(poisoned.clone()),
+    let (study, attempts) = with_recorded_chaos(
+        ChaosPlan::new().fault(ScheduledFault {
+            workload: Some(poisoned.to_owned()),
             at_cycle: 40,
             ..ScheduledFault::any()
-        },
-        || run_batch_supervised(Engine::EventHorizon, &jobs, &supervisor),
+        }),
+        || Study::run(&plan).expect("the study completes"),
     );
 
-    assert_eq!(outcomes.len(), jobs.len());
-    for (i, (outcome, baseline)) in outcomes.iter().zip(&baselines).enumerate() {
-        if &profiles[i].name == poisoned {
-            // Batch pass (attempt 0) + the default single retry (attempt 1),
-            // both poisoned: the failure is final and structured.
-            let err = outcome.outcome.as_ref().expect_err("poisoned member fails");
-            assert_eq!(err.status(), "panic");
-            assert!(matches!(err, RunError::Panic { .. }), "got {err:?}");
-            assert_eq!(outcome.attempts, 2);
-        } else {
-            let (result, _) = outcome.outcome.as_ref().expect("survivor succeeds");
-            assert_eq!(result, baseline, "survivor {i} drifted from its solo baseline");
-            // One lost batch pass, one clean solo re-run.
-            assert_eq!(outcome.attempts, 2);
-        }
+    // Attempt 0 plus the default single retry, both poisoned: the failure
+    // is final and structured.
+    assert_eq!(study.failures.len(), 1, "exactly the poisoned job fails");
+    let failure = &study.failures[0];
+    assert_eq!(failure.workload, poisoned);
+    assert!(matches!(failure.error, RunError::Panic { .. }), "got {:?}", failure.error);
+    assert_eq!(failure.attempts, 2);
+
+    let healthy: Vec<_> = baselines.iter().filter(|r| r.workload != poisoned).collect();
+    assert_eq!(study.results.iter().collect::<Vec<_>>(), healthy);
+    for name in names.iter().filter(|&&n| n != poisoned) {
+        assert_eq!(attempts.get(*name), Some(&0), "{name} needed more than one attempt");
     }
 }
 
 /// Cycle-budget and livelock trips are deterministic: identical structured
 /// errors from both engines (the horizon clamp guarantees the jumping
 /// engine cannot skip the trip cycle), identical whether the job runs solo
-/// or as a member of a batch, and never retried.
+/// or inside a full-width batch of a study, and never retried.
 #[test]
 fn watchdog_trips_are_deterministic_across_engines_and_never_retried() {
     let spec = fabric_spec();
@@ -129,23 +158,23 @@ fn watchdog_trips_are_deterministic_across_engines_and_never_retried() {
                 // ever spent on them, even with retries budgeted.
                 assert_eq!(outcome.attempts, 1);
 
-                // The same job as member 1 of a 3-member batch trips with
-                // the same error: the batch clamps its horizon exactly as
-                // the solo run does.
-                let jobs: Vec<BatchJob<'_>> = [&siblings[0], &profile, &siblings[1]]
-                    .into_iter()
-                    .map(|profile| BatchJob {
-                        spec: &spec,
-                        profile,
-                        instructions: instructions(),
-                        seed: 1,
-                    })
-                    .collect();
-                let batched = without_faults(|| run_batch_supervised(engine, &jobs, &supervisor));
-                let member = &batched[1];
+                // The same job as job 1 of a 3-job full-width batch (so at
+                // seed 1) trips with the same error.
+                let mut batch_options = options.clone();
+                batch_options.engine = engine;
+                let plan = full_batch_plan(
+                    "chaos-trip",
+                    &[&siblings[0].name, &profile.name, &siblings[1].name],
+                    batch_options,
+                );
+                let batched = without_faults(|| Study::run(&plan)).expect("the study completes");
+                let member = batched
+                    .failures
+                    .iter()
+                    .find(|f| f.workload == profile.name)
+                    .expect("batched watchdog trips");
                 assert_eq!(
-                    member.outcome.as_ref().expect_err("batched watchdog trips"),
-                    &err,
+                    member.error, err,
                     "{status} trip differs between solo and batched runs under {engine:?}"
                 );
                 assert_eq!(member.attempts, 1);
@@ -207,44 +236,69 @@ fn transient_panic_is_retried_to_a_bit_identical_result() {
 }
 
 /// An injected clean trip (the fault returns a structured error instead of
-/// panicking) quarantines exactly one batch member without unwinding the
-/// batch: siblings finish their batched pass on attempt 0.
+/// panicking) fails exactly one job of a full-width batch, on its first
+/// attempt: every other job succeeds on its first attempt too.
 #[test]
-fn injected_trip_quarantines_without_unwinding_the_batch() {
-    let instructions = instructions();
-    let spec = fabric_spec();
+fn injected_trip_fails_one_job_of_a_full_batch() {
     let profiles = suites::spec_int_like();
-    let jobs: Vec<BatchJob<'_>> = profiles[..3]
-        .iter()
-        .map(|profile| BatchJob {
-            spec: &spec,
-            profile,
-            instructions,
-            seed: 1,
-        })
-        .collect();
-
-    let supervisor = Supervisor::from_options(&ExperimentOptions::default());
-    let tripped = &profiles[2].name;
-    let outcomes = with_fault(
-        ScheduledFault {
-            workload: Some(tripped.clone()),
+    let names: Vec<&str> = profiles[..3].iter().map(|p| p.name.as_str()).collect();
+    let plan = full_batch_plan("chaos-injected-trip", &names, ExperimentOptions::default());
+    let tripped = names[2];
+    let (study, attempts) = with_recorded_chaos(
+        ChaosPlan::new().fault(ScheduledFault {
+            workload: Some(tripped.to_owned()),
             at_cycle: 10,
             kind: FaultKind::Trip(RunError::CycleBudgetExceeded { budget: 10, at_cycle: 10 }),
             ..ScheduledFault::any()
-        },
-        || run_batch_supervised(Engine::EventHorizon, &jobs, &supervisor),
+        }),
+        || Study::run(&plan).expect("the study completes"),
     );
-    for (i, outcome) in outcomes.iter().enumerate() {
-        if &profiles[i].name == tripped {
-            let err = outcome.outcome.as_ref().expect_err("tripped member fails");
-            assert_eq!(err.status(), "cycle-budget");
-            assert_eq!(outcome.attempts, 1, "deterministic trip is never retried");
-        } else {
-            assert!(outcome.outcome.is_ok(), "sibling {i} must survive in-batch");
-            assert_eq!(outcome.attempts, 1, "siblings keep their batched pass");
-        }
+    assert_eq!(study.failures.len(), 1, "exactly the tripped job fails");
+    let failure = &study.failures[0];
+    assert_eq!(failure.workload, tripped);
+    assert_eq!(failure.error.status(), "cycle-budget");
+    assert_eq!(failure.attempts, 1, "deterministic trip is never retried");
+    assert_eq!(study.results.len(), 2);
+    for name in &names {
+        assert_eq!(attempts.get(*name), Some(&0), "{name} needed more than one attempt");
     }
+}
+
+/// A stop raised from inside the first job of a full-width batch takes
+/// effect at the next job: job 0 finishes and is journaled at once, and
+/// every later job reports the stop without being simulated.
+#[test]
+fn stop_raised_in_the_first_job_of_a_full_batch_cancels_the_rest() {
+    let profiles = suites::spec_int_like();
+    let names: Vec<&str> = profiles[..4].iter().map(|p| p.name.as_str()).collect();
+    let plan = full_batch_plan("chaos-stop", &names, ExperimentOptions::default());
+    let first = names[0].to_owned();
+    let path = temp_path("stop");
+    let stop = StopSignal::new();
+    let raise = stop.clone();
+    let study = with_hook(
+        move |key: &RunKey, _cycle, _committed| {
+            if key.workload == first {
+                raise.cancel();
+            }
+            None
+        },
+        || Study::run_controlled(&plan, Some(&path), false, &stop),
+    )
+    .expect("the stopped study completes");
+
+    assert_eq!(study.results.len(), 1, "job 0 was already running and finishes");
+    assert_eq!(study.results[0].workload, names[0]);
+    assert_eq!(study.failures.len(), names.len() - 1);
+    for failure in &study.failures {
+        assert_eq!(failure.error, RunError::Cancelled, "{}", failure.workload);
+        assert_eq!(failure.attempts, 0, "{} was simulated after the stop", failure.workload);
+    }
+    let journal = std::fs::read_to_string(&path).expect("journal readable");
+    let records: Vec<&str> = journal.lines().skip(1).collect();
+    assert_eq!(records.len(), 1, "only job 0 is journaled");
+    assert!(records[0].starts_with("{\"job\":0,"), "got {}", records[0]);
+    std::fs::remove_file(&path).ok();
 }
 
 /// A whole study with one deterministically poisoned workload, fanned over

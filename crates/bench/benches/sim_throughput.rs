@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lnuca_core::{LNuca, LNucaConfig};
-use lnuca_sim::configs::{self, HierarchyKind};
+use lnuca_sim::spec::HierarchySpec;
 use lnuca_sim::system::System;
 use lnuca_types::{Addr, Cycle, ReqId};
 use lnuca_workloads::suites;
@@ -62,28 +62,28 @@ fn bench_fabric_tick(c: &mut Criterion) {
 
 fn bench_full_system(c: &mut Criterion) {
     let profile = suites::spec_int_like()[0].clone();
-    let kinds = [
-        ("conventional", HierarchyKind::Conventional(configs::conventional())),
-        ("lnuca3_l3", HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3))),
-        ("dnuca", HierarchyKind::DNuca(configs::dnuca_hierarchy())),
-        ("lnuca2_dnuca", HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2))),
+    let specs = [
+        ("conventional", HierarchySpec::conventional()),
+        ("lnuca3_l3", HierarchySpec::lnuca_l3(3).unwrap()),
+        ("dnuca", HierarchySpec::dnuca()),
+        ("lnuca2_dnuca", HierarchySpec::lnuca_dnuca(2).unwrap()),
     ];
     let mut group = c.benchmark_group("full_system_10k_instructions");
     group.sample_size(10);
-    for (name, kind) in &kinds {
+    for (name, spec) in &specs {
         group.bench_function(*name, |b| {
             b.iter(|| {
                 let result =
-                    System::run_workload(kind, &profile, 10_000, 1).expect("valid configuration");
+                    System::run_spec(spec, &profile, 10_000, 1).expect("valid configuration");
                 black_box(result.cycles)
             });
         });
     }
     group.finish();
 
-    for (name, kind) in &kinds {
+    for (name, spec) in &specs {
         let started = Instant::now();
-        let result = System::run_workload(kind, &profile, 10_000, 1).expect("valid configuration");
+        let result = System::run_spec(spec, &profile, 10_000, 1).expect("valid configuration");
         let secs = started.elapsed().as_secs_f64();
         eprintln!(
             "throughput full_system/{name}: {:.0} kcycles/s ({} cycles simulated)",
@@ -99,7 +99,7 @@ fn bench_full_system(c: &mut Criterion) {
 /// DRAM turnaround, phase switching churns the event horizons), so their
 /// throughput is tracked as its own bench axis.
 fn bench_adversarial_patterns(c: &mut Criterion) {
-    let kind = HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3));
+    let spec = HierarchySpec::lnuca_l3(3).unwrap();
     let mut group = c.benchmark_group("adversarial_10k_instructions");
     group.sample_size(10);
     for profile in suites::adversarial() {
@@ -108,7 +108,7 @@ fn bench_adversarial_patterns(c: &mut Criterion) {
             &profile,
             |b, profile| {
                 b.iter(|| {
-                    let result = System::run_workload(&kind, profile, 10_000, 1)
+                    let result = System::run_spec(&spec, profile, 10_000, 1)
                         .expect("valid configuration");
                     black_box(result.cycles)
                 });

@@ -428,14 +428,13 @@ fn retire<P: ProbeSink>(member: &mut Member<P>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs::{self, HierarchyKind};
     use lnuca_workloads::suites;
 
     fn paper_specs() -> Vec<HierarchySpec> {
         vec![
-            HierarchyKind::Conventional(configs::conventional()).to_spec(),
-            HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec(),
-            HierarchyKind::DNuca(configs::dnuca_hierarchy()).to_spec(),
+            HierarchySpec::conventional(),
+            HierarchySpec::lnuca_l3(2).unwrap(),
+            HierarchySpec::dnuca(),
         ]
     }
 

@@ -1,8 +1,7 @@
-//! The four cache hierarchies evaluated in the paper (Fig. 1), with the
-//! Table I parameters as defaults.
+//! The Table I component parameters: the paper's L1, L2, L3 and DRAM, and
+//! the MSHR, write-buffer and bus constants. The four hierarchies built
+//! from them (Fig. 1) are the [`crate::spec::HierarchySpec`] presets.
 
-use lnuca_core::LNucaConfig;
-use lnuca_dnuca::DNucaConfig;
 use lnuca_mem::{AccessMode, CacheConfig, MemoryConfig, WritePolicy};
 
 /// Number of MSHR entries in front of the L1 / root tile (Table I).
@@ -90,152 +89,6 @@ pub fn paper_memory() -> MemoryConfig {
     MemoryConfig::default()
 }
 
-/// Configuration of the conventional three-level hierarchy (Fig. 1(a)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConventionalConfig {
-    /// First-level cache.
-    pub l1: CacheConfig,
-    /// Second-level cache.
-    pub l2: CacheConfig,
-    /// Third-level cache.
-    pub l3: CacheConfig,
-    /// Main memory.
-    pub memory: MemoryConfig,
-}
-
-/// Configuration of the L-NUCA + L3 hierarchy (Fig. 1(b)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LNucaL3Config {
-    /// Root tile (L1).
-    pub l1: CacheConfig,
-    /// The L-NUCA fabric.
-    pub lnuca: LNucaConfig,
-    /// Third-level cache behind the fabric.
-    pub l3: CacheConfig,
-    /// Main memory.
-    pub memory: MemoryConfig,
-}
-
-/// Configuration of the L1 + D-NUCA hierarchy (Fig. 1(c)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DNucaOnlyConfig {
-    /// First-level cache.
-    pub l1: CacheConfig,
-    /// The D-NUCA secondary cache.
-    pub dnuca: DNucaConfig,
-    /// Main memory.
-    pub memory: MemoryConfig,
-}
-
-/// Configuration of the L-NUCA + D-NUCA hierarchy (Fig. 1(d)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LNucaDNucaConfig {
-    /// Root tile (L1).
-    pub l1: CacheConfig,
-    /// The L-NUCA fabric.
-    pub lnuca: LNucaConfig,
-    /// The D-NUCA behind the fabric.
-    pub dnuca: DNucaConfig,
-    /// Main memory.
-    pub memory: MemoryConfig,
-}
-
-/// One of the four hierarchies under study, ready to be instantiated by
-/// [`crate::system::System`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum HierarchyKind {
-    /// Conventional L1 + L2 + L3 (the Fig. 4 baseline, `L2-256KB`).
-    Conventional(ConventionalConfig),
-    /// L1 (root tile) + L-NUCA + L3 (`LN2/LN3/LN4`).
-    LNucaL3(LNucaL3Config),
-    /// L1 + D-NUCA (the Fig. 5 baseline, `DN-4x8`).
-    DNuca(DNucaOnlyConfig),
-    /// L1 (root tile) + L-NUCA + D-NUCA (`LNx + DN-4x8`).
-    LNucaDNuca(LNucaDNucaConfig),
-}
-
-impl HierarchyKind {
-    /// Short configuration name matching the paper's figures
-    /// (`L2-256KB`, `LN3-144KB`, `DN-4x8`, `LN2 + DN-4x8`, ...).
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            HierarchyKind::Conventional(c) => {
-                format!("L2-{}KB", c.l2.size_bytes / 1024)
-            }
-            HierarchyKind::LNucaL3(c) => {
-                let tiles = lnuca_core::LNucaGeometry::new(c.lnuca.levels)
-                    .map(|g| g.capacity_bytes(c.lnuca.tile_size_bytes))
-                    .unwrap_or(0);
-                format!(
-                    "LN{}-{}KB",
-                    c.lnuca.levels,
-                    (tiles + c.l1.size_bytes) / 1024
-                )
-            }
-            HierarchyKind::DNuca(c) => {
-                format!("DN-{}x{}", c.dnuca.rows, c.dnuca.cols)
-            }
-            HierarchyKind::LNucaDNuca(c) => {
-                format!("LN{} + DN-{}x{}", c.lnuca.levels, c.dnuca.rows, c.dnuca.cols)
-            }
-        }
-    }
-}
-
-/// The paper's conventional baseline (`L2-256KB`).
-#[must_use]
-pub fn conventional() -> ConventionalConfig {
-    ConventionalConfig {
-        l1: paper_l1(),
-        l2: paper_l2(),
-        l3: paper_l3(),
-        memory: paper_memory(),
-    }
-}
-
-/// The paper's L-NUCA + L3 hierarchy with the given number of levels
-/// (2, 3 or 4 in the evaluation).
-///
-/// # Panics
-///
-/// Panics if `levels` is outside the supported 2..=8 range.
-#[must_use]
-pub fn lnuca_hierarchy(levels: u8) -> LNucaL3Config {
-    LNucaL3Config {
-        l1: paper_l1(),
-        lnuca: LNucaConfig::paper(levels).expect("levels validated by the caller"),
-        l3: paper_l3(),
-        memory: paper_memory(),
-    }
-}
-
-/// The paper's D-NUCA baseline (`DN-4x8`).
-#[must_use]
-pub fn dnuca_hierarchy() -> DNucaOnlyConfig {
-    DNucaOnlyConfig {
-        l1: paper_l1(),
-        dnuca: DNucaConfig::paper(),
-        memory: paper_memory(),
-    }
-}
-
-/// The paper's L-NUCA + D-NUCA hierarchy with the given number of L-NUCA
-/// levels.
-///
-/// # Panics
-///
-/// Panics if `levels` is outside the supported 2..=8 range.
-#[must_use]
-pub fn lnuca_dnuca_hierarchy(levels: u8) -> LNucaDNucaConfig {
-    LNucaDNucaConfig {
-        l1: paper_l1(),
-        lnuca: LNucaConfig::paper(levels).expect("levels validated by the caller"),
-        dnuca: DNucaConfig::paper(),
-        memory: paper_memory(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,15 +110,13 @@ mod tests {
 
     #[test]
     fn hierarchy_labels_match_the_figures() {
-        assert_eq!(HierarchyKind::Conventional(conventional()).label(), "L2-256KB");
-        assert_eq!(HierarchyKind::LNucaL3(lnuca_hierarchy(2)).label(), "LN2-72KB");
-        assert_eq!(HierarchyKind::LNucaL3(lnuca_hierarchy(3)).label(), "LN3-144KB");
-        assert_eq!(HierarchyKind::LNucaL3(lnuca_hierarchy(4)).label(), "LN4-248KB");
-        assert_eq!(HierarchyKind::DNuca(dnuca_hierarchy()).label(), "DN-4x8");
-        assert_eq!(
-            HierarchyKind::LNucaDNuca(lnuca_dnuca_hierarchy(2)).label(),
-            "LN2 + DN-4x8"
-        );
+        use crate::spec::HierarchySpec;
+        assert_eq!(HierarchySpec::conventional().label(), "L2-256KB");
+        assert_eq!(HierarchySpec::lnuca_l3(2).unwrap().label(), "LN2-72KB");
+        assert_eq!(HierarchySpec::lnuca_l3(3).unwrap().label(), "LN3-144KB");
+        assert_eq!(HierarchySpec::lnuca_l3(4).unwrap().label(), "LN4-248KB");
+        assert_eq!(HierarchySpec::dnuca().label(), "DN-4x8");
+        assert_eq!(HierarchySpec::lnuca_dnuca(2).unwrap().label(), "LN2 + DN-4x8");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! [`RunResult`]s, so the expensive simulations are never repeated.
 //! Table II (area) needs no simulation and is computed from the area model.
 
-use crate::configs::{self, HierarchyKind};
 use crate::energy_model;
 use crate::journal::{self, JournalWriter};
 use crate::spec::HierarchySpec;
@@ -97,7 +96,7 @@ pub struct ExperimentOptions {
     /// Time-stepping engine for every run. Like `threads`, this changes
     /// only the wall clock: both engines are bit-identical in results
     /// (`tests/event_horizon_determinism.rs`), so summaries never depend on
-    /// it. Recorded in the `lnuca-bench-baseline/v2` perf baseline.
+    /// it. Recorded in the `lnuca-bench-baseline/v3` perf baseline.
     pub engine: Engine,
     /// Consecutive jobs a worker claims at a time (DESIGN.md §13): the job
     /// matrix is cut into contiguous chunks of this size, and the worker
@@ -370,16 +369,9 @@ impl ExperimentPlan {
     ///
     /// Returns a [`ConfigError`] if a level count is out of range.
     pub fn paper_conventional(options: &ExperimentOptions) -> Result<Self, ConfigError> {
-        let mut builder = Self::builder("paper-conventional")
-            .config(HierarchyKind::Conventional(configs::conventional()).to_spec());
+        let mut builder = Self::builder("paper-conventional").config(HierarchySpec::conventional());
         for &levels in &options.lnuca_levels {
-            let config = lnuca_core::LNucaConfig::paper(levels)?;
-            builder = builder.config(
-                HierarchySpec::builder()
-                    .fabric(config)
-                    .backing_cache(configs::paper_l3())
-                    .build()?,
-            );
+            builder = builder.config(HierarchySpec::lnuca_l3(levels)?);
         }
         builder.options(options.clone()).build()
     }
@@ -392,16 +384,9 @@ impl ExperimentPlan {
     ///
     /// Returns a [`ConfigError`] if a level count is out of range.
     pub fn paper_dnuca(options: &ExperimentOptions) -> Result<Self, ConfigError> {
-        let mut builder = Self::builder("paper-dnuca")
-            .config(HierarchyKind::DNuca(configs::dnuca_hierarchy()).to_spec());
+        let mut builder = Self::builder("paper-dnuca").config(HierarchySpec::dnuca());
         for &levels in &options.lnuca_levels {
-            let config = lnuca_core::LNucaConfig::paper(levels)?;
-            builder = builder.config(
-                HierarchySpec::builder()
-                    .fabric(config)
-                    .backing_dnuca(lnuca_dnuca::DNucaConfig::paper())
-                    .build()?,
-            );
+            builder = builder.config(HierarchySpec::lnuca_dnuca(levels)?);
         }
         builder.options(options.clone()).build()
     }
@@ -1221,7 +1206,7 @@ mod tests {
 
     #[test]
     fn zero_knobs_are_rejected_at_plan_validation() {
-        let spec = HierarchyKind::Conventional(configs::conventional()).to_spec();
+        let spec = HierarchySpec::conventional();
         let mut opts = ExperimentOptions::quick();
         opts.batch_size = 0;
         let err = ExperimentPlan::builder("zero-batch")
@@ -1281,12 +1266,11 @@ mod tests {
 
     #[test]
     fn full_batch_wall_clock_timeout_times_each_job_alone() {
-        use crate::configs::{self, HierarchyKind};
-        // Many equal jobs (one workload, one seed per repetition) in one
+                // Many equal jobs (one workload, one seed per repetition) in one
         // full-width chunk on one worker.
         let plan = |options: ExperimentOptions| {
             ExperimentPlan::builder("timeout-per-job")
-                .config(HierarchyKind::Conventional(configs::conventional()).to_spec())
+                .config(HierarchySpec::conventional())
                 .options(options)
                 .build()
                 .unwrap()

@@ -1,7 +1,7 @@
 //! The hierarchies with a conventional L1 in front: the 3-level baseline
 //! (Fig. 1(a)) and L1 + D-NUCA (Fig. 1(c)).
 
-use crate::configs::{self, ConventionalConfig, DNucaOnlyConfig, HierarchyKind};
+use crate::configs;
 use crate::hierarchy::{HierarchyStats, OuterLevel};
 use crate::spec::HierarchySpec;
 use lnuca_cpu::{CompletionQueue, DataMemory};
@@ -57,26 +57,6 @@ pub struct ClassicHierarchy<P: ProbeSink = NoProbe> {
 }
 
 impl ClassicHierarchy {
-    /// Builds the conventional three-level hierarchy (`L2-256KB` baseline)
-    /// without instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn conventional(config: &ConventionalConfig) -> Result<Self, ConfigError> {
-        Self::conventional_probed(config, NoProbe)
-    }
-
-    /// Builds the L1 + D-NUCA hierarchy (`DN-4x8` baseline) without
-    /// instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn dnuca(config: &DNucaOnlyConfig) -> Result<Self, ConfigError> {
-        Self::dnuca_probed(config, NoProbe)
-    }
-
     /// Builds the fabric-less hierarchy described by `spec` without
     /// instrumentation.
     ///
@@ -90,28 +70,6 @@ impl ClassicHierarchy {
 }
 
 impl<P: ProbeSink> ClassicHierarchy<P> {
-    /// Builds the conventional three-level hierarchy reporting functional
-    /// transitions to `probe` (a thin wrapper lowering the paper config to
-    /// its [`HierarchySpec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn conventional_probed(config: &ConventionalConfig, probe: P) -> Result<Self, ConfigError> {
-        Self::from_spec_probed(&HierarchyKind::Conventional(config.clone()).to_spec(), probe)
-    }
-
-    /// Builds the L1 + D-NUCA hierarchy reporting functional transitions to
-    /// `probe` (a thin wrapper lowering the paper config to its
-    /// [`HierarchySpec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn dnuca_probed(config: &DNucaOnlyConfig, probe: P) -> Result<Self, ConfigError> {
-        Self::from_spec_probed(&HierarchyKind::DNuca(config.clone()).to_spec(), probe)
-    }
-
     /// Builds the fabric-less hierarchy described by `spec`, reporting
     /// functional transitions to `probe`: the root cache in front of the
     /// spec's intermediate chain and backing store.
@@ -368,7 +326,7 @@ mod tests {
     use lnuca_types::ReqId;
 
     fn conventional() -> ClassicHierarchy {
-        ClassicHierarchy::conventional(&configs::conventional()).unwrap()
+        ClassicHierarchy::from_spec(&HierarchySpec::conventional()).unwrap()
     }
 
     fn read(id: u64, addr: u64, at: u64) -> MemRequest {
@@ -462,7 +420,7 @@ mod tests {
 
     #[test]
     fn dnuca_variant_attributes_hits_to_rows() {
-        let mut h = ClassicHierarchy::dnuca(&configs::dnuca_hierarchy()).unwrap();
+        let mut h = ClassicHierarchy::from_spec(&HierarchySpec::dnuca()).unwrap();
         assert!(h.issue(read(1, 0x7_0000, 0), Cycle(0)));
         let first = wait_for(&mut h, 1);
         assert_eq!(first.served_by, ServiceLevel::Memory);

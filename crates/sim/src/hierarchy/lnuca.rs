@@ -1,7 +1,7 @@
 //! The hierarchies with an L-NUCA fabric behind the root tile:
 //! L-NUCA + L3 (Fig. 1(b)) and L-NUCA + D-NUCA (Fig. 1(d)).
 
-use crate::configs::{self, HierarchyKind, LNucaDNucaConfig, LNucaL3Config};
+use crate::configs;
 use crate::hierarchy::{HierarchyStats, OuterLevel};
 use crate::spec::HierarchySpec;
 use lnuca_core::LNuca;
@@ -71,26 +71,6 @@ pub struct LNucaHierarchy<P: ProbeSink = NoProbe> {
 }
 
 impl LNucaHierarchy {
-    /// Builds the L-NUCA + L3 hierarchy (`LNx` configurations of Fig. 4)
-    /// without instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn with_l3(config: &LNucaL3Config) -> Result<Self, ConfigError> {
-        Self::with_l3_probed(config, NoProbe)
-    }
-
-    /// Builds the L-NUCA + D-NUCA hierarchy (`LNx + DN-4x8` of Fig. 5)
-    /// without instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn with_dnuca(config: &LNucaDNucaConfig) -> Result<Self, ConfigError> {
-        Self::with_dnuca_probed(config, NoProbe)
-    }
-
     /// Builds the fabric hierarchy described by `spec` without
     /// instrumentation.
     ///
@@ -104,28 +84,6 @@ impl LNucaHierarchy {
 }
 
 impl<P: ProbeSink> LNucaHierarchy<P> {
-    /// Builds the L-NUCA + L3 hierarchy reporting functional transitions to
-    /// `probe` (a thin wrapper lowering the paper config to its
-    /// [`HierarchySpec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn with_l3_probed(config: &LNucaL3Config, probe: P) -> Result<Self, ConfigError> {
-        Self::from_spec_probed(&HierarchyKind::LNucaL3(config.clone()).to_spec(), probe)
-    }
-
-    /// Builds the L-NUCA + D-NUCA hierarchy reporting functional transitions
-    /// to `probe` (a thin wrapper lowering the paper config to its
-    /// [`HierarchySpec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn with_dnuca_probed(config: &LNucaDNucaConfig, probe: P) -> Result<Self, ConfigError> {
-        Self::from_spec_probed(&HierarchyKind::LNucaDNuca(config.clone()).to_spec(), probe)
-    }
-
     /// Builds the fabric hierarchy described by `spec`, reporting functional
     /// transitions to `probe`: the root tile, the fabric, and the spec's
     /// intermediate chain and backing store behind them.
@@ -464,7 +422,7 @@ mod tests {
     use lnuca_types::ReqId;
 
     fn lnuca3() -> LNucaHierarchy {
-        LNucaHierarchy::with_l3(&configs::lnuca_hierarchy(3)).unwrap()
+        LNucaHierarchy::from_spec(&HierarchySpec::lnuca_l3(3).unwrap()).unwrap()
     }
 
     fn read(id: u64, addr: u64, at: u64) -> MemRequest {
@@ -589,7 +547,7 @@ mod tests {
 
     #[test]
     fn dnuca_backed_variant_builds_and_serves_requests() {
-        let mut h = LNucaHierarchy::with_dnuca(&configs::lnuca_dnuca_hierarchy(2)).unwrap();
+        let mut h = LNucaHierarchy::from_spec(&HierarchySpec::lnuca_dnuca(2).unwrap()).unwrap();
         assert!(h.issue(read(1, 0xCAFE_0000, 0), Cycle(0)));
         let resp = wait_for(&mut h, 1, 0);
         assert_eq!(resp.served_by, ServiceLevel::Memory);

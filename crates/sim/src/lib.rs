@@ -6,12 +6,14 @@
 //! workloads (`lnuca-workloads`) and the energy/area models (`lnuca-energy`).
 //! It provides:
 //!
-//! * [`configs`] — the paper's four hierarchy configurations (Fig. 1) with
-//!   all Table I parameters as defaults,
-//! * [`spec`] — the declarative [`HierarchySpec`]: root cache + optional
-//!   L-NUCA fabric + intermediate cache chain + L3/D-NUCA/memory backing,
-//!   subsuming all four [`HierarchyKind`] variants and admitting shapes the
-//!   closed enum could not express,
+//! * [`configs`] — the Table I component parameters (L1, L2, L3, DRAM,
+//!   MSHRs, write buffers, bus transfers),
+//! * [`spec`] — the declarative [`HierarchySpec`], the one way to name a
+//!   hierarchy: root cache + optional L-NUCA fabric + intermediate cache
+//!   chain + L3/D-NUCA/memory backing. The paper's four organisations
+//!   (Fig. 1) are its presets ([`HierarchySpec::conventional`],
+//!   [`HierarchySpec::lnuca_l3`], [`HierarchySpec::dnuca`],
+//!   [`HierarchySpec::lnuca_dnuca`]); the builder composes any other shape,
 //! * [`hierarchy`] — [`ClassicHierarchy`] (fabric-less) and
 //!   [`LNucaHierarchy`] (fabric-fronted), both built from specs and
 //!   implementing [`lnuca_cpu::DataMemory`],
@@ -43,11 +45,8 @@
 //! use lnuca_sim::system::System;
 //! use lnuca_workloads::suites;
 //!
-//! // The paper's 2-level L-NUCA in front of the 8 MB L3, as a composed spec.
-//! let spec = HierarchySpec::builder()
-//!     .fabric(lnuca_core::LNucaConfig::paper(2)?)
-//!     .backing_cache(lnuca_sim::configs::paper_l3())
-//!     .build()?;
+//! // The paper's 2-level L-NUCA in front of the 8 MB L3.
+//! let spec = HierarchySpec::lnuca_l3(2)?;
 //! let profile = suites::spec_int_like()[0].clone();
 //! let result = System::run_spec(&spec, &profile, 20_000, 1)?;
 //! assert!(result.ipc > 0.0);
@@ -75,7 +74,6 @@ pub mod system;
 
 pub use batch::{BatchJob, BatchRunner};
 pub use cmp::{CmpMachine, CmpMemory, CoherenceStats, CoreRow};
-pub use configs::HierarchyKind;
 pub use experiments::{ExperimentPlan, FailedRun, Study};
 pub use hierarchy::{ClassicHierarchy, HierarchyStats, LNucaHierarchy};
 pub use spec::{BackingSpec, HierarchySpec, IntermediateSpec};

@@ -56,7 +56,7 @@
 
 use crate::cmp::{CoherenceStats, CoreRow};
 use crate::codec::{self, names, record, At, DecodeError, Float, Kind, Maybe, Obj, Omit};
-use crate::configs::{self, HierarchyKind};
+use crate::configs;
 use crate::experiments::{
     EnergySummaryRow, ExperimentOptions, ExperimentPlan, HitDistributionRow, IpcSummaryRow, Study,
     WorkloadSelection,
@@ -362,10 +362,7 @@ fn spec_members(obj: &mut Obj<'_, '_>, spec: &mut HierarchySpec) -> Result<(), D
         None => {}
     }
     ScenarioSpec::fields(obj, spec)?;
-    spec.memory
-        .validate()
-        .and_then(|()| spec.validate())
-        .map_err(|e| here.error(e.to_string()))
+    spec.validate().map_err(|e| here.error(e.to_string()))
 }
 
 /// The spec-level presets: the paper's four shapes by name. `levels`
@@ -377,20 +374,17 @@ fn hierarchy_preset(
     name: &str,
     levels: Option<u8>,
 ) -> Result<HierarchySpec, DecodeError> {
-    let fabric =
-        || LNucaConfig::paper(levels.unwrap_or(3)).map(|f| HierarchySpec::builder().fabric(f));
+    let fabric_levels = levels.unwrap_or(3);
     let spec = match (name, levels) {
         ("conventional" | "dnuca", Some(_)) => {
             return Err(at.key("levels").error(format!(
                 "the {name:?} preset has no fabric; \"levels\" does not apply"
             )))
         }
-        ("conventional", None) => {
-            Ok(HierarchyKind::Conventional(configs::conventional()).to_spec())
-        }
-        ("dnuca", None) => Ok(HierarchyKind::DNuca(configs::dnuca_hierarchy()).to_spec()),
-        ("lnuca-l3", _) => fabric().and_then(|b| b.backing_cache(configs::paper_l3()).build()),
-        ("lnuca-dnuca", _) => fabric().and_then(|b| b.backing_dnuca(DNucaConfig::paper()).build()),
+        ("conventional", None) => Ok(HierarchySpec::conventional()),
+        ("dnuca", None) => Ok(HierarchySpec::dnuca()),
+        ("lnuca-l3", _) => HierarchySpec::lnuca_l3(fabric_levels),
+        ("lnuca-dnuca", _) => HierarchySpec::lnuca_dnuca(fabric_levels),
         (other, _) => {
             let valid = ["conventional", "lnuca-l3", "dnuca", "lnuca-dnuca"];
             return Err(at
@@ -714,14 +708,8 @@ pub fn builtin(name: &str) -> Result<Scenario, UnknownNameError> {
             options.workloads = WorkloadSelection::Adversarial;
             let plan = expect_plan(
                 ExperimentPlan::builder("adversarial")
-                    .config(crate::configs::HierarchyKind::Conventional(configs::conventional()).to_spec())
-                    .config(
-                        HierarchySpec::builder()
-                            .fabric(LNucaConfig::paper(3).expect("3 levels is valid"))
-                            .backing_cache(configs::paper_l3())
-                            .build()
-                            .expect("paper LN3 is valid"),
-                    )
+                    .config(HierarchySpec::conventional())
+                    .config(HierarchySpec::lnuca_l3(3).expect("paper LN3 is valid"))
                     .options(options)
                     .build(),
             );
@@ -778,13 +766,7 @@ pub fn builtin(name: &str) -> Result<Scenario, UnknownNameError> {
         "ln3-no-l3" => {
             let plan = expect_plan(
                 ExperimentPlan::builder("ln3-no-l3")
-                    .config(
-                        HierarchySpec::builder()
-                            .fabric(LNucaConfig::paper(3).expect("3 levels is valid"))
-                            .backing_cache(configs::paper_l3())
-                            .build()
-                            .expect("paper LN3 is valid"),
-                    )
+                    .config(HierarchySpec::lnuca_l3(3).expect("paper LN3 is valid"))
                     .config(
                         HierarchySpec::builder()
                             .fabric(LNucaConfig::paper(3).expect("3 levels is valid"))
@@ -814,7 +796,7 @@ pub fn builtin(name: &str) -> Result<Scenario, UnknownNameError> {
                 .expect("the deep-stack middle level is valid");
             let plan = expect_plan(
                 ExperimentPlan::builder("deep-stack")
-                    .config(crate::configs::HierarchyKind::Conventional(configs::conventional()).to_spec())
+                    .config(HierarchySpec::conventional())
                     .config(
                         HierarchySpec::builder()
                             .intermediate(IntermediateSpec::paper_l2())
@@ -841,14 +823,8 @@ pub fn builtin(name: &str) -> Result<Scenario, UnknownNameError> {
                 WorkloadSelection::Named(vec!["scenarios/traces/sample.lnt".to_owned()]);
             let plan = expect_plan(
                 ExperimentPlan::builder("trace-replay")
-                    .config(crate::configs::HierarchyKind::Conventional(configs::conventional()).to_spec())
-                    .config(
-                        HierarchySpec::builder()
-                            .fabric(LNucaConfig::paper(3).expect("3 levels is valid"))
-                            .backing_cache(configs::paper_l3())
-                            .build()
-                            .expect("paper LN3 is valid"),
-                    )
+                    .config(HierarchySpec::conventional())
+                    .config(HierarchySpec::lnuca_l3(3).expect("paper LN3 is valid"))
                     .options(options)
                     .build(),
             );
@@ -1323,6 +1299,44 @@ mod tests {
         }"#;
         let scenario = Scenario::from_json(text).unwrap();
         assert_eq!(scenario.plan.configs[0].fabric.as_ref().unwrap().levels, 4);
+    }
+
+    #[test]
+    fn hierarchy_presets_decode_to_the_spec_constructors() {
+        let decode = |text: &str| spec_from_value("$", &json::parse(text).unwrap()).unwrap();
+        let fixed = [
+            ("conventional", HierarchySpec::conventional(), "L2-256KB"),
+            ("dnuca", HierarchySpec::dnuca(), "DN-4x8"),
+        ];
+        for (name, spec, label) in fixed {
+            assert_eq!(decode(&format!(r#"{{"preset": "{name}"}}"#)), spec, "{name}");
+            assert_eq!(spec.label(), label);
+        }
+        let fabric: [(&str, fn(u8) -> Result<HierarchySpec, ConfigError>, [&str; 3]); 2] = [
+            ("lnuca-l3", HierarchySpec::lnuca_l3, ["LN2-72KB", "LN3-144KB", "LN4-248KB"]),
+            (
+                "lnuca-dnuca",
+                HierarchySpec::lnuca_dnuca,
+                ["LN2 + DN-4x8", "LN3 + DN-4x8", "LN4 + DN-4x8"],
+            ),
+        ];
+        for (name, make, labels) in fabric {
+            for (levels, label) in (2..=4).zip(labels) {
+                let spec = make(levels).unwrap();
+                let text = format!(r#"{{"preset": "{name}", "levels": {levels}}}"#);
+                assert_eq!(decode(&text), spec, "{name} levels {levels}");
+                assert_eq!(spec.label(), label);
+            }
+            assert_eq!(decode(&format!(r#"{{"preset": "{name}"}}"#)), make(3).unwrap());
+            assert!(make(1).is_err() && make(9).is_err(), "{name}: levels outside 2..=8");
+        }
+        // The conventional L2 sits behind its 2 + 2 cycle inter-cache bus,
+        // and the root's write buffer coalesces at L2 blocks.
+        let conventional = HierarchySpec::conventional();
+        assert_eq!(conventional.intermediate.len(), 1);
+        let l2 = &conventional.intermediate[0];
+        assert_eq!((l2.request_transfer_cycles, l2.response_transfer_cycles), (2, 2));
+        assert_eq!(conventional.below_root_block_size(), 64);
     }
 
     #[test]

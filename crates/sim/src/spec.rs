@@ -1,23 +1,25 @@
-//! The declarative hierarchy description: what used to be the closed
-//! four-variant [`HierarchyKind`] enum, opened up into a composable spec.
+//! The declarative hierarchy description: the one way to name a memory
+//! hierarchy.
 //!
 //! A [`HierarchySpec`] is a root cache, an optional L-NUCA fabric behind
 //! it, any number of intermediate conventional cache levels, and a backing
-//! store (an L3-style cache, a D-NUCA, or nothing but DRAM). Every one of
-//! the paper's four organisations (Fig. 1) is one point in this space —
-//! [`HierarchyKind::to_spec`] produces it, bit-identically — and shapes the
-//! enum could never express compose freely: a fabric in front of nothing
-//! (`LN3 + mem`), deeper conventional stacks (`L1 + L2 + L2B + L3`), a
-//! fabric with an intermediate cache, non-paper tile sizes from the
-//! ablation bins, and so on.
+//! store (an L3-style cache, a D-NUCA, or nothing but DRAM). The paper's
+//! four organisations (Fig. 1) are four points in this space, each with a
+//! preset constructor: [`HierarchySpec::conventional`],
+//! [`HierarchySpec::lnuca_l3`], [`HierarchySpec::dnuca`] and
+//! [`HierarchySpec::lnuca_dnuca`]. Other shapes compose freely through
+//! [`HierarchySpec::builder`]: a fabric in front of nothing (`LN3 + mem`),
+//! deeper conventional stacks (`L1 + L2 + L2B + L3`), a fabric with an
+//! intermediate cache, non-paper tile sizes from the ablation bins, and so
+//! on.
 //!
 //! Specs are validated at build time ([`HierarchySpecBuilder::build`]),
 //! labelled deterministically ([`HierarchySpec::label`]), and round-trip
 //! through the scenario JSON layer (`crate::scenario`). The differential
-//! oracle in `lnuca-verify` accepts specs directly, so DESIGN.md §11 keeps
-//! holding beyond the paper's four kinds.
+//! oracle in `lnuca-verify` accepts specs directly, so DESIGN.md §11 holds
+//! for every shape, not only the paper's four.
 
-use crate::configs::{self, HierarchyKind};
+use crate::configs;
 use lnuca_core::LNucaConfig;
 use lnuca_dnuca::DNucaConfig;
 use lnuca_mem::{CacheConfig, MemoryConfig};
@@ -103,9 +105,11 @@ impl BackingSpec {
 
 /// A complete, composable description of a memory hierarchy.
 ///
-/// Construct one with [`HierarchySpec::builder`], convert a paper
-/// configuration with [`HierarchyKind::to_spec`], or load one from a
-/// scenario file (`crate::scenario`). The struct is `#[non_exhaustive]`;
+/// Construct one with a paper preset ([`HierarchySpec::conventional`],
+/// [`HierarchySpec::lnuca_l3`], [`HierarchySpec::dnuca`],
+/// [`HierarchySpec::lnuca_dnuca`]), compose one with
+/// [`HierarchySpec::builder`], or load one from a scenario file
+/// (`crate::scenario`). The struct is `#[non_exhaustive]`;
 /// fields remain readable (and mutable on an owned value) but literals are
 /// reserved so future components can be added compatibly.
 ///
@@ -114,8 +118,8 @@ impl BackingSpec {
 /// ```
 /// use lnuca_sim::spec::{BackingSpec, HierarchySpec};
 ///
-/// // A 3-level L-NUCA with nothing behind it but DRAM — a shape the old
-/// // `HierarchyKind` enum could not express.
+/// // A 3-level L-NUCA with nothing behind it but DRAM — a shape none of
+/// // the paper's four organisations has.
 /// let spec = HierarchySpec::builder()
 ///     .fabric(lnuca_core::LNucaConfig::paper(3)?)
 ///     .backing(BackingSpec::Memory)
@@ -140,11 +144,14 @@ pub struct HierarchySpec {
     /// Main memory timing.
     pub memory: MemoryConfig,
     /// Number of root tiles (cores). `1` is the classic single-core
-    /// hierarchy; `> 1` replicates the private side — the root cache plus
-    /// the optional fabric — once per core over the **shared** backing,
-    /// with an MSI directory (`lnuca-coherence`) keeping the private
-    /// copies coherent (DESIGN.md §17). Intermediate levels are not
-    /// supported in CMP shapes yet.
+    /// hierarchy; `> 1` gives every core a private root cache over the
+    /// **shared** backing, with an MSI directory (`lnuca-coherence`)
+    /// keeping the private copies coherent (DESIGN.md §17). The CMP
+    /// machine does not model the fabric tile by tile: each core's optional
+    /// fabric is collapsed into one private set-associative victim cache
+    /// of equivalent capacity, and a D-NUCA backing into a
+    /// capacity/latency-equivalent shared cache. Intermediate levels are
+    /// not supported in CMP shapes yet.
     pub cores: usize,
 }
 
@@ -166,15 +173,66 @@ impl HierarchySpec {
         }
     }
 
+    /// The paper's conventional baseline, Fig. 1(a) (`L2-256KB`): the
+    /// Table I L1, the L2 behind its 2 + 2 cycle inter-cache bus
+    /// ([`IntermediateSpec::paper_l2`]), the 8 MB L3 and DRAM.
+    #[must_use]
+    pub fn conventional() -> HierarchySpec {
+        Self::builder()
+            .intermediate(IntermediateSpec::paper_l2())
+            .backing_cache(configs::paper_l3())
+            .build()
+            .expect("the paper conventional hierarchy is valid")
+    }
+
+    /// The paper's L-NUCA + L3 hierarchy, Fig. 1(b) (`LN2-72KB`,
+    /// `LN3-144KB`, `LN4-248KB`, ...): the L1 as root tile, a paper fabric
+    /// of `levels` levels, the 8 MB L3 and DRAM.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] if `levels` is outside 2..=8.
+    pub fn lnuca_l3(levels: u8) -> Result<HierarchySpec, ConfigError> {
+        Self::builder()
+            .fabric(LNucaConfig::paper(levels)?)
+            .backing_cache(configs::paper_l3())
+            .build()
+    }
+
+    /// The paper's D-NUCA baseline, Fig. 1(c) (`DN-4x8`): the L1 in front
+    /// of the 4 x 8 D-NUCA and DRAM.
+    #[must_use]
+    pub fn dnuca() -> HierarchySpec {
+        Self::builder()
+            .backing_dnuca(DNucaConfig::paper())
+            .build()
+            .expect("the paper D-NUCA hierarchy is valid")
+    }
+
+    /// The paper's L-NUCA + D-NUCA hierarchy, Fig. 1(d) (`LN2 + DN-4x8`,
+    /// ...): the L1 as root tile, a paper fabric of `levels` levels, the
+    /// 4 x 8 D-NUCA and DRAM.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] if `levels` is outside 2..=8.
+    pub fn lnuca_dnuca(levels: u8) -> Result<HierarchySpec, ConfigError> {
+        Self::builder()
+            .fabric(LNucaConfig::paper(levels)?)
+            .backing_dnuca(DNucaConfig::paper())
+            .build()
+    }
+
     /// Validates the composition.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid
-    /// or the components disagree (e.g. fabric and root block sizes differ —
+    /// Returns a [`ConfigError`] if the main-memory timing or any component
+    /// configuration is invalid, or the components disagree (e.g. fabric and root block sizes differ —
     /// blocks migrate between the root tile and the tiles, so they must
     /// match).
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.memory.validate()?;
         self.root.geometry()?;
         if let Some(fabric) = &self.fabric {
             fabric.validate()?;
@@ -391,73 +449,41 @@ impl HierarchySpecBuilder {
     }
 }
 
-impl HierarchyKind {
-    /// Lowers this paper configuration to the equivalent [`HierarchySpec`].
-    ///
-    /// The lowering is exact: the spec carries the same component
-    /// configurations, derives the same label, and — through
-    /// [`crate::system::System`] — builds a hierarchy whose behaviour is
-    /// bit-identical to the one built from the enum (pinned by the golden
-    /// scenario tests).
-    #[must_use]
-    pub fn to_spec(&self) -> HierarchySpec {
-        let builder = HierarchySpec::builder();
-        match self {
-            HierarchyKind::Conventional(c) => builder
-                .root(c.l1.clone())
-                .intermediate(
-                    IntermediateSpec::new(c.l2.clone()).with_transfers(
-                        configs::L2_REQUEST_TRANSFER_CYCLES,
-                        configs::L2_RESPONSE_TRANSFER_CYCLES,
-                    ),
-                )
-                .backing_cache(c.l3.clone())
-                .memory(c.memory),
-            HierarchyKind::LNucaL3(c) => builder
-                .root(c.l1.clone())
-                .fabric(c.lnuca.clone())
-                .backing_cache(c.l3.clone())
-                .memory(c.memory),
-            HierarchyKind::DNuca(c) => builder
-                .root(c.l1.clone())
-                .backing_dnuca(c.dnuca.clone())
-                .memory(c.memory),
-            HierarchyKind::LNucaDNuca(c) => builder
-                .root(c.l1.clone())
-                .fabric(c.lnuca.clone())
-                .backing_dnuca(c.dnuca.clone())
-                .memory(c.memory),
-        }
-        .build()
-        .expect("paper configurations always lower to valid specs")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn paper_kinds_lower_to_specs_with_identical_labels() {
-        let kinds = [
-            HierarchyKind::Conventional(configs::conventional()),
-            HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)),
-            HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)),
-            HierarchyKind::LNucaL3(configs::lnuca_hierarchy(4)),
-            HierarchyKind::DNuca(configs::dnuca_hierarchy()),
-            HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2)),
+        // Each Fig. 1 preset is the Table I components composed in the
+        // paper's order, labelled with the figure name.
+        let l3 = BackingSpec::Cache(configs::paper_l3());
+        let dnuca = BackingSpec::DNuca(DNucaConfig::paper());
+        let presets = [
+            (HierarchySpec::conventional(), None, 1, &l3, "L2-256KB"),
+            (HierarchySpec::lnuca_l3(2).unwrap(), Some(2), 0, &l3, "LN2-72KB"),
+            (HierarchySpec::lnuca_l3(3).unwrap(), Some(3), 0, &l3, "LN3-144KB"),
+            (HierarchySpec::lnuca_l3(4).unwrap(), Some(4), 0, &l3, "LN4-248KB"),
+            (HierarchySpec::dnuca(), None, 0, &dnuca, "DN-4x8"),
+            (HierarchySpec::lnuca_dnuca(2).unwrap(), Some(2), 0, &dnuca, "LN2 + DN-4x8"),
         ];
-        for kind in &kinds {
-            let spec = kind.to_spec();
-            assert_eq!(spec.label(), kind.label(), "derived label matches the figure name");
-            spec.validate().expect("lowered specs validate");
+        for (spec, levels, intermediates, backing, label) in presets {
+            assert_eq!(spec.label(), label, "derived label matches the figure name");
+            assert_eq!(spec.root, configs::paper_l1(), "{label}");
+            assert_eq!(spec.fabric, levels.map(|l| LNucaConfig::paper(l).unwrap()), "{label}");
+            assert_eq!(spec.intermediate.len(), intermediates, "{label}");
+            assert_eq!(&spec.backing, backing, "{label}");
+            assert_eq!(spec.memory, configs::paper_memory(), "{label}");
+            assert_eq!(spec.cores, 1, "{label}");
+            spec.validate().expect("paper presets validate");
         }
     }
 
     #[test]
     fn conventional_lowering_preserves_the_bus_transfers() {
-        let spec = HierarchyKind::Conventional(configs::conventional()).to_spec();
+        let spec = HierarchySpec::conventional();
         assert_eq!(spec.intermediate.len(), 1);
+        assert_eq!(spec.intermediate[0].cache, configs::paper_l2());
         assert_eq!(
             spec.intermediate[0].request_transfer_cycles,
             configs::L2_REQUEST_TRANSFER_CYCLES
@@ -467,6 +493,22 @@ mod tests {
             configs::L2_RESPONSE_TRANSFER_CYCLES
         );
         assert_eq!(spec.below_root_block_size(), 64, "write buffer coalesces at L2 blocks");
+    }
+
+    #[test]
+    fn validation_rejects_zero_dram_timing() {
+        let memory = MemoryConfig {
+            chunk_bytes: 0,
+            ..configs::paper_memory()
+        };
+        let err = HierarchySpec::builder().memory(memory).build().unwrap_err();
+        assert!(err.to_string().contains("chunk_bytes"), "{err}");
+        let memory = MemoryConfig {
+            first_chunk_cycles: 0,
+            ..configs::paper_memory()
+        };
+        let err = HierarchySpec::builder().memory(memory).build().unwrap_err();
+        assert!(err.to_string().contains("first_chunk_cycles"), "{err}");
     }
 
     #[test]
@@ -504,7 +546,7 @@ mod tests {
     fn cmp_specs_validate_and_prefix_their_labels() {
         let cmp = HierarchySpec::builder()
             .fabric(LNucaConfig::paper(2).unwrap())
-            .backing_dnuca(configs::dnuca_hierarchy().dnuca)
+            .backing_dnuca(DNucaConfig::paper())
             .cores(4)
             .build()
             .unwrap();

@@ -571,17 +571,12 @@ mod tests {
     #[test]
     fn area_model_covers_every_backing() {
         let model = AreaModel::paper();
-        let ln3_l3 = HierarchySpec::builder()
-            .fabric(lnuca_core::LNucaConfig::paper(3).unwrap())
-            .backing_cache(configs::paper_l3())
-            .build()
-            .unwrap();
+        let ln3_l3 = HierarchySpec::lnuca_l3(3).unwrap();
         let ln3_mem = HierarchySpec::builder()
             .fabric(lnuca_core::LNucaConfig::paper(3).unwrap())
             .build()
             .unwrap();
-        let conventional =
-            crate::configs::HierarchyKind::Conventional(configs::conventional()).to_spec();
+        let conventional = HierarchySpec::conventional();
         let a_l3 = spec_area_mm2(&ln3_l3, &model);
         let a_mem = spec_area_mm2(&ln3_mem, &model);
         let a_conv = spec_area_mm2(&conventional, &model);

@@ -7,7 +7,6 @@
 //! (DESIGN.md §17) through the same driver.
 
 use crate::batch::{BatchJob, BatchRunner};
-use crate::configs::HierarchyKind;
 use crate::hierarchy::{AnyHierarchy, ClassicHierarchy, HierarchyStats, LNucaHierarchy};
 use crate::spec::HierarchySpec;
 use lnuca_cpu::CoreStats;
@@ -16,7 +15,7 @@ use lnuca_mem::{NoProbe, ProbeSink};
 use lnuca_types::ConfigError;
 use lnuca_workloads::{Suite, WorkloadProfile};
 
-/// How [`System::run_workload_with`] advances simulated time.
+/// How [`System::run_spec_with`] advances simulated time.
 ///
 /// Both engines drive the same components through the same ticks and are
 /// **bit-identical** in every [`RunResult`] field — pinned by
@@ -36,7 +35,7 @@ pub enum Engine {
 
 impl Engine {
     /// Machine-readable engine name, as recorded in the
-    /// `lnuca-bench-baseline/v2` schema's `engine` field.
+    /// `lnuca-bench-baseline/v3` schema's `engine` field.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -59,7 +58,7 @@ impl Engine {
 
 /// The outcome of simulating one workload on one hierarchy.
 ///
-/// Every field is a deterministic function of (hierarchy kind, workload
+/// Every field is a deterministic function of (hierarchy spec, workload
 /// profile, instruction count, seed) — `PartialEq` compares bit-exactly,
 /// which is what the parallel-vs-sequential determinism tests rely on.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -94,12 +93,12 @@ pub struct RunResult {
 /// # Example
 ///
 /// ```
-/// use lnuca_sim::configs::{self, HierarchyKind};
+/// use lnuca_sim::spec::HierarchySpec;
 /// use lnuca_sim::system::System;
 /// use lnuca_workloads::WorkloadProfile;
 ///
-/// let kind = HierarchyKind::Conventional(configs::conventional());
-/// let result = System::run_workload(&kind, &WorkloadProfile::default(), 5_000, 7)?;
+/// let spec = HierarchySpec::conventional();
+/// let result = System::run_spec(&spec, &WorkloadProfile::default(), 5_000, 7)?;
 /// assert_eq!(result.instructions, 5_000);
 /// assert!(result.ipc > 0.0);
 /// # Ok::<(), lnuca_types::ConfigError>(())
@@ -108,30 +107,6 @@ pub struct RunResult {
 pub struct System;
 
 impl System {
-    /// Instantiates the hierarchy described by `kind`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn build_hierarchy(kind: &HierarchyKind) -> Result<AnyHierarchy, ConfigError> {
-        Self::build_hierarchy_probed(kind, NoProbe)
-    }
-
-    /// Instantiates the hierarchy described by `kind` with functional
-    /// instrumentation reporting to `probe` (DESIGN.md §11). The enum is
-    /// lowered to its [`HierarchySpec`] first; the spec path is the one
-    /// implementation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any component configuration is invalid.
-    pub fn build_hierarchy_probed<P: ProbeSink>(
-        kind: &HierarchyKind,
-        probe: P,
-    ) -> Result<AnyHierarchy<P>, ConfigError> {
-        Self::build_spec_probed(&kind.to_spec(), probe)
-    }
-
     /// Instantiates the hierarchy described by `spec`.
     ///
     /// # Errors
@@ -158,64 +133,6 @@ impl System {
         } else {
             AnyHierarchy::Classic(ClassicHierarchy::from_spec_probed(spec, probe)?)
         })
-    }
-
-    /// Runs `instructions` instructions of `profile` on the hierarchy
-    /// described by `kind`, with the paper's core configuration and the
-    /// default [`Engine::EventHorizon`] time stepping.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any configuration is invalid.
-    pub fn run_workload(
-        kind: &HierarchyKind,
-        profile: &WorkloadProfile,
-        instructions: u64,
-        seed: u64,
-    ) -> Result<RunResult, ConfigError> {
-        Self::run_workload_with(Engine::EventHorizon, kind, profile, instructions, seed)
-    }
-
-    /// Runs `instructions` instructions of `profile` on the hierarchy
-    /// described by `kind`, advancing time with the given [`Engine`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any configuration is invalid.
-    pub fn run_workload_with(
-        engine: Engine,
-        kind: &HierarchyKind,
-        profile: &WorkloadProfile,
-        instructions: u64,
-        seed: u64,
-    ) -> Result<RunResult, ConfigError> {
-        Self::run_workload_probed(engine, kind, profile, instructions, seed, NoProbe)
-            .map(|(result, _)| result)
-    }
-
-    /// Runs `instructions` instructions of `profile` on the hierarchy
-    /// described by `kind`, reporting every functional state transition to
-    /// `probe`, and returns the final hierarchy (probe still inside —
-    /// [`AnyHierarchy::into_probe`] extracts it) alongside the results so
-    /// callers can also enumerate final cache residency.
-    ///
-    /// The probe observes but never feeds back: results are bit-identical to
-    /// [`System::run_workload_with`] for any sink. The differential oracle in
-    /// `lnuca-verify` records the event stream this way and replays it
-    /// through its timing-free reference model.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any configuration is invalid.
-    pub fn run_workload_probed<P: ProbeSink>(
-        engine: Engine,
-        kind: &HierarchyKind,
-        profile: &WorkloadProfile,
-        instructions: u64,
-        seed: u64,
-        probe: P,
-    ) -> Result<(RunResult, AnyHierarchy<P>), ConfigError> {
-        Self::run_spec_probed(engine, &kind.to_spec(), profile, instructions, seed, probe)
     }
 
     /// Runs `instructions` instructions of `profile` on the hierarchy
@@ -251,9 +168,17 @@ impl System {
             .map(|(result, _)| result)
     }
 
-    /// The spec-level core of every run entry point: see
-    /// [`System::run_workload_probed`] for the probe semantics. The run is
-    /// a one-member [`BatchRunner`].
+    /// Runs `instructions` instructions of `profile` on the hierarchy
+    /// described by `spec`, reporting every functional state transition to
+    /// `probe`, and returns the final hierarchy (probe still inside —
+    /// [`AnyHierarchy::into_probe`] extracts it) alongside the results so
+    /// callers can also enumerate final cache residency.
+    ///
+    /// The probe observes but never feeds back: results are bit-identical to
+    /// [`System::run_spec_with`] for any sink. The differential oracle in
+    /// `lnuca-verify` records the event stream this way and replays it
+    /// through its timing-free reference model. Every run entry point ends
+    /// here, in a one-member [`BatchRunner`].
     ///
     /// # Errors
     ///
@@ -283,29 +208,28 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs;
     use lnuca_workloads::suites;
 
     const SMALL_RUN: u64 = 4_000;
 
     #[test]
     fn every_hierarchy_kind_builds() {
-        for kind in [
-            HierarchyKind::Conventional(configs::conventional()),
-            HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)),
-            HierarchyKind::LNucaL3(configs::lnuca_hierarchy(4)),
-            HierarchyKind::DNuca(configs::dnuca_hierarchy()),
-            HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(3)),
+        for spec in [
+            HierarchySpec::conventional(),
+            HierarchySpec::lnuca_l3(2).unwrap(),
+            HierarchySpec::lnuca_l3(4).unwrap(),
+            HierarchySpec::dnuca(),
+            HierarchySpec::lnuca_dnuca(3).unwrap(),
         ] {
-            assert!(System::build_hierarchy(&kind).is_ok(), "failed to build {}", kind.label());
+            assert!(System::build_spec(&spec).is_ok(), "failed to build {}", spec.label());
         }
     }
 
     #[test]
     fn a_small_run_commits_every_instruction_and_reports_energy() {
-        let kind = HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3));
+        let spec = HierarchySpec::lnuca_l3(3).unwrap();
         let profile = &suites::spec_int_like()[0];
-        let result = System::run_workload(&kind, profile, SMALL_RUN, 1).unwrap();
+        let result = System::run_spec(&spec, profile, SMALL_RUN, 1).unwrap();
         assert_eq!(result.instructions, SMALL_RUN);
         assert!(result.ipc > 0.05 && result.ipc < 4.0, "IPC {} out of range", result.ipc);
         assert!(result.energy.total_pj() > 0.0);
@@ -316,10 +240,10 @@ mod tests {
 
     #[test]
     fn runs_are_reproducible_for_the_same_seed() {
-        let kind = HierarchyKind::Conventional(configs::conventional());
+        let spec = HierarchySpec::conventional();
         let profile = &suites::spec_fp_like()[0];
-        let a = System::run_workload(&kind, profile, SMALL_RUN, 9).unwrap();
-        let b = System::run_workload(&kind, profile, SMALL_RUN, 9).unwrap();
+        let a = System::run_spec(&spec, profile, SMALL_RUN, 9).unwrap();
+        let b = System::run_spec(&spec, profile, SMALL_RUN, 9).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert!((a.ipc - b.ipc).abs() < 1e-12);
     }
@@ -330,13 +254,8 @@ mod tests {
         // workload with an L2-sized working set gets a significant number of
         // its reads serviced by the tiles.
         let profile = &suites::spec_int_like()[0];
-        let lnuca = System::run_workload(
-            &HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)),
-            profile,
-            15_000,
-            2,
-        )
-        .unwrap();
+        let lnuca =
+            System::run_spec(&HierarchySpec::lnuca_l3(3).unwrap(), profile, 15_000, 2).unwrap();
         let fabric = lnuca.hierarchy.lnuca.as_ref().unwrap();
         assert!(fabric.read_hits() > 30, "fabric read hits: {}", fabric.read_hits());
         assert!(

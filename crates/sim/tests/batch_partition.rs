@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 
 use lnuca_sim::batch::{BatchJob, BatchRunner};
-use lnuca_sim::configs::{self, HierarchyKind};
 use lnuca_sim::experiments::{ExperimentOptions, ExperimentPlan, Study, WorkloadSelection};
 use lnuca_sim::spec::HierarchySpec;
 use lnuca_sim::system::{Engine, RunResult, System};
@@ -26,10 +25,10 @@ type JobKey = (usize, usize, u64, u64);
 
 fn spec_pool() -> Vec<HierarchySpec> {
     vec![
-        HierarchyKind::Conventional(configs::conventional()).to_spec(),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec(),
-        HierarchyKind::DNuca(configs::dnuca_hierarchy()).to_spec(),
-        HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(3)).to_spec(),
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(2).unwrap(),
+        HierarchySpec::dnuca(),
+        HierarchySpec::lnuca_dnuca(3).unwrap(),
     ]
 }
 
@@ -175,8 +174,8 @@ fn study_outcomes_are_invariant_to_batch_size() {
         };
         let plan = |batch: usize| {
             ExperimentPlan::builder("batch-partition-property")
-                .config(HierarchyKind::Conventional(configs::conventional()).to_spec())
-                .config(HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec())
+                .config(HierarchySpec::conventional())
+                .config(HierarchySpec::lnuca_l3(2).unwrap())
                 .options(options(batch))
                 .build()
                 .expect("plan is valid")

@@ -9,8 +9,8 @@
 //! this one test so the counter observes nothing but the code under test.
 
 use lnuca_cpu::DataMemory;
-use lnuca_sim::configs;
 use lnuca_sim::hierarchy::LNucaHierarchy;
+use lnuca_sim::spec::HierarchySpec;
 use lnuca_types::{Addr, Cycle, MemRequest, MemResponse, ReqId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Drives the hierarchy for `rounds` burst/drain rounds using the same
-/// issue/tick/drain/skip sequence as `System::run_workload`'s event-horizon
+/// issue/tick/drain/skip sequence as `System::run_spec`'s event-horizon
 /// engine: each round offers a short burst of reads (rejections under MSHR
 /// pressure are part of the workload), then ticks and jumps along the
 /// hierarchy's `next_event` horizons until it reports quiescence — the long
@@ -99,8 +99,8 @@ fn drive(
 
 #[test]
 fn combined_lnuca_dnuca_steady_state_does_not_allocate() {
-    let config = configs::lnuca_dnuca_hierarchy(3);
-    let mut hierarchy = LNucaHierarchy::with_dnuca(&config).expect("valid paper configuration");
+    let spec = HierarchySpec::lnuca_dnuca(3).expect("valid paper configuration");
+    let mut hierarchy = LNucaHierarchy::from_spec(&spec).expect("valid paper configuration");
     let mut scratch: Vec<MemResponse> = Vec::new();
 
     // Warm-up: queues, waiter slots, MSHR slots, scratch buffers and the

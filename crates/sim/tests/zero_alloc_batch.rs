@@ -17,7 +17,7 @@
 //! below any member's completion.
 
 use lnuca_sim::batch::{BatchJob, BatchRunner};
-use lnuca_sim::configs::{self, HierarchyKind};
+use lnuca_sim::configs;
 use lnuca_sim::spec::HierarchySpec;
 use lnuca_sim::system::Engine;
 use lnuca_workloads::suites;
@@ -52,10 +52,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 #[test]
 fn batched_steady_state_does_not_allocate() {
     let specs = [
-        HierarchyKind::Conventional(configs::conventional()).to_spec(),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)).to_spec(),
-        HierarchyKind::DNuca(configs::dnuca_hierarchy()).to_spec(),
-        HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2)).to_spec(),
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(3).unwrap(),
+        HierarchySpec::dnuca(),
+        HierarchySpec::lnuca_dnuca(2).unwrap(),
         HierarchySpec::builder()
             .backing_cache(configs::paper_l3())
             .cores(2)

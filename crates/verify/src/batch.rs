@@ -20,12 +20,12 @@
 //! # Example
 //!
 //! ```
-//! use lnuca_sim::configs::{self, HierarchyKind};
+//! use lnuca_sim::spec::HierarchySpec;
 //! use lnuca_sim::system::Engine;
 //! use lnuca_verify::batch::{BatchCase, SequentialBaseline};
 //! use lnuca_workloads::suites;
 //!
-//! let spec = HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec();
+//! let spec = HierarchySpec::lnuca_l3(2).unwrap();
 //! let cases: Vec<BatchCase> = suites::spec_int_like()[..2]
 //!     .iter()
 //!     .map(|profile| BatchCase {
@@ -222,13 +222,12 @@ impl SequentialBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lnuca_sim::configs::{self, HierarchyKind};
     use lnuca_workloads::suites;
 
     fn small_cases() -> Vec<BatchCase> {
         let specs = [
-            HierarchyKind::Conventional(configs::conventional()).to_spec(),
-            HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec(),
+            HierarchySpec::conventional(),
+            HierarchySpec::lnuca_l3(2).unwrap(),
         ];
         let profiles = suites::spec_int_like();
         specs

@@ -29,14 +29,14 @@
 //! # Example
 //!
 //! ```
-//! use lnuca_sim::configs::{self, HierarchyKind};
 //! use lnuca_sim::experiments::ExperimentOptions;
+//! use lnuca_sim::spec::HierarchySpec;
 //! use lnuca_sim::supervise::{run_job_supervised, Supervisor};
 //! use lnuca_sim::system::Engine;
 //! use lnuca_verify::chaos::{ChaosPlan, FaultKind, ScheduledFault};
 //! use lnuca_workloads::suites;
 //!
-//! let spec = HierarchyKind::Conventional(configs::conventional()).to_spec();
+//! let spec = HierarchySpec::conventional();
 //! let profile = suites::by_name("int.compress")?;
 //! let plan = ChaosPlan::new().fault(ScheduledFault {
 //!     at_cycle: 50,

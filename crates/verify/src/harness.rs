@@ -1,14 +1,13 @@
 //! The differential harness: run the detailed simulator with a recording
 //! probe, replay the event stream through the reference model, and assert
 //! that per-level hit/miss counts, final resident line sets and writeback
-//! totals agree — for any hierarchy kind, workload, seed and engine.
+//! totals agree — for any hierarchy spec, workload, seed and engine.
 
 use crate::hierarchy::RefHierarchy;
 use crate::reference::RefBacking;
 use crate::recorder::RecordingProbe;
 use lnuca_cpu::DataMemory;
 use lnuca_mem::{Line, ProbeEvent};
-use lnuca_sim::configs::HierarchyKind;
 use lnuca_sim::hierarchy::{AnyHierarchy, Backing, HierarchyStats};
 use lnuca_sim::spec::HierarchySpec;
 use lnuca_sim::system::{Engine, System};
@@ -61,28 +60,12 @@ pub struct DifferentialReport {
     pub write_drains: u64,
 }
 
-/// Runs `profile` on `kind` with the given `engine`, records every
+/// Runs `profile` on `spec` with the given `engine`, records every
 /// functional transition, replays the stream through the timing-free
 /// reference model and cross-checks per-level counters, writeback totals
-/// and final resident line sets.
-///
-/// # Errors
-///
-/// Returns a [`DifferentialError`] describing the first divergence (or an
-/// invalid configuration).
-pub fn run_differential(
-    kind: &HierarchyKind,
-    profile: &WorkloadProfile,
-    instructions: u64,
-    seed: u64,
-    engine: Engine,
-) -> Result<DifferentialReport, DifferentialError> {
-    run_differential_spec(&kind.to_spec(), profile, instructions, seed, engine)
-}
-
-/// Spec-level form of [`run_differential`]: verifies **any** hierarchy a
-/// [`HierarchySpec`] composes — fabric over bare memory, deep conventional
-/// stacks, non-paper tile sizes — not just the four paper kinds.
+/// and final resident line sets. Any hierarchy a [`HierarchySpec`]
+/// composes is verified — fabric over bare memory, deep conventional
+/// stacks, non-paper tile sizes — not just the four paper presets.
 ///
 /// # Errors
 ///
@@ -211,20 +194,6 @@ pub(crate) fn run_differential_impl(
 /// additionally asserts that the cycle-step engine produces the identical
 /// event stream and results (the two engines must be functionally
 /// indistinguishable, not just equal in final counters).
-///
-/// # Errors
-///
-/// Returns a [`DifferentialError`] on any divergence.
-pub fn run_differential_both_engines(
-    kind: &HierarchyKind,
-    profile: &WorkloadProfile,
-    instructions: u64,
-    seed: u64,
-) -> Result<DifferentialReport, DifferentialError> {
-    run_differential_spec_both_engines(&kind.to_spec(), profile, instructions, seed)
-}
-
-/// Spec-level form of [`run_differential_both_engines`].
 ///
 /// # Errors
 ///

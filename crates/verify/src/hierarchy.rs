@@ -1,11 +1,10 @@
 //! The reference hierarchy: composes the [`crate::reference`] pieces into
-//! one of the paper's four organisations and replays a recorded
+//! the hierarchy a [`HierarchySpec`] describes and replays a recorded
 //! [`ProbeEvent`] stream through it, cross-checking every functional
 //! decision the detailed simulator made.
 
 use crate::reference::{RefBacking, RefCache, RefOuter};
 use lnuca_mem::{AccessClass, EvictedLine, ProbeEvent};
-use lnuca_sim::configs::HierarchyKind;
 use lnuca_sim::hierarchy::HierarchyStats;
 use lnuca_sim::spec::HierarchySpec;
 use lnuca_types::{Addr, ConfigError, ServiceLevel};
@@ -46,8 +45,8 @@ pub struct RefFabric {
 }
 
 /// The timing-free reference hierarchy the harness replays a probed run
-/// through. Build one with [`RefHierarchy::new`] from the same
-/// [`HierarchyKind`] the detailed run used, [`RefHierarchy::apply`] every
+/// through. Build one with [`RefHierarchy::from_spec`] from the same
+/// [`HierarchySpec`] the detailed run used, [`RefHierarchy::apply`] every
 /// recorded event in order, then compare with
 /// [`RefHierarchy::check_stats`].
 #[derive(Debug)]
@@ -74,15 +73,6 @@ pub struct RefHierarchy {
 }
 
 impl RefHierarchy {
-    /// Builds the reference model of `kind` (lowered to its spec).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for invalid or non-LRU configurations.
-    pub fn new(kind: &HierarchyKind) -> Result<Self, ConfigError> {
-        Self::from_spec(&kind.to_spec())
-    }
-
     /// Builds the reference model of any composed [`HierarchySpec`] — the
     /// oracle is not limited to the paper's four shapes.
     ///

@@ -14,14 +14,14 @@
 //!   ([`reference::RefDnuca`]) and the outer-level composition
 //!   ([`reference::RefOuter`]). No cycles, no ports, no NoC.
 //! * [`hierarchy`] — [`hierarchy::RefHierarchy`] assembles the reference
-//!   pieces into any of the paper's four organisations and replays a
+//!   pieces into the hierarchy a spec describes and replays a
 //!   recorded probe stream through them, cross-checking every functional
 //!   decision (hit level, victim choice, dirty propagation, custody of the
 //!   fabric's exclusion set).
-//! * [`harness`] — [`harness::run_differential`] runs the detailed
+//! * [`harness`] — [`harness::run_differential_spec`] runs the detailed
 //!   simulator with a [`recorder::RecordingProbe`], replays the stream,
 //!   and asserts per-level hit/miss counts, final resident line sets and
-//!   writeback totals agree; `run_differential_both_engines` additionally
+//!   writeback totals agree; `run_differential_spec_both_engines` additionally
 //!   pins the two time-stepping engines to the identical event stream.
 //! * [`mod@chaos`] — the deterministic fault-injection harness
 //!   (DESIGN.md §14): [`chaos::ChaosPlan`] schedules panics and watchdog
@@ -52,14 +52,14 @@
 //! # Example
 //!
 //! ```
-//! use lnuca_sim::configs::{self, HierarchyKind};
+//! use lnuca_sim::spec::HierarchySpec;
 //! use lnuca_sim::system::Engine;
-//! use lnuca_verify::harness::run_differential;
+//! use lnuca_verify::harness::run_differential_spec;
 //! use lnuca_workloads::suites;
 //!
-//! let kind = HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3));
+//! let spec = HierarchySpec::lnuca_l3(3)?;
 //! let profile = suites::by_name("int.compress")?;
-//! let report = run_differential(&kind, &profile, 2_000, 1, Engine::EventHorizon)?;
+//! let report = run_differential_spec(&spec, &profile, 2_000, 1, Engine::EventHorizon)?;
 //! assert!(report.events as u64 >= report.accesses);
 //! assert!(report.accesses > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -78,6 +78,9 @@ pub mod reference;
 
 pub use batch::{BatchCase, BatchEquivalenceReport, SequentialBaseline};
 pub use coherence::{run_coherence, run_coherence_both_engines, CoherenceError, CoherenceReport};
-pub use harness::{run_differential, run_differential_both_engines, DifferentialError, DifferentialReport};
+pub use harness::{
+    run_differential_spec, run_differential_spec_both_engines, DifferentialError,
+    DifferentialReport,
+};
 pub use hierarchy::RefHierarchy;
 pub use recorder::RecordingProbe;

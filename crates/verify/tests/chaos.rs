@@ -12,7 +12,6 @@
 //! `LNUCA_VERIFY_INSTRUCTIONS` scales the per-run instruction budget
 //! (default 1 500), matching the differential matrix.
 
-use lnuca_sim::configs::{self, HierarchyKind};
 use lnuca_sim::experiments::{ExperimentOptions, ExperimentPlan, Study, WorkloadSelection};
 use lnuca_sim::scenario::report_value;
 use lnuca_sim::spec::HierarchySpec;
@@ -34,7 +33,7 @@ fn instructions() -> u64 {
 }
 
 fn fabric_spec() -> HierarchySpec {
-    HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec()
+    HierarchySpec::lnuca_l3(2).unwrap()
 }
 
 fn temp_path(tag: &str) -> std::path::PathBuf {

@@ -1,9 +1,9 @@
-//! The differential oracle beyond the paper's four kinds: hierarchies that
-//! only exist as composed `HierarchySpec`s — a fabric with nothing behind
-//! it, a four-level conventional stack, a fabric with an intermediate
-//! cache, non-paper tile sizes — all replayed through the timing-free
-//! reference model (DESIGN.md §11 holds for the whole spec space, not just
-//! the closed enum it replaced).
+//! The differential oracle beyond the paper's four presets: hierarchies
+//! that only exist as composed `HierarchySpec`s — a fabric with nothing
+//! behind it, a four-level conventional stack, a fabric with an
+//! intermediate cache, non-paper tile sizes — all replayed through the
+//! timing-free reference model (DESIGN.md §11 holds for the whole spec
+//! space, not just the paper's four organisations).
 
 use lnuca_core::LNucaConfig;
 use lnuca_mem::{AccessMode, CacheConfig, WritePolicy};
@@ -68,7 +68,7 @@ fn deep_conventional_stack_matches_the_reference_model() {
 }
 
 /// A fabric *and* an intermediate conventional cache — the two families the
-/// old enum kept separate, composed.
+/// paper's organisations keep separate, composed.
 #[test]
 fn fabric_with_intermediate_cache_matches_the_reference_model() {
     let spec = HierarchySpec::builder()

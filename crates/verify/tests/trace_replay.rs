@@ -3,7 +3,7 @@
 //! `lnuca ingest` encoding, replay bit-identically under both engines, and
 //! survive the batch-equivalence check at batch sizes {1, full}.
 
-use lnuca_sim::configs::{self, HierarchyKind};
+use lnuca_sim::spec::HierarchySpec;
 use lnuca_sim::system::Engine;
 use lnuca_verify::batch::{BatchCase, SequentialBaseline};
 use lnuca_verify::harness::run_differential_spec_both_engines;
@@ -34,8 +34,8 @@ fn committed_corpus_matches_its_textual_dump() {
 fn trace_replay_passes_the_differential_oracle_under_both_engines() {
     let profile = trace::trace_profile(&sample_path("sample.lnt"));
     for spec in [
-        HierarchyKind::Conventional(configs::conventional()).to_spec(),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec(),
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(2).unwrap(),
     ] {
         let report = run_differential_spec_both_engines(&spec, &profile, 6_000, 1)
             .expect("trace replay matches the reference model under both engines");
@@ -47,9 +47,9 @@ fn trace_replay_passes_the_differential_oracle_under_both_engines() {
 fn trace_replay_is_batch_equivalent_at_one_and_full_width() {
     let profile = trace::trace_profile(&sample_path("sample.lnt"));
     let specs = [
-        HierarchyKind::Conventional(configs::conventional()).to_spec(),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec(),
-        lnuca_sim::spec::HierarchySpec::builder()
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(2).unwrap(),
+        HierarchySpec::builder()
             .fabric(lnuca_core::LNucaConfig::paper(3).expect("3 levels is in range"))
             .build()
             .expect("a fabric-over-memory spec builds"),

@@ -10,8 +10,9 @@
 use lnuca_suite::core::{LNucaConfig, LNucaGeometry};
 use lnuca_suite::energy::AreaModel;
 use lnuca_suite::noc::RoutingPolicy;
-use lnuca_suite::sim::configs::{self, HierarchyKind};
+use lnuca_suite::sim::configs;
 use lnuca_suite::sim::report::format_table;
+use lnuca_suite::sim::spec::HierarchySpec;
 use lnuca_suite::sim::system::System;
 use lnuca_suite::types::stats::harmonic_mean;
 use lnuca_suite::workloads::suites;
@@ -30,17 +31,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for levels in 2..=5u8 {
         for (routing_name, routing) in [("random", RoutingPolicy::RandomValid), ("dim-order", RoutingPolicy::DimensionOrder)] {
-            let mut config = configs::lnuca_hierarchy(levels);
-            config.lnuca = LNucaConfig {
-                routing,
-                ..config.lnuca
-            };
-            let kind = HierarchyKind::LNucaL3(config);
+            let spec = HierarchySpec::builder()
+                .fabric(LNucaConfig {
+                    routing,
+                    ..LNucaConfig::paper(levels)?
+                })
+                .backing_cache(configs::paper_l3())
+                .build()?;
             let mut ipcs = Vec::new();
             let mut ratio_num = 0u64;
             let mut ratio_den = 0u64;
             for (i, profile) in workloads.iter().enumerate() {
-                let r = System::run_workload(&kind, profile, instructions, 11 + i as u64)?;
+                let r = System::run_spec(&spec, profile, instructions, 11 + i as u64)?;
                 ipcs.push(r.ipc);
                 if let Some(f) = &r.hierarchy.lnuca {
                     ratio_num += f.transport_latency_sum;

@@ -6,8 +6,8 @@
 //! cargo run --release --example hierarchy_comparison
 //! ```
 
-use lnuca_suite::sim::configs::{self, HierarchyKind};
 use lnuca_suite::sim::report::format_table;
+use lnuca_suite::sim::spec::HierarchySpec;
 use lnuca_suite::sim::system::System;
 use lnuca_suite::types::stats::harmonic_mean;
 use lnuca_suite::workloads::suites;
@@ -20,30 +20,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fp.truncate(3);
     workloads.extend(fp);
 
-    let kinds = vec![
-        HierarchyKind::Conventional(configs::conventional()),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)),
-        HierarchyKind::DNuca(configs::dnuca_hierarchy()),
-        HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2)),
+    let specs = [
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(2)?,
+        HierarchySpec::lnuca_l3(3)?,
+        HierarchySpec::dnuca(),
+        HierarchySpec::lnuca_dnuca(2)?,
     ];
 
     println!(
         "comparing {} hierarchies on {} synthetic benchmarks ({} instructions each)\n",
-        kinds.len(),
+        specs.len(),
         workloads.len(),
         instructions
     );
 
     let mut rows = Vec::new();
-    for kind in &kinds {
+    for spec in &specs {
         let mut ipcs = Vec::new();
         let mut l1_hit_ratio = 0.0;
         let mut second_level_hits = 0u64;
         let mut memory_accesses = 0u64;
         let mut energy_pj = 0.0;
         for (i, profile) in workloads.iter().enumerate() {
-            let r = System::run_workload(kind, profile, instructions, 7 + i as u64)?;
+            let r = System::run_spec(spec, profile, instructions, 7 + i as u64)?;
             ipcs.push(r.ipc);
             l1_hit_ratio += 1.0 - r.hierarchy.l1.miss_ratio();
             second_level_hits += r.hierarchy.second_level_read_hits();
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let n = workloads.len() as f64;
         rows.push(vec![
-            kind.label(),
+            spec.label(),
             format!("{:.3}", harmonic_mean(&ipcs).unwrap_or(0.0)),
             format!("{:.1}%", l1_hit_ratio / n * 100.0),
             (second_level_hits / workloads.len() as u64).to_string(),

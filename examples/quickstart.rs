@@ -15,10 +15,8 @@
 //! ```
 
 use lnuca_suite::core::LNucaConfig;
-use lnuca_suite::sim::configs;
 use lnuca_suite::sim::spec::HierarchySpec;
 use lnuca_suite::sim::system::System;
-use lnuca_suite::sim::HierarchyKind;
 use lnuca_suite::workloads::suites;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,13 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's baseline: 32 KB L1 + 256 KB L2 + 8 MB L3 — one point in
     // the composable spec space (root + intermediate L2 + cache backing).
-    let baseline = HierarchyKind::Conventional(configs::conventional()).to_spec();
+    let baseline = HierarchySpec::conventional();
 
     // The paper's proposal: replace the L2 with a 3-level, 144 KB L-NUCA.
-    let lnuca = HierarchySpec::builder()
-        .fabric(LNucaConfig::paper(3)?)
-        .backing_cache(configs::paper_l3())
-        .build()?;
+    let lnuca = HierarchySpec::lnuca_l3(3)?;
 
     // Beyond the paper: the same fabric with nothing behind it but DRAM.
     let no_l3 = HierarchySpec::builder().fabric(LNucaConfig::paper(3)?).build()?;

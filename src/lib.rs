@@ -8,10 +8,12 @@
 //! # Example
 //!
 //! ```
-//! use lnuca_suite::sim::configs;
+//! use lnuca_suite::sim::spec::HierarchySpec;
 //!
-//! let cfg = configs::lnuca_hierarchy(3);
-//! assert_eq!(cfg.lnuca.levels, 3);
+//! let spec = HierarchySpec::lnuca_l3(3)?;
+//! assert_eq!(spec.fabric.as_ref().map(|f| f.levels), Some(3));
+//! assert_eq!(spec.label(), "LN3-144KB");
+//! # Ok::<(), lnuca_suite::types::ConfigError>(())
 //! ```
 
 pub use lnuca_coherence as coherence;

@@ -1,4 +1,4 @@
-//! The batch-equivalence matrix (DESIGN.md §13): every hierarchy kind ×
+//! The batch-equivalence matrix (DESIGN.md §13): every paper preset ×
 //! every shipped workload profile (the paper's 22 plus the 7 adversarial
 //! classes) × 3 seeds, run through `BatchRunner` at batch sizes
 //! {1, 3, 8, full} and pinned bit-identical — `RunResult` and probe event
@@ -7,12 +7,12 @@
 //! The sequential side of each comparison is the full differential oracle
 //! (`lnuca_verify::batch::SequentialBaseline`), so a batched run is not
 //! merely "same as solo" but "same as a solo run the reference model
-//! signed off on". Each hierarchy kind is one test so the quadrants run in
-//! parallel; each kind's 87-case baseline is captured once and reused by
+//! signed off on". Each paper preset is one test so the quadrants run in
+//! parallel; each preset's 87-case baseline is captured once and reused by
 //! all four batched passes. `LNUCA_VERIFY_INSTRUCTIONS` scales the per-run
 //! budget (default 700 here: the matrix is stepped five times over).
 
-use lnuca_sim::configs::{self, HierarchyKind};
+use lnuca_sim::configs;
 use lnuca_sim::spec::{BackingSpec, HierarchySpec};
 use lnuca_sim::system::{Engine, System};
 use lnuca_sim::{BatchJob, BatchRunner};
@@ -21,7 +21,7 @@ use lnuca_workloads::suites;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 
-/// Batch sizes every kind is checked at; 0 is the full-width batch.
+/// Batch sizes every preset is checked at; 0 is the full-width batch.
 const BATCH_SIZES: [usize; 4] = [1, 3, 8, 0];
 
 fn instructions() -> u64 {
@@ -31,8 +31,7 @@ fn instructions() -> u64 {
         .unwrap_or(700)
 }
 
-fn verify_kind(kind: &HierarchyKind) {
-    let spec = kind.to_spec();
+fn verify_spec(spec: &HierarchySpec) {
     let instructions = instructions();
     let cases: Vec<BatchCase> = suites::extended()
         .into_iter()
@@ -65,22 +64,22 @@ fn verify_kind(kind: &HierarchyKind) {
 
 #[test]
 fn conventional_batches_are_bit_identical() {
-    verify_kind(&HierarchyKind::Conventional(configs::conventional()));
+    verify_spec(&HierarchySpec::conventional());
 }
 
 #[test]
 fn lnuca_l3_batches_are_bit_identical() {
-    verify_kind(&HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)));
+    verify_spec(&HierarchySpec::lnuca_l3(3).unwrap());
 }
 
 #[test]
 fn dnuca_batches_are_bit_identical() {
-    verify_kind(&HierarchyKind::DNuca(configs::dnuca_hierarchy()));
+    verify_spec(&HierarchySpec::dnuca());
 }
 
 #[test]
 fn lnuca_dnuca_batches_are_bit_identical() {
-    verify_kind(&HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2)));
+    verify_spec(&HierarchySpec::lnuca_dnuca(2).unwrap());
 }
 
 /// Multicore members batch bit-identically too: a mixed batch of CMP
@@ -139,19 +138,19 @@ fn cmp_batches_are_bit_identical_under_both_engines() {
 /// run, including under the cycle-step engine the matrix above skips.
 #[test]
 fn mixed_kind_batches_are_bit_identical_under_both_engines() {
-    let kinds = [
-        HierarchyKind::Conventional(configs::conventional()),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)),
-        HierarchyKind::DNuca(configs::dnuca_hierarchy()),
-        HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(3)),
+    let specs = [
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(2).unwrap(),
+        HierarchySpec::dnuca(),
+        HierarchySpec::lnuca_dnuca(3).unwrap(),
     ];
     let profiles = suites::extended();
     for engine in [Engine::EventHorizon, Engine::CycleStep] {
-        let cases: Vec<BatchCase> = kinds
+        let cases: Vec<BatchCase> = specs
             .iter()
             .enumerate()
-            .map(|(i, kind)| BatchCase {
-                spec: kind.to_spec(),
+            .map(|(i, spec)| BatchCase {
+                spec: spec.clone(),
                 profile: profiles[i * 5].clone(),
                 instructions: instructions() + 137 * i as u64,
                 seed: 4 + i as u64,

@@ -1,24 +1,24 @@
 //! Top-level smoke of the differential oracle: one configuration per
 //! hierarchy family, one adversarial and one paper workload, through the
-//! umbrella crate. The exhaustive matrix (4 kinds × 2 engines × 26
+//! umbrella crate. The exhaustive matrix (4 presets × 2 engines × 26
 //! profiles × 3 seeds) lives in `crates/verify/tests/differential.rs`.
 
-use lnuca_suite::sim::configs::{self, HierarchyKind};
-use lnuca_suite::verify::harness::run_differential_both_engines;
+use lnuca_suite::sim::spec::HierarchySpec;
+use lnuca_suite::verify::harness::run_differential_spec_both_engines;
 use lnuca_suite::workloads::suites;
 
 #[test]
 fn every_hierarchy_family_survives_the_oracle() {
-    let kinds = [
-        HierarchyKind::Conventional(configs::conventional()),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)),
-        HierarchyKind::DNuca(configs::dnuca_hierarchy()),
-        HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2)),
+    let specs = [
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(3).unwrap(),
+        HierarchySpec::dnuca(),
+        HierarchySpec::lnuca_dnuca(2).unwrap(),
     ];
-    for kind in &kinds {
+    for spec in &specs {
         for name in ["int.compress", "adv.phase_mix"] {
             let profile = suites::by_name(name).expect("shipped profile");
-            let report = run_differential_both_engines(kind, &profile, 2_000, 1)
+            let report = run_differential_spec_both_engines(spec, &profile, 2_000, 1)
                 .unwrap_or_else(|e| panic!("{e}"));
             assert!(report.accesses > 0);
             assert!(report.events as u64 >= report.accesses);
@@ -28,9 +28,9 @@ fn every_hierarchy_family_survives_the_oracle() {
 
 #[test]
 fn the_oracle_counts_what_the_run_did() {
-    let kind = HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2));
+    let spec = HierarchySpec::lnuca_l3(2).unwrap();
     let profile = suites::by_name("adv.gups").expect("shipped profile");
-    let report = run_differential_both_engines(&kind, &profile, 3_000, 9)
+    let report = run_differential_spec_both_engines(&spec, &profile, 3_000, 9)
         .unwrap_or_else(|e| panic!("{e}"));
     // GUPS over a >L3-sized table: plenty of DRAM traffic and write drains.
     assert!(report.memory_accesses > 100, "memory accesses {}", report.memory_accesses);

@@ -1,4 +1,4 @@
-//! Pins the event-horizon contract end to end: for every hierarchy kind and
+//! Pins the event-horizon contract end to end: for every paper preset and
 //! several seeds, [`Engine::EventHorizon`] — which jumps the clock to the
 //! minimum `next_event` horizon instead of single-stepping — produces a
 //! `RunResult` **bit-identical** to [`Engine::CycleStep`]: same final cycle
@@ -9,39 +9,39 @@
 //! quiescence while a tick would still have changed state) — the one
 //! invariant DESIGN.md §10 forbids breaking.
 
-use lnuca_suite::sim::configs::{self, HierarchyKind};
+use lnuca_suite::sim::spec::HierarchySpec;
 use lnuca_suite::sim::system::{Engine, System};
 use lnuca_suite::workloads::suites;
 
 const INSTRUCTIONS: u64 = 5_000;
 const SEEDS: [u64; 3] = [1, 2, 3];
 
-fn all_kinds() -> Vec<HierarchyKind> {
+fn all_presets() -> Vec<HierarchySpec> {
     vec![
-        HierarchyKind::Conventional(configs::conventional()),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)),
-        HierarchyKind::DNuca(configs::dnuca_hierarchy()),
-        HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2)),
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(3).unwrap(),
+        HierarchySpec::dnuca(),
+        HierarchySpec::lnuca_dnuca(2).unwrap(),
     ]
 }
 
 #[test]
 fn event_horizon_is_bit_identical_to_cycle_stepping_everywhere() {
     let profiles = [&suites::spec_int_like()[0], &suites::spec_fp_like()[0]];
-    for kind in all_kinds() {
+    for spec in all_presets() {
         for &seed in &SEEDS {
             for profile in profiles {
-                let stepped = System::run_workload_with(
+                let stepped = System::run_spec_with(
                     Engine::CycleStep,
-                    &kind,
+                    &spec,
                     profile,
                     INSTRUCTIONS,
                     seed,
                 )
                 .expect("valid configuration");
-                let jumped = System::run_workload_with(
+                let jumped = System::run_spec_with(
                     Engine::EventHorizon,
-                    &kind,
+                    &spec,
                     profile,
                     INSTRUCTIONS,
                     seed,
@@ -51,32 +51,32 @@ fn event_horizon_is_bit_identical_to_cycle_stepping_everywhere() {
                 assert_eq!(
                     stepped.cycles, jumped.cycles,
                     "{} on {} seed {seed}: cycle counts diverge",
-                    kind.label(),
+                    spec.label(),
                     profile.name
                 );
                 assert_eq!(
                     stepped.ipc.to_bits(),
                     jumped.ipc.to_bits(),
                     "{} on {} seed {seed}: IPC diverges",
-                    kind.label(),
+                    spec.label(),
                     profile.name
                 );
                 assert_eq!(
                     stepped.core, jumped.core,
                     "{} on {} seed {seed}: core counters diverge",
-                    kind.label(),
+                    spec.label(),
                     profile.name
                 );
                 assert_eq!(
                     stepped.hierarchy, jumped.hierarchy,
                     "{} on {} seed {seed}: hierarchy counters diverge",
-                    kind.label(),
+                    spec.label(),
                     profile.name
                 );
                 assert_eq!(
                     stepped.energy, jumped.energy,
                     "{} on {} seed {seed}: energy ledgers diverge",
-                    kind.label(),
+                    spec.label(),
                     profile.name
                 );
                 // …then the whole struct, covering any future field.
@@ -88,11 +88,11 @@ fn event_horizon_is_bit_identical_to_cycle_stepping_everywhere() {
 
 #[test]
 fn the_default_engine_is_event_horizon() {
-    // `run_workload` (the path every experiment takes) must match an
+    // `run_spec` (the path every experiment takes) must match an
     // explicit event-horizon run bit for bit.
-    let kind = HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2));
+    let spec = HierarchySpec::lnuca_l3(2).unwrap();
     let profile = &suites::spec_int_like()[1];
-    let default_run = System::run_workload(&kind, profile, 3_000, 7).unwrap();
-    let explicit = System::run_workload_with(Engine::EventHorizon, &kind, profile, 3_000, 7).unwrap();
+    let default_run = System::run_spec(&spec, profile, 3_000, 7).unwrap();
+    let explicit = System::run_spec_with(Engine::EventHorizon, &spec, profile, 3_000, 7).unwrap();
     assert_eq!(default_run, explicit);
 }

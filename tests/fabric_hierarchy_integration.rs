@@ -4,7 +4,8 @@
 
 use lnuca_suite::core::{LNuca, LNucaConfig, LNucaGeometry};
 use lnuca_suite::cpu::{CoreConfig, DataMemory, FixedLatencyMemory, OooCore};
-use lnuca_suite::sim::configs::{self, HierarchyKind};
+use lnuca_suite::sim::configs;
+use lnuca_suite::sim::spec::{BackingSpec, HierarchySpec};
 use lnuca_suite::sim::system::System;
 use lnuca_suite::types::{Addr, Cycle, ReqId};
 use lnuca_suite::workloads::{suites, TraceGenerator, WorkloadProfile};
@@ -54,8 +55,8 @@ fn full_system_run_preserves_exclusion_invariants() {
     use lnuca_suite::sim::hierarchy::LNucaHierarchy;
     use lnuca_suite::cpu::DataMemory as _;
 
-    let config = configs::lnuca_hierarchy(2);
-    let mut hierarchy = LNucaHierarchy::with_l3(&config).expect("valid config");
+    let spec = HierarchySpec::lnuca_l3(2).expect("valid config");
+    let mut hierarchy = LNucaHierarchy::from_spec(&spec).expect("valid config");
     let profile = suites::spec_int_like()[1].clone();
     let trace = TraceGenerator::new(profile, 5).take(3_000);
     let mut core = OooCore::new(CoreConfig::paper(), trace).expect("valid core");
@@ -80,28 +81,29 @@ fn full_system_run_preserves_exclusion_invariants() {
 #[test]
 fn all_four_hierarchies_run_the_same_workload() {
     let profile = WorkloadProfile::default();
-    let kinds = [
-        HierarchyKind::Conventional(configs::conventional()),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(3)),
-        HierarchyKind::DNuca(configs::dnuca_hierarchy()),
-        HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(2)),
+    let specs = [
+        HierarchySpec::conventional(),
+        HierarchySpec::lnuca_l3(3).unwrap(),
+        HierarchySpec::dnuca(),
+        HierarchySpec::lnuca_dnuca(2).unwrap(),
     ];
-    for kind in kinds {
-        let result = System::run_workload(&kind, &profile, 4_000, 3).expect("valid config");
+    for spec in specs {
+        let result = System::run_spec(&spec, &profile, 4_000, 3).expect("valid config");
         assert_eq!(result.instructions, 4_000, "{} did not finish", result.label);
         assert!(result.ipc > 0.05, "{} IPC {}", result.label, result.ipc);
         assert!(result.energy.total_pj() > 0.0);
-        match kind {
-            HierarchyKind::Conventional(_) => assert!(result.hierarchy.l2.is_some()),
-            HierarchyKind::LNucaL3(_) => {
+        match (spec.fabric.is_some(), &spec.backing) {
+            (false, BackingSpec::Cache(_)) => assert!(result.hierarchy.l2.is_some()),
+            (true, BackingSpec::Cache(_)) => {
                 assert!(result.hierarchy.lnuca.is_some());
                 assert!(result.hierarchy.l3.is_some());
             }
-            HierarchyKind::DNuca(_) => assert!(result.hierarchy.dnuca.is_some()),
-            HierarchyKind::LNucaDNuca(_) => {
+            (false, BackingSpec::DNuca(_)) => assert!(result.hierarchy.dnuca.is_some()),
+            (true, BackingSpec::DNuca(_)) => {
                 assert!(result.hierarchy.lnuca.is_some());
                 assert!(result.hierarchy.dnuca.is_some());
             }
+            (_, backing) => panic!("not a paper preset backing: {backing:?}"),
         }
     }
 }
@@ -112,8 +114,8 @@ fn all_four_hierarchies_run_the_same_workload() {
 #[test]
 fn tile_hit_distribution_is_monotone_in_level() {
     let profile = suites::spec_fp_like()[0].clone();
-    let kind = HierarchyKind::LNucaL3(configs::lnuca_hierarchy(4));
-    let result = System::run_workload(&kind, &profile, 30_000, 11).expect("valid config");
+    let spec = HierarchySpec::lnuca_l3(4).unwrap();
+    let result = System::run_spec(&spec, &profile, 30_000, 11).expect("valid config");
     let fabric = result.hierarchy.lnuca.expect("fabric stats present");
     assert!(fabric.read_hits() > 100, "only {} fabric read hits", fabric.read_hits());
     assert!(
@@ -148,8 +150,8 @@ fn memory_hierarchy_is_the_bottleneck() {
     }
     let ideal_ipc = ideal_core.stats().ipc(now);
 
-    let kind = HierarchyKind::Conventional(configs::conventional());
-    let real = System::run_workload(&kind, &profile, 10_000, 1).expect("valid config");
+    let spec = HierarchySpec::conventional();
+    let real = System::run_spec(&spec, &profile, 10_000, 1).expect("valid config");
     assert!(
         ideal_ipc > real.ipc,
         "ideal-memory IPC {ideal_ipc} should exceed realistic-hierarchy IPC {}",
@@ -162,10 +164,10 @@ fn memory_hierarchy_is_the_bottleneck() {
 /// repository is reproducible.
 #[test]
 fn end_to_end_determinism() {
-    let kind = HierarchyKind::LNucaDNuca(configs::lnuca_dnuca_hierarchy(3));
+    let spec = HierarchySpec::lnuca_dnuca(3).unwrap();
     let profile = suites::spec_fp_like()[2].clone();
-    let a = System::run_workload(&kind, &profile, 6_000, 77).expect("valid config");
-    let b = System::run_workload(&kind, &profile, 6_000, 77).expect("valid config");
+    let a = System::run_spec(&spec, &profile, 6_000, 77).expect("valid config");
+    let b = System::run_spec(&spec, &profile, 6_000, 77).expect("valid config");
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.hierarchy.lnuca.as_ref().map(|s| s.read_hits()), b.hierarchy.lnuca.as_ref().map(|s| s.read_hits()));
     assert_eq!(a.hierarchy.memory_accesses, b.hierarchy.memory_accesses);

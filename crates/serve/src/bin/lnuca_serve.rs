@@ -8,10 +8,12 @@
 //! Flags override the `LNUCA_SERVE_ADDR` / `LNUCA_SERVE_WORKERS` /
 //! `LNUCA_QUEUE_DEPTH` environment knobs; scenario-level `LNUCA_*` knobs
 //! (quick mode, budgets, threads) layer onto every submission exactly as
-//! they do for the CLI. The daemon prints one `listening on ADDR` line to
-//! stdout once the socket is bound (port 0 works — the line reports the
-//! real port, which is how tests and CI discover it), serves until
-//! SIGTERM/SIGINT, drains gracefully and exits 0.
+//! they do for the CLI. `--cache-capacity` bounds both the result cache
+//! and the finished job records (least recently used evicted first). The
+//! daemon prints one `listening on ADDR` line to stdout once the socket
+//! is bound (port 0 works — the line reports the real port, which is how
+//! tests and CI discover it), serves until SIGTERM/SIGINT, drains
+//! gracefully and exits 0.
 
 use lnuca_serve::{router, signals, ServeConfig, Server};
 use std::net::TcpListener;
@@ -111,6 +113,8 @@ fn print_help() {
          \x20                  [--cache-capacity N] [--journal DIR] [--baseline PATH]\n\
          \n\
          Flags override LNUCA_SERVE_ADDR / LNUCA_SERVE_WORKERS / LNUCA_QUEUE_DEPTH.\n\
+         --cache-capacity N (default 64) bounds the result cache and the finished job\n\
+         records alike; an evicted job id answers 404, its report stays cached by digest.\n\
          Endpoints: POST /v1/jobs, POST /v1/scenarios/{{name}}, GET /v1/jobs/{{id}},\n\
          DELETE /v1/jobs/{{id}}, GET /metrics, GET /healthz. SIGTERM drains and exits 0."
     );

@@ -24,7 +24,8 @@
 //!   digest (`lnuca_sim::journal::plan_digest`): resubmitting a scenario
 //!   whose semantic fields are unchanged is served the stored report
 //!   **byte-identically** without simulating anything, with deterministic
-//!   LRU eviction under a configured capacity,
+//!   LRU eviction under a configured capacity; the same capacity bounds
+//!   the finished job records, also by LRU,
 //! * **Prometheus-style `/metrics`** — monotone counters plus queue-depth
 //!   / in-flight / per-worker-throughput gauges,
 //! * **graceful drain** — SIGTERM stops admission, journals or finishes
@@ -50,4 +51,4 @@ pub mod signals;
 
 pub use cache::ResultCache;
 pub use metrics::Metrics;
-pub use service::{JobSnapshot, JobState, ServeConfig, Server, Submission};
+pub use service::{JobSnapshot, JobState, ServeConfig, Server, Source, Submission};

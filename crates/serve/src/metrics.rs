@@ -43,6 +43,9 @@ pub struct Metrics {
     pub cache_misses_total: AtomicU64,
     /// Result-cache LRU evictions.
     pub cache_evictions_total: AtomicU64,
+    /// Finished job records evicted by the job-table bound (their ids
+    /// answer 404 from then on).
+    pub jobs_evicted_total: AtomicU64,
     /// Simulated cycles retired by completed jobs.
     pub simulated_cycles_total: AtomicU64,
     /// MSI directory transactions (reads + writes) of CMP runs, summed
@@ -147,6 +150,11 @@ impl Metrics {
                 "result-cache LRU evictions",
             ),
             (
+                "lnuca_serve_jobs_evicted_total",
+                &self.jobs_evicted_total,
+                "finished job records evicted by the job-table bound",
+            ),
+            (
                 "lnuca_serve_simulated_cycles_total",
                 &self.simulated_cycles_total,
                 "simulated cycles retired by completed jobs",
@@ -229,6 +237,7 @@ mod tests {
         assert!(text.contains("lnuca_serve_worker_kcycles_per_sec{worker=\"1\"} 1234.500"));
         assert!(text.contains("# TYPE lnuca_serve_requests_total counter"));
         assert!(text.contains("# TYPE lnuca_serve_coherence_transactions_total counter"));
+        assert!(text.contains("lnuca_serve_jobs_evicted_total 0"));
         assert!(text.contains("lnuca_serve_coherence_invalidations_total 0"));
         assert!(text.contains("lnuca_serve_coherence_writebacks_total 0"));
         assert!(text.contains("lnuca_serve_coherence_recalls_total 0"));

@@ -18,23 +18,31 @@
 //! header; an accepted job returns `202`; a full queue returns `429` with
 //! `Retry-After`; a draining daemon returns `503`.
 //!
-//! The accept loop keeps the listener **nonblocking** and polls the
-//! process drain flag between accepts: std's blocking `accept` retries
-//! `EINTR`, so a SIGTERM delivered mid-accept would otherwise be absorbed.
-//! On drain it stops accepting, runs the server drain
+//! The accept loop **blocks** in `accept`, so a connection is served the
+//! moment it arrives. std's blocking `accept` retries `EINTR`, so a
+//! SIGTERM cannot interrupt it; instead a waker thread polls the drain
+//! flags (the signal flag and [`Server::is_draining`]) and, once either is
+//! set, connects to the listener itself. The loop checks the flags after
+//! every accept, drops that connection unhandled, runs the server drain
 //! ([`Server::begin_drain`] + [`Server::drain_join`]) and returns.
 
 use crate::http;
-use crate::service::{JobSnapshot, Server, Submission};
+use crate::service::{JobSnapshot, Server, Source, Submission};
 use crate::signals;
 use serde::json::Value;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Pause after a failed `accept` (such as EMFILE), so an error cannot spin
+/// the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// How often the waker checks the drain flags.
+const DRAIN_POLL: Duration = Duration::from_millis(10);
+/// Bound on the waker's connect: a full backlog means `accept` is not
+/// blocked and will see the flag on its own.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Cap on a `?wait=SECS` long-poll.
 const MAX_WAIT: Duration = Duration::from_secs(600);
 
@@ -44,28 +52,27 @@ const MAX_WAIT: Duration = Duration::from_secs(600);
 ///
 /// # Errors
 ///
-/// Only setup can fail (marking the listener nonblocking); per-connection
+/// Only setup can fail (reading the listener's address); per-connection
 /// errors are answered or dropped, never fatal.
 pub fn run_until_drained(server: &Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
+    let waker = spawn_waker(server, wake_addr(listener.local_addr()?));
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     loop {
-        if signals::drain_requested() || server.is_draining() {
+        let accepted = listener.accept();
+        if drain_flagged(server) {
+            // Most likely the waker's own connection: dropped unhandled.
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let server = Arc::clone(server);
                 handlers.push(thread::spawn(move || handle_connection(&server, stream)));
                 handlers.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
                 eprintln!("accept error (continuing): {e}");
-                thread::sleep(ACCEPT_POLL);
+                thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }
@@ -75,7 +82,39 @@ pub fn run_until_drained(server: &Arc<Server>, listener: TcpListener) -> std::io
     for handle in handlers {
         let _ = handle.join();
     }
+    let _ = waker.join();
     Ok(())
+}
+
+fn drain_flagged(server: &Server) -> bool {
+    signals::drain_requested() || server.is_draining()
+}
+
+/// The address the waker connects to: the listener's own, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        match addr {
+            SocketAddr::V4(_) => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            SocketAddr::V6(_) => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        }
+    }
+    addr
+}
+
+/// Starts the thread that wakes the blocked `accept` once a drain is
+/// flagged. It connects once and exits; the loop drops the connection.
+fn spawn_waker(server: &Arc<Server>, addr: SocketAddr) -> JoinHandle<()> {
+    let server = Arc::clone(server);
+    thread::Builder::new()
+        .name("lnuca-serve-waker".to_owned())
+        .spawn(move || {
+            while !drain_flagged(&server) {
+                thread::sleep(DRAIN_POLL);
+            }
+            let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        })
+        .expect("spawn waker thread")
 }
 
 /// Serves one connection: read one request, dispatch, write one response.
@@ -114,13 +153,16 @@ pub fn handle_connection(server: &Arc<Server>, mut stream: TcpStream) {
             respond_json(&mut stream, 200, &[], &body);
         }
         ("POST", "/v1/jobs") => {
-            let submission = server.submit_document(&request.text(), priority_of(query));
-            respond_submission(&mut stream, server, submission, wait_of(query));
+            let text = request.text();
+            let (submission, waited) =
+                server.submit(Source::Document(&text), priority_of(query), wait_of(query));
+            respond_submission(&mut stream, submission, waited);
         }
         ("POST", _) if path.starts_with("/v1/scenarios/") => {
             let name = &path["/v1/scenarios/".len()..];
-            let submission = server.submit_name(name, priority_of(query));
-            respond_submission(&mut stream, server, submission, wait_of(query));
+            let (submission, waited) =
+                server.submit(Source::Name(name), priority_of(query), wait_of(query));
+            respond_submission(&mut stream, submission, waited);
         }
         ("GET", _) if path.starts_with("/v1/jobs/") => {
             match parse_id(&path["/v1/jobs/".len()..]) {
@@ -154,12 +196,9 @@ pub fn handle_connection(server: &Arc<Server>, mut stream: TcpStream) {
     }
 }
 
-fn respond_submission(
-    stream: &mut TcpStream,
-    server: &Arc<Server>,
-    submission: Submission,
-    wait: Option<Duration>,
-) {
+/// Answers a submission; `waited` is the snapshot of a `?wait=SECS`
+/// long-poll on an admitted job.
+fn respond_submission(stream: &mut TcpStream, submission: Submission, waited: Option<JobSnapshot>) {
     match submission {
         Submission::CacheHit { digest, report } => {
             let _ = http::write_response(
@@ -174,45 +213,40 @@ fn respond_submission(
                 report.as_bytes(),
             );
         }
-        Submission::Accepted { id, digest } => {
-            if let Some(timeout) = wait {
-                let snapshot = server.wait(id, timeout.min(MAX_WAIT));
-                match snapshot {
-                    Some(snapshot) if snapshot.state.is_terminal() => {
-                        // One-round-trip path: the report body directly
-                        // when the job produced one, the snapshot if not.
-                        let digest_hex = format!("{digest:016x}");
-                        let headers = [
-                            ("x-lnuca-cache", "miss"),
-                            ("x-lnuca-digest", digest_hex.as_str()),
-                            ("x-lnuca-job-state", snapshot.state.label()),
-                        ];
-                        match &snapshot.report {
-                            Some(report) => {
-                                let _ = http::write_response(
-                                    stream,
-                                    200,
-                                    http::reason(200),
-                                    "application/json",
-                                    &headers,
-                                    report.as_bytes(),
-                                );
-                            }
-                            None => {
-                                let body = snapshot_json(&snapshot, true);
-                                respond_json(stream, 500, &headers, &body);
-                            }
-                        }
+        Submission::Accepted { id, digest } => match waited {
+            Some(snapshot) if snapshot.state.is_terminal() => {
+                // One-round-trip path: the report body directly when the
+                // job produced one, the snapshot if not.
+                let digest_hex = format!("{digest:016x}");
+                let headers = [
+                    ("x-lnuca-cache", "miss"),
+                    ("x-lnuca-digest", digest_hex.as_str()),
+                    ("x-lnuca-job-state", snapshot.state.label()),
+                ];
+                match &snapshot.report {
+                    Some(report) => {
+                        let _ = http::write_response(
+                            stream,
+                            200,
+                            http::reason(200),
+                            "application/json",
+                            &headers,
+                            report.as_bytes(),
+                        );
                     }
-                    Some(snapshot) => {
-                        // Timed out still queued/running: point at the poll
-                        // endpoint instead of failing the submission.
-                        let body = snapshot_json(&snapshot, false);
-                        respond_json(stream, 202, &[], &body);
+                    None => {
+                        let body = snapshot_json(&snapshot, true);
+                        respond_json(stream, 500, &headers, &body);
                     }
-                    None => respond_error(stream, 500, "job vanished"),
                 }
-            } else {
+            }
+            Some(snapshot) => {
+                // Timed out still queued/running: point at the poll
+                // endpoint instead of failing the submission.
+                let body = snapshot_json(&snapshot, false);
+                respond_json(stream, 202, &[], &body);
+            }
+            None => {
                 let body = object(vec![
                     ("id", Value::UInt(id)),
                     ("digest", Value::String(format!("{digest:016x}"))),
@@ -221,7 +255,7 @@ fn respond_submission(
                 ]);
                 respond_json(stream, 202, &[], &body);
             }
-        }
+        },
         Submission::Busy { retry_after_secs } => {
             let body = object(vec![(
                 "error",
@@ -313,10 +347,11 @@ fn priority_of(query: &str) -> i64 {
         .unwrap_or(0)
 }
 
+/// The `?wait=SECS` long-poll, capped at [`MAX_WAIT`].
 fn wait_of(query: &str) -> Option<Duration> {
     query_param(query, "wait")
         .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_secs)
+        .map(|secs| Duration::from_secs(secs).min(MAX_WAIT))
 }
 
 fn parse_id(raw: &str) -> Option<u64> {
@@ -333,9 +368,20 @@ mod tests {
         assert_eq!(path, "/v1/jobs");
         assert_eq!(priority_of(query), 3);
         assert_eq!(wait_of(query), Some(Duration::from_secs(10)));
+        assert_eq!(wait_of("wait=86400"), Some(MAX_WAIT));
         let (path, query) = split_target("/metrics");
         assert_eq!(path, "/metrics");
         assert_eq!(priority_of(query), 0);
         assert_eq!(wait_of(query), None);
+    }
+
+    #[test]
+    fn the_waker_dials_loopback_for_an_unspecified_bind() {
+        let v4: SocketAddr = "0.0.0.0:7090".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:7090".parse().unwrap());
+        let v6: SocketAddr = "[::]:7090".parse().unwrap();
+        assert_eq!(wake_addr(v6), "[::1]:7090".parse().unwrap());
+        let bound: SocketAddr = "10.1.2.3:80".parse().unwrap();
+        assert_eq!(wake_addr(bound), bound);
     }
 }

@@ -42,7 +42,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission bound: queued-but-not-running jobs beyond this are 429s.
     pub queue_depth: usize,
-    /// Result-cache capacity, in reports.
+    /// Result-cache capacity, in reports. The same number bounds the
+    /// finished job records kept for `GET /v1/jobs/{id}`: past it, the
+    /// least recently used finished record is evicted (its id answers 404,
+    /// its report stays reachable by digest while it is cached).
     pub cache_capacity: usize,
     /// When set, every job journals completed runs to
     /// `<dir>/<digest:016x>.jsonl` and the drain stops running jobs at run
@@ -198,6 +201,12 @@ struct JobRecord {
     stop: StopSignal,
     report: Option<Arc<str>>,
     error: Option<String>,
+    /// Callers blocked in a wait on this job; a waited-on record is never
+    /// evicted.
+    waiters: usize,
+    /// Logical time of the last finish or read (LRU order of finished
+    /// records).
+    last_used: u64,
 }
 
 /// One completed job's contribution to the `--baseline` document.
@@ -215,6 +224,63 @@ struct Inner {
     draining: bool,
     next_id: u64,
     next_seq: u64,
+    /// Logical clock behind `JobRecord::last_used`.
+    tick: u64,
+}
+
+impl Inner {
+    /// Marks job `id` as used now (finished or read) for the LRU order.
+    fn touch(&mut self, id: u64) -> Option<&mut JobRecord> {
+        self.tick += 1;
+        let job = self.jobs.get_mut(&id)?;
+        job.last_used = self.tick;
+        Some(job)
+    }
+
+    /// A point-in-time copy of job `id`; reading counts as a use.
+    fn snapshot(&mut self, id: u64) -> Option<JobSnapshot> {
+        let job = self.touch(id)?;
+        Some(JobSnapshot {
+            id,
+            name: job.name.clone(),
+            digest: job.digest,
+            state: job.state,
+            report: job.report.clone(),
+            error: job.error.clone(),
+        })
+    }
+
+    /// Evicts least recently used finished records until at most
+    /// `capacity` remain, skipping any with a blocked waiter. Returns how
+    /// many were evicted.
+    fn evict_finished(&mut self, capacity: usize) -> u64 {
+        let finished = self.jobs.values().filter(|j| j.state.is_terminal()).count();
+        if finished <= capacity {
+            return 0;
+        }
+        let mut idle: Vec<(u64, u64)> = self
+            .jobs
+            .iter()
+            .filter(|(_, j)| j.state.is_terminal() && j.waiters == 0)
+            .map(|(&id, j)| (j.last_used, id))
+            .collect();
+        idle.sort_unstable();
+        let mut evicted = 0;
+        for (_, id) in idle.into_iter().take(finished - capacity) {
+            self.jobs.remove(&id);
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
+/// Where a submission's scenario comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// An `lnuca-scenario/v1` document (file semantics).
+    Document(&'a str),
+    /// A registry scenario name (registry semantics).
+    Name(&'a str),
 }
 
 /// Running total of completed-job wall time, the service-time estimate
@@ -302,17 +368,7 @@ impl Server {
     /// options layer (`LNUCA_*`) applied — the same behaviour as
     /// `lnuca run <file>`.
     pub fn submit_document(&self, text: &str, priority: i64) -> Submission {
-        let scenario = match Scenario::from_json(text) {
-            Ok(s) => s,
-            Err(e) => return Submission::Invalid(e.to_string()),
-        };
-        self.submit_resolved(
-            ResolvedScenario {
-                scenario,
-                from_registry: false,
-            },
-            priority,
-        )
+        self.submit(Source::Document(text), priority, None).0
     }
 
     /// Submits a scenario by registry name.
@@ -322,20 +378,43 @@ impl Server {
     /// (`LNUCA_LEVELS`, `LNUCA_QUICK`, ...), the same behaviour as
     /// `lnuca run <name>`.
     pub fn submit_name(&self, name: &str, priority: i64) -> Submission {
-        let scenario = match scenario::builtin(name) {
-            Ok(s) => s,
-            Err(e) => return Submission::Invalid(e.to_string()),
-        };
-        self.submit_resolved(
-            ResolvedScenario {
-                scenario,
-                from_registry: true,
-            },
-            priority,
-        )
+        self.submit(Source::Name(name), priority, None).0
     }
 
-    fn submit_resolved(&self, resolved: ResolvedScenario, priority: i64) -> Submission {
+    /// Submits a scenario and, with `wait` set and the job admitted,
+    /// blocks like [`Server::wait`] — the `?wait=SECS` path. The job
+    /// record counts as waited on from admission to the end of the wait,
+    /// so the finished-job bound can never evict it in between. The
+    /// snapshot is `None` when no wait ran.
+    pub fn submit(
+        &self,
+        source: Source<'_>,
+        priority: i64,
+        wait: Option<Duration>,
+    ) -> (Submission, Option<JobSnapshot>) {
+        let scenario = match source {
+            Source::Document(text) => Scenario::from_json(text).map_err(|e| e.to_string()),
+            Source::Name(name) => scenario::builtin(name).map_err(|e| e.to_string()),
+        };
+        let scenario = match scenario {
+            Ok(s) => s,
+            Err(e) => return (Submission::Invalid(e), None),
+        };
+        let resolved = ResolvedScenario {
+            scenario,
+            from_registry: matches!(source, Source::Name(_)),
+        };
+        let submission = self.submit_resolved(resolved, priority, wait.is_some());
+        let snapshot = match (&submission, wait) {
+            (Submission::Accepted { id, .. }, Some(timeout)) => self.wait_held(*id, timeout),
+            _ => None,
+        };
+        (submission, snapshot)
+    }
+
+    /// Admits a resolved scenario; `held` registers the submitter as the
+    /// job's first waiter.
+    fn submit_resolved(&self, resolved: ResolvedScenario, priority: i64, held: bool) -> Submission {
         let plan = match cli::resolved_plan(&resolved) {
             Ok(p) => p,
             Err(e) => return Submission::Invalid(e),
@@ -381,6 +460,8 @@ impl Server {
                 stop: StopSignal::new(),
                 report: None,
                 error: None,
+                waiters: usize::from(held),
+                last_used: 0,
             },
         );
         inner.queue.push(Slot {
@@ -397,35 +478,33 @@ impl Server {
         Submission::Accepted { id, digest }
     }
 
-    /// A point-in-time snapshot of job `id`.
+    /// A point-in-time snapshot of job `id`. Reading a job counts as a use
+    /// for the finished-job LRU.
     #[must_use]
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
-        let inner = self.inner.lock().expect("inner lock");
-        inner.jobs.get(&id).map(|job| JobSnapshot {
-            id,
-            name: job.name.clone(),
-            digest: job.digest,
-            state: job.state,
-            report: job.report.clone(),
-            error: job.error.clone(),
-        })
+        self.inner.lock().expect("inner lock").snapshot(id)
     }
 
     /// Blocks until job `id` reaches a terminal state, or `timeout`
     /// elapses. Returns the final snapshot, or the current (non-terminal)
-    /// one on timeout; `None` for an unknown id.
+    /// one on timeout; `None` for an unknown (or evicted) id. The record
+    /// is not evicted while the wait blocks.
     #[must_use]
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobSnapshot> {
+        self.inner.lock().expect("inner lock").jobs.get_mut(&id)?.waiters += 1;
+        self.wait_held(id, timeout)
+    }
+
+    /// [`Server::wait`] for a caller already counted among job `id`'s
+    /// waiters; releases that hold on return.
+    fn wait_held(&self, id: u64, timeout: Duration) -> Option<JobSnapshot> {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock().expect("inner lock");
         loop {
-            match inner.jobs.get(&id) {
-                None => return None,
-                Some(job) if job.state.is_terminal() => break,
-                Some(_) => {}
-            }
+            // Present: a record with a waiter is never evicted.
+            let terminal = inner.jobs.get(&id).is_none_or(|job| job.state.is_terminal());
             let now = Instant::now();
-            if now >= deadline {
+            if terminal || now >= deadline {
                 break;
             }
             let (guard, _timed_out) = self
@@ -434,14 +513,21 @@ impl Server {
                 .expect("done wait");
             inner = guard;
         }
-        inner.jobs.get(&id).map(|job| JobSnapshot {
-            id,
-            name: job.name.clone(),
-            digest: job.digest,
-            state: job.state,
-            report: job.report.clone(),
-            error: job.error.clone(),
-        })
+        let snapshot = inner.snapshot(id);
+        if let Some(job) = inner.jobs.get_mut(&id) {
+            job.waiters -= 1;
+        }
+        self.evict_finished(&mut inner);
+        snapshot
+    }
+
+    /// Applies the finished-job bound (`cache_capacity`) and counts the
+    /// evictions.
+    fn evict_finished(&self, inner: &mut Inner) {
+        let evicted = inner.evict_finished(self.config.cache_capacity.max(1));
+        self.metrics
+            .jobs_evicted_total
+            .fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Cancels job `id`. A queued job dies in place (state `Cancelled`,
@@ -455,9 +541,11 @@ impl Server {
         let was = job.state;
         match was {
             JobState::Queued => {
+                let job = inner.touch(id)?;
                 job.state = JobState::Cancelled;
                 job.error = Some("cancelled while queued".to_owned());
                 Metrics::bump(&self.metrics.jobs_cancelled_total);
+                self.evict_finished(&mut inner);
                 drop(inner);
                 self.done.notify_all();
             }
@@ -484,14 +572,14 @@ impl Server {
         let queued: Vec<u64> = inner.queue.drain().map(|slot| slot.id).collect();
         self.metrics.queue_depth.store(0, Ordering::Relaxed);
         for id in queued {
-            if let Some(job) = inner.jobs.get_mut(&id) {
-                if job.state == JobState::Queued {
-                    job.state = JobState::Shutdown;
-                    job.error = Some("daemon drained before the job ran".to_owned());
-                    Metrics::bump(&self.metrics.jobs_shutdown_total);
-                }
+            if inner.jobs.get(&id).is_some_and(|job| job.state == JobState::Queued) {
+                let job = inner.touch(id).expect("job present");
+                job.state = JobState::Shutdown;
+                job.error = Some("daemon drained before the job ran".to_owned());
+                Metrics::bump(&self.metrics.jobs_shutdown_total);
             }
         }
+        self.evict_finished(&mut inner);
         if self.config.journal_dir.is_some() {
             for job in inner.jobs.values_mut() {
                 if job.state == JobState::Running {
@@ -733,11 +821,12 @@ impl Server {
     fn finish_job(&self, id: u64, outcome: (JobState, Option<Arc<str>>, Option<String>)) {
         let (state, report, error) = outcome;
         let mut inner = self.inner.lock().expect("inner lock");
-        if let Some(job) = inner.jobs.get_mut(&id) {
+        if let Some(job) = inner.touch(id) {
             job.state = state;
             job.report = report;
             job.error = error;
         }
+        self.evict_finished(&mut inner);
         drop(inner);
         self.done.notify_all();
     }

@@ -4,9 +4,10 @@
 //! dependency. This module hand-declares the two-symbol slice of the C
 //! signal API the daemon needs — `signal(2)` with handler constants — and
 //! installs an async-signal-safe handler that does exactly one thing: store
-//! a relaxed atomic flag. The accept loop polls that flag (the listener is
-//! nonblocking precisely so a signal cannot be swallowed by std's EINTR
-//! retry loop) and begins the graceful drain.
+//! a relaxed atomic flag. std's blocking `accept` retries `EINTR`, so the
+//! signal alone cannot wake the accept loop: the router's waker thread
+//! polls the flag and connects to the listener, and the loop then begins
+//! the graceful drain.
 //!
 //! This is the only `unsafe` in the crate, and it is confined here: the
 //! handler writes a single `AtomicBool`, which is on the async-signal-safe

@@ -24,12 +24,17 @@ fn doc(seed: u64) -> String {
 
 /// Boots a daemon on an ephemeral port; returns (server, addr, loop handle).
 fn boot() -> (Arc<Server>, String, std::thread::JoinHandle<()>) {
+    boot_with_capacity(8)
+}
+
+/// [`boot`] with a given result-cache (and finished-job) capacity.
+fn boot_with_capacity(cache_capacity: usize) -> (Arc<Server>, String, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let addr = listener.local_addr().expect("local addr").to_string();
     let server = Server::start(ServeConfig {
         workers: 2,
         queue_depth: 4,
-        cache_capacity: 8,
+        cache_capacity,
         journal_dir: None,
         baseline_path: None,
     });
@@ -112,4 +117,26 @@ fn http_surface_submits_polls_caches_cancels_and_drains() {
         http::request(&addr, "GET", "/healthz", b"", Duration::from_secs(2)).is_err(),
         "listener must be closed after the drain"
     );
+}
+
+#[test]
+fn an_evicted_job_id_answers_404() {
+    // Capacity 1: the second finished job evicts the first one's record.
+    // Ids count up from 0 in a fresh daemon.
+    let (server, addr, handle) = boot_with_capacity(1);
+    for seed in [9101, 9102] {
+        let body = doc(seed);
+        let done = http::request(&addr, "POST", "/v1/jobs?wait=120", body.as_bytes(), TIMEOUT)
+            .expect("submit");
+        assert_eq!(done.status, 200, "body: {}", done.text());
+    }
+    let evicted = http::request(&addr, "GET", "/v1/jobs/0", b"", TIMEOUT).expect("poll 0");
+    assert_eq!(evicted.status, 404, "body: {}", evicted.text());
+    let kept = http::request(&addr, "GET", "/v1/jobs/1", b"", TIMEOUT).expect("poll 1");
+    assert_eq!(kept.status, 200);
+    assert!(kept.text().contains("\"done\""));
+    let metrics = http::request(&addr, "GET", "/metrics", b"", TIMEOUT).expect("metrics");
+    assert!(metrics.text().contains("lnuca_serve_jobs_evicted_total 1"));
+    server.begin_drain();
+    handle.join().expect("serve loop exits cleanly");
 }

@@ -5,7 +5,7 @@
 //! step can poll job state instead of racing a TCP accept loop; the HTTP
 //! surface on top is covered by `tests/http_api.rs` and the CI serve job.
 
-use lnuca_serve::{JobState, ServeConfig, Server, Submission};
+use lnuca_serve::{JobState, ServeConfig, Server, Source, Submission};
 use lnuca_sim::experiments::ExperimentOptions;
 use lnuca_sim::scenario;
 use lnuca_types::RUN_STATUSES;
@@ -447,6 +447,111 @@ fn registry_submission_runs_and_caches_like_the_cli() {
         snapshot.state,
         JobState::Cancelled | JobState::Done
     ));
+    server.begin_drain();
+    server.drain_join();
+}
+
+/// The capacity that bounds the result cache bounds the finished job
+/// records too, evicting the least recently used one: finishing, a
+/// snapshot and a wait each count as a use.
+#[test]
+fn finished_job_records_are_bounded_by_the_cache_capacity_in_lru_order() {
+    let server = Server::start(ServeConfig {
+        cache_capacity: 2,
+        ..config(1, 8)
+    });
+    let docs: Vec<String> = (0..4).map(|k| doc(600 + k, 5_000)).collect();
+    let run = |document: &str| {
+        let snapshot = wait_terminal(&server, accepted_id(server.submit_document(document, 0)));
+        assert_eq!(snapshot.state, JobState::Done);
+        snapshot
+    };
+    let j0 = run(&docs[0]);
+    let j1 = run(&docs[1]);
+    let j2 = run(&docs[2]);
+    assert!(
+        server.snapshot(j0.id).is_none(),
+        "the untouched oldest record is evicted by the third finish"
+    );
+    // Reading j1 makes j2 the least recently used finished record.
+    assert!(server.snapshot(j1.id).is_some());
+    let j3 = run(&docs[3]);
+
+    let live: Vec<u64> = [j0.id, j1.id, j2.id, j3.id]
+        .into_iter()
+        .filter(|&id| server.snapshot(id).is_some())
+        .collect();
+    assert_eq!(live, vec![j1.id, j3.id], "the record read in between survives");
+    let evicted = server
+        .metrics()
+        .jobs_evicted_total
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(evicted, 2, "both evictions are counted");
+
+    // The evicted j2's report is still in the result cache (which evicted
+    // j0 and j1 instead): resubmitting it is a hit with the same bytes.
+    match server.submit_document(&docs[2], 0) {
+        Submission::CacheHit { report, .. } => assert_eq!(Some(report), j2.report),
+        other => panic!("expected CacheHit for an evicted job's document, got {other:?}"),
+    }
+    server.begin_drain();
+    server.drain_join();
+}
+
+/// At capacity 1, two workers finishing close together must never evict a
+/// record out from under a `?wait` submitter: each gets its own report.
+/// Tiny jobs and several rounds make finishes land close together often.
+#[test]
+fn concurrent_waiting_submissions_at_capacity_one_each_get_their_own_report() {
+    const ROUNDS: u64 = 4;
+    const SUBMITTERS: u64 = 24;
+    let server = Server::start(ServeConfig {
+        cache_capacity: 1,
+        ..config(2, SUBMITTERS as usize)
+    });
+    for round in 0..ROUNDS {
+        let start = std::sync::Barrier::new(SUBMITTERS as usize);
+        let outcomes: Vec<(u64, Submission, Option<lnuca_serve::JobSnapshot>)> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..SUBMITTERS)
+                    .map(|k| {
+                        let (server, start) = (&server, &start);
+                        scope.spawn(move || {
+                            let seed = 700 + round * 100 + k;
+                            let document = doc(seed, 1_000);
+                            start.wait();
+                            let (submission, waited) = server.submit(
+                                Source::Document(&document),
+                                0,
+                                Some(Duration::from_secs(300)),
+                            );
+                            (seed, submission, waited)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("submitter")).collect()
+            });
+        for (seed, submission, waited) in outcomes {
+            let Submission::Accepted { id, digest } = submission else {
+                panic!("seed {seed}: expected Accepted, got {submission:?}");
+            };
+            let snapshot = waited.expect("the waited-on record is never evicted");
+            assert_eq!((snapshot.id, snapshot.digest), (id, digest));
+            assert_eq!(snapshot.state, JobState::Done, "seed {seed}: {:?}", snapshot.error);
+            let report = snapshot.report.expect("done jobs carry a report");
+            let parsed = serde::json::parse(&report).expect("report is JSON");
+            let reported_seed = parsed
+                .get("options")
+                .and_then(|options| options.get("seed"))
+                .and_then(|seed| seed.as_u64());
+            assert_eq!(reported_seed, Some(seed), "each submitter gets its own report");
+        }
+    }
+    let evicted = server
+        .metrics()
+        .jobs_evicted_total
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(evicted, ROUNDS * SUBMITTERS - 1, "capacity 1 keeps one finished record");
     server.begin_drain();
     server.drain_join();
 }

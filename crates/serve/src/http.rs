@@ -57,7 +57,7 @@ impl Message {
 /// is exceeded; the caller maps that to `400 Bad Request` (server side) or
 /// a harness failure (client side).
 pub fn read_message(stream: &mut TcpStream, expect_response: bool) -> Result<Message, String> {
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
+    let mut reader = BufReader::new(&*stream);
     let mut head = String::new();
     let mut line = String::new();
     loop {
@@ -155,9 +155,17 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    stream.write_all(&one_buffer(head, body))?;
     stream.flush()
+}
+
+/// The head and body of a message as one buffer, so the message leaves in
+/// one write: a body written after a small head would otherwise wait for
+/// the head's ACK (Nagle's algorithm).
+fn one_buffer(head: String, body: &[u8]) -> Vec<u8> {
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    message
 }
 
 /// Performs one client request against `addr` and returns the response.
@@ -184,9 +192,8 @@ pub fn request(
         body.len()
     );
     stream
-        .write_all(head.as_bytes())
+        .write_all(&one_buffer(head, body))
         .map_err(|e| format!("write: {e}"))?;
-    stream.write_all(body).map_err(|e| format!("write: {e}"))?;
     stream.flush().map_err(|e| format!("flush: {e}"))?;
     read_message(&mut stream, true)
 }

@@ -12,7 +12,7 @@
 //! `event-horizon`) so the perf trajectory records which time-stepping
 //! engine produced each point; `v3` adds `batch_size` (the
 //! `ExperimentOptions::batch_size` the point ran at — a number, or the
-//! string `"full"` for one full-width batch per worker chunk) so
+//! string `"full"` for one full-width batch) so
 //! `baseline_delta` can report batched-vs-sequential throughput ratios.
 //! Results are engine- and batch-independent — only the throughput
 //! changes.

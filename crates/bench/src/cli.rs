@@ -749,9 +749,9 @@ USAGE:
                                         (one scenario only) also writes the
                                         lnuca-report/v1 JSON document;
                                         --batch-size sets how many
-                                        consecutive jobs a worker claims at
-                                        a time (identical results,
-                                        DESIGN.md §13);
+                                        consecutive jobs form one batch
+                                        (it only groups jobs: identical
+                                        results, DESIGN.md §13);
                                         --journal (one scenario only)
                                         appends completed runs to a
                                         crash-safe lnuca-journal/v1 file and

@@ -136,7 +136,7 @@ pub fn parse_epsilon(raw: &str) -> Option<f64> {
 }
 
 /// Parses an `LNUCA_BATCH` value: a batch size of at least 1, or
-/// `full`/`max` for the whole matrix as one chunk (`usize::MAX`, see
+/// `full`/`max` for the whole matrix as one batch (`usize::MAX`, see
 /// `ExperimentOptions::batch_size`). `None` for `0` or
 /// anything unrecognised.
 #[must_use]

@@ -1,12 +1,16 @@
 //! The run driver: every simulation — solo, CMP, supervised or batched —
 //! is stepped here (DESIGN.md §13).
 //!
-//! A [`BatchRunner`] owns N fully independent members (hierarchy + core +
-//! trace, or a whole CMP machine), all built when the runner is, and runs
-//! them **one after another**: every [`BatchRunner::step`] advances the
-//! current member one engine iteration (DESIGN.md §10), and a member that
-//! finishes — or goes quiescent past its cycle cap — retires and hands
-//! over to the next.
+//! A [`BatchRunner`] is a queue of N fully independent jobs, run **one
+//! after another**. Every job is validated when the runner is built, but a
+//! member's machine (hierarchy + core + trace, or a whole CMP machine) is
+//! built only when [`BatchRunner::step`] reaches it, and dropped as soon as
+//! the member retires: a retired member keeps its [`RunResult`] (or the
+//! [`RunError`] that stopped it) and its probe sink, nothing else. So a
+//! batch holds at most one machine at a time, whatever its width. Every
+//! step advances the current member one engine iteration (DESIGN.md §10),
+//! and a member that finishes — or goes quiescent past its cycle cap —
+//! retires and hands over to the next.
 //!
 //! One member's run loop is written once, in `advance` (engine step, cycle
 //! cap, watchdog observation and horizon clamp) and `retire` (the run tail
@@ -22,9 +26,10 @@
 //! layers it over the differential oracle and `tests/batch_equivalence.rs`
 //! pins it across the full verify matrix.
 //!
-//! After construction the steady-state loop performs no heap allocation
-//! (DESIGN.md §9); memory is touched again only when a member retires and
-//! its [`RunResult`] is materialised.
+//! Once a member is built, stepping it performs no heap allocation
+//! (DESIGN.md §9); memory is touched again only at the handover, when the
+//! member retires (its [`RunResult`] is materialised, its machine freed)
+//! and the next one is built.
 //!
 //! # Example
 //!
@@ -56,7 +61,7 @@ use crate::system::{Engine, RunResult, System};
 use lnuca_cpu::{CoreConfig, DataMemory, OooCore};
 use lnuca_mem::{NoProbe, ProbeSink};
 use lnuca_types::{ConfigError, Cycle, RunError};
-use lnuca_workloads::{Suite, TraceGenerator, WorkloadProfile};
+use lnuca_workloads::{TraceGenerator, WorkloadProfile};
 
 /// One member of a batch: the same (spec, profile, instructions, seed)
 /// quadruple a solo [`System::run_spec_with`] call takes.
@@ -85,6 +90,24 @@ enum Machine<P: ProbeSink> {
 }
 
 impl<P: ProbeSink> Machine<P> {
+    fn build(job: &BatchJob<'_>, probe: P) -> Result<Self, ConfigError> {
+        Ok(if job.spec.cores > 1 {
+            Machine::Cmp(crate::cmp::CmpMachine::from_spec(
+                job.spec,
+                job.profile,
+                job.instructions,
+                job.seed,
+                probe,
+            )?)
+        } else {
+            let hierarchy = System::build_spec_probed(job.spec, probe)?;
+            let trace = TraceGenerator::new(job.profile.clone(), job.seed)
+                .take(usize::try_from(job.instructions).unwrap_or(usize::MAX));
+            let core = OooCore::new(CoreConfig::paper(), trace)?;
+            Machine::Solo { hierarchy, core }
+        })
+    }
+
     fn is_finished(&self) -> bool {
         match self {
             Machine::Solo { core, .. } => core.is_finished(),
@@ -129,64 +152,78 @@ impl<P: ProbeSink> Machine<P> {
     }
 }
 
-/// One in-flight member: its components plus its private clock. The clock
+/// One queued member. Until it starts it holds its job, probe sink and
+/// guard; once it retires it holds its outcome and probe sink only.
+struct Member<'a, P: ProbeSink> {
+    job: BatchJob<'a>,
+    /// Made for this member in job order when the runner is built; it
+    /// moves into the machine when the member starts and comes back when
+    /// it retires.
+    probe: Option<P>,
+    /// Watchdog of a supervised member (`None` on the plain path, which
+    /// then has zero per-tick observation overhead); it moves into the
+    /// running member when the member starts.
+    guard: Option<JobGuard>,
+    /// The member's [`RunResult`], or the failure that stopped it; set
+    /// when it retires.
+    outcome: Option<Result<RunResult, RunError>>,
+}
+
+/// The member in flight: its machine plus its private clock. The clock
 /// always holds the `now` value the member's next [`advance`] ticks at.
-struct Member<P: ProbeSink> {
+struct Running<P: ProbeSink> {
     machine: Machine<P>,
-    workload: String,
-    suite: Suite,
     /// Generous safety cap (`instructions * 400 + 1_000_000`): no
     /// workload should need 400 cycles per instruction; hitting the cap
     /// indicates a simulator bug and shows up as an implausible IPC.
     cap: u64,
     now: Cycle,
-    done: Option<RunResult>,
-    /// Watchdog of a supervised member (`None` on the plain path, which
-    /// then has zero per-tick observation overhead).
     guard: Option<JobGuard>,
     /// A tripped watchdog's failure lands here; the member's stats are
-    /// never finalised and `done` stays empty.
+    /// then never finalised.
     failed: Option<RunError>,
 }
 
-/// Runs a batch of independent simulations one after another; see the
+/// Runs a batch of independent simulations one after another, building
+/// each member when it starts and freeing it when it retires; see the
 /// [module docs](self) for the execution model and the equivalence
 /// invariant.
-pub struct BatchRunner<P: ProbeSink = NoProbe> {
+pub struct BatchRunner<'a, P: ProbeSink = NoProbe> {
     engine: Engine,
-    members: Vec<Member<P>>,
-    /// The member [`BatchRunner::step`] advances; every member before it
+    members: Vec<Member<'a, P>>,
+    /// Members started so far; the last of them is `running` unless it
     /// has retired.
-    current: usize,
-    live: usize,
+    started: usize,
+    running: Option<Running<P>>,
 }
 
-impl BatchRunner<NoProbe> {
+impl<'a> BatchRunner<'a, NoProbe> {
     /// Builds a batch over `jobs` with no instrumentation.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if any member's configuration is invalid.
-    pub fn new(engine: Engine, jobs: &[BatchJob<'_>]) -> Result<Self, ConfigError> {
+    pub fn new(engine: Engine, jobs: &[BatchJob<'a>]) -> Result<Self, ConfigError> {
         Self::with_probes(engine, jobs, || NoProbe)
     }
 }
 
-impl<P: ProbeSink> BatchRunner<P> {
+impl<'a, P: ProbeSink> BatchRunner<'a, P> {
     /// Builds a batch over `jobs`, giving each member the probe sink the
     /// factory produces for it (in job order). Like the solo probed entry
     /// points, probes observe but never feed back: results are
     /// bit-identical for any sink.
     ///
-    /// All allocation happens here: every member's components are built
-    /// up front.
+    /// Every job is validated and its probe made here, but no machine is
+    /// built: [`BatchRunner::step`] builds each member when it reaches it
+    /// and frees it when the member retires.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if any member's configuration is invalid.
     pub fn with_probes(
         engine: Engine,
-        jobs: &[BatchJob<'_>],
+        jobs: &[BatchJob<'a>],
         probe: impl FnMut() -> P,
     ) -> Result<Self, ConfigError> {
         Self::with_supervision(engine, jobs, probe, |_| None)
@@ -206,54 +243,28 @@ impl<P: ProbeSink> BatchRunner<P> {
     /// Returns a [`ConfigError`] if any member's configuration is invalid.
     pub fn with_supervision(
         engine: Engine,
-        jobs: &[BatchJob<'_>],
+        jobs: &[BatchJob<'a>],
         mut probe: impl FnMut() -> P,
         mut guard: impl FnMut(usize) -> Option<JobGuard>,
     ) -> Result<Self, ConfigError> {
         let mut members = Vec::with_capacity(jobs.len());
         for (idx, job) in jobs.iter().enumerate() {
-            let machine = if job.spec.cores > 1 {
-                Machine::Cmp(crate::cmp::CmpMachine::from_spec(
-                    job.spec,
-                    job.profile,
-                    job.instructions,
-                    job.seed,
-                    probe(),
-                )?)
-            } else {
-                let hierarchy = System::build_spec_probed(job.spec, probe())?;
-                let trace = TraceGenerator::new(job.profile.clone(), job.seed)
-                    .take(usize::try_from(job.instructions).unwrap_or(usize::MAX));
-                let core = OooCore::new(CoreConfig::paper(), trace)?;
-                Machine::Solo { hierarchy, core }
-            };
+            // Every error a member's build can report is a spec error (the
+            // CMP's set-associative equivalents derive from validated
+            // parts), so a member that passes here always builds.
+            job.spec.validate()?;
             members.push(Member {
-                machine,
-                workload: job.profile.name.clone(),
-                suite: job.profile.suite,
-                cap: job.instructions.saturating_mul(400) + 1_000_000,
-                now: Cycle(0),
-                done: None,
+                job: *job,
+                probe: Some(probe()),
                 guard: guard(idx),
-                failed: None,
+                outcome: None,
             });
-        }
-
-        let mut live = 0;
-        for member in &mut members {
-            // A member that is already finished (or capped) at cycle 0
-            // retires without a single tick.
-            if member.machine.is_finished() || member.now.0 >= member.cap {
-                retire(member);
-            } else {
-                live += 1;
-            }
         }
         Ok(BatchRunner {
             engine,
             members,
-            current: 0,
-            live,
+            started: 0,
+            running: None,
         })
     }
 
@@ -269,64 +280,77 @@ impl<P: ProbeSink> BatchRunner<P> {
         self.members.is_empty()
     }
 
-    /// Number of members still running.
+    /// Number of members still running or waiting to start. A member
+    /// always gets at least one tick, as its solo run would: a freshly
+    /// built machine is never finished (its core has not yet looked at its
+    /// trace) and every cap is positive.
     #[must_use]
     pub fn live(&self) -> usize {
-        self.live
+        self.members.len() - self.started + usize::from(self.running.is_some())
     }
 
     /// Advances the current member one engine iteration (one horizon, or
-    /// one cycle under [`Engine::CycleStep`]), moving on to the next live
-    /// member once it retires. Returns `true` while members remain live.
+    /// one cycle under [`Engine::CycleStep`]), building it first if it has
+    /// not started, and freeing its machine once it retires. Returns
+    /// `true` while members remain live.
     ///
-    /// The steady-state path performs no heap allocation; a retiring
-    /// member allocates once to materialise its [`RunResult`].
+    /// Stepping a built member performs no heap allocation; the handover
+    /// allocates, to materialise the retiring member's [`RunResult`] and to
+    /// build the next member.
     pub fn step(&mut self) -> bool {
-        while let Some(member) = self.members.get_mut(self.current) {
-            if member.done.is_some() || member.failed.is_some() {
-                self.current += 1;
-                continue;
-            }
-            if advance(member, self.engine).is_none() {
-                self.live -= 1;
-                self.current += 1;
-            }
-            return self.live > 0;
+        if let Some(machine) = self.step_member() {
+            self.members[self.started - 1].probe = Some(machine.into_hierarchy().into_probe());
         }
-        false
+        self.live() > 0
+    }
+
+    /// One iteration of [`BatchRunner::step`]. When the member retires in
+    /// it, its outcome is recorded and its machine, probe still inside,
+    /// comes back to the caller.
+    fn step_member(&mut self) -> Option<Machine<P>> {
+        let running = match &mut self.running {
+            Some(running) => running,
+            None => {
+                let member = self.members.get_mut(self.started)?;
+                self.started += 1;
+                self.running.insert(start(member))
+            }
+        };
+        if advance(running, self.engine) {
+            return None;
+        }
+        let mut running = self.running.take().expect("the member just stepped");
+        let member = &mut self.members[self.started - 1];
+        member.outcome = Some(match running.failed {
+            Some(err) => Err(err),
+            None => Ok(retire(&mut running.machine, running.now, member.job.profile)),
+        });
+        Some(running.machine)
     }
 
     /// Runs the batch to completion and returns every member's result and
-    /// final hierarchy (probe still inside), in job order. Only for
-    /// unguarded batches — a supervised member's failure panics here; use
-    /// [`BatchRunner::run_outcomes`] for supervised batches.
+    /// probe sink, in job order. Only for unguarded batches — a supervised
+    /// member's failure panics here; use [`BatchRunner::run_outcomes`] for
+    /// supervised batches.
     #[must_use]
-    pub fn run(self) -> Vec<(RunResult, AnyHierarchy<P>)> {
+    pub fn run(self) -> Vec<(RunResult, P)> {
         self.run_outcomes()
             .into_iter()
-            .map(|(outcome, hierarchy)| {
-                (
-                    outcome.expect("unguarded batch members cannot fail"),
-                    hierarchy,
-                )
-            })
+            .map(|(outcome, probe)| (outcome.expect("unguarded batch members cannot fail"), probe))
             .collect()
     }
 
     /// Runs the batch to completion and returns every member's outcome —
     /// its bit-identical [`RunResult`] or the watchdog failure that
-    /// stopped it — plus its final hierarchy, in job order.
+    /// stopped it — plus its probe sink, in job order.
     #[must_use]
-    pub fn run_outcomes(mut self) -> Vec<(Result<RunResult, RunError>, AnyHierarchy<P>)> {
+    pub fn run_outcomes(mut self) -> Vec<(Result<RunResult, RunError>, P)> {
         while self.step() {}
         self.members
             .into_iter()
             .map(|m| {
-                let outcome = match m.failed {
-                    Some(err) => Err(err),
-                    None => Ok(m.done.expect("stepping retired every non-failed member")),
-                };
-                (outcome, m.machine.into_hierarchy())
+                let outcome = m.outcome.expect("stepping retired every member");
+                (outcome, m.probe.expect("a retired member holds its probe"))
             })
             .collect()
     }
@@ -337,29 +361,61 @@ impl<P: ProbeSink> BatchRunner<P> {
     pub fn run_results(self) -> Vec<RunResult> {
         self.run().into_iter().map(|(result, _)| result).collect()
     }
+
+    /// Runs an unguarded one-member batch to completion and returns its
+    /// result with its final hierarchy (probe still inside) instead of
+    /// freeing it: the tail of [`System::run_spec_probed`].
+    pub(crate) fn run_one(mut self) -> (RunResult, AnyHierarchy<P>) {
+        assert_eq!(self.members.len(), 1, "run_one drives a one-member batch");
+        loop {
+            if let Some(machine) = self.step_member() {
+                let outcome = self.members.pop().and_then(|m| m.outcome);
+                let result = outcome
+                    .expect("a retired member holds its outcome")
+                    .expect("unguarded batch members cannot fail");
+                return (result, machine.into_hierarchy());
+            }
+        }
+    }
+}
+
+/// Builds a member's machine and starts its clock at cycle 0. Cold: it
+/// runs once per member.
+#[cold]
+#[inline(never)]
+fn start<P: ProbeSink>(member: &mut Member<'_, P>) -> Running<P> {
+    let job = member.job;
+    let probe = member.probe.take().expect("a member starts once");
+    Running {
+        machine: Machine::build(&job, probe)
+            .expect("a spec that passed validation always builds"),
+        cap: job.instructions.saturating_mul(400) + 1_000_000,
+        now: Cycle(0),
+        guard: member.guard.take(),
+        failed: None,
+    }
 }
 
 /// One iteration of a member's run loop: observes the watchdog, ticks the
-/// member at `member.now`, and moves its clock to the next cycle the engine
-/// visits. Returns that cycle while the member stays live; otherwise the
-/// member has retired (its [`RunResult`] is materialised) or its watchdog
-/// tripped (the failure is kept in `failed`, never finalised) and `None`
-/// comes back.
+/// member at `running.now`, and moves its clock to the next cycle the
+/// engine visits. Returns `true` while the member stays live; `false` once
+/// it finished, reached its cap or tripped its watchdog (the failure is
+/// kept in `failed`).
 #[inline]
-fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Option<Cycle> {
-    let now = member.now;
-    let cap = member.cap;
-    if let Some(guard) = member.guard.as_mut() {
-        if let Err(err) = guard.observe(now, member.machine.committed()) {
-            member.failed = Some(err);
-            return None;
+fn advance<P: ProbeSink>(running: &mut Running<P>, engine: Engine) -> bool {
+    let now = running.now;
+    let cap = running.cap;
+    if let Some(guard) = running.guard.as_mut() {
+        if let Err(err) = guard.observe(now, running.machine.committed()) {
+            running.failed = Some(err);
+            return false;
         }
     }
-    member.machine.tick(now);
+    running.machine.tick(now);
     let next = match engine {
         Engine::CycleStep => now.next(),
         Engine::EventHorizon => {
-            if member.machine.is_finished() {
+            if running.machine.is_finished() {
                 // Match the reference engine's final clock exactly.
                 now.next()
             } else {
@@ -367,13 +423,13 @@ fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Option<Cycle
                 // means nothing will ever act again: jump to the cap,
                 // exactly where per-cycle stepping (all no-op ticks) would
                 // also end up.
-                let next = member
+                let next = running
                     .machine
                     .next_event(now)
                     .unwrap_or(Cycle(cap))
                     .max(now.next())
                     .min(Cycle(cap).max(now.next()));
-                match member.guard.as_ref().and_then(JobGuard::horizon_clamp) {
+                match running.guard.as_ref().and_then(JobGuard::horizon_clamp) {
                     // Never jump past the next cycle the watchdog must
                     // observe, while always making progress. Ticks at
                     // non-event cycles are no-ops, so results never change.
@@ -383,31 +439,26 @@ fn advance<P: ProbeSink>(member: &mut Member<P>, engine: Engine) -> Option<Cycle
             }
         }
     };
-    member.now = next;
-    if !member.machine.is_finished() && next.0 < cap {
-        Some(next)
-    } else {
-        retire(member);
-        None
-    }
+    running.now = next;
+    !running.machine.is_finished() && next.0 < cap
 }
 
-/// The run tail: closes the member's stall windows at its final clock and
-/// materialises its [`RunResult`]. Cold: it runs once per member, and
-/// keeping it out of line keeps [`advance`]'s per-iteration code small.
+/// The run tail: closes the member's stall windows at its final clock
+/// `now` and materialises its [`RunResult`]. Cold: it runs once per
+/// member, and keeping it out of line keeps [`advance`]'s per-iteration
+/// code small.
 #[cold]
 #[inline(never)]
-fn retire<P: ProbeSink>(member: &mut Member<P>) {
-    let now = member.now;
-    match &mut member.machine {
+fn retire<P: ProbeSink>(machine: &mut Machine<P>, now: Cycle, profile: &WorkloadProfile) -> RunResult {
+    match machine {
         Machine::Solo { hierarchy, core } => {
             core.finalize_stats(now);
             let stats = hierarchy.stats();
             let energy = energy_model::account_for(&stats, now.0);
-            member.done = Some(RunResult {
+            RunResult {
                 label: stats.label.clone(),
-                workload: member.workload.clone(),
-                suite: member.suite,
+                workload: profile.name.clone(),
+                suite: profile.suite,
                 instructions: core.committed(),
                 cycles: now.0,
                 ipc: core.stats().ipc(now),
@@ -416,11 +467,11 @@ fn retire<P: ProbeSink>(member: &mut Member<P>) {
                 energy,
                 per_core: Vec::new(),
                 coherence: None,
-            });
+            }
         }
         Machine::Cmp(machine) => {
             machine.finalize(now);
-            member.done = Some(machine.result(now));
+            machine.result(now)
         }
     }
 }
@@ -506,6 +557,37 @@ mod tests {
             )
             .unwrap();
             assert_eq!(result, &solo);
+        }
+    }
+
+    #[test]
+    fn an_invalid_member_fails_construction_before_any_member_is_built() {
+        let profile = &suites::spec_int_like()[0];
+        let mut broken = HierarchySpec::lnuca_l3(2).unwrap();
+        broken.fabric.as_mut().unwrap().block_size = 64;
+        let mut cmp = HierarchySpec::builder().cores(2).build().unwrap();
+        cmp.cores = 0;
+        for bad in [broken, cmp] {
+            let specs = [HierarchySpec::conventional(), HierarchySpec::dnuca(), bad];
+            let jobs: Vec<BatchJob> = specs
+                .iter()
+                .map(|spec| BatchJob {
+                    spec,
+                    profile,
+                    instructions: 1_000,
+                    seed: 5,
+                })
+                .collect();
+            let mut probes_made = 0;
+            let err = BatchRunner::with_probes(Engine::EventHorizon, &jobs, || {
+                probes_made += 1;
+                NoProbe
+            })
+            .err()
+            .expect("member 2 is invalid");
+            let expected = specs[2].validate().unwrap_err();
+            assert_eq!(err, expected, "the member's own ConfigError comes back");
+            assert_eq!(probes_made, 2, "validation stops at the bad member, in job order");
         }
     }
 

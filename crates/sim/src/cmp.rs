@@ -225,7 +225,7 @@ impl<P: ProbeSink> CmpMemory<P> {
             lanes,
             shared,
             shared_level,
-            memory: MainMemory::new(spec.memory.clone())?,
+            memory: MainMemory::new(spec.memory)?,
             memory_block,
             directory,
             block_size,

@@ -98,13 +98,13 @@ pub struct ExperimentOptions {
     /// (`tests/event_horizon_determinism.rs`), so summaries never depend on
     /// it. Recorded in the `lnuca-bench-baseline/v3` perf baseline.
     pub engine: Engine,
-    /// Consecutive jobs a worker claims at a time (DESIGN.md §13): the job
-    /// matrix is cut into contiguous chunks of this size, and the worker
-    /// that claims a chunk runs its jobs one after another, each supervised
-    /// and timed on its own. `1` (the default) claims job by job;
-    /// `usize::MAX` makes the whole matrix one chunk. Like `threads` and
-    /// `engine` this changes only the wall clock — never a result, a
-    /// failure or a watchdog verdict.
+    /// How many consecutive jobs form one batch (DESIGN.md §13); `1` (the
+    /// default) is job by job, `usize::MAX` the whole matrix. It only
+    /// groups jobs: [`Study::run`] hands its workers one job at a time
+    /// whatever the value, so it changes neither a result, a failure, a
+    /// watchdog verdict nor the parallelism. Callers that drive a
+    /// [`crate::batch::BatchRunner`] themselves read it as their batch
+    /// width.
     pub batch_size: usize,
     /// Watchdog: abort any run whose simulated clock reaches this many
     /// cycles with the workload unfinished (`None` = no budget; the
@@ -257,8 +257,9 @@ impl ExperimentOptionsBuilder {
         self
     }
 
-    /// Sets how many consecutive jobs a worker claims at a time (clamped to
-    /// at least 1; 1 = job by job).
+    /// Sets how many consecutive jobs form one batch (clamped to at least
+    /// 1; 1 = job by job). It only groups jobs; see
+    /// [`ExperimentOptions::batch_size`].
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.options.batch_size = batch_size.max(1);
@@ -742,7 +743,6 @@ impl Study {
             opts.instructions,
             opts.threads,
             opts.engine,
-            opts.batch_size,
             &supervisor,
             journal,
             stop,
@@ -934,91 +934,78 @@ struct Job<'a> {
 
 use crate::supervise::SupervisedOutcome as JobOutcome;
 
-/// Runs one worker-claimed chunk of the matrix job by job, returning the
-/// outcomes in chunk order. Before each job the stop signal is checked: a
+/// Runs one worker-claimed job. The stop signal is checked first: a
 /// raised signal fails the job with the signal's error, unsimulated
-/// (`attempts == 0`). Each job runs supervised on its own, so its watchdog
+/// (`attempts == 0`). The job runs supervised on its own, so its watchdog
 /// clock and [`RunPerf`] cover that job alone, and a success is journaled
 /// as soon as it finishes.
-fn run_chunk(
-    chunk: &[Job<'_>],
+fn run_job(
+    job: &Job<'_>,
     instructions: u64,
     engine: Engine,
     supervisor: &Supervisor,
     journal: Option<&JournalWriter>,
     stop: Option<&StopSignal>,
-) -> Vec<JobOutcome> {
-    chunk
-        .iter()
-        .map(|job| {
-            if let Some(error) = stop.and_then(StopSignal::error) {
-                return JobOutcome {
-                    outcome: Err(error),
-                    attempts: 0,
-                };
-            }
-            let outcome = supervise::run_job_supervised(
-                engine,
-                job.spec,
-                job.profile,
-                instructions,
-                job.seed,
-                supervisor,
-            );
-            if let (Some(writer), Ok((result, perf))) = (journal, &outcome.outcome) {
-                writer.record(job.index, result, perf);
-            }
-            outcome
-        })
-        .collect()
+) -> JobOutcome {
+    if let Some(error) = stop.and_then(StopSignal::error) {
+        return JobOutcome {
+            outcome: Err(error),
+            attempts: 0,
+        };
+    }
+    let outcome = supervise::run_job_supervised(
+        engine,
+        job.spec,
+        job.profile,
+        instructions,
+        job.seed,
+        supervisor,
+    );
+    if let (Some(writer), Ok((result, perf))) = (journal, &outcome.outcome) {
+        writer.record(job.index, result, perf);
+    }
+    outcome
 }
 
 /// Runs the experiment matrix on up to `threads` scoped workers pulling
-/// work from a shared queue, returning the outcomes in job order.
-///
-/// The job list is cut into contiguous chunks of `batch_size` (in job
-/// order); a worker claims one chunk at a time and runs its jobs one after
-/// another ([`run_chunk`]).
+/// jobs one at a time from a shared queue, returning the outcomes in job
+/// order.
 ///
 /// Each job builds its own hierarchy, trace generator and core from nothing
 /// but the job description, so runs share no state and the outcome vector is
-/// bit-identical to a sequential execution — the workers and the chunk cut
-/// only change which wall-clock instant each run happens at.
-#[allow(clippy::too_many_arguments)]
+/// bit-identical to a sequential execution — the workers only change which
+/// wall-clock instant each run happens at.
 fn run_jobs(
     jobs: &[Job<'_>],
     instructions: u64,
     threads: usize,
     engine: Engine,
-    batch_size: usize,
     supervisor: &Supervisor,
     journal: Option<&JournalWriter>,
     stop: Option<&StopSignal>,
 ) -> Vec<JobOutcome> {
-    let run = |chunk: &[Job<'_>]| run_chunk(chunk, instructions, engine, supervisor, journal, stop);
-    let chunks: Vec<&[Job<'_>]> = jobs.chunks(batch_size.max(1)).collect();
-    let threads = threads.max(1).min(chunks.len().max(1));
+    let run = |job: &Job<'_>| run_job(job, instructions, engine, supervisor, journal, stop);
+    let threads = threads.max(1).min(jobs.len().max(1));
     if threads == 1 {
-        return chunks.into_iter().flat_map(run).collect();
+        return jobs.iter().map(run).collect();
     }
-    let next_chunk = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<JobOutcome>>>> =
-        chunks.iter().map(|_| Mutex::new(None)).collect();
+    let next_job = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next_chunk.fetch_add(1, Ordering::Relaxed);
-                let Some(chunk) = chunks.get(i) else { break };
-                *slots[i].lock().expect("no other holder can panic") = Some(run(chunk));
+                let i = next_job.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                *slots[i].lock().expect("no other holder can panic") = Some(run(job));
             });
         }
     });
     slots
         .into_iter()
-        .flat_map(|slot| {
+        .map(|slot| {
             slot.into_inner()
                 .expect("worker panics propagate out of the scope")
-                .expect("every chunk index below chunks.len() was claimed exactly once")
+                .expect("every job index below jobs.len() was claimed exactly once")
         })
         .collect()
 }
@@ -1266,8 +1253,8 @@ mod tests {
 
     #[test]
     fn full_batch_wall_clock_timeout_times_each_job_alone() {
-                // Many equal jobs (one workload, one seed per repetition) in one
-        // full-width chunk on one worker.
+        // Many equal jobs (one workload, one seed per repetition) at full
+        // batch width on one worker.
         let plan = |options: ExperimentOptions| {
             ExperimentPlan::builder("timeout-per-job")
                 .config(HierarchySpec::conventional())
@@ -1282,7 +1269,7 @@ mod tests {
         let solo = Study::run(&plan(options.clone().build())).unwrap();
         let slowest = solo.perf.iter().map(|p| p.wall_nanos).max().unwrap();
         // A budget 25x the slowest job: far beyond one job, far below the
-        // whole chunk, so only a per-job clock keeps every run inside it.
+        // whole batch, so only a per-job clock keeps every run inside it.
         // The 200 ms floor keeps scheduler jitter from tripping the ~1 ms
         // jobs of an optimised build.
         let timeout_ms = (slowest * 25).div_ceil(1_000_000).max(200);

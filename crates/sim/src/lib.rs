@@ -22,12 +22,13 @@
 //! * [`energy_model`] — turns run statistics into the stacked-bar energy
 //!   accounts of Figs. 4(b) and 5(b),
 //! * [`batch`] — the [`BatchRunner`], the one run driver: it runs N
-//!   independent simulations one after another; every solo, CMP and
+//!   independent simulations one after another, building each when it
+//!   starts and freeing it when it retires; every solo, CMP and
 //!   supervised run is a one-member batch,
 //! * [`experiments`] — the declarative [`ExperimentPlan`] and the single
 //!   [`Study::run`] entry point (the paper studies are the built-in
-//!   `paper_*` plans); `ExperimentOptions::batch_size` sets how many
-//!   consecutive jobs a worker claims at a time,
+//!   `paper_*` plans); `ExperimentOptions::batch_size` only groups jobs
+//!   (workers claim one job at a time whatever it is),
 //! * [`supervise`] — run supervision (DESIGN.md §14): panic isolation per
 //!   job, per-job cycle/livelock/wall-clock watchdogs, bounded
 //!   retry, the cooperative [`StopSignal`] behind service cancellation and

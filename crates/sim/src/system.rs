@@ -178,7 +178,8 @@ impl System {
     /// [`System::run_spec_with`] for any sink. The differential oracle in
     /// `lnuca-verify` records the event stream this way and replays it
     /// through its timing-free reference model. Every run entry point ends
-    /// here, in a one-member [`BatchRunner`].
+    /// here, in a one-member [`BatchRunner`] that hands back the finished
+    /// member's hierarchy instead of freeing it.
     ///
     /// # Errors
     ///
@@ -201,7 +202,7 @@ impl System {
         let runner = BatchRunner::with_probes(engine, &[job], || {
             probe.take().expect("a one-member batch builds one member")
         })?;
-        Ok(runner.run().pop().expect("a one-member batch has one result"))
+        Ok(runner.run_one())
     }
 }
 

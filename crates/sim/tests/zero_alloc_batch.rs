@@ -1,7 +1,7 @@
 //! Extends the zero-allocation discipline (DESIGN.md §9) to
-//! [`lnuca_sim::batch::BatchRunner`] (DESIGN.md §13): once a runner is
-//! constructed — its member built — steady-state stepping must perform no
-//! heap allocation. lnuca-core cannot depend on lnuca-sim (it sits below
+//! [`lnuca_sim::batch::BatchRunner`] (DESIGN.md §13): once a runner's
+//! member is built — at its first step — steady-state stepping must
+//! perform no heap allocation. lnuca-core cannot depend on lnuca-sim (it sits below
 //! it in the crate DAG), so the whole-system case lives here beside the
 //! solo-hierarchy binary `tests/zero_alloc.rs`.
 //!
@@ -74,8 +74,8 @@ fn batched_steady_state_does_not_allocate() {
 
     // Budgets far beyond the stepped window: no member retires while the
     // counter is live, so the only allocation sites a window can see are
-    // the per-cycle paths the zero-allocation rule covers. Every runner is
-    // built before any window is counted.
+    // the per-cycle paths the zero-allocation rule covers. Every runner's
+    // member is built by its warm-up, before its window is counted.
     let jobs: Vec<BatchJob<'_>> = specs
         .iter()
         .enumerate()

@@ -169,7 +169,7 @@ impl SequentialBaseline {
                     },
                 )?;
             batches += 1;
-            for ((case, expect), (result, hierarchy)) in
+            for ((case, expect), (result, probe)) in
                 cases.iter().zip(expected).zip(runner.run())
             {
                 let context = format!(
@@ -191,7 +191,7 @@ impl SequentialBaseline {
                 // The batched run stops exactly where the solo run loop
                 // does (no quiescing walk), so its whole stream must equal
                 // the baseline's pre-quiescing prefix.
-                let events = &hierarchy.probe().events;
+                let events = &probe.events;
                 if events != &expect.live_events {
                     let first = events
                         .iter()

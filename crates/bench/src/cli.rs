@@ -218,6 +218,9 @@ pub fn run_scenario_supervised(
         plan.options.batch_size = batch.max(1);
     }
     let (study, wall) = run_plan_journaled(&plan, journal, resume)?;
+    if let Some(note) = cmp_model_note(&study) {
+        eprintln!("{note}");
+    }
     let mut sections = vec![Section::IpcSummary, Section::EnergySummary];
     if study.results.iter().any(|r| r.hierarchy.lnuca.is_some()) {
         sections.push(Section::HitDistribution);
@@ -242,6 +245,18 @@ pub fn run_scenario_supervised(
         );
     }
     Ok(study.failures.len())
+}
+
+/// The caveat `lnuca run` prints when a study has multicore rows: their
+/// labels name the spec, but the CMP machine runs an equivalent model
+/// (DESIGN.md §17), so fabric and `dnuca.*` counters stay empty there.
+fn cmp_model_note(study: &Study) -> Option<&'static str> {
+    let has_cmp_rows = study.results.iter().any(|r| !r.per_core.is_empty());
+    has_cmp_rows.then_some(
+        "note: multicore (CMP) rows model each private L-NUCA fabric and the shared D-NUCA \
+         as equivalent set-associative caches (DESIGN.md §17), so their fabric and dnuca.* \
+         counters are empty",
+    )
 }
 
 /// Shared driver of the per-figure binaries: run a built-in scenario and
@@ -1157,6 +1172,25 @@ pub fn cli_main(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_cmp_model_note_appears_only_for_studies_with_cmp_rows() {
+        let study = |per_core: Vec<lnuca_sim::CoreRow>| Study {
+            baseline: "base".to_owned(),
+            configs: vec!["base".to_owned()],
+            results: vec![lnuca_sim::system::RunResult {
+                per_core,
+                ..Default::default()
+            }],
+            perf: Vec::new(),
+            failures: Vec::new(),
+        };
+        assert_eq!(cmp_model_note(&study(Vec::new())), None);
+        let note = cmp_model_note(&study(vec![lnuca_sim::CoreRow::default(); 2]))
+            .expect("a CMP study carries the note");
+        assert!(note.contains("equivalent set-associative caches"), "{note}");
+        assert!(note.contains("DESIGN.md §17"), "{note}");
+    }
 
     #[test]
     fn builtin_scenarios_resolve_through_the_cli_resolver() {

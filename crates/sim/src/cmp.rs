@@ -22,15 +22,31 @@
 //! Every functional and coherence transition happens synchronously inside
 //! [`CmpMemory`]'s admission path, at the cycle the owning core issues the
 //! request; only the *completion time* is deferred, precomputed at issue.
-//! Cores are ticked in ascending core index at every visited cycle, and a
-//! request is rejected only by its own core's fixed in-flight window — so
-//! the sequence of directory operations is a pure function of the workload
-//! streams, independent of how the driver advances time. That makes
-//! [`crate::system::Engine::CycleStep`],
+//!
+//! Each core keeps its own horizon (DESIGN.md §10.1). After core `c` ticks
+//! at `now`, the machine records the earlier of the core's
+//! [`OooCore::next_event`] and lane `c`'s earliest pending completion,
+//! strictly after `now` ("never" when both are `None`). At a visited
+//! cycle, only the cores whose recorded horizon has arrived tick, in
+//! ascending core index. This is exact, because a core's tick changes
+//! state only in three cases:
+//!
+//! - at its own horizon;
+//! - at a completion in its own lane;
+//! - when a load it had rejected can now be accepted.
+//!
+//! Only core `c` pushes into and drains lane `c`, and a load is rejected
+//! only when the core's own in-flight window is full, a window that
+//! shrinks only when that core drains its own lane. Other cores'
+//! invalidations and directory transitions change what core `c`'s next
+//! access will find, not whether a tick of core `c` before its horizon
+//! does anything. So the sequence of directory operations is a pure
+//! function of the workload streams, independent of how the driver
+//! advances time. That makes [`crate::system::Engine::CycleStep`],
 //! [`crate::system::Engine::EventHorizon`] and the batched runner
 //! bit-identical for CMP runs exactly as they are for single-core runs:
-//! ticking any component at a non-event cycle is a no-op, so visiting
-//! extra cycles (or skipping dead ones) cannot reorder anything.
+//! ticking any core before its horizon is a no-op, so visiting extra
+//! cycles (or skipping dead ones) cannot reorder anything.
 //!
 //! A [`CmpMachine`] has no run loop of its own: a spec with `cores > 1`
 //! runs through [`crate::system::System::run_spec_probed`] like any other,
@@ -538,14 +554,6 @@ impl<P: ProbeSink> CmpMemory<P> {
             }
         }
     }
-
-    fn pending_next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.lanes
-            .iter()
-            .filter_map(|lane| lane.pending.earliest())
-            .min()
-            .map(|at| at.max(now.next()))
-    }
 }
 
 impl<P: ProbeSink> DataMemory for CmpMemory<P> {
@@ -565,7 +573,11 @@ impl<P: ProbeSink> DataMemory for CmpMemory<P> {
     fn tick(&mut self, _now: Cycle) {}
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.pending_next_event(now)
+        self.lanes
+            .iter()
+            .filter_map(|lane| lane.pending.earliest())
+            .min()
+            .map(|at| at.max(now.next()))
     }
 }
 
@@ -595,10 +607,18 @@ impl<P: ProbeSink> DataMemory for CoreView<'_, P> {
     }
 }
 
+/// A recorded per-core horizon meaning "never": neither the core nor its
+/// lane will act again without a tick of that core.
+const NEVER: Cycle = Cycle(u64::MAX);
+
 /// A complete CMP machine: N out-of-order cores (one decorrelated trace
 /// each, via [`TraceGenerator::for_core`]) over one [`CmpMemory`].
 pub struct CmpMachine<P: ProbeSink = NoProbe> {
     cores: Vec<OooCore<std::iter::Take<TraceGenerator>>>,
+    /// Per-core horizon recorded by the core's last tick: the earliest
+    /// cycle at which ticking it could change anything ([`NEVER`] when
+    /// nothing will). Starts at [`Cycle::ZERO`], so every core ticks first.
+    horizons: Vec<Cycle>,
     mem: CmpMemory<P>,
     workload: String,
     suite: Suite,
@@ -628,6 +648,7 @@ impl<P: ProbeSink> CmpMachine<P> {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CmpMachine {
+            horizons: vec![Cycle::ZERO; cores.len()],
             cores,
             mem,
             workload: profile.name.clone(),
@@ -647,33 +668,38 @@ impl<P: ProbeSink> CmpMachine<P> {
         self.cores.iter().map(OooCore::committed).sum()
     }
 
-    /// One simulated cycle: the memory side first, then every core in
-    /// ascending index — the fixed order the determinism argument of the
-    /// [module docs](self) relies on.
+    /// One simulated cycle: ticks, in ascending index, every core whose
+    /// recorded horizon has arrived, and records each ticked core's new
+    /// horizon — the earlier of its own [`OooCore::next_event`] and its
+    /// lane's earliest pending completion, strictly after `now`. Any other
+    /// core's tick would be a no-op (the [module docs](self) give the
+    /// argument). Call [`CmpMachine::next_event`] right after this, as with
+    /// [`OooCore::next_event`].
     pub fn tick(&mut self, now: Cycle) {
-        self.mem.tick(now);
-        for (c, core) in self.cores.iter_mut().enumerate() {
+        for (c, (core, horizon)) in self.cores.iter_mut().zip(&mut self.horizons).enumerate() {
+            if now < *horizon {
+                continue;
+            }
             let mut view = CoreView {
                 mem: &mut self.mem,
                 core: c,
             };
             core.tick(now, &mut view);
+            *horizon = match (core.next_event(now), view.next_event(now)) {
+                (Some(own), Some(lane)) => own.min(lane),
+                (own, lane) => own.or(lane).unwrap_or(NEVER),
+            };
         }
     }
 
-    /// The machine-wide event horizon: the earliest pending completion or
-    /// unfinished-core event (DESIGN.md §10 contract, merged over all
-    /// components).
+    /// The machine-wide event horizon: the minimum of the per-core horizons
+    /// recorded by the [`CmpMachine::tick`] at `now` and earlier (DESIGN.md
+    /// §10.1 contract, merged over all cores and lanes). Must be called
+    /// right after that tick.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut horizon = self.mem.pending_next_event(now);
-        for core in &self.cores {
-            horizon = match (horizon, core.next_event(now)) {
-                (Some(h), Some(c)) => Some(h.min(c)),
-                (h, c) => h.or(c),
-            };
-        }
-        horizon
+        let earliest = self.horizons.iter().copied().min()?;
+        (earliest != NEVER).then(|| earliest.max(now.next()))
     }
 
     /// Closes every core's stall windows, exactly as the solo run tail
@@ -917,6 +943,168 @@ mod tests {
             .unwrap()
             .0;
             assert_eq!(horizon, step, "engines diverged for {}", spec.label());
+        }
+    }
+
+    /// The shapes perfbench's `cmp-dnuca` workload runs: 2x and 4x L1
+    /// over the 8 MB L3, and 4x L1 over the D-NUCA equivalent.
+    fn cmp_dnuca_shapes() -> [HierarchySpec; 3] {
+        [
+            cmp_spec(2, false, BackingSpec::Cache(configs::paper_l3())),
+            cmp_spec(4, false, BackingSpec::Cache(configs::paper_l3())),
+            cmp_spec(
+                4,
+                false,
+                BackingSpec::DNuca(lnuca_dnuca::DNucaConfig::paper()),
+            ),
+        ]
+    }
+
+    /// The profiles perfbench's `cmp-dnuca` workload runs.
+    fn cmp_profiles() -> Vec<WorkloadProfile> {
+        [
+            "sh.prodcons",
+            "sh.migratory",
+            "sh.falseshare",
+            "adv.pointer_chase",
+            "adv.stream",
+            "adv.gups",
+        ]
+        .into_iter()
+        .map(|name| suites::by_name(name).unwrap())
+        .collect()
+    }
+
+    /// The cycle cap every run driver applies.
+    fn cycle_cap(instructions: u64) -> u64 {
+        instructions.saturating_mul(400) + 1_000_000
+    }
+
+    /// The reference tick: the memory side, then every core at every
+    /// cycle, whatever its recorded horizon.
+    fn tick_every_core<P: ProbeSink>(machine: &mut CmpMachine<P>, now: Cycle) {
+        machine.mem.tick(now);
+        for (c, core) in machine.cores.iter_mut().enumerate() {
+            let mut view = CoreView {
+                mem: &mut machine.mem,
+                core: c,
+            };
+            core.tick(now, &mut view);
+        }
+    }
+
+    /// The machine-wide horizon computed from scratch: every lane's
+    /// earliest completion and every core's `next_event`.
+    fn horizon_from_scratch<P: ProbeSink>(machine: &CmpMachine<P>, now: Cycle) -> Option<Cycle> {
+        let mut horizon = machine.mem.next_event(now);
+        for core in &machine.cores {
+            if let Some(at) = core.next_event(now) {
+                Cycle::merge_horizon(&mut horizon, at, now.next());
+            }
+        }
+        horizon
+    }
+
+    type Tracked = Vec<(u64, MsiState, u64, Option<usize>)>;
+
+    fn finish(mut machine: CmpMachine, now: Cycle) -> (RunResult, Tracked) {
+        machine.finalize(now);
+        (machine.result(now), machine.mem.tracked_lines().collect())
+    }
+
+    /// Ticks every core at every cycle, as the cycle-stepping engine did
+    /// before cores kept their own horizons.
+    fn run_every_core(
+        spec: &HierarchySpec,
+        profile: &WorkloadProfile,
+        instructions: u64,
+        seed: u64,
+    ) -> (RunResult, Tracked) {
+        let mut machine =
+            CmpMachine::from_spec(spec, profile, instructions, seed, NoProbe).unwrap();
+        let cap = cycle_cap(instructions);
+        let mut now = Cycle::ZERO;
+        loop {
+            tick_every_core(&mut machine, now);
+            now = now.next();
+            if machine.is_finished() || now.0 >= cap {
+                return finish(machine, now);
+            }
+        }
+    }
+
+    /// An event-horizon run of the machine that checks, at every
+    /// iteration, the recorded horizon against the from-scratch one.
+    fn run_checking_horizons(
+        spec: &HierarchySpec,
+        profile: &WorkloadProfile,
+        instructions: u64,
+        seed: u64,
+    ) -> (RunResult, Tracked) {
+        let mut machine =
+            CmpMachine::from_spec(spec, profile, instructions, seed, NoProbe).unwrap();
+        let cap = Cycle(cycle_cap(instructions));
+        let mut now = Cycle::ZERO;
+        loop {
+            machine.tick(now);
+            now = if machine.is_finished() {
+                now.next()
+            } else {
+                let horizon = machine.next_event(now);
+                assert_eq!(
+                    horizon,
+                    horizon_from_scratch(&machine, now),
+                    "{} on {} seed {seed}: recorded horizon differs at {now}",
+                    spec.label(),
+                    profile.name
+                );
+                horizon
+                    .unwrap_or(cap)
+                    .max(now.next())
+                    .min(cap.max(now.next()))
+            };
+            if machine.is_finished() || now >= cap {
+                return finish(machine, now);
+            }
+        }
+    }
+
+    #[test]
+    fn ticking_only_due_cores_matches_ticking_every_core() {
+        const INSTRUCTIONS: u64 = 2_000;
+        for spec in cmp_dnuca_shapes() {
+            for profile in &cmp_profiles() {
+                for seed in [1, 20_090_420] {
+                    let context = format!("{} on {} seed {seed}", spec.label(), profile.name);
+                    let reference = run_every_core(&spec, profile, INSTRUCTIONS, seed);
+                    assert_eq!(reference.0.instructions, spec.cores as u64 * INSTRUCTIONS);
+                    for engine in [Engine::CycleStep, Engine::EventHorizon] {
+                        let (result, hierarchy) = System::run_spec_probed(
+                            engine,
+                            &spec,
+                            profile,
+                            INSTRUCTIONS,
+                            seed,
+                            NoProbe,
+                        )
+                        .unwrap();
+                        let crate::hierarchy::AnyHierarchy::Cmp(mem) = hierarchy else {
+                            panic!("CMP runs return the CMP memory");
+                        };
+                        assert_eq!(result, reference.0, "{context} under {engine:?}: results");
+                        assert_eq!(
+                            mem.tracked_lines().collect::<Tracked>(),
+                            reference.1,
+                            "{context} under {engine:?}: directory"
+                        );
+                    }
+                    assert_eq!(
+                        run_checking_horizons(&spec, profile, INSTRUCTIONS, seed),
+                        reference,
+                        "{context}: horizon-checked run"
+                    );
+                }
+            }
         }
     }
 

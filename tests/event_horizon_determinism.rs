@@ -7,8 +7,11 @@
 //!
 //! A failure here means some component under-reported its horizon (claimed
 //! quiescence while a tick would still have changed state) — the one
-//! invariant DESIGN.md §10 forbids breaking.
+//! invariant DESIGN.md §10 forbids breaking. The multicore shapes are
+//! pinned the same way, per-core rows and directory counters included,
+//! since a CMP machine ticks each core only once its own horizon arrives.
 
+use lnuca_suite::sim::configs;
 use lnuca_suite::sim::spec::HierarchySpec;
 use lnuca_suite::sim::system::{Engine, System};
 use lnuca_suite::workloads::suites;
@@ -81,6 +84,59 @@ fn event_horizon_is_bit_identical_to_cycle_stepping_everywhere() {
                 );
                 // …then the whole struct, covering any future field.
                 assert_eq!(stepped, jumped);
+            }
+        }
+    }
+}
+
+/// perfbench's `cmp-dnuca` shapes: 2x and 4x L1 over the 8 MB L3, and 4x
+/// L1 over the D-NUCA.
+fn cmp_shapes() -> Vec<HierarchySpec> {
+    let shape = |cores: usize, dnuca: bool| {
+        let builder = HierarchySpec::builder().cores(cores);
+        let builder = if dnuca {
+            builder.backing_dnuca(lnuca_suite::dnuca::DNucaConfig::paper())
+        } else {
+            builder.backing_cache(configs::paper_l3())
+        };
+        builder.build().unwrap()
+    };
+    vec![shape(2, false), shape(4, false), shape(4, true)]
+}
+
+#[test]
+fn event_horizon_is_bit_identical_to_cycle_stepping_on_cmp_shapes() {
+    let profiles = [
+        suites::by_name("sh.migratory").unwrap(),
+        suites::by_name("adv.pointer_chase").unwrap(),
+    ];
+    for spec in cmp_shapes() {
+        for &seed in &SEEDS {
+            for profile in &profiles {
+                let run = |engine| {
+                    System::run_spec_with(engine, &spec, profile, INSTRUCTIONS, seed)
+                        .expect("valid configuration")
+                };
+                let (stepped, jumped) = (run(Engine::CycleStep), run(Engine::EventHorizon));
+                let context = format!("{} on {} seed {seed}", spec.label(), profile.name);
+                assert_eq!(
+                    stepped.per_core.len(),
+                    spec.cores,
+                    "{context}: per-core rows"
+                );
+                assert_eq!(
+                    stepped.per_core, jumped.per_core,
+                    "{context}: per-core rows diverge"
+                );
+                assert!(
+                    stepped.coherence.is_some(),
+                    "{context}: CMP runs carry coherence"
+                );
+                assert_eq!(
+                    stepped.coherence, jumped.coherence,
+                    "{context}: coherence diverges"
+                );
+                assert_eq!(stepped, jumped, "{context}");
             }
         }
     }

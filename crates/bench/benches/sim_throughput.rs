@@ -1,5 +1,6 @@
 //! Criterion benches of the simulator's hot kernels: the L-NUCA fabric tick
-//! loop and a short full-system run for each hierarchy organisation. These
+//! loop, the trace generator, and a short full-system run for each
+//! hierarchy organisation. These
 //! track the cost of reproducing the paper's experiments rather than the
 //! paper's own metrics (which the `src/bin` harnesses report).
 
@@ -8,7 +9,7 @@ use lnuca_core::{LNuca, LNucaConfig};
 use lnuca_sim::spec::HierarchySpec;
 use lnuca_sim::system::System;
 use lnuca_types::{Addr, Cycle, ReqId};
-use lnuca_workloads::suites;
+use lnuca_workloads::{suites, TraceGenerator, WorkloadProfile};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -58,6 +59,65 @@ fn bench_fabric_tick(c: &mut Criterion) {
             if secs > 0.0 { cycles as f64 / 1_000.0 / secs } else { 0.0 }
         );
     }
+}
+
+/// Instructions drawn per profile by the trace-generator bench.
+const GENERATED_PER_PROFILE: usize = 100_000;
+
+/// Draws [`GENERATED_PER_PROFILE`] instructions of each profile at seed 1
+/// and folds them into a checksum, so none of the work is optimised away.
+fn generate_all(profiles: &[WorkloadProfile]) -> u64 {
+    profiles
+        .iter()
+        .map(|profile| {
+            TraceGenerator::new(profile.clone(), 1)
+                .take(GENERATED_PER_PROFILE)
+                .fold(0u64, |sum, i| {
+                    sum.wrapping_mul(31)
+                        .wrapping_add(u64::from(i.dep_distance) ^ i.addr.map_or(0, |a| a.0))
+                })
+        })
+        .fold(0, u64::wrapping_add)
+}
+
+/// The paper's 22 profiles through `TraceGenerator`: 100 k instructions
+/// each, and one construction each (the dependency-distance table is
+/// built there).
+fn bench_trace_generator(c: &mut Criterion) {
+    let profiles = suites::all();
+    let mut group = c.benchmark_group("trace_generator");
+    group.sample_size(10);
+    group.bench_function("paper_22x100k_instructions", |b| {
+        b.iter(|| black_box(generate_all(&profiles)));
+    });
+    group.bench_function("paper_22_constructions", |b| {
+        b.iter(|| {
+            for profile in &profiles {
+                black_box(TraceGenerator::new(profile.clone(), 1));
+            }
+        });
+    });
+    group.finish();
+
+    // Per-instruction and per-construction costs in plain numbers. The
+    // profiles are cloned outside the timed span; each generator is
+    // dropped before the next is built, as in a study.
+    let reps = 5;
+    let started = Instant::now();
+    for _ in 0..reps {
+        black_box(generate_all(&profiles));
+    }
+    let instructions = reps * profiles.len() * GENERATED_PER_PROFILE;
+    let ns = started.elapsed().as_secs_f64() * 1e9 / instructions as f64;
+    eprintln!("throughput trace_generator/next: {ns:.1} ns/instruction");
+    let owned: Vec<WorkloadProfile> = (0..20).flat_map(|_| profiles.iter().cloned()).collect();
+    let constructions = owned.len();
+    let started = Instant::now();
+    for profile in owned {
+        black_box(TraceGenerator::new(profile, 1));
+    }
+    let us = started.elapsed().as_secs_f64() * 1e6 / constructions as f64;
+    eprintln!("throughput trace_generator/new: {us:.1} µs/construction");
 }
 
 fn bench_full_system(c: &mut Criterion) {
@@ -118,5 +178,11 @@ fn bench_adversarial_patterns(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fabric_tick, bench_full_system, bench_adversarial_patterns);
+criterion_group!(
+    benches,
+    bench_fabric_tick,
+    bench_trace_generator,
+    bench_full_system,
+    bench_adversarial_patterns
+);
 criterion_main!(benches);

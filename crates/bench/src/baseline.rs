@@ -101,10 +101,10 @@ pub fn baseline_json(
         out.push_str("      \"configurations\": [\n");
         let configs = per_configuration(study.runs);
         for (ci, (label, runs, wall, cycles, kcps)) in configs.iter().enumerate() {
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "        {{\"label\": {}, \"runs\": {runs}, \"wall_seconds\": {}, \
-                 \"simulated_cycles\": {cycles}, \"kcycles_per_sec\": {}}}{}\n",
+                 \"simulated_cycles\": {cycles}, \"kcycles_per_sec\": {}}}{}",
                 json_string(label),
                 json_f64(*wall),
                 json_f64(*kcps),
@@ -114,10 +114,10 @@ pub fn baseline_json(
         out.push_str("      ],\n");
         out.push_str("      \"runs\": [\n");
         for (ri, run) in study.runs.iter().enumerate() {
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "        {{\"label\": {}, \"workload\": {}, \"wall_seconds\": {}, \
-                 \"simulated_cycles\": {}, \"kcycles_per_sec\": {}}}{}\n",
+                 \"simulated_cycles\": {}, \"kcycles_per_sec\": {}}}{}",
                 json_string(&run.label),
                 json_string(&run.workload),
                 json_f64(run.wall_nanos as f64 / 1e9),
@@ -127,7 +127,7 @@ pub fn baseline_json(
             );
         }
         out.push_str("      ]\n");
-        let _ = write!(out, "    }}{}\n", trailing_comma(si, studies.len()));
+        let _ = writeln!(out, "    }}{}", trailing_comma(si, studies.len()));
     }
     out.push_str("  ]\n}\n");
     out

@@ -22,20 +22,13 @@ pub struct EvictedLine {
     pub dirty: bool,
 }
 
-/// Per-way state that is *not* scanned during a lookup: the dirty bit and
-/// the replacement metadata. Kept in a lane parallel to the packed tag
-/// array so the tag scan touches nothing but dense `u64` words.
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    dirty: bool,
-    last_use: u64,
-    inserted: u64,
-}
-
 /// Sentinel tag marking an empty way. Real tags are `block_index >> set_shift`
 /// and can only reach `u64::MAX` for a degenerate 1-set, 1-byte-block
 /// geometry, which [`CacheArray::new`] debug-asserts against in `fill`.
 const EMPTY_TAG: u64 = u64::MAX;
+/// [`EMPTY_TAG`] as the tag lane stores it: tags are stored inverted, so
+/// an empty way is the zero word and a fresh array is all zero bits.
+const EMPTY_WORD: u64 = !EMPTY_TAG;
 
 /// A set-associative tag/state array.
 ///
@@ -48,11 +41,17 @@ const EMPTY_TAG: u64 = u64::MAX;
 ///
 /// Ways are stored flat, indexed by `set * ways + way`:
 ///
-/// * `tags` — one packed `u64` tag per way (a sentinel word marks an
-///   empty way). A lookup is a linear scan over the set's `ways`-long slice of
-///   this lane: dense words, no `Option` discriminant, no pointer chasing.
-/// * `ways` — the parallel cold lane (dirty bit + replacement metadata),
-///   touched only on a hit or when choosing a victim.
+/// * `tags` — one packed `u64` tag per way, stored inverted (`!tag`), so
+///   the zero word marks an empty way. A lookup is a linear scan over the
+///   set's `ways`-long slice of this lane: dense words, no `Option`
+///   discriminant, no pointer chasing.
+/// * `dirty`, `last_use`, `inserted` — the parallel cold lanes (dirty bit
+///   and replacement metadata), touched only on a hit or when choosing a
+///   victim.
+///
+/// An empty array is all zero bits in every lane, so its lanes come from
+/// zeroed allocations: the pages of a large array that no run touches are
+/// never written.
 ///
 /// Set indexing is shift/mask (`sets` is always a power of two), so the hot
 /// path performs no division.
@@ -75,10 +74,12 @@ const EMPTY_TAG: u64 = u64::MAX;
 pub struct CacheArray {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    /// Packed tag lane, `sets * ways` entries, [`EMPTY_TAG`] = empty.
+    /// Packed tag lane, `sets * ways` inverted tags, [`EMPTY_WORD`] = empty.
     tags: Box<[u64]>,
-    /// Cold per-way lane parallel to `tags`.
-    ways: Box<[Way]>,
+    /// Cold per-way lanes parallel to `tags`.
+    dirty: Box<[bool]>,
+    last_use: Box<[u64]>,
+    inserted: Box<[u64]>,
     /// `log2(block_size)`: shifts an address down to its block index.
     block_shift: u32,
     /// `log2(sets)`: shifts a block index down to its tag.
@@ -99,16 +100,10 @@ impl CacheArray {
         CacheArray {
             geometry,
             policy,
-            tags: vec![EMPTY_TAG; lines].into_boxed_slice(),
-            ways: vec![
-                Way {
-                    dirty: false,
-                    last_use: 0,
-                    inserted: 0,
-                };
-                lines
-            ]
-            .into_boxed_slice(),
+            tags: vec![EMPTY_WORD; lines].into_boxed_slice(),
+            dirty: vec![false; lines].into_boxed_slice(),
+            last_use: vec![0; lines].into_boxed_slice(),
+            inserted: vec![0; lines].into_boxed_slice(),
             block_shift: geometry.block_size().trailing_zeros(),
             set_shift: (geometry.sets() as u64).trailing_zeros(),
             set_mask: geometry.sets() as u64 - 1,
@@ -130,23 +125,24 @@ impl CacheArray {
         self.resident
     }
 
-    /// Splits an address into `(base way index of its set, tag)`.
+    /// Splits an address into `(base way index of its set, stored tag
+    /// word)`.
     #[inline]
     fn slot(&self, addr: Addr) -> (usize, u64) {
         let block_index = addr.0 >> self.block_shift;
         let set = (block_index & self.set_mask) as usize;
-        (set * self.assoc, block_index >> self.set_shift)
+        (set * self.assoc, !(block_index >> self.set_shift))
     }
 
     /// Reconstructs the block base address stored in way `index`.
     #[inline]
     fn addr_of(&self, index: usize) -> Addr {
         let set = (index / self.assoc) as u64;
-        Addr(((self.tags[index] << self.set_shift) | set) << self.block_shift)
+        Addr(((!self.tags[index] << self.set_shift) | set) << self.block_shift)
     }
 
     /// Scans the `assoc` ways starting at `base`; returns the way offset
-    /// holding `needle`.
+    /// holding the stored word `needle`.
     #[inline]
     fn way_holding(&self, base: usize, needle: u64) -> Option<usize> {
         self.tags[base..base + self.assoc].iter().position(|&t| t == needle)
@@ -171,10 +167,10 @@ impl CacheArray {
     pub fn lookup(&mut self, addr: Addr) -> Option<Line> {
         self.tick += 1;
         let index = self.find(addr)?;
-        self.ways[index].last_use = self.tick;
+        self.last_use[index] = self.tick;
         Some(Line {
             addr: self.addr_of(index),
-            dirty: self.ways[index].dirty,
+            dirty: self.dirty[index],
         })
     }
 
@@ -183,7 +179,7 @@ impl CacheArray {
     pub fn mark_dirty(&mut self, addr: Addr) -> bool {
         match self.find(addr) {
             Some(index) => {
-                self.ways[index].dirty = true;
+                self.dirty[index] = true;
                 true
             }
             None => false,
@@ -199,48 +195,44 @@ impl CacheArray {
         self.tick += 1;
         let tick = self.tick;
         let (base, tag) = self.slot(addr);
-        debug_assert_ne!(tag, EMPTY_TAG, "tag collides with the empty sentinel");
+        debug_assert_ne!(tag, EMPTY_WORD, "tag collides with the empty sentinel");
 
         // Already resident: refresh and merge dirtiness.
         if let Some(w) = self.way_holding(base, tag) {
-            let way = &mut self.ways[base + w];
-            way.dirty |= dirty;
-            way.last_use = tick;
+            self.dirty[base + w] |= dirty;
+            self.last_use[base + w] = tick;
             return None;
         }
 
-        // Free way available.
-        if let Some(w) = self.way_holding(base, EMPTY_TAG) {
-            self.tags[base + w] = tag;
-            self.ways[base + w] = Way {
-                dirty,
-                last_use: tick,
-                inserted: tick,
-            };
-            self.resident += 1;
-            return None;
-        }
-
-        // Evict a victim (streaming the way metadata keeps this hot path
-        // free of temporary allocations).
-        let victim_way = self.policy.choose_victim_from(
-            self.ways[base..base + self.assoc]
-                .iter()
-                .map(|w| (w.last_use, w.inserted)),
-            tick,
-        );
-        let index = base + victim_way;
-        let victim = EvictedLine {
-            addr: self.addr_of(index),
-            dirty: self.ways[index].dirty,
+        // Free way available, or else a victim (streaming the way metadata
+        // keeps this hot path free of temporary allocations).
+        let (index, victim) = match self.way_holding(base, EMPTY_WORD) {
+            Some(w) => {
+                self.resident += 1;
+                (base + w, None)
+            }
+            None => {
+                let ways = base..base + self.assoc;
+                let victim_way = self.policy.choose_victim_from(
+                    self.last_use[ways.clone()]
+                        .iter()
+                        .copied()
+                        .zip(self.inserted[ways].iter().copied()),
+                    tick,
+                );
+                let index = base + victim_way;
+                let victim = EvictedLine {
+                    addr: self.addr_of(index),
+                    dirty: self.dirty[index],
+                };
+                (index, Some(victim))
+            }
         };
         self.tags[index] = tag;
-        self.ways[index] = Way {
-            dirty,
-            last_use: tick,
-            inserted: tick,
-        };
-        Some(victim)
+        self.dirty[index] = dirty;
+        self.last_use[index] = tick;
+        self.inserted[index] = tick;
+        victim
     }
 
     /// Removes the block containing `addr` from the array, returning its
@@ -249,10 +241,10 @@ impl CacheArray {
         let index = self.find(addr)?;
         let line = Line {
             addr: self.addr_of(index),
-            dirty: self.ways[index].dirty,
+            dirty: self.dirty[index],
         };
-        self.tags[index] = EMPTY_TAG;
-        self.ways[index].dirty = false;
+        self.tags[index] = EMPTY_WORD;
+        self.dirty[index] = false;
         self.resident -= 1;
         Some(line)
     }
@@ -262,7 +254,7 @@ impl CacheArray {
     #[must_use]
     pub fn has_free_way(&self, addr: Addr) -> bool {
         let (base, _) = self.slot(addr);
-        self.way_holding(base, EMPTY_TAG).is_some()
+        self.way_holding(base, EMPTY_WORD).is_some()
     }
 
     /// Iterates over all resident lines (in no particular order).
@@ -271,10 +263,10 @@ impl CacheArray {
     /// to hand out references to.
     pub fn iter(&self) -> impl Iterator<Item = Line> + '_ {
         (0..self.tags.len())
-            .filter(|&index| self.tags[index] != EMPTY_TAG)
+            .filter(|&index| self.tags[index] != EMPTY_WORD)
             .map(|index| Line {
                 addr: self.addr_of(index),
-                dirty: self.ways[index].dirty,
+                dirty: self.dirty[index],
             })
     }
 }

@@ -144,7 +144,7 @@ impl MshrFile {
     pub fn allocate(&mut self, addr: Addr, req: ReqId) -> MshrAllocation {
         let block = addr.block_base(self.block_size);
         if let Some(slot) = self.slots.iter_mut().find(|s| s.live && s.block == block) {
-            if slot.waiters.len() >= 1 + self.secondary_per_entry {
+            if slot.waiters.len() > self.secondary_per_entry {
                 self.rejections += 1;
                 return MshrAllocation::Full;
             }

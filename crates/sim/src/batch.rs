@@ -80,30 +80,31 @@ pub struct BatchJob<'a> {
 /// The simulated components of one member: a single-core hierarchy+core
 /// pair, or a whole CMP machine when the member's spec has `cores > 1`.
 /// Both expose the same tick/horizon/finish surface, so [`advance`] and
-/// [`retire`] drive either one.
+/// [`retire`] drive either one. The core and the CMP machine are boxed,
+/// like the hierarchy's variants, so the two variants are the same size.
 enum Machine<P: ProbeSink> {
     Solo {
         hierarchy: AnyHierarchy<P>,
-        core: OooCore<std::iter::Take<TraceGenerator>>,
+        core: Box<OooCore<std::iter::Take<TraceGenerator>>>,
     },
-    Cmp(crate::cmp::CmpMachine<P>),
+    Cmp(Box<crate::cmp::CmpMachine<P>>),
 }
 
 impl<P: ProbeSink> Machine<P> {
     fn build(job: &BatchJob<'_>, probe: P) -> Result<Self, ConfigError> {
         Ok(if job.spec.cores > 1 {
-            Machine::Cmp(crate::cmp::CmpMachine::from_spec(
+            Machine::Cmp(Box::new(crate::cmp::CmpMachine::from_spec(
                 job.spec,
                 job.profile,
                 job.instructions,
                 job.seed,
                 probe,
-            )?)
+            )?))
         } else {
             let hierarchy = System::build_spec_probed(job.spec, probe)?;
             let trace = TraceGenerator::new(job.profile.clone(), job.seed)
                 .take(usize::try_from(job.instructions).unwrap_or(usize::MAX));
-            let core = OooCore::new(CoreConfig::paper(), trace)?;
+            let core = Box::new(OooCore::new(CoreConfig::paper(), trace)?);
             Machine::Solo { hierarchy, core }
         })
     }
@@ -147,7 +148,7 @@ impl<P: ProbeSink> Machine<P> {
     fn into_hierarchy(self) -> AnyHierarchy<P> {
         match self {
             Machine::Solo { hierarchy, .. } => hierarchy,
-            Machine::Cmp(m) => AnyHierarchy::Cmp(m.into_memory()),
+            Machine::Cmp(m) => AnyHierarchy::Cmp(Box::new(m.into_memory())),
         }
     }
 }

@@ -68,17 +68,18 @@ impl HierarchyStats {
 /// Any of the four hierarchies, behind one type so [`crate::system::System`]
 /// can drive them uniformly. Generic over the [`ProbeSink`] the wrapped
 /// hierarchy reports functional transitions through ([`NoProbe`] — nothing —
-/// by default).
+/// by default). Every variant is boxed: the three differ by up to 1.4 kB,
+/// and the box costs one pointer load per call.
 #[derive(Debug)]
 pub enum AnyHierarchy<P: ProbeSink = NoProbe> {
     /// Conventional 3-level or L1 + D-NUCA.
-    Classic(ClassicHierarchy<P>),
+    Classic(Box<ClassicHierarchy<P>>),
     /// L-NUCA + (L3 or D-NUCA).
-    LNuca(LNucaHierarchy<P>),
+    LNuca(Box<LNucaHierarchy<P>>),
     /// The memory side of a multicore run (private domains + shared
     /// backing + MSI directory, DESIGN.md §17). Driven per core through
     /// `crate::cmp::CoreView`s; its own [`DataMemory::issue`] rejects.
-    Cmp(crate::cmp::CmpMemory<P>),
+    Cmp(Box<crate::cmp::CmpMemory<P>>),
 }
 
 impl<P: ProbeSink> AnyHierarchy<P> {

@@ -129,9 +129,9 @@ impl System {
         probe: P,
     ) -> Result<AnyHierarchy<P>, ConfigError> {
         Ok(if spec.fabric.is_some() {
-            AnyHierarchy::LNuca(LNucaHierarchy::from_spec_probed(spec, probe)?)
+            AnyHierarchy::LNuca(Box::new(LNucaHierarchy::from_spec_probed(spec, probe)?))
         } else {
-            AnyHierarchy::Classic(ClassicHierarchy::from_spec_probed(spec, probe)?)
+            AnyHierarchy::Classic(Box::new(ClassicHierarchy::from_spec_probed(spec, probe)?))
         })
     }
 

@@ -170,10 +170,10 @@ pub(crate) fn run_differential_impl(
     //    cannot mask a divergence).
     reference
         .check_stats(&final_stats)
-        .map_err(|details| fail(details))?;
+        .map_err(&fail)?;
 
     // 4. Final resident line sets, level by level.
-    check_residency(&reference, &hierarchy).map_err(|details| fail(details))?;
+    check_residency(&reference, &hierarchy).map_err(fail)?;
 
     let report = DifferentialReport {
         label: result.label.clone(),

@@ -5,7 +5,7 @@ use crate::profile::{AccessPattern, WorkloadProfile};
 use crate::trace::{TraceData, TraceReplay};
 use lnuca_types::Addr;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Block size (bytes) used by the address generators. Matches the L1 /
 /// L-NUCA block size so one "block" of the reuse model is one L1 block.
@@ -72,7 +72,202 @@ pub struct TraceGenerator {
     /// Consumer cursor of the sharing patterns (walks the upstream
     /// neighbour's window).
     shared_read_cursor: u64,
+    /// The profile's probabilities as cut-offs on a 53-bit draw.
+    cuts: DrawCuts,
+    /// The profile's dependency-distance formula, tabulated.
+    dep_table: DepDistanceTable,
     generated: u64,
+}
+
+/// The bits of one draw: the top 53 of a `next_u64`, which `gen_bool`,
+/// `gen::<f64>` and `gen_range` over floats turn into their float.
+const DRAW_BITS: u32 = 53;
+/// The largest draw.
+const DRAW_MAX: u64 = (1 << DRAW_BITS) - 1;
+/// The bucket table is indexed by the top `BUCKET_BITS` bits of a draw.
+const BUCKET_BITS: u32 = 12;
+const BUCKETS: usize = 1 << BUCKET_BITS;
+const BUCKET_SHIFT: u32 = DRAW_BITS - BUCKET_BITS;
+
+/// `rng.gen_bool(p)` and `rng.gen::<f64>() < p` both test
+/// `(bits >> 11) as f64 * 2^-53 < p`. Scaling by a power of two is exact,
+/// so that is `bits >> 11 < p * 2^53`, and for an integer on the left,
+/// `bits >> 11 < ceil(p * 2^53)`: one integer compare on the same draw.
+fn draw_cut(p: f64) -> u64 {
+    (p * (1u64 << DRAW_BITS) as f64).ceil() as u64
+}
+
+/// The next 53-bit draw: the bits `gen_bool` and `gen::<f64>` use.
+#[inline]
+fn draw(rng: &mut SmallRng) -> u64 {
+    rng.next_u64() >> (64 - DRAW_BITS)
+}
+
+/// `rng.gen_bool(p)` for the probability `p` whose [`draw_cut`] is `cut`.
+#[inline]
+fn chance(rng: &mut SmallRng, cut: u64) -> bool {
+    draw(rng) < cut
+}
+
+/// A profile's probabilities as [`draw_cut`]s. Sums are taken in the
+/// order the generator always took them, before the cut.
+#[derive(Debug, Clone, Copy)]
+struct DrawCuts {
+    load: u64,
+    store: u64,
+    branch: u64,
+    fp: u64,
+    spatial_stride: u64,
+    hot: u64,
+    hot_warm: u64,
+    hot_warm_cold: u64,
+    branch_bias: u64,
+}
+
+impl DrawCuts {
+    fn new(p: &WorkloadProfile) -> Self {
+        let store = p.load_fraction + p.store_fraction;
+        let hot_warm = p.hot_prob + p.warm_prob;
+        DrawCuts {
+            load: draw_cut(p.load_fraction),
+            store: draw_cut(store),
+            branch: draw_cut(store + p.branch_fraction),
+            fp: draw_cut(p.fp_fraction),
+            spatial_stride: draw_cut(p.spatial_stride_prob),
+            hot: draw_cut(p.hot_prob),
+            hot_warm: draw_cut(hot_warm),
+            hot_warm_cold: draw_cut(hot_warm + p.cold_prob),
+            branch_bias: draw_cut(p.branch_bias),
+        }
+    }
+}
+
+/// An RNG whose every `next_u64` is the same word, so the dependency
+/// formula can be evaluated on a chosen draw through the very
+/// `gen_range` call the generator used to make.
+struct FixedDraw(u64);
+
+impl RngCore for FixedDraw {
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
+/// The dependency distance of the 53-bit `draw` under `mean`, straight
+/// from the formula: `gen_range(1e-9..1.0)` on that draw, then
+/// `ceil(-ln(u) * mean)` clamped to `[1, 64]`. It builds
+/// [`DepDistanceTable`] and is the tests' oracle.
+fn formula_distance(mean: f64, draw: u64) -> u32 {
+    let u: f64 = FixedDraw(draw << (64 - DRAW_BITS)).gen_range(1e-9..1.0);
+    let d = (-u.ln() * mean).ceil();
+    d.clamp(1.0, 64.0) as u32
+}
+
+/// [`formula_distance`] for one mean, as a lookup (DESIGN.md §5.1).
+///
+/// The formula is monotone non-increasing in the draw, so it is a step
+/// function with at most 63 steps: `thresholds[i]` is the smallest draw
+/// whose distance is at most `base + i`, found by searching the formula
+/// itself, and a draw's distance is `base` plus the number of thresholds
+/// above it. `buckets` holds the distance of every bucket of draws (top
+/// [`BUCKET_BITS`] bits) that lies between two thresholds, and 0 for the
+/// few buckets a threshold splits, which fall back to the thresholds.
+#[derive(Clone)]
+struct DepDistanceTable {
+    /// The distance of the largest draw (the formula's minimum).
+    base: u32,
+    /// Non-increasing; empty when every draw has the same distance.
+    thresholds: Box<[u64]>,
+    buckets: Box<[u8; BUCKETS]>,
+}
+
+impl std::fmt::Debug for DepDistanceTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DepDistanceTable")
+            .field("base", &self.base)
+            .field("thresholds", &self.thresholds)
+            .finish_non_exhaustive()
+    }
+}
+
+impl DepDistanceTable {
+    fn new(mean: f64) -> Self {
+        let base = formula_distance(mean, DRAW_MAX);
+        let top = formula_distance(mean, 0);
+        let thresholds: Box<[u64]> = (base..top).map(|d| Self::threshold(mean, d)).collect();
+        // The draws in `start..end` lie below exactly `steps_above`
+        // thresholds. Every bucket wholly inside such a step gets its
+        // distance; a bucket a threshold splits keeps 0.
+        let mut buckets: Box<[u8; BUCKETS]> = vec![0; BUCKETS]
+            .into_boxed_slice()
+            .try_into()
+            .expect("BUCKETS entries");
+        for steps_above in 0..=thresholds.len() {
+            let start = thresholds.get(steps_above).copied().unwrap_or(0);
+            let end = steps_above.checked_sub(1).map_or(DRAW_MAX + 1, |i| thresholds[i]);
+            let first = start.div_ceil(1 << BUCKET_SHIFT) as usize;
+            let past = (end >> BUCKET_SHIFT) as usize;
+            if first < past {
+                let distance = u8::try_from(base + steps_above as u32);
+                buckets[first..past].fill(distance.expect("distances are at most 64"));
+            }
+        }
+        DepDistanceTable {
+            base,
+            thresholds,
+            buckets,
+        }
+    }
+
+    /// The smallest draw whose distance is at most `d`, given that draw 0's
+    /// is above `d` and [`DRAW_MAX`]'s is not. The search starts at the
+    /// draw where `-ln(u) * mean` would reach `d` in exact arithmetic,
+    /// which lies within a few draws of the answer, and widens its bracket
+    /// by doubling from there.
+    fn threshold(mean: f64, d: u32) -> u64 {
+        let at_most_d = |draw: u64| formula_distance(mean, draw) <= d;
+        let u = (-f64::from(d) / mean).exp();
+        let estimate = ((u - 1e-9) / (1.0 - 1e-9) * (DRAW_MAX + 1) as f64) as u64;
+        let estimate = estimate.clamp(1, DRAW_MAX);
+        // Invariant once bracketed: `lo` is above `d`, `hi` is not.
+        let (mut lo, mut hi);
+        let mut step = 1;
+        if at_most_d(estimate) {
+            hi = estimate;
+            lo = hi.saturating_sub(step);
+            while at_most_d(lo) {
+                hi = lo;
+                step *= 2;
+                lo = hi.saturating_sub(step);
+            }
+        } else {
+            lo = estimate;
+            hi = (lo + step).min(DRAW_MAX);
+            while !at_most_d(hi) {
+                lo = hi;
+                step *= 2;
+                hi = (lo + step).min(DRAW_MAX);
+            }
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if at_most_d(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    /// The distance of the 53-bit `draw`: [`formula_distance`]`(mean, draw)`.
+    #[inline]
+    fn distance(&self, draw: u64) -> u32 {
+        match self.buckets[(draw >> BUCKET_SHIFT) as usize] {
+            0 => self.base + self.thresholds.partition_point(|&t| t > draw) as u32,
+            distance => u32::from(distance),
+        }
+    }
 }
 
 impl TraceGenerator {
@@ -112,8 +307,9 @@ impl TraceGenerator {
         // stream the one-core special case bit for bit.
         let perturb = (core_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED_CAFE_F00D_u64 ^ perturb);
+        let half = draw_cut(0.5);
         let branch_directions = (0..profile.static_branches)
-            .map(|_| rng.gen_bool(0.5))
+            .map(|_| chance(&mut rng, half))
             .collect();
         let replay = match profile.pattern {
             AccessPattern::Trace => {
@@ -137,6 +333,8 @@ impl TraceGenerator {
             cores: cores as u64,
             shared_write_cursor: 0,
             shared_read_cursor: 0,
+            cuts: DrawCuts::new(&profile),
+            dep_table: DepDistanceTable::new(profile.mean_dep_distance),
             profile,
             rng,
             generated: 0,
@@ -201,12 +399,11 @@ impl TraceGenerator {
     }
 
     fn next_memory_addr(&mut self, is_store: bool) -> Addr {
-        let p = &self.profile;
         // Spatial locality: continue the previous access one word (8 bytes)
         // further, so several consecutive accesses land in the same cache
         // block before the walk crosses into the next one — the behaviour of
         // array traversals and line-filling loops.
-        if self.rng.gen_bool(p.spatial_stride_prob) {
+        if chance(&mut self.rng, self.cuts.spatial_stride) {
             self.last_addr += 8;
             return Addr(self.last_addr);
         }
@@ -232,12 +429,12 @@ impl TraceGenerator {
     /// The original three-region reuse model plus streaming walker.
     fn next_regions_block(&mut self) -> u64 {
         let p = &self.profile;
-        let region = self.rng.gen::<f64>();
-        if region < p.hot_prob {
+        let region = draw(&mut self.rng);
+        if region < self.cuts.hot {
             HOT_BASE / TRACE_BLOCK_BYTES + self.rng.gen_range(0..p.hot_blocks)
-        } else if region < p.hot_prob + p.warm_prob {
+        } else if region < self.cuts.hot_warm {
             WARM_BASE / TRACE_BLOCK_BYTES + self.rng.gen_range(0..p.warm_blocks)
-        } else if region < p.hot_prob + p.warm_prob + p.cold_prob {
+        } else if region < self.cuts.hot_warm_cold {
             COLD_BASE / TRACE_BLOCK_BYTES + self.rng.gen_range(0..p.cold_blocks)
         } else {
             // Streaming walker: strictly sequential over a huge footprint.
@@ -250,7 +447,7 @@ impl TraceGenerator {
     /// touch, modelling the chasing loop's own stack/locals).
     fn next_chase_block(&mut self) -> u64 {
         let p = &self.profile;
-        if self.rng.gen_bool(p.hot_prob) {
+        if chance(&mut self.rng, self.cuts.hot) {
             return HOT_BASE / TRACE_BLOCK_BYTES + self.rng.gen_range(0..p.hot_blocks);
         }
         self.chase_cursor = Self::chase_step(self.chase_cursor, p.cold_blocks);
@@ -261,7 +458,7 @@ impl TraceGenerator {
     /// of a hot touch).
     fn next_streaming_block(&mut self) -> u64 {
         let p = &self.profile;
-        if self.rng.gen_bool(p.hot_prob) {
+        if chance(&mut self.rng, self.cuts.hot) {
             return HOT_BASE / TRACE_BLOCK_BYTES + self.rng.gen_range(0..p.hot_blocks);
         }
         self.stream_cursor = (self.stream_cursor + p.stream_stride_blocks) % p.stream_blocks;
@@ -294,7 +491,7 @@ impl TraceGenerator {
     /// stage's own locals.
     fn next_producer_consumer_block(&mut self, is_store: bool) -> u64 {
         let p = &self.profile;
-        if self.rng.gen_bool(p.hot_prob) {
+        if chance(&mut self.rng, self.cuts.hot) {
             return HOT_BASE / TRACE_BLOCK_BYTES + self.rng.gen_range(0..p.hot_blocks);
         }
         let window = (p.shared_blocks / self.cores).max(1);
@@ -317,7 +514,7 @@ impl TraceGenerator {
     /// stationary: a plain read-modify-write working set.
     fn next_migratory_block(&mut self) -> u64 {
         let p = &self.profile;
-        if self.rng.gen_bool(p.hot_prob) {
+        if chance(&mut self.rng, self.cuts.hot) {
             return HOT_BASE / TRACE_BLOCK_BYTES + self.rng.gen_range(0..p.hot_blocks);
         }
         let partition = (p.shared_blocks / self.cores).max(1);
@@ -331,7 +528,7 @@ impl TraceGenerator {
     /// same lines. Returns a byte address (the word offset matters).
     fn next_false_sharing_addr(&mut self) -> u64 {
         let p = &self.profile;
-        if self.rng.gen_bool(p.hot_prob) {
+        if chance(&mut self.rng, self.cuts.hot) {
             let block = HOT_BASE / TRACE_BLOCK_BYTES + self.rng.gen_range(0..p.hot_blocks);
             return block * TRACE_BLOCK_BYTES;
         }
@@ -340,19 +537,17 @@ impl TraceGenerator {
         (SHARED_BASE / TRACE_BLOCK_BYTES + line) * TRACE_BLOCK_BYTES + word * 8
     }
 
+    /// Geometric-like distribution with the configured mean: short
+    /// dependency chains are common, long ones rare. One `next_u64` per
+    /// call, looked up in the profile's [`DepDistanceTable`].
     fn next_dep_distance(&mut self) -> u32 {
-        // Geometric-like distribution with the configured mean: short
-        // dependency chains are common, long ones rare.
-        let mean = self.profile.mean_dep_distance;
-        let u: f64 = self.rng.gen_range(1e-9..1.0);
-        let d = (-u.ln() * mean).ceil();
-        d.clamp(1.0, 64.0) as u32
+        self.dep_table.distance(draw(&mut self.rng))
     }
 
     fn next_branch(&mut self) -> InstrKind {
         let pc = self.rng.gen_range(0..self.profile.static_branches);
         let bias = self.branch_directions[pc as usize];
-        let follows_bias = self.rng.gen_bool(self.profile.branch_bias);
+        let follows_bias = chance(&mut self.rng, self.cuts.branch_bias);
         InstrKind::Branch {
             pc,
             taken: if follows_bias { bias } else { !bias },
@@ -366,11 +561,8 @@ impl TraceGenerator {
     /// `load_fraction + store_fraction` sets the memory density while the
     /// trace sets everything else).
     fn next_replay_instr(&mut self) -> Instr {
-        let memory_cut = self.profile.load_fraction + self.profile.store_fraction;
-        let branch_cut = memory_cut + self.profile.branch_fraction;
-        let fp_fraction = self.profile.fp_fraction;
-        let class = self.rng.gen::<f64>();
-        if class < memory_cut {
+        let class = draw(&mut self.rng);
+        if class < self.cuts.store {
             let record = self
                 .replay
                 .as_mut()
@@ -381,23 +573,26 @@ impl TraceGenerator {
                 addr: Some(Addr(record.addr)),
                 dep_distance: self.next_dep_distance(),
             }
-        } else if class < branch_cut {
+        } else if class < self.cuts.branch {
             Instr {
                 kind: self.next_branch(),
                 addr: None,
                 dep_distance: self.next_dep_distance(),
             }
         } else {
-            let kind = if self.rng.gen_bool(fp_fraction) {
-                InstrKind::FpAlu
-            } else {
-                InstrKind::IntAlu
-            };
             Instr {
-                kind,
+                kind: self.next_alu(),
                 addr: None,
                 dep_distance: self.next_dep_distance(),
             }
+        }
+    }
+
+    fn next_alu(&mut self) -> InstrKind {
+        if chance(&mut self.rng, self.cuts.fp) {
+            InstrKind::FpAlu
+        } else {
+            InstrKind::IntAlu
         }
     }
 }
@@ -411,39 +606,28 @@ impl Iterator for TraceGenerator {
             self.generated += 1;
             return Some(instr);
         }
-        let p = &self.profile;
-        let class = self.rng.gen::<f64>();
-        let load_cut = p.load_fraction;
-        let store_cut = load_cut + p.store_fraction;
-        let branch_cut = store_cut + p.branch_fraction;
-        let fp_fraction = p.fp_fraction;
-
-        let instr = if class < load_cut {
+        let class = draw(&mut self.rng);
+        let instr = if class < self.cuts.load {
             Instr {
                 kind: InstrKind::Load,
                 addr: Some(self.next_memory_addr(false)),
                 dep_distance: self.next_dep_distance(),
             }
-        } else if class < store_cut {
+        } else if class < self.cuts.store {
             Instr {
                 kind: InstrKind::Store,
                 addr: Some(self.next_memory_addr(true)),
                 dep_distance: self.next_dep_distance(),
             }
-        } else if class < branch_cut {
+        } else if class < self.cuts.branch {
             Instr {
                 kind: self.next_branch(),
                 addr: None,
                 dep_distance: self.next_dep_distance(),
             }
         } else {
-            let kind = if self.rng.gen_bool(fp_fraction) {
-                InstrKind::FpAlu
-            } else {
-                InstrKind::IntAlu
-            };
             Instr {
-                kind,
+                kind: self.next_alu(),
                 addr: None,
                 dep_distance: self.next_dep_distance(),
             }
@@ -674,6 +858,105 @@ mod tests {
             seen_stage[stage] = true;
         }
         assert_eq!(seen_stage, [true, true], "the working set migrated");
+    }
+
+    /// Every distinct `mean_dep_distance` the suites ship, the validation
+    /// floor 1.0, a mean so large that the clamp at 64 binds for all but
+    /// the very largest draws, and the non-finite means validation lets
+    /// through.
+    fn table_means() -> Vec<f64> {
+        let mut means: Vec<f64> = crate::suites::extended()
+            .iter()
+            .chain([&WorkloadProfile::default()])
+            .map(|p| p.mean_dep_distance)
+            .collect();
+        means.extend([1.0, 1e6, f64::INFINITY, f64::NAN]);
+        means.sort_by(f64::total_cmp);
+        means.dedup_by(|a, b| a.total_cmp(b).is_eq());
+        means
+    }
+
+    #[test]
+    fn the_dep_table_is_the_formula_at_every_threshold_and_bucket_edge() {
+        // Draws checked on either side of each threshold.
+        const WINDOW: u64 = 64;
+        for mean in table_means() {
+            let table = DepDistanceTable::new(mean);
+            let check = |draw: u64| {
+                assert_eq!(
+                    table.distance(draw),
+                    formula_distance(mean, draw),
+                    "mean {mean}, draw {draw:#x}"
+                );
+            };
+            assert!(table.thresholds.windows(2).all(|w| w[0] >= w[1]), "mean {mean}");
+            assert_eq!(
+                table.base + table.thresholds.len() as u32,
+                formula_distance(mean, 0),
+                "mean {mean}: one threshold per step"
+            );
+            for &t in table.thresholds.iter() {
+                assert!(formula_distance(mean, t) < formula_distance(mean, t - 1), "mean {mean}");
+                (t.saturating_sub(WINDOW)..=(t + WINDOW).min(DRAW_MAX)).for_each(check);
+            }
+            for bucket in 0..BUCKETS as u64 {
+                check(bucket << BUCKET_SHIFT);
+                check(((bucket + 1) << BUCKET_SHIFT) - 1);
+            }
+            let mut rng = SmallRng::seed_from_u64(mean.to_bits());
+            for _ in 0..10_000 {
+                check(rng.next_u64() >> (64 - DRAW_BITS));
+            }
+        }
+    }
+
+    #[test]
+    fn a_draw_cut_is_the_float_compare_on_either_side_of_it() {
+        let mut probabilities = vec![
+            0.0,
+            1.0,
+            0.5,
+            0.1 + 0.2,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON / 2.0,
+            1.0 + 1e-9,
+        ];
+        for p in crate::suites::extended() {
+            let store = p.load_fraction + p.store_fraction;
+            let hot_warm = p.hot_prob + p.warm_prob;
+            probabilities.extend([
+                p.load_fraction,
+                store,
+                store + p.branch_fraction,
+                p.fp_fraction,
+                p.spatial_stride_prob,
+                p.hot_prob,
+                hot_warm,
+                hot_warm + p.cold_prob,
+                p.branch_bias,
+            ]);
+        }
+        for p in probabilities {
+            let cut = draw_cut(p);
+            let near = [0, 1, cut.saturating_sub(1), cut, cut + 1, DRAW_MAX];
+            for draw in near.into_iter().filter(|&d| d <= DRAW_MAX) {
+                let unit: f64 = FixedDraw(draw << (64 - DRAW_BITS)).gen();
+                assert_eq!(draw < cut, unit < p, "p {p}, draw {draw:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_table_spans_distance_1_to_the_smallest_draws_distance() {
+        // The smallest float draw is 1e-9, so the largest distance is
+        // `ceil(ln(1e9) * mean)`, clamped: 42 at mean 2, 64 from 3.5 up.
+        for mean in table_means().into_iter().filter(|m| (1.0..=12.0).contains(m)) {
+            let table = DepDistanceTable::new(mean);
+            let top = (1e9f64.ln() * mean).ceil().min(64.0) as usize;
+            assert_eq!((table.base, table.thresholds.len()), (1, top - 1), "mean {mean}");
+        }
+        assert_eq!(DepDistanceTable::new(f64::NAN).distance(0), 0, "NaN casts to 0");
+        assert_eq!(DepDistanceTable::new(f64::INFINITY).distance(DRAW_MAX), 64);
     }
 
     proptest! {

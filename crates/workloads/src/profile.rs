@@ -203,8 +203,10 @@ impl WorkloadProfile {
     /// balanced defaults of [`WorkloadProfile::default`].
     #[must_use]
     pub fn builder(name: impl Into<String>) -> WorkloadProfileBuilder {
-        let mut profile = WorkloadProfile::default();
-        profile.name = name.into();
+        let profile = WorkloadProfile {
+            name: name.into(),
+            ..WorkloadProfile::default()
+        };
         WorkloadProfileBuilder { profile }
     }
 

@@ -828,11 +828,12 @@ fn ingest_native(text: &str) -> Result<Vec<TraceRecord>, IngestError> {
 /// built (and scenarios parsed) away from the corpus directory.
 #[must_use]
 pub fn trace_profile(path: &str) -> WorkloadProfile {
-    let mut profile = WorkloadProfile::default();
-    profile.name = path.to_owned();
-    profile.pattern = AccessPattern::Trace;
-    profile.trace_path = Some(path.to_owned());
-    profile
+    WorkloadProfile {
+        name: path.to_owned(),
+        pattern: AccessPattern::Trace,
+        trace_path: Some(path.to_owned()),
+        ..WorkloadProfile::default()
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,11 @@
 //! cache_array` to compare before/after any future storage change.
 //!
 //! Cases:
-//! * `lookup/hit` — resident block, recency refresh (the L1-hit fast path),
+//! * `lookup/hit` — resident block, recency refresh (the L1-hit fast path;
+//!   the blocks are visited in fill order, so each hit is on its set's
+//!   least recently used way),
+//! * `lookup/hit-mru` — the same on its set's most recently used way,
+//!   where the refresh has nothing to reorder,
 //! * `lookup/miss` — full-set scan with no match (the path every miss pays
 //!   before the hierarchy escalates),
 //! * `fill/refresh` — fill of an already-resident block (dirtiness merge),
@@ -45,6 +49,17 @@ fn bench_lookup(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % lines;
             black_box(array.lookup(black_box(Addr(i * block))))
+        })
+    });
+
+    // The last block filled into each set is that set's youngest.
+    let mut array = filled(l1_array());
+    let sets = array.geometry().sets() as u64;
+    let mut k = 0u64;
+    group.bench_function(BenchmarkId::from_parameter("hit-mru"), |b| {
+        b.iter(|| {
+            k = (k + 1) % sets;
+            black_box(array.lookup(black_box(Addr((lines - 1 - k) * block))))
         })
     });
 

@@ -45,13 +45,17 @@ const EMPTY_WORD: u64 = !EMPTY_TAG;
 ///   the zero word marks an empty way. A lookup is a linear scan over the
 ///   set's `ways`-long slice of this lane: dense words, no `Option`
 ///   discriminant, no pointer chasing.
-/// * `dirty`, `last_use`, `inserted` — the parallel cold lanes (dirty bit
-///   and replacement metadata), touched only on a hit or when choosing a
-///   victim.
+/// * `dirty` — the dirty bit of each way, touched only on a hit, a fill
+///   or an eviction.
+/// * `age` — one recency-rank byte per way (DESIGN.md §10.2), read and
+///   written only by the [`ReplacementPolicy`], which hands back the
+///   victim of a full set. An empty way's rank is never read, so the lane
+///   starts all zero.
 ///
 /// An empty array is all zero bits in every lane, so its lanes come from
 /// zeroed allocations: the pages of a large array that no run touches are
-/// never written.
+/// never written. A line costs 10 bytes (8 tag, 1 dirty, 1 rank), which is
+/// why [`CacheGeometry`] caps associativity at 256 ways.
 ///
 /// Set indexing is shift/mask (`sets` is always a power of two), so the hot
 /// path performs no division.
@@ -78,8 +82,8 @@ pub struct CacheArray {
     tags: Box<[u64]>,
     /// Cold per-way lanes parallel to `tags`.
     dirty: Box<[bool]>,
-    last_use: Box<[u64]>,
-    inserted: Box<[u64]>,
+    /// Recency rank of each way, kept by `policy`; unused under Random.
+    age: Box<[u8]>,
     /// `log2(block_size)`: shifts an address down to its block index.
     block_shift: u32,
     /// `log2(sets)`: shifts a block index down to its tag.
@@ -88,6 +92,7 @@ pub struct CacheArray {
     set_mask: u64,
     /// Ways per set (cached out of `geometry` for the hot path).
     assoc: usize,
+    /// Advanced by every `lookup` and `fill`; seeds the Random victim draw.
     tick: u64,
     resident: usize,
 }
@@ -102,8 +107,7 @@ impl CacheArray {
             policy,
             tags: vec![EMPTY_WORD; lines].into_boxed_slice(),
             dirty: vec![false; lines].into_boxed_slice(),
-            last_use: vec![0; lines].into_boxed_slice(),
-            inserted: vec![0; lines].into_boxed_slice(),
+            age: vec![0; lines].into_boxed_slice(),
             block_shift: geometry.block_size().trailing_zeros(),
             set_shift: (geometry.sets() as u64).trailing_zeros(),
             set_mask: geometry.sets() as u64 - 1,
@@ -134,10 +138,16 @@ impl CacheArray {
         (set * self.assoc, !(block_index >> self.set_shift))
     }
 
-    /// Reconstructs the block base address stored in way `index`.
+    /// The base address of the block containing `addr`.
     #[inline]
-    fn addr_of(&self, index: usize) -> Addr {
-        let set = (index / self.assoc) as u64;
+    fn block_base(&self, addr: Addr) -> Addr {
+        Addr(addr.0 >> self.block_shift << self.block_shift)
+    }
+
+    /// Reconstructs the block base address stored in way `index` of set
+    /// `set`.
+    #[inline]
+    fn addr_of(&self, set: u64, index: usize) -> Addr {
         Addr(((!self.tags[index] << self.set_shift) | set) << self.block_shift)
     }
 
@@ -162,15 +172,24 @@ impl CacheArray {
         self.find(addr).is_some()
     }
 
+    /// The recency ranks of the set at `base`.
+    #[inline]
+    fn ranks(&mut self, base: usize) -> &mut [u8] {
+        &mut self.age[base..base + self.assoc]
+    }
+
     /// Looks up the block containing `addr`; on a hit the line's recency is
     /// refreshed and a copy of its metadata is returned.
+    #[inline]
     pub fn lookup(&mut self, addr: Addr) -> Option<Line> {
         self.tick += 1;
-        let index = self.find(addr)?;
-        self.last_use[index] = self.tick;
+        let (base, tag) = self.slot(addr);
+        let way = self.way_holding(base, tag)?;
+        let policy = self.policy;
+        policy.on_hit(self.ranks(base), way);
         Some(Line {
-            addr: self.addr_of(index),
-            dirty: self.dirty[index],
+            addr: self.block_base(addr),
+            dirty: self.dirty[base + way],
         })
     }
 
@@ -193,54 +212,51 @@ impl CacheArray {
     /// and no eviction occurs.
     pub fn fill(&mut self, addr: Addr, dirty: bool) -> Option<EvictedLine> {
         self.tick += 1;
-        let tick = self.tick;
         let (base, tag) = self.slot(addr);
         debug_assert_ne!(tag, EMPTY_WORD, "tag collides with the empty sentinel");
 
         // Already resident: refresh and merge dirtiness.
+        let policy = self.policy;
         if let Some(w) = self.way_holding(base, tag) {
             self.dirty[base + w] |= dirty;
-            self.last_use[base + w] = tick;
+            policy.on_hit(self.ranks(base), w);
             return None;
         }
 
-        // Free way available, or else a victim (streaming the way metadata
-        // keeps this hot path free of temporary allocations).
-        let (index, victim) = match self.way_holding(base, EMPTY_WORD) {
+        // Free way available, or else a victim.
+        let (way, victim) = match self.way_holding(base, EMPTY_WORD) {
             Some(w) => {
                 self.resident += 1;
-                (base + w, None)
+                (w, None)
             }
             None => {
-                let ways = base..base + self.assoc;
-                let victim_way = self.policy.choose_victim_from(
-                    self.last_use[ways.clone()]
-                        .iter()
-                        .copied()
-                        .zip(self.inserted[ways].iter().copied()),
-                    tick,
-                );
-                let index = base + victim_way;
+                let w = policy.choose_victim(&self.age[base..base + self.assoc], self.tick);
+                // The victim shares `addr`'s set.
+                let set = (addr.0 >> self.block_shift) & self.set_mask;
                 let victim = EvictedLine {
-                    addr: self.addr_of(index),
-                    dirty: self.dirty[index],
+                    addr: self.addr_of(set, base + w),
+                    dirty: self.dirty[base + w],
                 };
-                (index, Some(victim))
+                (w, Some(victim))
             }
         };
+        policy.on_fill(self.ranks(base), way);
+        let index = base + way;
         self.tags[index] = tag;
         self.dirty[index] = dirty;
-        self.last_use[index] = tick;
-        self.inserted[index] = tick;
         victim
     }
 
     /// Removes the block containing `addr` from the array, returning its
     /// metadata if it was resident.
     pub fn invalidate(&mut self, addr: Addr) -> Option<Line> {
-        let index = self.find(addr)?;
+        let (base, tag) = self.slot(addr);
+        let way = self.way_holding(base, tag)?;
+        let policy = self.policy;
+        policy.on_invalidate(self.ranks(base), way);
+        let index = base + way;
         let line = Line {
-            addr: self.addr_of(index),
+            addr: self.block_base(addr),
             dirty: self.dirty[index],
         };
         self.tags[index] = EMPTY_WORD;
@@ -265,7 +281,7 @@ impl CacheArray {
         (0..self.tags.len())
             .filter(|&index| self.tags[index] != EMPTY_WORD)
             .map(|index| Line {
-                addr: self.addr_of(index),
+                addr: self.addr_of((index / self.assoc) as u64, index),
                 dirty: self.dirty[index],
             })
     }

@@ -152,14 +152,11 @@ mod tests {
 
     #[test]
     fn validation_rejects_zeroes() {
-        let mut cfg = MemoryConfig::default();
-        cfg.first_chunk_cycles = 0;
+        let cfg = MemoryConfig { first_chunk_cycles: 0, ..MemoryConfig::default() };
         assert!(cfg.validate().is_err());
-        let mut cfg = MemoryConfig::default();
-        cfg.chunk_bytes = 0;
+        let cfg = MemoryConfig { chunk_bytes: 0, ..MemoryConfig::default() };
         assert!(cfg.validate().is_err());
-        let mut cfg = MemoryConfig::default();
-        cfg.chunk_bytes = 24;
+        let cfg = MemoryConfig { chunk_bytes: 24, ..MemoryConfig::default() };
         assert!(cfg.validate().is_err());
     }
 

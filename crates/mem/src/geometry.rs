@@ -28,14 +28,19 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
+    /// The largest associativity a geometry accepts: [`crate::CacheArray`]
+    /// keeps one recency rank per way in a byte (DESIGN.md §10.2).
+    pub const MAX_WAYS: usize = 256;
+
     /// Creates a geometry for a cache of `size_bytes` bytes, `ways`-way
     /// set-associative, with `block_size`-byte blocks.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if any parameter is zero, if `size_bytes` or
-    /// `block_size` is not a power of two, or if the implied number of sets
-    /// is not a positive power of two.
+    /// Returns a [`ConfigError`] if any parameter is zero, if `ways` exceeds
+    /// [`CacheGeometry::MAX_WAYS`], if `size_bytes` or `block_size` is not a
+    /// power of two, or if the implied number of sets is not a positive power
+    /// of two.
     pub fn new(size_bytes: u64, ways: usize, block_size: u64) -> Result<Self, ConfigError> {
         if size_bytes == 0 || !size_bytes.is_power_of_two() {
             return Err(ConfigError::new(
@@ -52,6 +57,7 @@ impl CacheGeometry {
         if ways == 0 {
             return Err(ConfigError::new("ways", "must be nonzero"));
         }
+        check_ways("ways", ways)?;
         let lines = size_bytes / block_size;
         if lines == 0 || lines % ways as u64 != 0 {
             return Err(ConfigError::new(
@@ -78,12 +84,13 @@ impl CacheGeometry {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if `lines` is zero or `block_size` is not a
-    /// power of two.
+    /// Returns a [`ConfigError`] if `lines` is zero or exceeds
+    /// [`CacheGeometry::MAX_WAYS`], or if `block_size` is not a power of two.
     pub fn fully_associative(lines: usize, block_size: u64) -> Result<Self, ConfigError> {
         if lines == 0 {
             return Err(ConfigError::new("lines", "must be nonzero"));
         }
+        check_ways("lines", lines)?;
         if block_size == 0 || !block_size.is_power_of_two() {
             return Err(ConfigError::new(
                 "block_size",
@@ -149,6 +156,17 @@ impl CacheGeometry {
     }
 }
 
+/// Rejects an associativity above [`CacheGeometry::MAX_WAYS`].
+fn check_ways(field: &str, ways: usize) -> Result<(), ConfigError> {
+    if ways > CacheGeometry::MAX_WAYS {
+        return Err(ConfigError::new(
+            field,
+            format!("{ways} ways exceed the limit of {}", CacheGeometry::MAX_WAYS),
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +209,24 @@ mod tests {
         assert_eq!(g.set_index(Addr(0xdead_beef)), 0);
         assert!(CacheGeometry::fully_associative(0, 32).is_err());
         assert!(CacheGeometry::fully_associative(4, 33).is_err());
+    }
+
+    #[test]
+    fn associativity_is_capped_at_256_ways() {
+        let ways = CacheGeometry::MAX_WAYS;
+        assert_eq!(ways, 256);
+        let g = CacheGeometry::new(ways as u64 * 32, ways, 32).unwrap();
+        assert_eq!((g.sets(), g.ways()), (1, 256));
+        let g = CacheGeometry::new(2 * ways as u64 * 32, ways, 32).unwrap();
+        assert_eq!((g.sets(), g.ways()), (2, 256));
+        assert_eq!(CacheGeometry::fully_associative(ways, 32).unwrap().ways(), 256);
+
+        let err = CacheGeometry::new(1 << 20, 257, 32).unwrap_err();
+        assert_eq!(err.parameter(), "ways");
+        let err = CacheGeometry::new(512 * 1024, 512, 32).unwrap_err();
+        assert_eq!(err.parameter(), "ways", "a power-of-two set count does not lift the cap");
+        let err = CacheGeometry::fully_associative(257, 32).unwrap_err();
+        assert_eq!(err.parameter(), "lines");
     }
 
     #[test]

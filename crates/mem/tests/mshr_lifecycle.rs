@@ -51,7 +51,7 @@ proptest! {
                     let base = Addr(addr).block_base(BLOCK).0;
                     let outcome = file.allocate(Addr(addr), id);
                     let expected = match model.get(&base) {
-                        Some(waiters) if waiters.len() >= 1 + secondary => MshrAllocation::Full,
+                        Some(waiters) if waiters.len() > secondary => MshrAllocation::Full,
                         Some(_) => MshrAllocation::Secondary,
                         None if model.len() >= capacity => MshrAllocation::Full,
                         None => MshrAllocation::Primary,

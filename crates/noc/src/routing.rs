@@ -108,7 +108,7 @@ mod tests {
         for _ in 0..100 {
             let c = RoutingPolicy::RandomValid.choose(&candidates, &mut rng).unwrap();
             assert!(candidates.contains(&c));
-            seen[(c.0 - 1) as usize] = true;
+            seen[c.0 - 1] = true;
         }
         assert!(seen[0] && seen[1], "both outputs should be exercised over 100 draws");
     }

@@ -1312,7 +1312,8 @@ mod tests {
             assert_eq!(decode(&format!(r#"{{"preset": "{name}"}}"#)), spec, "{name}");
             assert_eq!(spec.label(), label);
         }
-        let fabric: [(&str, fn(u8) -> Result<HierarchySpec, ConfigError>, [&str; 3]); 2] = [
+        type FabricPreset = (&'static str, fn(u8) -> Result<HierarchySpec, ConfigError>, [&'static str; 3]);
+        let fabric: [FabricPreset; 2] = [
             ("lnuca-l3", HierarchySpec::lnuca_l3, ["LN2-72KB", "LN3-144KB", "LN4-248KB"]),
             (
                 "lnuca-dnuca",

@@ -77,8 +77,7 @@ fn solo(
 fn arbitrary_partitions_and_permutations_preserve_every_run() {
     let specs = spec_pool();
     let profiles = profile_pool();
-    let mut runner = TestRunner::default();
-    runner.cases = 10;
+    let mut runner = TestRunner { cases: 10, ..TestRunner::default() };
 
     // One case = a random job list, a random permutation of it, and a
     // random list of batch widths applied cyclically as the cut.
@@ -148,8 +147,7 @@ fn arbitrary_partitions_and_permutations_preserve_every_run() {
 /// per-run path exactly, whatever the thread count.
 #[test]
 fn study_outcomes_are_invariant_to_batch_size() {
-    let mut runner = TestRunner::default();
-    runner.cases = 4;
+    let mut runner = TestRunner { cases: 4, ..TestRunner::default() };
 
     let batch_strat = proptest::prop_oneof![2usize..7, proptest::Just(usize::MAX)];
     for case in 0..runner.cases {

@@ -35,7 +35,7 @@ proptest! {
         }
         for i in 0..intermediates {
             let cache = CacheConfig::builder(format!("MID{i}"))
-                .size_bytes(256 * 1024 << i)
+                .size_bytes((256 * 1024) << i)
                 .ways(8)
                 .block_size(64)
                 .completion_cycles(4 + i as u64)

@@ -257,7 +257,8 @@ impl WorkloadProfile {
                 return Err(ConfigError::new(name, "must be nonzero"));
             }
         }
-        if self.mean_dep_distance < 1.0 {
+        // A NaN mean would draw every distance as 0, below the floor of 1.
+        if self.mean_dep_distance.is_nan() || self.mean_dep_distance < 1.0 {
             return Err(ConfigError::new(
                 "mean_dep_distance",
                 format!("must be at least 1, got {}", self.mean_dep_distance),
@@ -502,6 +503,14 @@ mod tests {
         .validate()
         .is_err());
         assert!(WorkloadProfile { trace_path: Some("x.lnt".to_owned()), ..base }.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_nan_dependency_distance() {
+        let nan = WorkloadProfile { mean_dep_distance: f64::NAN, ..WorkloadProfile::default() };
+        let err = nan.validate().unwrap_err();
+        assert_eq!(err.parameter(), "mean_dep_distance");
+        assert!(WorkloadProfile { mean_dep_distance: 1.0, ..WorkloadProfile::default() }.validate().is_ok());
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn full_system_run_preserves_exclusion_invariants() {
     let fabric = hierarchy.fabric();
     assert!(
         fabric.resident_blocks() as u64
-            <= fabric.capacity_bytes() / u64::from(fabric.config().block_size as u64),
+            <= fabric.capacity_bytes() / fabric.config().block_size,
         "fabric holds more blocks than it has room for"
     );
 }

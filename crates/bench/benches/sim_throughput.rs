@@ -44,8 +44,7 @@ fn bench_fabric_tick(c: &mut Criterion) {
     group.finish();
 
     // Absolute throughput next to the per-iteration times, so a perf
-    // regression is a falling number in plain bench output (compare with
-    // the committed BENCH_baseline.json).
+    // regression is a falling number in plain bench output.
     for levels in [2u8, 3, 4] {
         let started = Instant::now();
         let reps = 10u64;

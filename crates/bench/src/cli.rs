@@ -11,8 +11,8 @@
 //! (`list` / `run` / `validate` / `export` / `check-report` /
 //! `ingest` / `sweep`).
 
-use crate::{baseline, f3, knobs, signed_pct};
-use lnuca_sim::experiments::{area_table, headline, ExperimentPlan, Study};
+use crate::{f3, knobs, signed_pct};
+use lnuca_sim::experiments::{area_table, headline, ExperimentPlan, RunPerf, Study};
 use lnuca_sim::report::format_table;
 use lnuca_sim::scenario::{self, Scenario};
 use lnuca_sim::sweep::SweepConfig;
@@ -156,7 +156,7 @@ pub fn print_sections(plan: &ExperimentPlan, study: &Study, wall_seconds: f64, s
             Section::IpcSummary => print_ipc(study),
             Section::EnergySummary => print_energy(study),
             Section::HitDistribution => print_hits(study),
-            Section::Throughput => print_throughput(&[baseline::StudyPerf {
+            Section::Throughput => print_throughput(&[StudyPerf {
                 name: &plan.name,
                 wall_seconds,
                 runs: &study.perf,
@@ -361,11 +361,45 @@ pub fn print_hits(study: &Study) {
     );
 }
 
+/// One timed study (conventional, D-NUCA, ...) for [`print_throughput`].
+pub struct StudyPerf<'a> {
+    /// Study name, e.g. `conventional`.
+    pub name: &'a str,
+    /// Wall-clock seconds of the whole study (includes scheduling overhead,
+    /// so with several workers this is far less than the sum of the runs).
+    pub wall_seconds: f64,
+    /// Per-run measurements, in result order.
+    pub runs: &'a [RunPerf],
+}
+
+/// Aggregates `runs` per configuration label, preserving first-appearance
+/// order. Returns `(label, run count, wall seconds, simulated cycles,
+/// kcycles/sec)` tuples.
+fn per_configuration(runs: &[RunPerf]) -> Vec<(String, usize, f64, u64, f64)> {
+    let mut rows: Vec<(String, usize, f64, u64, f64)> = Vec::new();
+    for run in runs {
+        let row = match rows.iter_mut().find(|r| r.0 == run.label) {
+            Some(row) => row,
+            None => {
+                rows.push((run.label.clone(), 0, 0.0, 0, 0.0));
+                rows.last_mut().expect("just pushed")
+            }
+        };
+        row.1 += 1;
+        row.2 += run.wall_nanos as f64 / 1e9;
+        row.3 += run.cycles;
+    }
+    for row in &mut rows {
+        row.4 = if row.2 > 0.0 { row.3 as f64 / 1_000.0 / row.2 } else { 0.0 };
+    }
+    rows
+}
+
 /// Simulator wall-clock throughput per configuration (host metric).
-pub fn print_throughput(studies: &[baseline::StudyPerf<'_>]) {
+pub fn print_throughput(studies: &[StudyPerf<'_>]) {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for study in studies {
-        for (label, runs, wall, cycles, kcps) in baseline::per_configuration(study.runs) {
+        for (label, runs, wall, cycles, kcps) in per_configuration(study.runs) {
             rows.push(vec![
                 study.name.to_owned(),
                 label,
@@ -626,8 +660,7 @@ pub fn print_search_topology() {
 }
 
 /// Driver of the `headline_summary` binary: the conventional study with LN3
-/// guaranteed present, the optional perf-baseline write, and the headline
-/// table.
+/// guaranteed present and the headline table.
 pub fn headline_main() {
     let scenario = scenario::builtin("paper-conventional").expect("builtin exists");
     let mut options = scenario.plan.options.clone();
@@ -646,27 +679,14 @@ pub fn headline_main() {
         simulated as f64 / 1e6,
         if wall > 0.0 { simulated as f64 / 1_000.0 / wall } else { 0.0 },
     );
-    if let Some(path) = baseline::path_from_env(false) {
-        let studies = [baseline::StudyPerf {
-            name: "conventional",
-            wall_seconds: wall,
-            runs: &study.perf,
-        }];
-        let json = baseline::baseline_json(&plan.options, &studies, wall);
-        if let Err(err) = baseline::write(&path, &json) {
-            eprintln!("warning: could not write {}: {err}", path.display());
-        }
-    }
     println!("Headline — LN3-144KB versus L2-256KB\n");
     print_headline(&study);
 }
 
-/// Driver of the `all_experiments` binary: both paper studies once, every
-/// table/figure printed from the shared results, and the machine-readable
-/// perf baseline.
+/// Driver of the `all_experiments` binary: both paper studies and the CMP
+/// sharing study once, every table/figure printed from the shared results,
+/// and the per-study throughput table.
 pub fn all_experiments_main() {
-    let wall_start = Instant::now();
-
     println!("== Table II — conventional and L-NUCA areas ==\n");
     print_area_table();
 
@@ -704,9 +724,8 @@ pub fn all_experiments_main() {
     println!("== Fig. 5(b) — total energy normalised to DN-4x8 ==\n");
     print_energy(&dnuca);
 
-    // The CMP sharing study (DESIGN.md §17) joins the perf trajectory so
-    // `baseline_delta` tracks coherent multicore throughput separately
-    // from the single-core points.
+    // The CMP sharing study (DESIGN.md §17) gets its own throughput rows,
+    // so coherent multicore speed reads apart from the single-core studies.
     let cmp_scenario = ResolvedScenario {
         scenario: scenario::builtin("cmp-sharing").expect("builtin exists"),
         from_registry: true,
@@ -718,34 +737,23 @@ pub fn all_experiments_main() {
     });
 
     let studies = [
-        baseline::StudyPerf {
+        StudyPerf {
             name: "conventional",
             wall_seconds: conventional_wall,
             runs: &conventional.perf,
         },
-        baseline::StudyPerf {
+        StudyPerf {
             name: "dnuca",
             wall_seconds: dnuca_wall,
             runs: &dnuca.perf,
         },
-        baseline::StudyPerf {
+        StudyPerf {
             name: "cmp",
             wall_seconds: cmp_wall,
             runs: &cmp.perf,
         },
     ];
     print_throughput(&studies);
-
-    if let Some(path) = baseline::path_from_env(true) {
-        let json = baseline::baseline_json(
-            &conventional_plan.options,
-            &studies,
-            wall_start.elapsed().as_secs_f64(),
-        );
-        if let Err(err) = baseline::write(&path, &json) {
-            eprintln!("warning: could not write {}: {err}", path.display());
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1172,6 +1180,33 @@ pub fn cli_main(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(label: &str, workload: &str, wall_nanos: u64, cycles: u64) -> RunPerf {
+        RunPerf {
+            label: label.to_owned(),
+            workload: workload.to_owned(),
+            wall_nanos,
+            cycles,
+            kcycles_per_sec: cycles as f64 / 1_000.0 / (wall_nanos as f64 / 1e9),
+        }
+    }
+
+    #[test]
+    fn per_configuration_aggregates_in_first_appearance_order() {
+        let runs = [
+            run("L2-256KB", "int.a", 1_000_000, 5_000),
+            run("LN3-144KB", "int.a", 2_000_000, 6_000),
+            run("L2-256KB", "fp.b", 3_000_000, 7_000),
+        ];
+        let rows = per_configuration(&runs);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].0, "L2-256KB");
+        assert_eq!(rows[0].1, 2);
+        assert_eq!(rows[0].3, 12_000);
+        assert_eq!(rows[1].0, "LN3-144KB");
+        assert!((rows[0].2 - 0.004).abs() < 1e-12);
+        assert!(rows[0].4 > 0.0);
+    }
 
     #[test]
     fn the_cmp_model_note_appears_only_for_studies_with_cmp_rows() {

@@ -19,7 +19,7 @@
 //! The variables (see the crate docs for the full prose): `LNUCA_QUICK`,
 //! `LNUCA_INSTRUCTIONS`, `LNUCA_BENCHMARKS_PER_SUITE`, `LNUCA_SEED`,
 //! `LNUCA_LEVELS`, `LNUCA_WORKLOADS`, `LNUCA_THREADS`, `LNUCA_ENGINE`,
-//! `LNUCA_BATCH`, `LNUCA_BENCH_JSON`, plus the run-supervision knobs
+//! `LNUCA_BATCH`, plus the run-supervision knobs
 //! (DESIGN.md §14): `LNUCA_CYCLE_BUDGET`, `LNUCA_RUN_TIMEOUT_MS`,
 //! `LNUCA_LIVELOCK_WINDOW` (all three: `0` = off) and `LNUCA_RETRIES`.
 //!

@@ -37,19 +37,12 @@
 //! * `LNUCA_ENGINE` — time-stepping engine: `event` (default; jump idle
 //!   time via the `next_event` horizons of DESIGN.md §10) or `cycle`
 //!   (single-step every cycle). Results are bit-identical either way
-//!   (`tests/event_horizon_determinism.rs`); only throughput changes, and
-//!   the chosen engine is recorded in the baseline's `engine` field,
+//!   (`tests/event_horizon_determinism.rs`); only throughput changes,
 //! * `LNUCA_BATCH` — how many consecutive jobs form one batch
 //!   (DESIGN.md §13): a batch size of at least 1 (default 1) or `full` for
 //!   the whole matrix. It only groups jobs: a study hands its workers one
 //!   job at a time whatever the value, each supervised and timed on its
-//!   own, so it changes neither results nor parallelism; it is recorded in
-//!   the baseline's `batch_size` field,
-//! * `LNUCA_BENCH_JSON` — where `all_experiments` writes the machine-readable
-//!   perf baseline (default `BENCH_baseline.json`, deliberately the path of
-//!   the committed trajectory point — rerunning refreshes it; empty or `-`
-//!   disables). `headline_summary` honours it too but only when set; the
-//!   single-figure binaries never write it.
+//!   own, so it changes neither results nor parallelism.
 //!
 //! Malformed values are rejected with a one-line warning on stderr naming
 //! the variable and the offending value — once per variable per process —
@@ -58,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod cli;
 pub mod knobs;
 

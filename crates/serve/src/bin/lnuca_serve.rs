@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lnuca-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!             [--cache-capacity N] [--journal DIR] [--baseline PATH]
+//!             [--cache-capacity N] [--journal DIR]
 //! ```
 //!
 //! Flags override the `LNUCA_SERVE_ADDR` / `LNUCA_SERVE_WORKERS` /
@@ -51,10 +51,6 @@ fn main() -> ExitCode {
                 Some(v) => config.journal_dir = Some(PathBuf::from(v)),
                 None => return usage_error("--journal needs a directory"),
             },
-            "--baseline" => match iter.next() {
-                Some(v) => config.baseline_path = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a file path"),
-            },
             other => return usage_error(&format!("unknown flag {other:?}")),
         }
     }
@@ -76,16 +72,12 @@ fn main() -> ExitCode {
     // from here. Keep the format stable.
     println!("lnuca-serve listening on {bound}");
     eprintln!(
-        "workers {} · queue depth {} · cache capacity {} · journal {} · baseline {}",
+        "workers {} · queue depth {} · cache capacity {} · journal {}",
         config.workers,
         config.queue_depth,
         config.cache_capacity,
         config
             .journal_dir
-            .as_ref()
-            .map_or("off".to_owned(), |p| p.display().to_string()),
-        config
-            .baseline_path
             .as_ref()
             .map_or("off".to_owned(), |p| p.display().to_string()),
     );
@@ -110,7 +102,7 @@ fn usage_error(message: &str) -> ExitCode {
 fn print_help() {
     eprintln!(
         "usage: lnuca-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
-         \x20                  [--cache-capacity N] [--journal DIR] [--baseline PATH]\n\
+         \x20                  [--cache-capacity N] [--journal DIR]\n\
          \n\
          Flags override LNUCA_SERVE_ADDR / LNUCA_SERVE_WORKERS / LNUCA_QUEUE_DEPTH.\n\
          --cache-capacity N (default 64) bounds the result cache and the finished job\n\

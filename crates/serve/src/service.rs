@@ -23,8 +23,7 @@
 use crate::cache::ResultCache;
 use crate::metrics::Metrics;
 use lnuca_bench::cli::{self, ResolvedScenario};
-use lnuca_bench::baseline::{self, StudyPerf};
-use lnuca_sim::experiments::{ExperimentOptions, ExperimentPlan, RunPerf, Study};
+use lnuca_sim::experiments::{ExperimentPlan, Study};
 use lnuca_sim::scenario::{self, Scenario};
 use lnuca_sim::{journal, StopSignal};
 use std::collections::{BinaryHeap, HashMap};
@@ -52,9 +51,8 @@ pub struct ServeConfig {
     /// granularity; a restarted daemon resumes them byte-identically. When
     /// unset, the drain lets running jobs finish.
     pub journal_dir: Option<PathBuf>,
-    /// When set, completed jobs accumulate throughput records and the
-    /// drain writes a `lnuca-bench-baseline/v3` document here (the
-    /// daemon-hosted equivalent of `all_experiments`).
+    /// Ignored: the daemon reads it nowhere. It stays only so that
+    /// `ServeConfig { .. }` literals outside this crate keep compiling.
     pub baseline_path: Option<PathBuf>,
 }
 
@@ -209,14 +207,6 @@ struct JobRecord {
     last_used: u64,
 }
 
-/// One completed job's contribution to the `--baseline` document.
-struct BaselineRecord {
-    study: String,
-    wall_seconds: f64,
-    runs: Vec<RunPerf>,
-    options: ExperimentOptions,
-}
-
 #[derive(Default)]
 struct Inner {
     queue: BinaryHeap<Slot>,
@@ -302,7 +292,6 @@ pub struct Server {
     /// Signals waiters that some job reached a terminal state.
     done: Condvar,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    baseline_records: Mutex<Vec<BaselineRecord>>,
     job_wall: Mutex<JobWallStats>,
     started: Instant,
 }
@@ -324,7 +313,6 @@ impl Server {
             work: Condvar::new(),
             done: Condvar::new(),
             workers: Mutex::new(Vec::new()),
-            baseline_records: Mutex::new(Vec::new()),
             job_wall: Mutex::new(JobWallStats::default()),
             started: Instant::now(),
             config,
@@ -598,36 +586,12 @@ impl Server {
         self.inner.lock().expect("inner lock").draining
     }
 
-    /// Joins every worker after a drain and writes the `--baseline`
-    /// document when configured. Call exactly once, after
+    /// Joins every worker after a drain. Call exactly once, after
     /// [`Server::begin_drain`].
     pub fn drain_join(&self) {
         let handles = std::mem::take(&mut *self.workers.lock().expect("workers lock"));
         for handle in handles {
             let _ = handle.join();
-        }
-        if let Some(path) = &self.config.baseline_path {
-            let records = self.baseline_records.lock().expect("baseline lock");
-            if records.is_empty() {
-                eprintln!(
-                    "no completed jobs — skipping the baseline document at {}",
-                    path.display()
-                );
-            } else {
-                let studies: Vec<StudyPerf<'_>> = records
-                    .iter()
-                    .map(|r| StudyPerf {
-                        name: &r.study,
-                        wall_seconds: r.wall_seconds,
-                        runs: &r.runs,
-                    })
-                    .collect();
-                let total: f64 = records.iter().map(|r| r.wall_seconds).sum();
-                let json = baseline::baseline_json(&records[0].options, &studies, total);
-                if let Err(e) = baseline::write(path, &json) {
-                    eprintln!("cannot write baseline {}: {e}", path.display());
-                }
-            }
         }
     }
 
@@ -795,7 +759,6 @@ impl Server {
                     cache.insert(work.digest, Arc::clone(&report));
                     self.sync_cache_stats(&cache);
                     drop(cache);
-                    self.record_baseline(&plan, &study, wall_seconds);
                     // A completed job's journal is spent: the cache now
                     // owns the result, and keeping the file would only
                     // make a future identical submission re-read it.
@@ -829,29 +792,5 @@ impl Server {
         self.evict_finished(&mut inner);
         drop(inner);
         self.done.notify_all();
-    }
-
-    /// Accumulates a completed job's throughput for the `--baseline`
-    /// document, under the study name `all_experiments` would use (the
-    /// registry plans are `paper-conventional` / `paper-dnuca`, the
-    /// committed baseline says `conventional` / `dnuca`).
-    fn record_baseline(&self, plan: &ExperimentPlan, study: &Study, wall_seconds: f64) {
-        if self.config.baseline_path.is_none() {
-            return;
-        }
-        let name = plan
-            .name
-            .strip_prefix("paper-")
-            .unwrap_or(&plan.name)
-            .to_owned();
-        self.baseline_records
-            .lock()
-            .expect("baseline lock")
-            .push(BaselineRecord {
-                study: name,
-                wall_seconds,
-                runs: study.perf.clone(),
-                options: plan.options.clone(),
-            });
     }
 }

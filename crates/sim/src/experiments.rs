@@ -96,7 +96,7 @@ pub struct ExperimentOptions {
     /// Time-stepping engine for every run. Like `threads`, this changes
     /// only the wall clock: both engines are bit-identical in results
     /// (`tests/event_horizon_determinism.rs`), so summaries never depend on
-    /// it. Recorded in the `lnuca-bench-baseline/v3` perf baseline.
+    /// it.
     pub engine: Engine,
     /// How many consecutive jobs form one batch (DESIGN.md §13); `1` (the
     /// default) is job by job, `usize::MAX` the whole matrix. It only
@@ -518,9 +518,10 @@ pub struct FailedRun {
 
 /// Wall-clock cost of simulating one (configuration, benchmark) pair,
 /// recorded by the experiment engine next to the [`RunResult`] at the same
-/// index of [`Study::results`]. This is the simulator's own throughput (the
-/// perf-trajectory metric of `BENCH_baseline.json`), not a property of the
-/// modelled hardware.
+/// index of [`Study::results`]. This is the simulator's own throughput, not
+/// a property of the modelled hardware: each job is timed on its own, never
+/// apportioned from a batch. It feeds the throughput table that
+/// `all_experiments` prints, and the journal carries it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunPerf {
     /// Configuration label.

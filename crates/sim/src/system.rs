@@ -34,8 +34,8 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Machine-readable engine name, as recorded in the
-    /// `lnuca-bench-baseline/v3` schema's `engine` field.
+    /// Machine-readable engine name, as written in the `engine` member of
+    /// scenario files and reports.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {

@@ -151,19 +151,13 @@ pub fn parse_batch(raw: &str) -> Option<usize> {
 }
 
 /// Parses an `LNUCA_LEVELS` value: comma-separated level counts in 2..=8.
-/// `None` when nothing valid remains.
+/// `None` when any entry is not one, so a partly malformed list is
+/// rejected whole rather than run in part.
 #[must_use]
 pub fn parse_levels(raw: &str) -> Option<Vec<u8>> {
-    let levels: Vec<u8> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&l| (2..=8).contains(&l))
-        .collect();
-    if levels.is_empty() {
-        None
-    } else {
-        Some(levels)
-    }
+    raw.split(',')
+        .map(|s| s.trim().parse().ok().filter(|l| (2..=8).contains(l)))
+        .collect()
 }
 
 /// The default worker-thread count: one per available hardware thread.
@@ -374,6 +368,8 @@ mod tests {
         assert_eq!(parse_levels("2,3,4"), Some(vec![2, 3, 4]));
         assert_eq!(parse_levels(" 5 "), Some(vec![5]));
         assert_eq!(parse_levels("1,9,zzz"), None, "out-of-range and junk leave nothing");
+        assert_eq!(parse_levels("2,9"), None, "one out-of-range entry rejects the list");
+        assert_eq!(parse_levels("3,x"), None, "one junk entry rejects the list");
     }
 
     #[test]

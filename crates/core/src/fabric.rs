@@ -994,7 +994,7 @@ mod tests {
 
     #[test]
     fn empty_fabric_reports_global_miss_after_last_level_plus_one() {
-        for levels in 2..=4u8 {
+        for levels in 2..=8u8 {
             let mut f = fabric(levels);
             assert!(f.inject_search(Addr(0x1000), ReqId(1), false, Cycle(0)));
             let (arrivals, misses, _) = run(&mut f, 0, 16);
@@ -1050,6 +1050,30 @@ mod tests {
         assert_eq!(arrivals[0].available_at, Cycle(8));
         assert_eq!(arrivals[0].transport_latency, 1);
         assert_eq!(arrivals[0].min_transport_latency, 1);
+    }
+
+    #[test]
+    fn a_lone_hit_on_any_tile_costs_that_tiles_latency() {
+        // PAPER.md: a hit in a tile costs its level's search delay plus the
+        // Manhattan distance back to the root, `TileCoord::latency()`.
+        let addr = Addr(0x4_0000);
+        let inject = Cycle(3);
+        for levels in 2..=8u8 {
+            for t in 0..fabric(levels).geometry.tile_count() {
+                let mut f = fabric(levels);
+                let _ = f.tiles[t].fill(addr, false);
+                assert!(f.inject_search(addr, ReqId(1), false, inject));
+                let (arrivals, misses, _) = run(&mut f, inject.0, 40);
+                let coord = f.geometry.coord(t);
+                assert!(misses.is_empty(), "LN{levels} tile {coord}: false global miss");
+                assert_eq!(arrivals.len(), 1, "LN{levels} tile {coord}");
+                assert_eq!(
+                    arrivals[0].available_at.since(inject) + 1,
+                    coord.latency(),
+                    "LN{levels} tile {coord}"
+                );
+            }
+        }
     }
 
     #[test]

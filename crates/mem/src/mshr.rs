@@ -1,6 +1,6 @@
 //! Miss status holding registers (MSHRs).
 
-use lnuca_types::{Addr, ConfigError, ReqId};
+use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, ServiceLevel};
 
 /// Result of trying to allocate an MSHR for a missing block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,18 +31,28 @@ impl MshrAllocation {
     }
 }
 
-/// One physical MSHR slot. Dead slots keep their `waiters` allocation so a
+/// One physical MSHR slot. Dead slots keep their `requests` allocation so a
 /// steady-state allocate/retire cycle never touches the heap (DESIGN.md §9).
 #[derive(Debug, Clone)]
 struct MshrSlot {
     block: Addr,
     live: bool,
-    waiters: Vec<ReqId>,
+    /// When the block arrives and which level serves it, once known.
+    arrival: Option<(Cycle, ServiceLevel)>,
+    /// The primary request, then the merged secondaries, in arrival order.
+    requests: Vec<MemRequest>,
 }
 
 /// A file of miss status holding registers with secondary-miss merging,
 /// stored as a fixed array of physical slots (first-fit allocation, slot
 /// order is the deterministic sweep order).
+///
+/// Each live entry holds the requests waiting on its block, so the file is
+/// the only map from an in-flight block to its requests. An entry retires
+/// either when its block arrives ([`MshrFile::retire`]) or, if its arrival
+/// cycle was known at miss time ([`MshrFile::set_arrival`]), in the sweep of
+/// [`MshrFile::retire_arrived`]. Both hand the requests back without
+/// allocating.
 ///
 /// The paper's configuration (Table I) uses 16 entries for the L1 and L2,
 /// 8 for the L3, and allows 4 secondary misses per entry.
@@ -51,13 +61,14 @@ struct MshrSlot {
 ///
 /// ```
 /// use lnuca_mem::{MshrFile, MshrAllocation};
-/// use lnuca_types::{Addr, ReqId};
+/// use lnuca_types::{Addr, Cycle, MemRequest, ReqId};
 ///
+/// let read = |id, addr| MemRequest::read(ReqId(id), Addr(addr), Cycle(0));
 /// let mut mshrs = MshrFile::new(16, 4, 64)?;
-/// assert_eq!(mshrs.allocate(Addr(0x100), ReqId(1)), MshrAllocation::Primary);
-/// assert_eq!(mshrs.allocate(Addr(0x104), ReqId(2)), MshrAllocation::Secondary);
-/// let done = mshrs.complete(Addr(0x100));
-/// assert_eq!(done, vec![ReqId(1), ReqId(2)]);
+/// assert_eq!(mshrs.allocate(read(1, 0x100)), MshrAllocation::Primary);
+/// assert_eq!(mshrs.allocate(read(2, 0x104)), MshrAllocation::Secondary);
+/// let ids: Vec<ReqId> = mshrs.retire(Addr(0x100)).map(|r| r.id).collect();
+/// assert_eq!(ids, vec![ReqId(1), ReqId(2)]);
 /// # Ok::<(), lnuca_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -67,10 +78,9 @@ pub struct MshrFile {
     occupancy: usize,
     secondary_per_entry: usize,
     block_size: u64,
-    peak_occupancy: usize,
-    primary_misses: u64,
-    secondary_misses: u64,
-    rejections: u64,
+    /// The earliest arrival set on a live entry (`None` when none is set).
+    /// [`MshrFile::retire`] may leave it early, which only costs one sweep.
+    next_arrival: Option<Cycle>,
 }
 
 impl MshrFile {
@@ -97,21 +107,19 @@ impl MshrFile {
                 .map(|_| MshrSlot {
                     block: Addr(0),
                     live: false,
+                    arrival: None,
                     // Full capacity up front (primary + merged secondaries)
                     // so even the *first* allocate/merge cycle of a slot
                     // never grows the vector: the zero-allocation window of
                     // a batched run starts at construction, not after a
                     // warm-up (DESIGN.md §9/§13).
-                    waiters: Vec::with_capacity(1 + secondary_per_entry),
+                    requests: Vec::with_capacity(1 + secondary_per_entry),
                 })
                 .collect(),
             occupancy: 0,
             secondary_per_entry,
             block_size,
-            peak_occupancy: 0,
-            primary_misses: 0,
-            secondary_misses: 0,
-            rejections: 0,
+            next_arrival: None,
         })
     }
 
@@ -119,12 +127,6 @@ impl MshrFile {
     #[must_use]
     pub fn occupancy(&self) -> usize {
         self.occupancy
-    }
-
-    /// Highest occupancy observed so far.
-    #[must_use]
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
     }
 
     /// Returns `true` when no more primary misses can be accepted.
@@ -136,91 +138,123 @@ impl MshrFile {
     /// Returns `true` if a fetch for the block containing `addr` is pending.
     #[must_use]
     pub fn is_pending(&self, addr: Addr) -> bool {
-        let block = addr.block_base(self.block_size);
-        self.slots.iter().any(|s| s.live && s.block == block)
+        self.live_slot(addr).is_some()
     }
 
-    /// Tries to register the miss of `req` on the block containing `addr`.
-    pub fn allocate(&mut self, addr: Addr, req: ReqId) -> MshrAllocation {
-        let block = addr.block_base(self.block_size);
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.live && s.block == block) {
-            if slot.waiters.len() > self.secondary_per_entry {
-                self.rejections += 1;
+    /// The earliest arrival cycle set on a live entry, or `None` when no
+    /// entry has one: the horizon of [`MshrFile::retire_arrived`].
+    #[must_use]
+    pub fn next_arrival(&self) -> Option<Cycle> {
+        self.next_arrival
+    }
+
+    /// Tries to register the miss of `req` on the block containing
+    /// `req.addr`. An accepted request waits in the entry until it retires.
+    pub fn allocate(&mut self, req: MemRequest) -> MshrAllocation {
+        let block = req.addr.block_base(self.block_size);
+        if let Some(i) = self.live_slot(block) {
+            let slot = &mut self.slots[i];
+            if slot.requests.len() > self.secondary_per_entry {
                 return MshrAllocation::Full;
             }
-            slot.waiters.push(req);
-            self.secondary_misses += 1;
+            slot.requests.push(req);
             return MshrAllocation::Secondary;
         }
         let Some(slot) = self.slots.iter_mut().find(|s| !s.live) else {
-            self.rejections += 1;
             return MshrAllocation::Full;
         };
+        // A dead slot has no arrival and no requests: both retire paths
+        // clear them.
         slot.block = block;
         slot.live = true;
-        slot.waiters.clear();
-        slot.waiters.push(req);
+        slot.requests.push(req);
         self.occupancy += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.occupancy);
-        self.primary_misses += 1;
         MshrAllocation::Primary
     }
 
-    /// Completes the fetch of the block containing `addr`, freeing its entry
-    /// and returning all requests that were waiting on it (primary first, in
-    /// allocation order). Returns an empty vector if no entry matched.
-    ///
-    /// Allocating convenience over [`MshrFile::retire`] for callers that
-    /// need the waiter list; the hierarchies' per-cycle retire sweeps use
-    /// `retire`, which frees the entry without touching the heap.
-    pub fn complete(&mut self, addr: Addr) -> Vec<ReqId> {
-        let block = addr.block_base(self.block_size);
-        match self.slots.iter_mut().find(|s| s.live && s.block == block) {
-            Some(slot) => {
-                slot.live = false;
-                self.occupancy -= 1;
-                std::mem::take(&mut slot.waiters)
-            }
-            None => Vec::new(),
+    /// Records that the block containing `addr` arrives at `at`, served by
+    /// `served`, so its entry retires in [`MshrFile::retire_arrived`]. Does
+    /// nothing if no entry is pending for the block.
+    pub fn set_arrival(&mut self, addr: Addr, at: Cycle, served: ServiceLevel) {
+        if let Some(i) = self.live_slot(addr) {
+            self.slots[i].arrival = Some((at, served));
+            self.next_arrival = Some(self.next_arrival.map_or(at, |e| e.min(at)));
         }
     }
 
-    /// Frees the entry for the block containing `addr` without returning the
-    /// waiter list, keeping the slot's waiter allocation for reuse. Returns
-    /// the number of requests that were waiting (0 if no entry matched).
-    pub fn retire(&mut self, addr: Addr) -> usize {
-        let block = addr.block_base(self.block_size);
-        match self.slots.iter_mut().find(|s| s.live && s.block == block) {
-            Some(slot) => {
-                slot.live = false;
+    /// Frees the entry for the block containing `addr` and hands back the
+    /// requests that waited on it, primary first, in allocation order. The
+    /// entry is free as soon as this returns; the iterator is empty if no
+    /// entry matched.
+    pub fn retire(&mut self, addr: Addr) -> impl Iterator<Item = MemRequest> + '_ {
+        let requests = match self.live_slot(addr) {
+            Some(i) => {
                 self.occupancy -= 1;
-                let waiting = slot.waiters.len();
-                slot.waiters.clear();
-                waiting
+                let slot = &mut self.slots[i];
+                slot.live = false;
+                slot.arrival = None;
+                Some(slot.requests.drain(..))
             }
-            None => 0,
-        }
+            None => None,
+        };
+        requests.into_iter().flatten()
     }
 
-    /// Counts of (primary, secondary, rejected) allocations so far.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.primary_misses, self.secondary_misses, self.rejections)
+    /// Frees every entry whose arrival is at or before `now`, sweeping the
+    /// slots in index order, and hands each waiting request to `hand_back`
+    /// with its entry's arrival cycle and service level. Returns at once
+    /// while [`MshrFile::next_arrival`] is later than `now`.
+    pub fn retire_arrived(&mut self, now: Cycle, mut hand_back: impl FnMut(MemRequest, Cycle, ServiceLevel)) {
+        if self.next_arrival.is_none_or(|e| e > now) {
+            return;
+        }
+        let mut next: Option<Cycle> = None;
+        for slot in &mut self.slots {
+            let Some((at, served)) = slot.arrival else {
+                continue;
+            };
+            if at <= now {
+                slot.live = false;
+                slot.arrival = None;
+                self.occupancy -= 1;
+                for req in slot.requests.drain(..) {
+                    hand_back(req, at, served);
+                }
+            } else {
+                next = Some(next.map_or(at, |e| e.min(at)));
+            }
+        }
+        self.next_arrival = next;
+    }
+
+    /// Index of the live slot holding the block containing `addr`.
+    fn live_slot(&self, addr: Addr) -> Option<usize> {
+        let block = addr.block_base(self.block_size);
+        self.slots.iter().position(|s| s.live && s.block == block)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lnuca_types::ReqId;
     use proptest::prelude::*;
+
+    fn read(id: u64, addr: u64) -> MemRequest {
+        MemRequest::read(ReqId(id), Addr(addr), Cycle(0))
+    }
+
+    fn ids(requests: impl Iterator<Item = MemRequest>) -> Vec<ReqId> {
+        requests.map(|r| r.id).collect()
+    }
 
     #[test]
     fn primary_then_secondary_then_full_per_entry() {
         let mut m = MshrFile::new(2, 1, 64).unwrap();
-        assert_eq!(m.allocate(Addr(0x00), ReqId(1)), MshrAllocation::Primary);
-        assert_eq!(m.allocate(Addr(0x3F), ReqId(2)), MshrAllocation::Secondary);
-        assert_eq!(m.allocate(Addr(0x20), ReqId(3)), MshrAllocation::Full, "entry for block 0 is saturated");
-        assert_eq!(m.allocate(Addr(0x40), ReqId(4)), MshrAllocation::Primary);
+        assert_eq!(m.allocate(read(1, 0x00)), MshrAllocation::Primary);
+        assert_eq!(m.allocate(read(2, 0x3F)), MshrAllocation::Secondary);
+        assert_eq!(m.allocate(read(3, 0x20)), MshrAllocation::Full, "entry for block 0 is saturated");
+        assert_eq!(m.allocate(read(4, 0x40)), MshrAllocation::Primary);
         assert!(m.is_pending(Addr(0x00)));
         assert!(!m.is_pending(Addr(0x80)));
     }
@@ -228,54 +262,81 @@ mod tests {
     #[test]
     fn file_capacity_limits_primary_misses() {
         let mut m = MshrFile::new(2, 4, 64).unwrap();
-        assert!(m.allocate(Addr(0x000), ReqId(1)).is_primary());
-        assert!(m.allocate(Addr(0x040), ReqId(2)).is_primary());
+        assert!(m.allocate(read(1, 0x000)).is_primary());
+        assert!(m.allocate(read(2, 0x040)).is_primary());
         assert!(m.is_full());
-        assert!(m.allocate(Addr(0x080), ReqId(3)).is_full());
-        let (prim, sec, rej) = m.counters();
-        assert_eq!((prim, sec, rej), (2, 0, 1));
+        assert!(m.allocate(read(3, 0x080)).is_full());
+        assert_eq!(m.occupancy(), 2);
     }
 
     #[test]
-    fn complete_returns_waiters_in_order_and_frees_entry() {
+    fn retire_returns_waiters_in_order_and_frees_entry() {
         let mut m = MshrFile::new(4, 4, 64).unwrap();
-        m.allocate(Addr(0x100), ReqId(10));
-        m.allocate(Addr(0x110), ReqId(11));
-        m.allocate(Addr(0x120), ReqId(12));
-        assert_eq!(m.complete(Addr(0x13C)), vec![ReqId(10), ReqId(11), ReqId(12)]);
+        m.allocate(read(10, 0x100));
+        m.allocate(read(11, 0x110));
+        m.allocate(read(12, 0x120));
+        assert_eq!(ids(m.retire(Addr(0x13C))), vec![ReqId(10), ReqId(11), ReqId(12)]);
         assert_eq!(m.occupancy(), 0);
-        assert!(m.complete(Addr(0x100)).is_empty());
+        assert_eq!(m.retire(Addr(0x100)).count(), 0);
     }
 
     #[test]
     fn retire_frees_the_entry_and_reports_waiter_count() {
         let mut m = MshrFile::new(2, 4, 64).unwrap();
-        m.allocate(Addr(0x100), ReqId(1));
-        m.allocate(Addr(0x110), ReqId(2));
-        assert_eq!(m.retire(Addr(0x100)), 2);
+        m.allocate(read(1, 0x100));
+        m.allocate(read(2, 0x110));
+        assert_eq!(m.retire(Addr(0x100)).count(), 2);
         assert_eq!(m.occupancy(), 0);
         assert!(!m.is_pending(Addr(0x100)));
-        assert_eq!(m.retire(Addr(0x100)), 0, "already retired");
+        assert_eq!(m.retire(Addr(0x100)).count(), 0, "already retired");
         // The freed slot is reusable immediately.
-        assert!(m.allocate(Addr(0x200), ReqId(3)).is_primary());
+        assert!(m.allocate(read(3, 0x200)).is_primary());
+    }
+
+    #[test]
+    fn a_dropped_hand_back_still_frees_the_entry() {
+        let mut m = MshrFile::new(1, 4, 64).unwrap();
+        m.allocate(read(1, 0x100));
+        m.allocate(read(2, 0x104));
+        let _ = m.retire(Addr(0x100));
+        assert_eq!(m.occupancy(), 0);
+        assert_eq!(ids(m.retire(Addr(0x100))), vec![]);
+        assert!(m.allocate(read(3, 0x100)).is_primary());
+        assert_eq!(ids(m.retire(Addr(0x100))), vec![ReqId(3)]);
+    }
+
+    #[test]
+    fn timed_entries_retire_in_slot_order_once_they_arrive() {
+        let mut m = MshrFile::new(4, 4, 64).unwrap();
+        m.allocate(read(1, 0x000));
+        m.allocate(read(2, 0x040));
+        m.allocate(read(3, 0x008));
+        m.set_arrival(Addr(0x040), Cycle(5), ServiceLevel::L2);
+        m.set_arrival(Addr(0x000), Cycle(9), ServiceLevel::Memory);
+        assert_eq!(m.next_arrival(), Some(Cycle(5)));
+
+        let mut got = Vec::new();
+        m.retire_arrived(Cycle(4), |r, at, by| got.push((r.id, at, by)));
+        assert!(got.is_empty());
+        m.retire_arrived(Cycle(7), |r, at, by| got.push((r.id, at, by)));
+        assert_eq!(got, vec![(ReqId(2), Cycle(5), ServiceLevel::L2)]);
+        assert_eq!(m.next_arrival(), Some(Cycle(9)));
+        assert_eq!(m.occupancy(), 1);
+
+        got.clear();
+        m.retire_arrived(Cycle(9), |r, at, by| got.push((r.id, at, by)));
+        assert_eq!(
+            got,
+            vec![(ReqId(1), Cycle(9), ServiceLevel::Memory), (ReqId(3), Cycle(9), ServiceLevel::Memory)]
+        );
+        assert_eq!(m.next_arrival(), None);
+        assert_eq!(m.occupancy(), 0);
     }
 
     #[test]
     fn invalid_configuration_is_rejected() {
         assert!(MshrFile::new(0, 4, 64).is_err());
         assert!(MshrFile::new(4, 4, 63).is_err());
-    }
-
-    #[test]
-    fn peak_occupancy_is_monotonic() {
-        let mut m = MshrFile::new(4, 0, 64).unwrap();
-        m.allocate(Addr(0x000), ReqId(1));
-        m.allocate(Addr(0x040), ReqId(2));
-        assert_eq!(m.peak_occupancy(), 2);
-        m.complete(Addr(0x000));
-        m.complete(Addr(0x040));
-        assert_eq!(m.peak_occupancy(), 2);
-        assert_eq!(m.occupancy(), 0);
     }
 
     proptest! {
@@ -286,11 +347,11 @@ mod tests {
         ) {
             let mut m = MshrFile::new(capacity, 2, 64).unwrap();
             for (i, &a) in addrs.iter().enumerate() {
-                let _ = m.allocate(Addr(a), ReqId(i as u64));
+                let _ = m.allocate(read(i as u64, a));
                 prop_assert!(m.occupancy() <= capacity);
-                // Occasionally complete something to exercise both paths.
+                // Occasionally retire something to exercise both paths.
                 if i % 5 == 0 {
-                    let _ = m.complete(Addr(a));
+                    let _ = m.retire(Addr(a));
                 }
             }
         }
@@ -300,15 +361,14 @@ mod tests {
             let mut m = MshrFile::new(64, 64, 64).unwrap();
             let mut accepted = Vec::new();
             for (i, &a) in addrs.iter().enumerate() {
-                let id = ReqId(i as u64);
-                match m.allocate(Addr(a), id) {
-                    MshrAllocation::Primary | MshrAllocation::Secondary => accepted.push((a, id)),
+                match m.allocate(read(i as u64, a)) {
+                    MshrAllocation::Primary | MshrAllocation::Secondary => accepted.push((a, ReqId(i as u64))),
                     MshrAllocation::Full => {}
                 }
             }
             let mut returned = Vec::new();
             for &(a, _) in &accepted {
-                returned.extend(m.complete(Addr(a)));
+                returned.extend(ids(m.retire(Addr(a))));
             }
             returned.sort_by_key(|r| r.0);
             returned.dedup();

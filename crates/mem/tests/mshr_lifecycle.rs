@@ -1,10 +1,10 @@
 //! Model-based property test for the fixed-slot [`MshrFile`] lifecycle:
-//! random interleavings of `allocate`, `retire` and `complete` against an
-//! obviously-correct map model. Slot reuse (the PR-3 fixed-array rewrite)
-//! must never lose, duplicate or misattribute an outstanding miss.
+//! random interleavings of `allocate`, `set_arrival`, `retire` and
+//! `retire_arrived` against an obviously-correct map model. Slot reuse must
+//! never lose, duplicate, reorder or misattribute a waiting request.
 
 use lnuca_mem::{MshrAllocation, MshrFile};
-use lnuca_types::{Addr, ReqId};
+use lnuca_types::{Addr, Cycle, MemRequest, ReqId, ServiceLevel};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -15,20 +15,34 @@ const BLOCK: u64 = 64;
 enum Op {
     Allocate(u64),
     Retire(u64),
-    Complete(u64),
+    SetArrival(u64, u64),
+    RetireArrived(u64),
 }
 
 fn op_strategy(blocks: u64) -> impl Strategy<Value = Op> {
-    (0u8..8, 0..blocks).prop_map(|(kind, block)| {
+    (0u8..10, 0..blocks, 0u64..40).prop_map(|(kind, block, cycle)| {
         let addr = block * BLOCK + (u64::from(kind) * 9) % BLOCK; // vary offsets within the block
         match kind {
             // Allocation-heavy mix keeps the file near capacity, which is
             // where slot reuse happens.
             0..=4 => Op::Allocate(addr),
             5 | 6 => Op::Retire(addr),
-            _ => Op::Complete(addr),
+            7 | 8 => Op::SetArrival(addr, cycle),
+            _ => Op::RetireArrived(cycle),
         }
     })
+}
+
+/// The model's entry for one block: its waiting requests, in allocation
+/// order, and its arrival cycle once set.
+#[derive(Debug, Default)]
+struct Entry {
+    waiting: Vec<ReqId>,
+    arrival: Option<u64>,
+}
+
+fn ids(requests: impl Iterator<Item = MemRequest>) -> Vec<ReqId> {
+    requests.map(|r| r.id).collect()
 }
 
 proptest! {
@@ -39,8 +53,8 @@ proptest! {
         secondary in 0usize..5,
     ) {
         let mut file = MshrFile::new(capacity, secondary, BLOCK).unwrap();
-        // The model: block base -> waiters, in allocation order.
-        let mut model: HashMap<u64, Vec<ReqId>> = HashMap::new();
+        // The model: block base -> entry.
+        let mut model: HashMap<u64, Entry> = HashMap::new();
         let mut next_id = 0u64;
 
         for (step, &op) in ops.iter().enumerate() {
@@ -49,9 +63,9 @@ proptest! {
                     let id = ReqId(next_id);
                     next_id += 1;
                     let base = Addr(addr).block_base(BLOCK).0;
-                    let outcome = file.allocate(Addr(addr), id);
+                    let outcome = file.allocate(MemRequest::read(id, Addr(addr), Cycle(step as u64)));
                     let expected = match model.get(&base) {
-                        Some(waiters) if waiters.len() > secondary => MshrAllocation::Full,
+                        Some(entry) if entry.waiting.len() > secondary => MshrAllocation::Full,
                         Some(_) => MshrAllocation::Secondary,
                         None if model.len() >= capacity => MshrAllocation::Full,
                         None => MshrAllocation::Primary,
@@ -59,31 +73,46 @@ proptest! {
                     prop_assert_eq!(outcome, expected, "allocate({addr:#x}) at step {step}");
                     match outcome {
                         MshrAllocation::Primary => {
-                            model.insert(base, vec![id]);
+                            model.insert(base, Entry { waiting: vec![id], arrival: None });
                         }
                         MshrAllocation::Secondary => {
-                            model.get_mut(&base).expect("secondary merges into a live entry").push(id);
+                            model.get_mut(&base).expect("secondary merges into a live entry").waiting.push(id);
                         }
                         MshrAllocation::Full => {}
                     }
                 }
                 Op::Retire(addr) => {
                     let base = Addr(addr).block_base(BLOCK).0;
-                    let expected = model.remove(&base).map(|w| w.len()).unwrap_or(0);
+                    let expected = model.remove(&base).map(|e| e.waiting).unwrap_or_default();
                     prop_assert_eq!(
-                        file.retire(Addr(addr)),
+                        ids(file.retire(Addr(addr))),
                         expected,
-                        "retire({addr:#x}) at step {step}"
+                        "retire({addr:#x}) at step {step}: waiters lost, duplicated or reordered"
                     );
                 }
-                Op::Complete(addr) => {
-                    let base = Addr(addr).block_base(BLOCK).0;
-                    let expected = model.remove(&base).unwrap_or_default();
-                    prop_assert_eq!(
-                        file.complete(Addr(addr)),
-                        expected,
-                        "complete({addr:#x}) at step {step}: waiters lost, duplicated or reordered"
-                    );
+                Op::SetArrival(addr, at) => {
+                    file.set_arrival(Addr(addr), Cycle(at), ServiceLevel::L2);
+                    if let Some(entry) = model.get_mut(&Addr(addr).block_base(BLOCK).0) {
+                        entry.arrival = Some(at);
+                    }
+                }
+                Op::RetireArrived(now) => {
+                    let mut handed: HashMap<u64, Vec<ReqId>> = HashMap::new();
+                    file.retire_arrived(Cycle(now), |req, at, served| {
+                        assert_eq!(served, ServiceLevel::L2);
+                        assert!(at <= Cycle(now), "handed back before its arrival");
+                        handed.entry(req.addr.block_base(BLOCK).0).or_default().push(req.id);
+                    });
+                    let due: Vec<u64> = model
+                        .iter()
+                        .filter(|(_, e)| e.arrival.is_some_and(|at| at <= now))
+                        .map(|(&base, _)| base)
+                        .collect();
+                    let mut expected = HashMap::new();
+                    for base in due {
+                        expected.insert(base, model.remove(&base).expect("due entry").waiting);
+                    }
+                    prop_assert_eq!(handed, expected, "retire_arrived({now}) at step {step}");
                 }
             }
 
@@ -97,20 +126,25 @@ proptest! {
                     "pending({block}) at step {step}"
                 );
             }
+            // The arrival horizon may be early, never late.
+            if let Some(earliest) = model.values().filter_map(|e| e.arrival).min() {
+                prop_assert!(file.next_arrival().is_some_and(|at| at <= Cycle(earliest)));
+            }
         }
 
         // Drain everything: every outstanding miss is returned exactly once.
-        let mut remaining: Vec<(u64, Vec<ReqId>)> = model.into_iter().collect();
+        let mut remaining: Vec<(u64, Entry)> = model.into_iter().collect();
         remaining.sort_by_key(|(base, _)| *base);
-        for (base, waiters) in remaining {
-            prop_assert_eq!(file.complete(Addr(base)), waiters);
+        for (base, entry) in remaining {
+            prop_assert_eq!(ids(file.retire(Addr(base))), entry.waiting);
         }
         prop_assert_eq!(file.occupancy(), 0);
         prop_assert!(!file.is_full() || capacity == 0);
 
         // Freed slots are immediately reusable up to the full capacity.
         for i in 0..capacity as u64 {
-            prop_assert!(file.allocate(Addr(0x10_0000 + i * BLOCK), ReqId(u64::MAX - i)).is_primary());
+            let req = MemRequest::read(ReqId(u64::MAX - i), Addr(0x10_0000 + i * BLOCK), Cycle(0));
+            prop_assert!(file.allocate(req).is_primary());
         }
         prop_assert!(file.is_full());
     }

@@ -1,34 +1,21 @@
 //! The hierarchies with a conventional L1 in front: the 3-level baseline
 //! (Fig. 1(a)) and L1 + D-NUCA (Fig. 1(c)).
 
-use crate::configs;
+use crate::hierarchy::root::{Admission, RootTile};
 use crate::hierarchy::{HierarchyStats, OuterLevel};
 use crate::spec::HierarchySpec;
-use lnuca_cpu::{CompletionQueue, DataMemory};
-use lnuca_mem::{
-    AccessClass, AccessOutcome, ConventionalCache, MainMemory, MshrAllocation, MshrFile, NoProbe,
-    ProbeEvent, ProbeSink, WriteBuffer,
-};
-use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, ServiceLevel};
-
-/// One in-flight block fetch: its L1 block index, when it completes and who
-/// serviced it.
-#[derive(Debug, Clone, Copy)]
-struct OutstandingFetch {
-    key: u64,
-    completion: Cycle,
-    served: ServiceLevel,
-}
+use lnuca_cpu::DataMemory;
+use lnuca_mem::{AccessClass, ConventionalCache, MainMemory, NoProbe, ProbeEvent, ProbeSink};
+use lnuca_types::{ConfigError, Cycle, MemRequest, MemResponse};
 
 /// A hierarchy with a conventional (non-tiled) L1 in front of an
 /// [`OuterLevel`]: either L1 + L2 + L3 or L1 + D-NUCA.
 ///
-/// The L1 is write-through with write-allocate; store traffic is absorbed by
-/// a coalescing write buffer and drained one block per cycle to the outer
-/// level (marking it dirty there), matching the 32-entry write buffers of
-/// Table I. Misses allocate one of the 16 L1 MSHRs; when all are busy the
-/// request is rejected and the core retries, which is how limited
-/// memory-level parallelism is enforced.
+/// The L1 is the shared root tile (write-through, write-allocate, 16 MSHRs,
+/// a 32-entry coalescing write buffer; Table I). A miss fetches its block
+/// from the outer level at once, so its arrival cycle and service level
+/// are known at miss time: the MSHR entry holds them, and its requests
+/// complete when that cycle comes.
 ///
 /// The hierarchy is generic over a [`ProbeSink`] through which it reports
 /// every functional state transition; the default [`NoProbe`] compiles the
@@ -36,24 +23,10 @@ struct OutstandingFetch {
 #[derive(Debug)]
 pub struct ClassicHierarchy<P: ProbeSink = NoProbe> {
     label: String,
-    l1: ConventionalCache,
-    l1_mshrs: MshrFile,
-    write_buffer: WriteBuffer,
+    root: RootTile,
     outer: OuterLevel,
     memory: MainMemory,
     probe: P,
-    /// In-flight block fetches in a fixed array of [`configs::L1_MSHRS`]
-    /// slots, mirroring the paper's 16 physical L1 MSHRs one to one (every
-    /// entry here holds a primary-miss MSHR, so the file's capacity bounds
-    /// this array exactly). First-fit allocation and an index-order retire
-    /// sweep keep the order deterministic without any per-miss map churn.
-    outstanding: [Option<OutstandingFetch>; configs::L1_MSHRS],
-    /// The earliest `completion` in `outstanding` (`None` when every slot
-    /// is free): the retire sweep and the horizon read it instead of
-    /// walking the slots.
-    outstanding_earliest: Option<Cycle>,
-    completions: CompletionQueue,
-    write_drains: u64,
 }
 
 impl ClassicHierarchy {
@@ -88,23 +61,10 @@ impl<P: ProbeSink> ClassicHierarchy<P> {
         spec.validate()?;
         Ok(ClassicHierarchy {
             label: spec.label(),
-            l1: ConventionalCache::new(spec.root.clone())?,
-            l1_mshrs: MshrFile::new(
-                configs::L1_MSHRS,
-                configs::MSHR_SECONDARY,
-                spec.root.block_size,
-            )?,
-            write_buffer: WriteBuffer::new(
-                configs::WRITE_BUFFER_ENTRIES,
-                spec.below_root_block_size(),
-            )?,
+            root: RootTile::from_spec(spec)?,
             outer: OuterLevel::from_spec(spec)?,
             memory: MainMemory::new(spec.memory)?,
             probe,
-            outstanding: [None; configs::L1_MSHRS],
-            outstanding_earliest: None,
-            completions: CompletionQueue::new(),
-            write_drains: 0,
         })
     }
 
@@ -123,7 +83,7 @@ impl<P: ProbeSink> ClassicHierarchy<P> {
     /// The L1 cache (exposed for residency enumeration in verification).
     #[must_use]
     pub fn l1(&self) -> &ConventionalCache {
-        &self.l1
+        self.root.l1()
     }
 
     /// The outer level (exposed for residency enumeration in verification).
@@ -135,20 +95,7 @@ impl<P: ProbeSink> ClassicHierarchy<P> {
     /// Snapshot of the accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> HierarchyStats {
-        HierarchyStats {
-            label: self.label.clone(),
-            l1: *self.l1.stats(),
-            l2: self.outer.l2_stats(),
-            deeper_levels: self.outer.deeper_stats(),
-            l3: self.outer.l3_stats(),
-            lnuca: None,
-            lnuca_tiles: 0,
-            dnuca: self.outer.dnuca_stats(),
-            dnuca_mesh: self.outer.dnuca_mesh_stats(),
-            dnuca_banks: self.outer.dnuca_banks(),
-            memory_accesses: self.memory.accesses(),
-            write_drains: self.write_drains,
-        }
+        self.root.stats(&self.label, &self.outer, &self.memory)
     }
 
     /// Configuration label (e.g. `L2-256KB`).
@@ -156,174 +103,49 @@ impl<P: ProbeSink> ClassicHierarchy<P> {
     pub fn label(&self) -> &str {
         &self.label
     }
-
-    fn block_key(&self, addr: Addr) -> u64 {
-        addr.block_index(self.l1.config().block_size)
-    }
-
-    /// Completion time and attribution of the in-flight fetch for `key`.
-    fn outstanding_for(&self, key: u64) -> (Cycle, ServiceLevel) {
-        self.outstanding
-            .iter()
-            .flatten()
-            .find(|f| f.key == key)
-            .map(|f| (f.completion, f.served))
-            .expect("a pending MSHR always has an outstanding-fetch slot")
-    }
-
-    /// Records an in-flight fetch in the first free slot (first fit).
-    fn record_outstanding(&mut self, key: u64, completion: Cycle, served: ServiceLevel) {
-        let slot = self
-            .outstanding
-            .iter_mut()
-            .find(|s| s.is_none())
-            .expect("the MSHR file caps primary misses at the slot count");
-        *slot = Some(OutstandingFetch {
-            key,
-            completion,
-            served,
-        });
-        self.outstanding_earliest =
-            Some(self.outstanding_earliest.map_or(completion, |e| e.min(completion)));
-    }
 }
 
 impl<P: ProbeSink> DataMemory for ClassicHierarchy<P> {
     fn issue(&mut self, req: MemRequest, now: Cycle) -> bool {
+        let determined_at = match self.root.admit(req, now, &mut self.probe) {
+            Admission::Rejected => return false,
+            Admission::Accepted => return true,
+            Admission::Missed { determined_at } => determined_at,
+        };
         let addr = req.addr;
         let is_write = req.kind.is_write();
-        let key = self.block_key(addr);
-
-        // A fetch of this block is already in flight: merge into it.
-        if self.l1_mshrs.is_pending(addr) {
-            return match self.l1_mshrs.allocate(addr, req.id) {
-                MshrAllocation::Secondary | MshrAllocation::Primary => {
-                    let (completion, served) = self.outstanding_for(key);
-                    if is_write {
-                        let _ = self.write_buffer.push(addr);
-                    }
-                    self.probe.record(ProbeEvent::Access {
-                        addr,
-                        is_write,
-                        class: AccessClass::Merged,
-                    });
-                    self.completions.push(MemResponse::for_request(
-                        &req,
-                        completion.max(now),
-                        served,
-                    ));
-                    true
-                }
-                MshrAllocation::Full => false,
-            };
-        }
-
-        // A new miss would need a free MSHR; reject early so the L1 port and
-        // the miss counters are not touched by a request that must retry.
-        if !self.l1.probe(addr) && self.l1_mshrs.is_full() {
-            return false;
-        }
-
-        match self.l1.access(addr, is_write, now) {
-            AccessOutcome::Hit { ready_at } => {
-                if is_write {
-                    let _ = self.write_buffer.push(addr);
-                }
-                self.probe.record(ProbeEvent::Access {
-                    addr,
-                    is_write,
-                    class: AccessClass::Hit,
-                });
-                self.completions
-                    .push(MemResponse::for_request(&req, ready_at, ServiceLevel::L1));
-                true
-            }
-            AccessOutcome::Miss { determined_at } => {
-                match self.l1_mshrs.allocate(addr, req.id) {
-                    MshrAllocation::Primary => {}
-                    MshrAllocation::Secondary | MshrAllocation::Full => {
-                        unreachable!("pending and full cases were handled above")
-                    }
-                }
-                let (completion, served) =
-                    self.outer
-                        .fetch(addr, is_write, determined_at, &mut self.memory);
-                // Write-allocate: the block is installed in the L1; its
-                // victim is clean because the L1 is write-through.
-                let _ = self.l1.fill(addr, false);
-                if is_write {
-                    let _ = self.write_buffer.push(addr);
-                }
-                self.probe.record(ProbeEvent::Access {
-                    addr,
-                    is_write,
-                    class: AccessClass::Miss(served),
-                });
-                self.record_outstanding(key, completion, served);
-                self.completions
-                    .push(MemResponse::for_request(&req, completion, served));
-                true
-            }
-        }
+        let (arrival, served) = self
+            .outer
+            .fetch(addr, is_write, determined_at, &mut self.memory);
+        // Write-allocate: the block is installed in the L1 now; its requests
+        // complete at `arrival`.
+        let _ = self.root.fill(addr);
+        self.probe.record(ProbeEvent::Access {
+            addr,
+            is_write,
+            class: AccessClass::Miss(served),
+        });
+        self.root.set_arrival(addr, arrival, served);
+        true
     }
 
     fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        self.completions.drain_ready(now, out);
+        self.root.drain_completions(now, out);
     }
 
     fn tick(&mut self, now: Cycle) {
-        // Retire finished fetches so their MSHR entries free up, sweeping
-        // the fixed slot array in index order (stable across runs) — only
-        // on cycles where the earliest fetch has completed.
-        if self.outstanding_earliest.is_some_and(|e| e <= now) {
-            let block_size = self.l1.config().block_size;
-            let mut earliest: Option<Cycle> = None;
-            for slot in &mut self.outstanding {
-                if let Some(fetch) = slot {
-                    if fetch.completion <= now {
-                        let _ = self.l1_mshrs.retire(Addr(fetch.key * block_size));
-                        *slot = None;
-                    } else {
-                        let at = fetch.completion;
-                        earliest = Some(earliest.map_or(at, |e| e.min(at)));
-                    }
-                }
-            }
-            self.outstanding_earliest = earliest;
-        }
-        // Drain one coalesced write per cycle toward the outer level.
-        if let Some(addr) = self.write_buffer.drain_one() {
-            self.outer.write_through(addr);
-            self.probe.record(ProbeEvent::WriteDrain { addr });
-            self.write_drains += 1;
-        }
+        self.root.tick(now, &mut self.outer, &mut self.probe);
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let floor = now.next();
-        // The write buffer drains (and dirties the outer level) every cycle
-        // it holds anything.
-        if !self.write_buffer.is_empty() {
-            return Some(floor);
-        }
-        let mut horizon: Option<Cycle> = None;
-        let merge = |cur: &mut Option<Cycle>, at: Cycle| Cycle::merge_horizon(cur, at, floor);
-        // Undelivered responses mature at their completion cycles; in-flight
-        // fetches retire (freeing MSHRs) at theirs.
-        for at in [self.completions.earliest(), self.outstanding_earliest]
-            .into_iter()
-            .flatten()
-        {
-            merge(&mut horizon, at);
-        }
-        horizon
+        self.root.next_event(now)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lnuca_types::ReqId;
+    use lnuca_types::{Addr, ReqId, ServiceLevel};
 
     fn conventional() -> ClassicHierarchy {
         ClassicHierarchy::from_spec(&HierarchySpec::conventional()).unwrap()

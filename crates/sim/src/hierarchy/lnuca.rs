@@ -1,15 +1,12 @@
 //! The hierarchies with an L-NUCA fabric behind the root tile:
 //! L-NUCA + L3 (Fig. 1(b)) and L-NUCA + D-NUCA (Fig. 1(d)).
 
-use crate::configs;
+use crate::hierarchy::root::{Admission, RootTile};
 use crate::hierarchy::{HierarchyStats, OuterLevel};
 use crate::spec::HierarchySpec;
 use lnuca_core::LNuca;
-use lnuca_cpu::{CompletionQueue, DataMemory};
-use lnuca_mem::{
-    AccessClass, AccessOutcome, ConventionalCache, MainMemory, MshrAllocation, MshrFile, NoProbe,
-    ProbeEvent, ProbeSink, WriteBuffer,
-};
+use lnuca_cpu::DataMemory;
+use lnuca_mem::{AccessClass, ConventionalCache, MainMemory, NoProbe, ProbeEvent, ProbeSink};
 use lnuca_types::{Addr, ConfigError, Cycle, MemRequest, MemResponse, ReqId, ServiceLevel};
 use std::collections::VecDeque;
 
@@ -23,18 +20,6 @@ struct PendingSearch {
     ready_at: Cycle,
 }
 
-/// Requests waiting on one in-flight block fetch, keyed by L1 block index.
-/// The original request metadata is needed to build the responses once the
-/// fabric or the outer level produces the block. Dead slots keep their
-/// `reqs` allocation, so the steady state allocates nothing per miss
-/// (DESIGN.md §9); one slot per L1 MSHR bounds the live set exactly.
-#[derive(Debug)]
-struct WaiterSlot {
-    key: u64,
-    live: bool,
-    reqs: Vec<MemRequest>,
-}
-
 /// An L-NUCA hierarchy: the root tile (a conventional write-through L1 with
 /// flow-control logic), the tile fabric, and an outer level (L3 or D-NUCA).
 ///
@@ -44,6 +29,8 @@ struct WaiterSlot {
 /// the Replacement network — the distributed-victim-cache behaviour at the
 /// heart of the paper. Global misses are forwarded to the outer level, and
 /// blocks spilled by the outermost tiles are written back there when dirty.
+/// The requests of a miss wait in its root-tile MSHR entry until the block
+/// arrives.
 ///
 /// The hierarchy is generic over a [`ProbeSink`] through which it reports
 /// every functional state transition; the default [`NoProbe`] compiles the
@@ -52,16 +39,11 @@ struct WaiterSlot {
 pub struct LNucaHierarchy<P: ProbeSink = NoProbe> {
     label: String,
     probe: P,
-    l1: ConventionalCache,
-    l1_mshrs: MshrFile,
+    root: RootTile,
     fabric: LNuca,
     outer: OuterLevel,
     memory: MainMemory,
-    write_buffer: WriteBuffer,
     pending_searches: VecDeque<PendingSearch>,
-    waiters: Vec<WaiterSlot>,
-    completions: CompletionQueue,
-    write_drains: u64,
     // Reused per-cycle buffers for the fabric's outputs (zero-allocation
     // steady state; see DESIGN.md §9). Each is cleared, refilled via the
     // fabric's `drain_*_into` and handed back within one `tick`.
@@ -103,29 +85,11 @@ impl<P: ProbeSink> LNucaHierarchy<P> {
         Ok(LNucaHierarchy {
             label: spec.label(),
             probe,
-            l1: ConventionalCache::new(spec.root.clone())?,
-            l1_mshrs: MshrFile::new(
-                configs::L1_MSHRS,
-                configs::MSHR_SECONDARY,
-                spec.root.block_size,
-            )?,
+            root: RootTile::from_spec(spec)?,
             fabric: LNuca::new(fabric)?,
             outer: OuterLevel::from_spec(spec)?,
             memory: MainMemory::new(spec.memory)?,
-            write_buffer: WriteBuffer::new(
-                configs::WRITE_BUFFER_ENTRIES,
-                spec.below_root_block_size(),
-            )?,
             pending_searches: VecDeque::new(),
-            waiters: (0..configs::L1_MSHRS)
-                .map(|_| WaiterSlot {
-                    key: 0,
-                    live: false,
-                    reqs: Vec::new(),
-                })
-                .collect(),
-            completions: CompletionQueue::new(),
-            write_drains: 0,
             arrival_scratch: Vec::new(),
             miss_scratch: Vec::new(),
             spill_scratch: Vec::new(),
@@ -136,18 +100,9 @@ impl<P: ProbeSink> LNucaHierarchy<P> {
     #[must_use]
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
-            label: self.label.clone(),
-            l1: *self.l1.stats(),
-            l2: self.outer.l2_stats(),
-            deeper_levels: self.outer.deeper_stats(),
-            l3: self.outer.l3_stats(),
             lnuca: Some(self.fabric.stats().clone()),
             lnuca_tiles: self.fabric.geometry().tile_count(),
-            dnuca: self.outer.dnuca_stats(),
-            dnuca_mesh: self.outer.dnuca_mesh_stats(),
-            dnuca_banks: self.outer.dnuca_banks(),
-            memory_accesses: self.memory.accesses(),
-            write_drains: self.write_drains,
+            ..self.root.stats(&self.label, &self.outer, &self.memory)
         }
     }
 
@@ -179,7 +134,7 @@ impl<P: ProbeSink> LNucaHierarchy<P> {
     /// verification).
     #[must_use]
     pub fn l1(&self) -> &ConventionalCache {
-        &self.l1
+        self.root.l1()
     }
 
     /// The outer level (exposed for residency enumeration in verification).
@@ -188,14 +143,11 @@ impl<P: ProbeSink> LNucaHierarchy<P> {
         &self.outer
     }
 
-    fn block_key(&self, addr: Addr) -> u64 {
-        addr.block_index(self.l1.config().block_size)
-    }
-
-    /// Installs a block in the root tile, pushing any displaced victim into
-    /// the Replacement network.
-    fn fill_root(&mut self, addr: Addr) {
-        if let Some(victim) = self.l1.fill(addr, false) {
+    /// Installs an arrived block in the root tile, pushing any displaced
+    /// victim into the Replacement network, and completes the requests that
+    /// waited on it.
+    fn deliver(&mut self, addr: Addr, at: Cycle, served_by: ServiceLevel) {
+        if let Some(victim) = self.root.fill(addr) {
             // The root tile is write-through, so its victims are clean; the
             // fabric still receives them to act as a victim cache.
             self.probe.record(ProbeEvent::RootVictim {
@@ -204,113 +156,35 @@ impl<P: ProbeSink> LNucaHierarchy<P> {
             });
             self.fabric.evict_from_root(victim.addr, victim.dirty);
         }
-    }
-
-    /// Appends `req` to the waiter slot for its block, reviving a dead slot
-    /// for the first waiter.
-    fn push_waiter(&mut self, key: u64, req: MemRequest) {
-        if let Some(slot) = self.waiters.iter_mut().find(|s| s.live && s.key == key) {
-            slot.reqs.push(req);
-            return;
-        }
-        let slot = self
-            .waiters
-            .iter_mut()
-            .find(|s| !s.live)
-            .expect("the MSHR file caps pending blocks at the slot count");
-        slot.key = key;
-        slot.live = true;
-        slot.reqs.clear();
-        slot.reqs.push(req);
-    }
-
-    /// Completes every request waiting on `addr` with the given attribution.
-    fn complete_waiters(&mut self, addr: Addr, at: Cycle, served_by: ServiceLevel) {
-        let key = self.block_key(addr);
-        let _ = self.l1_mshrs.retire(addr);
-        if let Some(slot) = self.waiters.iter_mut().find(|s| s.live && s.key == key) {
-            slot.live = false;
-            for req in slot.reqs.drain(..) {
-                self.completions
-                    .push(MemResponse::for_request(&req, at, served_by));
-            }
-        }
+        self.root.complete(addr, at, served_by);
     }
 }
 
 impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
     fn issue(&mut self, req: MemRequest, now: Cycle) -> bool {
+        let determined_at = match self.root.admit(req, now, &mut self.probe) {
+            Admission::Rejected => return false,
+            Admission::Accepted => return true,
+            Admission::Missed { determined_at } => determined_at,
+        };
         let addr = req.addr;
         let is_write = req.kind.is_write();
-
-        // Merge with an in-flight fetch of the same block.
-        if self.l1_mshrs.is_pending(addr) {
-            return match self.l1_mshrs.allocate(addr, req.id) {
-                MshrAllocation::Secondary | MshrAllocation::Primary => {
-                    if is_write {
-                        let _ = self.write_buffer.push(addr);
-                    }
-                    self.probe.record(ProbeEvent::Access {
-                        addr,
-                        is_write,
-                        class: AccessClass::Merged,
-                    });
-                    let key = self.block_key(addr);
-                    self.push_waiter(key, req);
-                    true
-                }
-                MshrAllocation::Full => false,
-            };
-        }
-
-        if !self.l1.probe(addr) && self.l1_mshrs.is_full() {
-            return false;
-        }
-
-        match self.l1.access(addr, is_write, now) {
-            AccessOutcome::Hit { ready_at } => {
-                if is_write {
-                    let _ = self.write_buffer.push(addr);
-                }
-                self.probe.record(ProbeEvent::Access {
-                    addr,
-                    is_write,
-                    class: AccessClass::Hit,
-                });
-                self.completions
-                    .push(MemResponse::for_request(&req, ready_at, ServiceLevel::L1));
-                true
-            }
-            AccessOutcome::Miss { determined_at } => {
-                match self.l1_mshrs.allocate(addr, req.id) {
-                    MshrAllocation::Primary => {}
-                    MshrAllocation::Secondary | MshrAllocation::Full => {
-                        unreachable!("pending and full cases were handled above")
-                    }
-                }
-                if is_write {
-                    let _ = self.write_buffer.push(addr);
-                }
-                self.probe.record(ProbeEvent::Access {
-                    addr,
-                    is_write,
-                    class: AccessClass::MissLaunched,
-                });
-                let key = self.block_key(addr);
-                self.push_waiter(key, req);
-                self.pending_searches.push_back(PendingSearch {
-                    addr,
-                    req: req.id,
-                    is_write,
-                    ready_at: determined_at,
-                });
-                true
-            }
-        }
+        self.probe.record(ProbeEvent::Access {
+            addr,
+            is_write,
+            class: AccessClass::MissLaunched,
+        });
+        self.pending_searches.push_back(PendingSearch {
+            addr,
+            req: req.id,
+            is_write,
+            ready_at: determined_at,
+        });
+        true
     }
 
     fn drain_completions(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        self.completions.drain_ready(now, out);
+        self.root.drain_completions(now, out);
     }
 
     fn tick(&mut self, now: Cycle) {
@@ -325,15 +199,14 @@ impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
             if arrival.dirty {
                 // The root tile is write-through; the modified data the tile
                 // was holding is pushed toward the outer level.
-                let _ = self.write_buffer.push(arrival.addr);
+                self.root.post_write(arrival.addr);
             }
             self.probe.record(ProbeEvent::FabricHit {
                 addr: arrival.addr,
                 level: arrival.hit_level,
                 dirty: arrival.dirty,
             });
-            self.fill_root(arrival.addr);
-            self.complete_waiters(
+            self.deliver(
                 arrival.addr,
                 arrival.available_at,
                 ServiceLevel::LNucaLevel(arrival.hit_level),
@@ -354,8 +227,7 @@ impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
                 is_write: miss.is_write,
                 served,
             });
-            self.fill_root(miss.addr);
-            self.complete_waiters(miss.addr, completion, served);
+            self.deliver(miss.addr, completion, served);
         }
         self.miss_scratch = misses;
 
@@ -369,7 +241,7 @@ impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
                 dirty: spill.dirty,
             });
             if spill.dirty {
-                let _ = self.write_buffer.push(spill.addr);
+                self.root.post_write(spill.addr);
             }
         }
         self.spill_scratch = spills;
@@ -391,17 +263,14 @@ impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
         }
 
         // 6. Drain one coalesced write toward the outer level.
-        if let Some(addr) = self.write_buffer.drain_one() {
-            self.outer.write_through(addr);
-            self.probe.record(ProbeEvent::WriteDrain { addr });
-            self.write_drains += 1;
-        }
+        self.root.tick(now, &mut self.outer, &mut self.probe);
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let floor = now.next();
-        if !self.write_buffer.is_empty() {
-            return Some(floor);
+        let root = self.root.next_event(now);
+        if root == Some(floor) {
+            return root;
         }
         let mut horizon = self.fabric.next_event(now);
         let merge = |cur: &mut Option<Cycle>, at: Cycle| Cycle::merge_horizon(cur, at, floor);
@@ -409,7 +278,7 @@ impl<P: ProbeSink> DataMemory for LNucaHierarchy<P> {
         if let Some(front) = self.pending_searches.front() {
             merge(&mut horizon, front.ready_at);
         }
-        if let Some(at) = self.completions.earliest() {
+        if let Some(at) = root {
             merge(&mut horizon, at);
         }
         horizon
@@ -466,7 +335,7 @@ mod tests {
             let _ = wait_for(&mut h, 10 + i, clock);
             clock += 2_000;
         }
-        assert!(!h.l1.probe(Addr(0x0)), "the original block must have been displaced");
+        assert!(!h.l1().probe(Addr(0x0)), "the original block must have been displaced");
         assert!(h.fabric().contains(Addr(0x0)), "the victim lives in the fabric");
         assert!(h.issue(read(99, 0x0, clock), Cycle(clock)));
         let resp = wait_for(&mut h, 99, clock);

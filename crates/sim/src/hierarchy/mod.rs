@@ -4,6 +4,7 @@
 mod classic;
 mod lnuca;
 mod outer;
+mod root;
 
 pub use classic::ClassicHierarchy;
 pub use lnuca::LNucaHierarchy;

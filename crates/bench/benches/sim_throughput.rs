@@ -16,7 +16,8 @@ use std::time::Instant;
 /// 10 000 fabric cycles with one search injected every 4 cycles and a root
 /// eviction every 8 — a load comparable to an L1 miss rate of 25 %.
 fn fabric_tick_loop(levels: u8) -> u64 {
-    let mut fabric = LNuca::new(LNucaConfig::paper(levels).expect("valid levels")).expect("valid config");
+    let mut fabric =
+        LNuca::new(LNucaConfig::paper(levels).expect("valid levels")).expect("valid config");
     let mut delivered = 0u64;
     for c in 0..10_000u64 {
         if c % 4 == 0 {
@@ -55,7 +56,11 @@ fn bench_fabric_tick(c: &mut Criterion) {
         let cycles = reps * 10_000;
         eprintln!(
             "throughput fabric_tick/{levels}: {:.0} kcycles/s",
-            if secs > 0.0 { cycles as f64 / 1_000.0 / secs } else { 0.0 }
+            if secs > 0.0 {
+                cycles as f64 / 1_000.0 / secs
+            } else {
+                0.0
+            }
         );
     }
 }
@@ -146,7 +151,11 @@ fn bench_full_system(c: &mut Criterion) {
         let secs = started.elapsed().as_secs_f64();
         eprintln!(
             "throughput full_system/{name}: {:.0} kcycles/s ({} cycles simulated)",
-            if secs > 0.0 { result.cycles as f64 / 1_000.0 / secs } else { 0.0 },
+            if secs > 0.0 {
+                result.cycles as f64 / 1_000.0 / secs
+            } else {
+                0.0
+            },
             result.cycles,
         );
     }
@@ -167,8 +176,8 @@ fn bench_adversarial_patterns(c: &mut Criterion) {
             &profile,
             |b, profile| {
                 b.iter(|| {
-                    let result = System::run_spec(&spec, profile, 10_000, 1)
-                        .expect("valid configuration");
+                    let result =
+                        System::run_spec(&spec, profile, 10_000, 1).expect("valid configuration");
                     black_box(result.cycles)
                 });
             },

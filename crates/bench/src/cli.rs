@@ -140,17 +140,20 @@ pub fn run_plan_journaled(
     );
     let started = Instant::now();
     let study = match journal {
-        Some(path) => {
-            Study::run_journaled(plan, std::path::Path::new(path), resume)
-                .map_err(|e| e.to_string())?
-        }
+        Some(path) => Study::run_journaled(plan, std::path::Path::new(path), resume)
+            .map_err(|e| e.to_string())?,
         None => Study::run(plan).map_err(|e| e.to_string())?,
     };
     Ok((study, started.elapsed().as_secs_f64()))
 }
 
 /// Prints the requested sections of a finished study.
-pub fn print_sections(plan: &ExperimentPlan, study: &Study, wall_seconds: f64, sections: &[Section]) {
+pub fn print_sections(
+    plan: &ExperimentPlan,
+    study: &Study,
+    wall_seconds: f64,
+    sections: &[Section],
+) {
     for section in sections {
         match section {
             Section::IpcSummary => print_ipc(study),
@@ -300,7 +303,13 @@ pub fn print_ipc(study: &Study) {
     println!(
         "{}",
         format_table(
-            &["configuration", "Integer IPC", "vs baseline", "FP IPC", "vs baseline"],
+            &[
+                "configuration",
+                "Integer IPC",
+                "vs baseline",
+                "FP IPC",
+                "vs baseline"
+            ],
             &rows
         )
     );
@@ -326,7 +335,15 @@ pub fn print_energy(study: &Study) {
     println!(
         "{}",
         format_table(
-            &["configuration", "dyn.", "sta. L1-RT", "sta. 2nd level", "sta. last level", "total", "vs baseline"],
+            &[
+                "configuration",
+                "dyn.",
+                "sta. L1-RT",
+                "sta. 2nd level",
+                "sta. last level",
+                "total",
+                "vs baseline"
+            ],
             &rows
         )
     );
@@ -339,7 +356,11 @@ pub fn print_hits(study: &Study) {
         .hit_distribution()
         .into_iter()
         .map(|row| {
-            let levels: Vec<String> = row.level_percent.iter().map(|v| format!("{v:.1}")).collect();
+            let levels: Vec<String> = row
+                .level_percent
+                .iter()
+                .map(|v| format!("{v:.1}"))
+                .collect();
             vec![
                 row.label.clone(),
                 match row.suite {
@@ -355,7 +376,13 @@ pub fn print_hits(study: &Study) {
     println!(
         "{}",
         format_table(
-            &["configuration", "suite", "Le2 / Le3 / ... (%)", "all levels (%)", "avg/min transport"],
+            &[
+                "configuration",
+                "suite",
+                "Le2 / Le3 / ... (%)",
+                "all levels (%)",
+                "avg/min transport"
+            ],
             &rows
         )
     );
@@ -390,7 +417,11 @@ fn per_configuration(runs: &[RunPerf]) -> Vec<(String, usize, f64, u64, f64)> {
         row.3 += run.cycles;
     }
     for row in &mut rows {
-        row.4 = if row.2 > 0.0 { row.3 as f64 / 1_000.0 / row.2 } else { 0.0 };
+        row.4 = if row.2 > 0.0 {
+            row.3 as f64 / 1_000.0 / row.2
+        } else {
+            0.0
+        };
     }
     rows
 }
@@ -414,10 +445,7 @@ pub fn print_throughput(studies: &[StudyPerf<'_>]) {
             "(whole study)".to_owned(),
             study.runs.len().to_string(),
             format!("{:.3}", study.wall_seconds),
-            format!(
-                "{:.1}",
-                study.runs.iter().map(|r| r.cycles).sum::<u64>() as f64 / 1e6
-            ),
+            format!("{:.1}", study.runs.iter().map(|r| r.cycles).sum::<u64>() as f64 / 1e6),
             String::new(),
         ]);
     }
@@ -425,7 +453,14 @@ pub fn print_throughput(studies: &[StudyPerf<'_>]) {
     println!(
         "{}",
         format_table(
-            &["study", "configuration", "runs", "wall s", "Mcycles", "kcycles/s"],
+            &[
+                "study",
+                "configuration",
+                "runs",
+                "wall s",
+                "Mcycles",
+                "kcycles/s"
+            ],
             &rows
         )
     );
@@ -473,7 +508,11 @@ pub fn print_routing_ablation(study: &Study) {
                 stalls += fabric.transport_stall_cycles + fabric.replacement_stall_cycles;
             }
         }
-        let ratio = if min_sum == 0 { 1.0 } else { latency_sum as f64 / min_sum as f64 };
+        let ratio = if min_sum == 0 {
+            1.0
+        } else {
+            latency_sum as f64 / min_sum as f64
+        };
         rows.push(vec![
             label.clone(),
             f3(lnuca_types::stats::harmonic_mean(&ipcs).unwrap_or(0.0)),
@@ -484,7 +523,12 @@ pub fn print_routing_ablation(study: &Study) {
     println!(
         "{}",
         format_table(
-            &["configuration", "harmonic-mean IPC", "avg/min transport latency", "network stall cycles"],
+            &[
+                "configuration",
+                "harmonic-mean IPC",
+                "avg/min transport latency",
+                "network stall cycles"
+            ],
             &rows
         )
     );
@@ -498,10 +542,26 @@ pub fn print_headline(study: &Study) {
         format_table(
             &["metric", "measured", "paper"],
             &[
-                vec!["area".to_owned(), signed_pct(h.area_change_pct), "-5.3%".to_owned()],
-                vec!["Integer IPC".to_owned(), signed_pct(h.int_ipc_gain_pct), "+6.1%".to_owned()],
-                vec!["Floating-Point IPC".to_owned(), signed_pct(h.fp_ipc_gain_pct), "+15.0%".to_owned()],
-                vec!["total energy".to_owned(), signed_pct(h.energy_change_pct), "-14.2%".to_owned()],
+                vec![
+                    "area".to_owned(),
+                    signed_pct(h.area_change_pct),
+                    "-5.3%".to_owned()
+                ],
+                vec![
+                    "Integer IPC".to_owned(),
+                    signed_pct(h.int_ipc_gain_pct),
+                    "+6.1%".to_owned()
+                ],
+                vec![
+                    "Floating-Point IPC".to_owned(),
+                    signed_pct(h.fp_ipc_gain_pct),
+                    "+15.0%".to_owned()
+                ],
+                vec![
+                    "total energy".to_owned(),
+                    signed_pct(h.energy_change_pct),
+                    "-14.2%".to_owned()
+                ],
             ]
         )
     );
@@ -516,7 +576,8 @@ pub fn print_area_table() {
                 row.label,
                 row.paper_mm2.map_or("—".to_owned(), |v| format!("{v:.2}")),
                 format!("{:.2}", row.model_mm2),
-                row.paper_network_pct.map_or("—".to_owned(), |v| format!("{v:.1}%")),
+                row.paper_network_pct
+                    .map_or("—".to_owned(), |v| format!("{v:.1}%")),
                 format!("{:.1}%", row.model_network_pct),
             ]
         })
@@ -524,7 +585,13 @@ pub fn print_area_table() {
     println!(
         "{}",
         format_table(
-            &["configuration", "paper mm2", "model mm2", "paper net %", "model net %"],
+            &[
+                "configuration",
+                "paper mm2",
+                "model mm2",
+                "paper net %",
+                "model net %"
+            ],
             &rows
         )
     );
@@ -579,23 +646,77 @@ pub fn print_table1() {
     println!(
         "{}",
         format_table(
-            &["cache", "size", "assoc", "block", "completion/initiation", "write policy"],
+            &[
+                "cache",
+                "size",
+                "assoc",
+                "block",
+                "completion/initiation",
+                "write policy"
+            ],
             &cache_rows
         )
     );
 
     let core_rows = vec![
-        vec!["fetch / issue / commit width".to_owned(), format!("{} / {}+{} / {}", core.fetch_width, core.issue_width_int_mem, core.issue_width_fp, core.commit_width)],
-        vec!["ROB / LSQ".to_owned(), format!("{} / {}", core.rob_size, core.lsq_size)],
-        vec!["INT / FP / MEM issue windows".to_owned(), format!("{} / {} / {}", core.int_window, core.fp_window, core.mem_window)],
-        vec!["store buffer".to_owned(), core.store_buffer_size.to_string()],
-        vec!["branch mispredict penalty".to_owned(), format!("{} cycles", core.mispredict_penalty)],
-        vec!["MSHRs L1 / L2 / L3".to_owned(), format!("{} / {} / {}", lnuca_sim::configs::L1_MSHRS, lnuca_sim::configs::L2_MSHRS, lnuca_sim::configs::L3_MSHRS)],
-        vec!["MSHR secondary misses".to_owned(), lnuca_sim::configs::MSHR_SECONDARY.to_string()],
-        vec!["L2/L3 write buffers".to_owned(), format!("{0} / {0}", lnuca_sim::configs::WRITE_BUFFER_ENTRIES)],
-        vec!["main memory".to_owned(), format!("{} + {} cycles/chunk, {} B wires", mem.first_chunk_cycles, mem.inter_chunk_cycles, mem.chunk_bytes)],
-        vec!["D-NUCA mesh".to_owned(), format!("{}x{} banks, {} VCs, {} B flits", dnuca.cols, dnuca.rows, dnuca.virtual_channels, dnuca.flit_bytes)],
-        vec!["L-NUCA buffers".to_owned(), format!("{} entries per link", lnuca.buffer_entries)],
+        vec![
+            "fetch / issue / commit width".to_owned(),
+            format!(
+                "{} / {}+{} / {}",
+                core.fetch_width, core.issue_width_int_mem, core.issue_width_fp, core.commit_width
+            ),
+        ],
+        vec![
+            "ROB / LSQ".to_owned(),
+            format!("{} / {}", core.rob_size, core.lsq_size),
+        ],
+        vec![
+            "INT / FP / MEM issue windows".to_owned(),
+            format!("{} / {} / {}", core.int_window, core.fp_window, core.mem_window),
+        ],
+        vec![
+            "store buffer".to_owned(),
+            core.store_buffer_size.to_string(),
+        ],
+        vec![
+            "branch mispredict penalty".to_owned(),
+            format!("{} cycles", core.mispredict_penalty),
+        ],
+        vec![
+            "MSHRs L1 / L2 / L3".to_owned(),
+            format!(
+                "{} / {} / {}",
+                lnuca_sim::configs::L1_MSHRS,
+                lnuca_sim::configs::L2_MSHRS,
+                lnuca_sim::configs::L3_MSHRS
+            ),
+        ],
+        vec![
+            "MSHR secondary misses".to_owned(),
+            lnuca_sim::configs::MSHR_SECONDARY.to_string(),
+        ],
+        vec![
+            "L2/L3 write buffers".to_owned(),
+            format!("{0} / {0}", lnuca_sim::configs::WRITE_BUFFER_ENTRIES),
+        ],
+        vec![
+            "main memory".to_owned(),
+            format!(
+                "{} + {} cycles/chunk, {} B wires",
+                mem.first_chunk_cycles, mem.inter_chunk_cycles, mem.chunk_bytes
+            ),
+        ],
+        vec![
+            "D-NUCA mesh".to_owned(),
+            format!(
+                "{}x{} banks, {} VCs, {} B flits",
+                dnuca.cols, dnuca.rows, dnuca.virtual_channels, dnuca.flit_bytes
+            ),
+        ],
+        vec![
+            "L-NUCA buffers".to_owned(),
+            format!("{} entries per link", lnuca.buffer_entries),
+        ],
     ];
     println!("{}", format_table(&["core / memory parameter", "value"], &core_rows));
 }
@@ -668,7 +789,8 @@ pub fn headline_main() {
     if !options.lnuca_levels.contains(&3) {
         options.lnuca_levels.push(3);
     }
-    let plan = ExperimentPlan::paper_conventional(&options).expect("paper configurations are valid");
+    let plan =
+        ExperimentPlan::paper_conventional(&options).expect("paper configurations are valid");
     let (study, wall) = run_plan(&plan).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -677,7 +799,11 @@ pub fn headline_main() {
     eprintln!(
         "simulated {:.1} Mcycles in {wall:.3} s wall-clock ({:.0} kcycles/s aggregate)",
         simulated as f64 / 1e6,
-        if wall > 0.0 { simulated as f64 / 1_000.0 / wall } else { 0.0 },
+        if wall > 0.0 {
+            simulated as f64 / 1_000.0 / wall
+        } else {
+            0.0
+        },
     );
     println!("Headline — LN3-144KB versus L2-256KB\n");
     print_headline(&study);
@@ -694,7 +820,8 @@ pub fn all_experiments_main() {
         scenario: scenario::builtin("paper-conventional").expect("builtin exists"),
         from_registry: true,
     };
-    let conventional_plan = resolved_plan(&conventional_scenario).expect("layered options are valid");
+    let conventional_plan =
+        resolved_plan(&conventional_scenario).expect("layered options are valid");
     let (conventional, conventional_wall) = run_plan(&conventional_plan).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -827,8 +954,7 @@ Sweeps add LNUCA_SWEEP_EPSILON and LNUCA_SWEEP_PROBE (flags win over env).";
 /// Returns a printable message; malformed dump lines carry their 1-based
 /// line number ([`lnuca_workloads::IngestError`]).
 pub fn ingest_dump(input: &str, output: &str) -> Result<String, String> {
-    let text =
-        std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
     let records = trace::ingest_text(&text).map_err(|e| format!("{input}: {e}"))?;
     trace::write_file(output, &records).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
@@ -855,7 +981,11 @@ pub fn sweep_main(
     probe: Option<u64>,
     report_path: Option<&str>,
 ) -> Result<usize, String> {
-    let mut config = if mini { SweepConfig::miniature() } else { SweepConfig::grid() };
+    let mut config = if mini {
+        SweepConfig::miniature()
+    } else {
+        SweepConfig::grid()
+    };
     knobs::apply_sweep_env(&mut config);
     if let Some(e) = epsilon {
         config.epsilon = e;
@@ -1059,9 +1189,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             for path in rest {
                 let outcome = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))
-                    .and_then(|text| {
-                        serde::json::parse(&text).map_err(|e| e.to_string())
-                    })
+                    .and_then(|text| serde::json::parse(&text).map_err(|e| e.to_string()))
                     .and_then(|value| scenario::validate_report(&value));
                 match outcome {
                     Ok(()) => println!("{path}: OK ({})", scenario::REPORT_SCHEMA),
@@ -1098,7 +1226,10 @@ pub fn cli_main(args: &[String]) -> i32 {
                 return 2;
             };
             let output = output.unwrap_or_else(|| {
-                Path::new(input).with_extension("lnt").to_string_lossy().into_owned()
+                Path::new(input)
+                    .with_extension("lnt")
+                    .to_string_lossy()
+                    .into_owned()
             });
             match ingest_dump(input, &output) {
                 Ok(summary) => {
@@ -1131,13 +1262,14 @@ pub fn cli_main(args: &[String]) -> i32 {
                         }
                     }
                 } else if arg == "--probe" {
-                    match iter.next().and_then(|raw| knobs::parse_u64(raw)).filter(|&v| v >= 1)
+                    match iter
+                        .next()
+                        .and_then(|raw| knobs::parse_u64(raw))
+                        .filter(|&v| v >= 1)
                     {
                         Some(p) => probe = Some(p),
                         None => {
-                            eprintln!(
-                                "error: --probe needs an instruction budget >= 1\n{USAGE}"
-                            );
+                            eprintln!("error: --probe needs an instruction budget >= 1\n{USAGE}");
                             return 2;
                         }
                     }
@@ -1267,11 +1399,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let dump = dir.join("ingest-sample.txt");
         let out = dir.join("ingest-sample.lnt");
-        std::fs::write(
-            &dump,
-            "# a tiny dump\nr 0x1000 0x400000\nw 4104 0x400004\nload 0x1010\n",
-        )
-        .unwrap();
+        std::fs::write(&dump, "# a tiny dump\nr 0x1000 0x400000\nw 4104 0x400004\nload 0x1010\n")
+            .unwrap();
         let code = cli_main(&[
             "ingest".to_owned(),
             dump.to_str().unwrap().to_owned(),
@@ -1298,11 +1427,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let dump = dir.join("ingest-lackey.txt");
         let out = dir.join("ingest-lackey.lnt");
-        std::fs::write(
-            &dump,
-            "==99== Lackey banner\nI  400d7d4,4\n L 4f0a828,8\n M 421b7f0,4\n",
-        )
-        .unwrap();
+        std::fs::write(&dump, "==99== Lackey banner\nI  400d7d4,4\n L 4f0a828,8\n M 421b7f0,4\n")
+            .unwrap();
         let code = cli_main(&[
             "ingest".to_owned(),
             dump.to_str().unwrap().to_owned(),
@@ -1326,7 +1452,11 @@ mod tests {
     fn ingest_and_sweep_flag_errors_are_usage_errors() {
         assert_eq!(cli_main(&["ingest".to_owned()]), 2);
         assert_eq!(
-            cli_main(&["ingest".to_owned(), "a.txt".to_owned(), "--output".to_owned()]),
+            cli_main(&[
+                "ingest".to_owned(),
+                "a.txt".to_owned(),
+                "--output".to_owned()
+            ]),
             2
         );
         assert_eq!(
@@ -1344,12 +1474,18 @@ mod tests {
 
     #[test]
     fn missing_files_and_commands_fail_cleanly() {
-        assert!(resolve_scenario("does/not/exist.json").unwrap_err().contains("cannot read"));
+        assert!(resolve_scenario("does/not/exist.json")
+            .unwrap_err()
+            .contains("cannot read"));
         assert_eq!(cli_main(&[]), 2);
         assert_eq!(cli_main(&["frobnicate".to_owned()]), 2);
         assert_eq!(cli_main(&["run".to_owned()]), 2);
         assert_eq!(
-            cli_main(&["run".to_owned(), "paper-dnuca".to_owned(), "--batch-size".to_owned()]),
+            cli_main(&[
+                "run".to_owned(),
+                "paper-dnuca".to_owned(),
+                "--batch-size".to_owned()
+            ]),
             2,
             "--batch-size without a value is a usage error"
         );

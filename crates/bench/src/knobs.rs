@@ -355,10 +355,7 @@ mod tests {
         assert_eq!(parse_workloads("ADV"), Some(WorkloadSelection::Adversarial));
         assert_eq!(
             parse_workloads("int.compress, adv.gups"),
-            Some(WorkloadSelection::Named(vec![
-                "int.compress".to_owned(),
-                "adv.gups".to_owned()
-            ]))
+            Some(WorkloadSelection::Named(vec!["int.compress".to_owned(), "adv.gups".to_owned()]))
         );
         assert_eq!(parse_workloads(" , ,, "), None, "separator soup is rejected, not Named([])");
     }

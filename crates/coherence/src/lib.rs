@@ -321,13 +321,16 @@ impl Directory {
     /// owner)`, in slot order. For end-of-run audits (the coherence
     /// oracle's final owner/sharer-set check); not a steady-state path.
     pub fn lines(&self) -> impl Iterator<Item = (u64, MsiState, u64, Option<usize>)> + '_ {
-        self.entries.iter().filter(|e| e.state != MsiState::Invalid).map(|e| {
-            let owner = match e.state {
-                MsiState::Modified => Some(e.owner as usize),
-                _ => None,
-            };
-            (e.line, e.state, e.sharers, owner)
-        })
+        self.entries
+            .iter()
+            .filter(|e| e.state != MsiState::Invalid)
+            .map(|e| {
+                let owner = match e.state {
+                    MsiState::Modified => Some(e.owner as usize),
+                    _ => None,
+                };
+                (e.line, e.state, e.sharers, owner)
+            })
     }
 
     /// A core's demand **read** of `line` reached the shared level. A
@@ -507,7 +510,10 @@ impl Directory {
     ) -> Option<Recall> {
         let base = self.set_base(line);
         let set = base..base + self.config.ways;
-        let slot = match set.clone().find(|&i| self.entries[i].state == MsiState::Invalid) {
+        let slot = match set
+            .clone()
+            .find(|&i| self.entries[i].state == MsiState::Invalid)
+        {
             Some(free) => free,
             None => {
                 // Recall the least-recently-touched entry: every holder
@@ -590,7 +596,10 @@ mod tests {
     fn private_read_and_write_transitions_follow_msi() {
         let mut d = dir(2);
         let tx = d.read(0, 0x80);
-        assert_eq!((tx.state, tx.invalidate, tx.writeback, tx.hit), (MsiState::Shared, 0, false, false));
+        assert_eq!(
+            (tx.state, tx.invalidate, tx.writeback, tx.hit),
+            (MsiState::Shared, 0, false, false)
+        );
         // Upgrade: the lone sharer writes.
         let tx = d.write(0, 0x80);
         assert_eq!((tx.state, tx.invalidate, tx.writeback), (MsiState::Modified, 0, false));

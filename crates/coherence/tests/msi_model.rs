@@ -85,7 +85,8 @@ impl Model {
                     None => 0,
                 };
                 assert_eq!(tx.invalidate, 0, "reads never invalidate");
-                self.lines.insert(line, ModelLine::Shared(mask | (1 << core)));
+                self.lines
+                    .insert(line, ModelLine::Shared(mask | (1 << core)));
             }
             MsiState::Modified => {
                 let others = match prior {
@@ -211,7 +212,9 @@ fn a_torture_sequence_of_every_op_kind_agrees_with_the_model() {
     let mut model = Model::default();
     let mut x = 0x1234_5678_9ABC_DEF0u64;
     for _ in 0..5_000 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let core = (x >> 7) as usize % CORES;
         let line = (x >> 23) % LINES;
         match (x >> 49) % 3 {

@@ -76,10 +76,7 @@ impl LNucaConfig {
             ));
         }
         if self.block_size > self.tile_size_bytes {
-            return Err(ConfigError::new(
-                "block_size",
-                "must not exceed the tile size",
-            ));
+            return Err(ConfigError::new("block_size", "must not exceed the tile size"));
         }
         if self.tile_ways == 0 {
             return Err(ConfigError::new("tile_ways", "must be nonzero"));
@@ -134,11 +131,41 @@ mod tests {
     #[test]
     fn validation_catches_each_field() {
         let base = LNucaConfig::default();
-        assert!(LNucaConfig { tile_size_bytes: 3000, ..base.clone() }.validate().is_err());
-        assert!(LNucaConfig { block_size: 0, ..base.clone() }.validate().is_err());
-        assert!(LNucaConfig { block_size: 16 * 1024, ..base.clone() }.validate().is_err());
-        assert!(LNucaConfig { tile_ways: 0, ..base.clone() }.validate().is_err());
-        assert!(LNucaConfig { buffer_entries: 0, ..base.clone() }.validate().is_err());
-        assert!(LNucaConfig { tile_ways: 3, ..base }.validate().is_err());
+        assert!(LNucaConfig {
+            tile_size_bytes: 3000,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(LNucaConfig {
+            block_size: 0,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(LNucaConfig {
+            block_size: 16 * 1024,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(LNucaConfig {
+            tile_ways: 0,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(LNucaConfig {
+            buffer_entries: 0,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(LNucaConfig {
+            tile_ways: 3,
+            ..base
+        }
+        .validate()
+        .is_err());
     }
 }

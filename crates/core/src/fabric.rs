@@ -174,16 +174,23 @@ impl LNuca {
         let tiles = (0..n)
             .map(|_| CacheArray::new(tile_geometry, config.tile_replacement))
             .collect();
-        let transport_in = (0..n).map(|_| OnOffBuffer::new(config.buffer_entries)).collect();
-        let replacement_in = (0..n).map(|_| OnOffBuffer::new(config.buffer_entries)).collect();
+        let transport_in = (0..n)
+            .map(|_| OnOffBuffer::new(config.buffer_entries))
+            .collect();
+        let replacement_in = (0..n)
+            .map(|_| OnOffBuffer::new(config.buffer_entries))
+            .collect();
 
         let search_roots = geometry.search_roots();
-        let search_children: Vec<Vec<usize>> = (0..n).map(|i| geometry.search_children(i)).collect();
+        let search_children: Vec<Vec<usize>> =
+            (0..n).map(|i| geometry.search_children(i)).collect();
         let transport_next: Vec<Vec<Hop>> = (0..n).map(|i| geometry.transport_next(i)).collect();
-        let replacement_next: Vec<Vec<usize>> = (0..n).map(|i| geometry.replacement_next(i)).collect();
+        let replacement_next: Vec<Vec<usize>> =
+            (0..n).map(|i| geometry.replacement_next(i)).collect();
         let root_targets = geometry.root_evict_targets();
-        let min_transport_latency: Vec<u64> =
-            (0..n).map(|i| geometry.coord(i).manhattan_to_root()).collect();
+        let min_transport_latency: Vec<u64> = (0..n)
+            .map(|i| geometry.coord(i).manhattan_to_root())
+            .collect();
         let tile_level: Vec<u8> = (0..n).map(|i| geometry.coord(i).level()).collect();
         let mut transport_order: Vec<usize> = (0..n).collect();
         transport_order.sort_by_key(|&i| min_transport_latency[i]);
@@ -275,7 +282,11 @@ impl LNuca {
                 .replacement_in
                 .iter()
                 .any(|b| b.iter().any(|m| m.msg.addr == base))
-            || self.pending_victims.iter().flatten().any(|m| m.addr == base)
+            || self
+                .pending_victims
+                .iter()
+                .flatten()
+                .any(|m| m.addr == base)
             || self.root_evict_queue.iter().any(|m| m.addr == base)
             || self
                 .pending_transport
@@ -404,7 +415,8 @@ impl LNuca {
     pub fn evict_from_root(&mut self, addr: Addr, dirty: bool) {
         let base = addr.block_base(self.config.block_size);
         self.stats.root_evictions += 1;
-        self.root_evict_queue.push_back(ReplMsg { addr: base, dirty });
+        self.root_evict_queue
+            .push_back(ReplMsg { addr: base, dirty });
     }
 
     /// Appends the hit blocks delivered to the root tile up to and including
@@ -604,7 +616,8 @@ impl LNuca {
                         },
                     ));
                 } else {
-                    self.scratch_frontier.extend_from_slice(&self.search_children[tile]);
+                    self.scratch_frontier
+                        .extend_from_slice(&self.search_children[tile]);
                 }
             }
 
@@ -742,8 +755,7 @@ impl LNuca {
             let mut sent = 0;
             // First retry messages that stalled in this tile.
             while sent < max_sends {
-                let candidate = self
-                    .pending_transport[tile]
+                let candidate = self.pending_transport[tile]
                     .iter()
                     .position(|m| m.forwardable_at <= now);
                 let Some(pos) = candidate else { break };
@@ -975,11 +987,7 @@ mod tests {
 
     /// Runs the fabric for `cycles` cycles starting at `start`, collecting
     /// all outputs.
-    fn run(
-        f: &mut LNuca,
-        start: u64,
-        cycles: u64,
-    ) -> (Vec<Arrival>, Vec<GlobalMiss>, Vec<Spill>) {
+    fn run(f: &mut LNuca, start: u64, cycles: u64) -> (Vec<Arrival>, Vec<GlobalMiss>, Vec<Spill>) {
         let mut arrivals = Vec::new();
         let mut misses = Vec::new();
         let mut spills = Vec::new();
@@ -1137,7 +1145,12 @@ mod tests {
         // Inject three searches in consecutive cycles; all miss. They must
         // pipeline: global misses are determined in consecutive cycles.
         for (i, c) in (0..3u64).enumerate() {
-            assert!(f.inject_search(Addr(0x1000 + i as u64 * 64), ReqId(i as u64), false, Cycle(c)));
+            assert!(f.inject_search(
+                Addr(0x1000 + i as u64 * 64),
+                ReqId(i as u64),
+                false,
+                Cycle(c)
+            ));
         }
         let (_, misses, _) = run(&mut f, 0, 12);
         assert_eq!(misses.len(), 3);

@@ -371,8 +371,16 @@ mod tests {
         // Fig. 2(c): in a 3-level L-NUCA tile latencies are
         // {3,3,3,4,4} in Le2 and {5,5,5,6,6,6,6,7,7} in Le3.
         let g = LNucaGeometry::new(3).unwrap();
-        let mut le2: Vec<u64> = g.level_tiles(2).iter().map(|&i| g.coord(i).latency()).collect();
-        let mut le3: Vec<u64> = g.level_tiles(3).iter().map(|&i| g.coord(i).latency()).collect();
+        let mut le2: Vec<u64> = g
+            .level_tiles(2)
+            .iter()
+            .map(|&i| g.coord(i).latency())
+            .collect();
+        let mut le3: Vec<u64> = g
+            .level_tiles(3)
+            .iter()
+            .map(|&i| g.coord(i).latency())
+            .collect();
         le2.sort_unstable();
         le3.sort_unstable();
         assert_eq!(le2, vec![3, 3, 3, 4, 4]);

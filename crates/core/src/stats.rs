@@ -1,6 +1,5 @@
 //! Statistics collected by the L-NUCA fabric.
 
-
 /// Event counters accumulated by an [`LNuca`](crate::LNuca) fabric.
 ///
 /// These counters feed three consumers: the Table III reproduction (read

@@ -80,14 +80,7 @@ fn steady_state_cycles_do_not_allocate() {
         drive(&mut fabric, 0, 20_000, &mut arrivals, &mut misses, &mut spills);
 
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let delivered = drive(
-            &mut fabric,
-            20_000,
-            10_000,
-            &mut arrivals,
-            &mut misses,
-            &mut spills,
-        );
+        let delivered = drive(&mut fabric, 20_000, 10_000, &mut arrivals, &mut misses, &mut spills);
         let after = ALLOCATIONS.load(Ordering::Relaxed);
 
         assert!(delivered > 0, "the load pattern must produce fabric hits");

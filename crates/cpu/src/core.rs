@@ -534,7 +534,9 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
 
     fn drain_store_buffer(&mut self, now: Cycle, memory: &mut dyn DataMemory) {
         for _ in 0..self.config.store_drain_per_cycle {
-            let Some(&addr) = self.store_buffer.front() else { break };
+            let Some(&addr) = self.store_buffer.front() else {
+                break;
+            };
             let req = MemRequest::write(self.alloc_req_id(), addr, now);
             if memory.issue(req, now) {
                 self.store_buffer.pop_front();
@@ -596,7 +598,8 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
                 // write itself is performed from the store buffer after
                 // commit).
                 InstrKind::IntAlu | InstrKind::Branch { .. } | InstrKind::Store => {
-                    self.int_done.push_back((now + self.config.int_latency, seq));
+                    self.int_done
+                        .push_back((now + self.config.int_latency, seq));
                 }
             }
             *issued += 1;
@@ -610,8 +613,7 @@ impl<T: Iterator<Item = Instr>> OooCore<T> {
         // changes (only loads can be rejected, and a ready non-load would
         // have issued); `next_event` uses this to defer to the hierarchy's
         // horizon instead of reporting busy.
-        self.last_issue_all_rejected =
-            rejected > 0 && int_issued == 0 && fp_issued == 0;
+        self.last_issue_all_rejected = rejected > 0 && int_issued == 0 && fp_issued == 0;
 
         // Lazy reject-stall accounting: one `(since, k)` window replays the
         // naive per-cycle `+k` exactly (see the field docs).
@@ -869,10 +871,14 @@ mod tests {
                 .sum();
             assert_eq!(listed, not_ready, "waiter lists hold exactly the unready entries");
 
-            for (queue, executing) in
-                [(&self.int_done, int_executing), (&self.fp_done, fp_executing)]
-            {
-                assert!(queue.iter().zip(queue.iter().skip(1)).all(|(a, b)| a.0 <= b.0));
+            for (queue, executing) in [
+                (&self.int_done, int_executing),
+                (&self.fp_done, fp_executing),
+            ] {
+                assert!(queue
+                    .iter()
+                    .zip(queue.iter().skip(1))
+                    .all(|(a, b)| a.0 <= b.0));
                 let mut seqs: Vec<u64> = queue.iter().map(|&(_, seq)| seq).collect();
                 seqs.sort_unstable();
                 assert_eq!(seqs, executing, "completion queue holds the executing entries");
@@ -998,8 +1004,7 @@ mod tests {
 
     #[test]
     fn stores_drain_through_the_store_buffer() {
-        let instrs: Vec<Instr> =
-            (0..500u64).map(|i| Instr::store(Addr(i * 32))).collect();
+        let instrs: Vec<Instr> = (0..500u64).map(|i| Instr::store(Addr(i * 32))).collect();
         let (stats, _, mem) = run_trace(instrs, 3, 200_000);
         assert_eq!(stats.stores, 500);
         assert_eq!(stats.committed, 500);
@@ -1020,7 +1025,10 @@ mod tests {
                 v.push(Instr::int_alu());
                 let taken = if predictable { true } else { rng.gen_bool(0.5) };
                 v.push(Instr {
-                    kind: InstrKind::Branch { pc: (i % 7) * 13, taken },
+                    kind: InstrKind::Branch {
+                        pc: (i % 7) * 13,
+                        taken,
+                    },
                     addr: None,
                     dep_distance: 1,
                 });
@@ -1056,7 +1064,10 @@ mod tests {
                 .map(|i| match i % 7 {
                     0 => Instr::load(Addr(i * 256)),
                     1 => Instr {
-                        kind: InstrKind::Branch { pc: i % 5, taken: i % 3 == 0 },
+                        kind: InstrKind::Branch {
+                            pc: i % 5,
+                            taken: i % 3 == 0,
+                        },
                         addr: None,
                         dep_distance: 1,
                     },
@@ -1186,7 +1197,10 @@ mod tests {
                     1 => InstrKind::FpAlu,
                     2 => InstrKind::Load,
                     3 => InstrKind::Store,
-                    _ => InstrKind::Branch { pc: block % 8, taken },
+                    _ => InstrKind::Branch {
+                        pc: block % 8,
+                        taken,
+                    },
                 };
                 Instr {
                     kind,

@@ -199,11 +199,8 @@ impl FixedLatencyMemory {
 impl DataMemory for FixedLatencyMemory {
     fn issue(&mut self, req: MemRequest, now: Cycle) -> bool {
         self.accepted += 1;
-        self.in_flight.push(MemResponse::for_request(
-            &req,
-            now + self.latency,
-            ServiceLevel::L1,
-        ));
+        self.in_flight
+            .push(MemResponse::for_request(&req, now + self.latency, ServiceLevel::L1));
         true
     }
 

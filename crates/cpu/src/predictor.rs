@@ -1,6 +1,5 @@
 //! Bimodal + gshare hybrid branch predictor.
 
-
 /// Number of bits of global history (paper: 16-bit gshare).
 const HISTORY_BITS: u32 = 16;
 /// Entries in the gshare pattern history table.
@@ -156,7 +155,10 @@ mod tests {
             taken = !taken;
         }
         let _ = (warm_mispredicts, warm_predictions);
-        assert!(extra < 50, "alternating branch should be nearly perfectly predicted, got {extra} misses");
+        assert!(
+            extra < 50,
+            "alternating branch should be nearly perfectly predicted, got {extra} misses"
+        );
     }
 
     #[test]

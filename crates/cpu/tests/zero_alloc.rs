@@ -100,10 +100,7 @@ fn steady_state_cycles_do_not_allocate() {
         let horizons = drive(&mut core, &mut memory, 20_000, 10_000);
         let after = ALLOCATIONS.load(Ordering::Relaxed);
 
-        assert!(
-            core.committed() > committed,
-            "the core must keep committing"
-        );
+        assert!(core.committed() > committed, "the core must keep committing");
         assert!(horizons > 0, "a running core reports horizons");
         assert_eq!(
             after - before,

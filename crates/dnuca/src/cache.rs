@@ -228,7 +228,9 @@ impl DNuca {
             worst_miss = worst_miss.max(answer_at);
         }
         match hit {
-            Some((row, data_back_at)) => self.finish_hit(addr, is_write, col, row, data_back_at, now),
+            Some((row, data_back_at)) => {
+                self.finish_hit(addr, is_write, col, row, data_back_at, now)
+            }
             None => DNucaOutcome::Miss {
                 determined_at: worst_miss,
             },
@@ -253,13 +255,22 @@ impl DNuca {
             }
             clock = answer_at;
         }
-        DNucaOutcome::Miss { determined_at: clock }
+        DNucaOutcome::Miss {
+            determined_at: clock,
+        }
     }
 
     /// Sends the request to bank (`col`, `row`), performs the bank lookup and
     /// returns the cycle at which the answer (data or miss) is back at the
     /// controller.
-    fn probe_bank(&mut self, addr: Addr, _is_write: bool, now: Cycle, col: usize, row: usize) -> Cycle {
+    fn probe_bank(
+        &mut self,
+        addr: Addr,
+        _is_write: bool,
+        now: Cycle,
+        col: usize,
+        row: usize,
+    ) -> Cycle {
         // Request: one flit from the controller edge to the bank.
         let request_arrives = self
             .mesh
@@ -382,7 +393,9 @@ mod tests {
         let rows = d.config().rows as u8;
         let first = d.access(addr, false, Cycle(10));
         match first {
-            DNucaOutcome::Hit { row, .. } => assert_eq!(row, rows - 1, "first hit is in the insertion row"),
+            DNucaOutcome::Hit { row, .. } => {
+                assert_eq!(row, rows - 1, "first hit is in the insertion row")
+            }
             DNucaOutcome::Miss { .. } => panic!("expected hit"),
         }
         // Each subsequent hit moves the block one row closer.
@@ -418,7 +431,11 @@ mod tests {
             DNucaOutcome::Hit { ready_at, .. } => ready_at.since(Cycle(100_000)),
             DNucaOutcome::Miss { .. } => panic!(),
         };
-        assert!(near < far, "row-0 hit ({near}) must be faster than row-{} hit ({far})", d.config().rows - 1);
+        assert!(
+            near < far,
+            "row-0 hit ({near}) must be faster than row-{} hit ({far})",
+            d.config().rows - 1
+        );
     }
 
     #[test]
@@ -463,7 +480,9 @@ mod tests {
         for d in [&mut multicast, &mut incremental, &mut multicast_nopromo] {
             d.fill(addr, false, Cycle(0));
         }
-        let m = multicast_nopromo.access(addr, false, Cycle(100)).resolved_at();
+        let m = multicast_nopromo
+            .access(addr, false, Cycle(100))
+            .resolved_at();
         let i = incremental.access(addr, false, Cycle(100)).resolved_at();
         assert!(i >= m, "incremental far hit cannot be faster than multicast");
         assert!(incremental.stats().bank_lookups >= multicast_nopromo.stats().bank_lookups);
@@ -475,7 +494,7 @@ mod tests {
         let cols = d.config().cols as u64;
         let block = d.config().block_size;
         let sets = 1024u64; // 256 KB, 2-way, 128 B => 1024 sets per bank
-        // Fill the same set of the insertion bank three times (2 ways).
+                            // Fill the same set of the insertion bank three times (2 ways).
         let mk = |i: u64| Addr(i * cols * sets * block);
         assert!(d.fill(mk(1), true, Cycle(0)).is_none());
         assert!(d.fill(mk(2), false, Cycle(0)).is_none());

@@ -1,6 +1,5 @@
 //! Cache and network area models (Table II).
 
-
 /// One row of the paper's Table II: configuration name, total L1+second-level
 /// area in mm² and the percentage of that area spent on the tile network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,10 +14,26 @@ pub struct Table2Row {
 
 /// The paper's Table II, verbatim.
 pub const PAPER_TABLE2: [Table2Row; 4] = [
-    Table2Row { name: "L2-256KB", area_mm2: 0.91, network_percent: 0.0 },
-    Table2Row { name: "LN2-72KB", area_mm2: 0.46, network_percent: 14.01 },
-    Table2Row { name: "LN3-144KB", area_mm2: 0.86, network_percent: 18.8 },
-    Table2Row { name: "LN4-248KB", area_mm2: 1.59, network_percent: 19.02 },
+    Table2Row {
+        name: "L2-256KB",
+        area_mm2: 0.91,
+        network_percent: 0.0,
+    },
+    Table2Row {
+        name: "LN2-72KB",
+        area_mm2: 0.46,
+        network_percent: 14.01,
+    },
+    Table2Row {
+        name: "LN3-144KB",
+        area_mm2: 0.86,
+        network_percent: 18.8,
+    },
+    Table2Row {
+        name: "LN4-248KB",
+        area_mm2: 1.59,
+        network_percent: 19.02,
+    },
 ];
 
 /// A Cacti-like analytical area model calibrated against Table II.
@@ -136,7 +151,12 @@ mod tests {
         ];
         for (row, value) in PAPER_TABLE2.iter().zip(modeled) {
             let err = (value - row.area_mm2).abs() / row.area_mm2;
-            assert!(err < 0.20, "{}: model {value:.3} vs paper {} (err {err:.2})", row.name, row.area_mm2);
+            assert!(
+                err < 0.20,
+                "{}: model {value:.3} vs paper {} (err {err:.2})",
+                row.name,
+                row.area_mm2
+            );
         }
     }
 

@@ -1,6 +1,5 @@
 //! Per-component energy parameters (Table I values plus network estimates).
 
-
 /// Processor cycle time in nanoseconds.
 ///
 /// The paper assumes a 19 FO4 cycle "similar to the Intel Core2 Duo E8600 in

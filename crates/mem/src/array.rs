@@ -155,7 +155,9 @@ impl CacheArray {
     /// holding the stored word `needle`.
     #[inline]
     fn way_holding(&self, base: usize, needle: u64) -> Option<usize> {
-        self.tags[base..base + self.assoc].iter().position(|&t| t == needle)
+        self.tags[base..base + self.assoc]
+            .iter()
+            .position(|&t| t == needle)
     }
 
     /// Scans the set containing `addr`; returns the matching way index.

@@ -200,7 +200,9 @@ impl CacheConfigBuilder {
         if cfg.initiation_interval == 0 {
             return Err(ConfigError::new("initiation_interval", "must be nonzero"));
         }
-        if cfg.miss_determination_cycles == 0 || cfg.miss_determination_cycles > cfg.completion_cycles {
+        if cfg.miss_determination_cycles == 0
+            || cfg.miss_determination_cycles > cfg.completion_cycles
+        {
             return Err(ConfigError::new(
                 "miss_determination_cycles",
                 format!(
@@ -477,7 +479,10 @@ mod tests {
     #[test]
     fn builder_rejects_bad_parameters() {
         assert!(CacheConfig::builder("x").size_bytes(3000).build().is_err());
-        assert!(CacheConfig::builder("x").completion_cycles(0).build().is_err());
+        assert!(CacheConfig::builder("x")
+            .completion_cycles(0)
+            .build()
+            .is_err());
         assert!(CacheConfig::builder("x").ports(0).build().is_err());
         assert!(CacheConfig::builder("x")
             .completion_cycles(2)

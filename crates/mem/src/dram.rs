@@ -152,11 +152,20 @@ mod tests {
 
     #[test]
     fn validation_rejects_zeroes() {
-        let cfg = MemoryConfig { first_chunk_cycles: 0, ..MemoryConfig::default() };
+        let cfg = MemoryConfig {
+            first_chunk_cycles: 0,
+            ..MemoryConfig::default()
+        };
         assert!(cfg.validate().is_err());
-        let cfg = MemoryConfig { chunk_bytes: 0, ..MemoryConfig::default() };
+        let cfg = MemoryConfig {
+            chunk_bytes: 0,
+            ..MemoryConfig::default()
+        };
         assert!(cfg.validate().is_err());
-        let cfg = MemoryConfig { chunk_bytes: 24, ..MemoryConfig::default() };
+        let cfg = MemoryConfig {
+            chunk_bytes: 24,
+            ..MemoryConfig::default()
+        };
         assert!(cfg.validate().is_err());
     }
 

@@ -197,7 +197,10 @@ mod tests {
         assert!(CacheGeometry::new(3000, 2, 32).is_err());
         assert!(CacheGeometry::new(8 * 1024, 0, 32).is_err());
         assert!(CacheGeometry::new(8 * 1024, 2, 48).is_err());
-        assert!(CacheGeometry::new(8 * 1024, 3, 32).is_err(), "3 ways over 256 lines leaves a non power-of-two set count");
+        assert!(
+            CacheGeometry::new(8 * 1024, 3, 32).is_err(),
+            "3 ways over 256 lines leaves a non power-of-two set count"
+        );
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod replacement;
 pub mod write_buffer;
 
 pub use array::{CacheArray, EvictedLine, Line};
-pub use probe::{AccessClass, CountingProbe, NoProbe, ProbeEvent, ProbeSink};
 pub use cache::{
     AccessMode, AccessOutcome, CacheConfig, CacheConfigBuilder, CacheStats, ConventionalCache,
     WritePolicy,
@@ -56,5 +55,6 @@ pub use cache::{
 pub use dram::{MainMemory, MemoryConfig};
 pub use geometry::CacheGeometry;
 pub use mshr::{MshrAllocation, MshrFile};
+pub use probe::{AccessClass, CountingProbe, NoProbe, ProbeEvent, ProbeSink};
 pub use replacement::ReplacementPolicy;
 pub use write_buffer::WriteBuffer;

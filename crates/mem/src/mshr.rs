@@ -92,7 +92,11 @@ impl MshrFile {
     ///
     /// Returns a [`ConfigError`] if `capacity` is zero or `block_size` is not
     /// a power of two.
-    pub fn new(capacity: usize, secondary_per_entry: usize, block_size: u64) -> Result<Self, ConfigError> {
+    pub fn new(
+        capacity: usize,
+        secondary_per_entry: usize,
+        block_size: u64,
+    ) -> Result<Self, ConfigError> {
         if capacity == 0 {
             return Err(ConfigError::new("capacity", "must be nonzero"));
         }
@@ -204,7 +208,11 @@ impl MshrFile {
     /// slots in index order, and hands each waiting request to `hand_back`
     /// with its entry's arrival cycle and service level. Returns at once
     /// while [`MshrFile::next_arrival`] is later than `now`.
-    pub fn retire_arrived(&mut self, now: Cycle, mut hand_back: impl FnMut(MemRequest, Cycle, ServiceLevel)) {
+    pub fn retire_arrived(
+        &mut self,
+        now: Cycle,
+        mut hand_back: impl FnMut(MemRequest, Cycle, ServiceLevel),
+    ) {
         if self.next_arrival.is_none_or(|e| e > now) {
             return;
         }
@@ -253,7 +261,11 @@ mod tests {
         let mut m = MshrFile::new(2, 1, 64).unwrap();
         assert_eq!(m.allocate(read(1, 0x00)), MshrAllocation::Primary);
         assert_eq!(m.allocate(read(2, 0x3F)), MshrAllocation::Secondary);
-        assert_eq!(m.allocate(read(3, 0x20)), MshrAllocation::Full, "entry for block 0 is saturated");
+        assert_eq!(
+            m.allocate(read(3, 0x20)),
+            MshrAllocation::Full,
+            "entry for block 0 is saturated"
+        );
         assert_eq!(m.allocate(read(4, 0x40)), MshrAllocation::Primary);
         assert!(m.is_pending(Addr(0x00)));
         assert!(!m.is_pending(Addr(0x80)));
@@ -327,7 +339,10 @@ mod tests {
         m.retire_arrived(Cycle(9), |r, at, by| got.push((r.id, at, by)));
         assert_eq!(
             got,
-            vec![(ReqId(1), Cycle(9), ServiceLevel::Memory), (ReqId(3), Cycle(9), ServiceLevel::Memory)]
+            vec![
+                (ReqId(1), Cycle(9), ServiceLevel::Memory),
+                (ReqId(3), Cycle(9), ServiceLevel::Memory)
+            ]
         );
         assert_eq!(m.next_arrival(), None);
         assert_eq!(m.occupancy(), 0);

@@ -72,7 +72,11 @@ fn the_paper_l3_array_costs_at_most_10_bytes_per_line() {
     let geometry = CacheGeometry::new(8 * 1024 * 1024, 16, 128).unwrap();
     let lines = geometry.lines();
     assert_eq!(lines, 65_536);
-    for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo, ReplacementPolicy::Random] {
+    for policy in [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Random,
+    ] {
         let peak = peak_while(|| {
             let mut array = CacheArray::new(geometry, policy);
             // Fill every line twice over, so every set evicts: no path

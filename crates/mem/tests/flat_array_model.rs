@@ -206,29 +206,48 @@ fn check(geometry: CacheGeometry, policy: ReplacementPolicy, ops: &[Op]) {
     for (step, &op) in ops.iter().enumerate() {
         match op {
             Op::Lookup(a) => prop_assert_eq!(
-                flat.lookup(Addr(a)), reference.lookup(Addr(a)),
-                "lookup({:#x}) diverged at step {}", a, step
+                flat.lookup(Addr(a)),
+                reference.lookup(Addr(a)),
+                "lookup({:#x}) diverged at step {}",
+                a,
+                step
             ),
             Op::Fill(a, dirty) => prop_assert_eq!(
-                flat.fill(Addr(a), dirty), reference.fill(Addr(a), dirty),
-                "fill({:#x}, {}) diverged at step {}", a, dirty, step
+                flat.fill(Addr(a), dirty),
+                reference.fill(Addr(a), dirty),
+                "fill({:#x}, {}) diverged at step {}",
+                a,
+                dirty,
+                step
             ),
             Op::MarkDirty(a) => prop_assert_eq!(
-                flat.mark_dirty(Addr(a)), reference.mark_dirty(Addr(a)),
-                "mark_dirty({:#x}) diverged at step {}", a, step
+                flat.mark_dirty(Addr(a)),
+                reference.mark_dirty(Addr(a)),
+                "mark_dirty({:#x}) diverged at step {}",
+                a,
+                step
             ),
             Op::Invalidate(a) => prop_assert_eq!(
-                flat.invalidate(Addr(a)), reference.invalidate(Addr(a)),
-                "invalidate({:#x}) diverged at step {}", a, step
+                flat.invalidate(Addr(a)),
+                reference.invalidate(Addr(a)),
+                "invalidate({:#x}) diverged at step {}",
+                a,
+                step
             ),
             Op::Probe(a) => {
                 prop_assert_eq!(
-                    flat.contains(Addr(a)), reference.contains(Addr(a)),
-                    "contains({:#x}) diverged at step {}", a, step
+                    flat.contains(Addr(a)),
+                    reference.contains(Addr(a)),
+                    "contains({:#x}) diverged at step {}",
+                    a,
+                    step
                 );
                 prop_assert_eq!(
-                    flat.has_free_way(Addr(a)), reference.has_free_way(Addr(a)),
-                    "has_free_way({:#x}) diverged at step {}", a, step
+                    flat.has_free_way(Addr(a)),
+                    reference.has_free_way(Addr(a)),
+                    "has_free_way({:#x}) diverged at step {}",
+                    a,
+                    step
                 );
             }
         }

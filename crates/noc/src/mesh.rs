@@ -225,8 +225,16 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        assert!(WormholeMesh::new(MeshConfig { cols: 0, ..MeshConfig::default() }).is_err());
-        assert!(WormholeMesh::new(MeshConfig { virtual_channels: 0, ..MeshConfig::default() }).is_err());
+        assert!(WormholeMesh::new(MeshConfig {
+            cols: 0,
+            ..MeshConfig::default()
+        })
+        .is_err());
+        assert!(WormholeMesh::new(MeshConfig {
+            virtual_channels: 0,
+            ..MeshConfig::default()
+        })
+        .is_err());
     }
 
     #[test]

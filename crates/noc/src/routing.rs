@@ -106,7 +106,9 @@ mod tests {
         let candidates = [NodeId(1), NodeId(2)];
         let mut seen = [false, false];
         for _ in 0..100 {
-            let c = RoutingPolicy::RandomValid.choose(&candidates, &mut rng).unwrap();
+            let c = RoutingPolicy::RandomValid
+                .choose(&candidates, &mut rng)
+                .unwrap();
             assert!(candidates.contains(&c));
             seen[c.0 - 1] = true;
         }
@@ -119,7 +121,11 @@ mod tests {
         let draw = |seed: u64| {
             let mut rng = SmallRng::seed_from_u64(seed);
             (0..20)
-                .map(|_| RoutingPolicy::RandomValid.choose(&candidates, &mut rng).unwrap())
+                .map(|_| {
+                    RoutingPolicy::RandomValid
+                        .choose(&candidates, &mut rng)
+                        .unwrap()
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(draw(7), draw(7));

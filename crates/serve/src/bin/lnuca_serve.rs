@@ -63,10 +63,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let bound = listener
-        .local_addr()
-        .map(|a| a.to_string())
-        .unwrap_or(addr);
+    let bound = listener.local_addr().map(|a| a.to_string()).unwrap_or(addr);
     let server = Server::start(config.clone());
     // Discovery line: tests and CI bind port 0 and parse the real port
     // from here. Keep the format stable.

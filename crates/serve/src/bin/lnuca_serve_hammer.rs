@@ -70,7 +70,11 @@ fn parse_args() -> Result<Args, String> {
                 let spec = iter.next().ok_or("--ramp needs N1,N2,...")?;
                 args.ramp = spec
                     .split(',')
-                    .map(|n| n.trim().parse::<usize>().map_err(|e| format!("--ramp: {e}")))
+                    .map(|n| {
+                        n.trim()
+                            .parse::<usize>()
+                            .map_err(|e| format!("--ramp: {e}"))
+                    })
                     .collect::<Result<_, _>>()?;
                 if args.ramp.is_empty() {
                     return Err("--ramp needs at least one level".into());
@@ -296,13 +300,8 @@ fn run() -> Result<(Value, Option<String>), String> {
         return Err("cold submission was not a cache miss".into());
     }
     let warm_started = Instant::now();
-    let warm = http::request(
-        &args.addr,
-        "POST",
-        "/v1/jobs?wait=600",
-        doc.as_bytes(),
-        CLIENT_TIMEOUT,
-    )?;
+    let warm =
+        http::request(&args.addr, "POST", "/v1/jobs?wait=600", doc.as_bytes(), CLIENT_TIMEOUT)?;
     let warm_ms = warm_started.elapsed().as_millis() as u64;
     if warm.status != 200 || warm.header("x-lnuca-cache") != Some("hit") {
         return Err(format!("warm submission was not a cache hit ({})", warm.status));
@@ -369,19 +368,15 @@ fn run() -> Result<(Value, Option<String>), String> {
         let started = Instant::now();
         let deadline = started + Duration::from_secs(600);
         loop {
-            match http::request(
-                &args.addr,
-                "GET",
-                "/healthz",
-                b"",
-                Duration::from_secs(2),
-            ) {
+            match http::request(&args.addr, "GET", "/healthz", b"", Duration::from_secs(2)) {
                 Err(_) => {
                     drain_seconds = started.elapsed().as_secs_f64();
                     break;
                 }
                 Ok(_) if Instant::now() > deadline => {
-                    return Err("invariant violated: daemon still listening 600s after SIGTERM".into())
+                    return Err(
+                        "invariant violated: daemon still listening 600s after SIGTERM".into()
+                    )
                 }
                 Ok(_) => thread::sleep(Duration::from_millis(100)),
             }
@@ -406,16 +401,10 @@ fn run() -> Result<(Value, Option<String>), String> {
         })
         .collect();
     let report = Value::Object(vec![
-        (
-            "schema".into(),
-            Value::String("lnuca-serve-hammer/v1".into()),
-        ),
+        ("schema".into(), Value::String("lnuca-serve-hammer/v1".into())),
         ("scenario".into(), Value::String(args.scenario.clone())),
         ("queue_bound".into(), Value::UInt(scraper.queue_bound as u64)),
-        (
-            "max_observed_queue_depth".into(),
-            Value::UInt(scraper.max_queue_depth as u64),
-        ),
+        ("max_observed_queue_depth".into(), Value::UInt(scraper.max_queue_depth as u64)),
         (
             "admission_breaking_point_concurrency".into(),
             breaking_point.map_or(Value::Null, |l| Value::UInt(l as u64)),

@@ -241,14 +241,9 @@ mod tests {
             )
             .expect("respond");
         });
-        let resp = request(
-            &addr,
-            "POST",
-            "/v1/jobs?priority=2",
-            b"{\"x\":1}",
-            Duration::from_secs(5),
-        )
-        .expect("request");
+        let resp =
+            request(&addr, "POST", "/v1/jobs?priority=2", b"{\"x\":1}", Duration::from_secs(5))
+                .expect("request");
         server.join().expect("server thread");
         assert_eq!(resp.status, 429);
         assert_eq!(resp.header("retry-after"), Some("1"));
@@ -261,10 +256,8 @@ mod tests {
         let addr = listener.local_addr().expect("addr").to_string();
         let client = thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).expect("connect");
-            let head = format!(
-                "POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-                MAX_BODY_BYTES + 1
-            );
+            let head =
+                format!("POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
             stream.write_all(head.as_bytes()).expect("write");
         });
         let (mut stream, _) = listener.accept().expect("accept");

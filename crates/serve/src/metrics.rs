@@ -78,7 +78,9 @@ impl Metrics {
     #[must_use]
     pub fn new(workers: usize, queue_bound: usize) -> Self {
         let mut metrics = Metrics::default();
-        metrics.queue_bound.store(queue_bound as u64, Ordering::Relaxed);
+        metrics
+            .queue_bound
+            .store(queue_bound as u64, Ordering::Relaxed);
         metrics.worker_kcycles_per_sec = (0..workers).map(|_| AtomicU64::new(0)).collect();
         metrics
     }
@@ -143,7 +145,11 @@ impl Metrics {
                 "submissions refused while draining (503)",
             ),
             ("lnuca_serve_cache_hits_total", &self.cache_hits_total, "result-cache hits"),
-            ("lnuca_serve_cache_misses_total", &self.cache_misses_total, "result-cache misses"),
+            (
+                "lnuca_serve_cache_misses_total",
+                &self.cache_misses_total,
+                "result-cache misses",
+            ),
             (
                 "lnuca_serve_cache_evictions_total",
                 &self.cache_evictions_total,
@@ -186,7 +192,11 @@ impl Metrics {
             let _ = writeln!(out, "{name} {}", value.load(Ordering::Relaxed));
         }
         let gauges: &[(&str, &AtomicU64, &str)] = &[
-            ("lnuca_serve_queue_depth", &self.queue_depth, "jobs queued, waiting for a worker"),
+            (
+                "lnuca_serve_queue_depth",
+                &self.queue_depth,
+                "jobs queued, waiting for a worker",
+            ),
             ("lnuca_serve_queue_bound", &self.queue_bound, "configured admission bound"),
             ("lnuca_serve_inflight_jobs", &self.inflight_jobs, "jobs currently running"),
             ("lnuca_serve_draining", &self.draining, "1 while the daemon drains"),

@@ -142,13 +142,14 @@ pub fn handle_connection(server: &Arc<Server>, mut stream: TcpStream) {
             );
         }
         ("GET", "/healthz") => {
-            let status = if server.is_draining() { "draining" } else { "ok" };
+            let status = if server.is_draining() {
+                "draining"
+            } else {
+                "ok"
+            };
             let body = object(vec![
                 ("status", Value::String(status.to_owned())),
-                (
-                    "uptime_seconds",
-                    Value::UInt(server.uptime().as_secs()),
-                ),
+                ("uptime_seconds", Value::UInt(server.uptime().as_secs())),
             ]);
             respond_json(&mut stream, 200, &[], &body);
         }
@@ -164,18 +165,16 @@ pub fn handle_connection(server: &Arc<Server>, mut stream: TcpStream) {
                 server.submit(Source::Name(name), priority_of(query), wait_of(query));
             respond_submission(&mut stream, submission, waited);
         }
-        ("GET", _) if path.starts_with("/v1/jobs/") => {
-            match parse_id(&path["/v1/jobs/".len()..]) {
-                Some(id) => match server.snapshot(id) {
-                    Some(snapshot) => {
-                        let body = snapshot_json(&snapshot, true);
-                        respond_json(&mut stream, 200, &[], &body);
-                    }
-                    None => respond_error(&mut stream, 404, "no such job"),
-                },
-                None => respond_error(&mut stream, 400, "job ids are decimal integers"),
-            }
-        }
+        ("GET", _) if path.starts_with("/v1/jobs/") => match parse_id(&path["/v1/jobs/".len()..]) {
+            Some(id) => match server.snapshot(id) {
+                Some(snapshot) => {
+                    let body = snapshot_json(&snapshot, true);
+                    respond_json(&mut stream, 200, &[], &body);
+                }
+                None => respond_error(&mut stream, 404, "no such job"),
+            },
+            None => respond_error(&mut stream, 400, "job ids are decimal integers"),
+        },
         ("DELETE", _) if path.starts_with("/v1/jobs/") => {
             match parse_id(&path["/v1/jobs/".len()..]) {
                 Some(id) => match server.cancel(id) {
@@ -301,12 +300,7 @@ fn snapshot_json(snapshot: &JobSnapshot, include_report: bool) -> Value {
 }
 
 fn object(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 fn respond_json(stream: &mut TcpStream, status: u16, extra: &[(&str, &str)], body: &Value) {

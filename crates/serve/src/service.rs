@@ -479,7 +479,12 @@ impl Server {
     /// is not evicted while the wait blocks.
     #[must_use]
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobSnapshot> {
-        self.inner.lock().expect("inner lock").jobs.get_mut(&id)?.waiters += 1;
+        self.inner
+            .lock()
+            .expect("inner lock")
+            .jobs
+            .get_mut(&id)?
+            .waiters += 1;
         self.wait_held(id, timeout)
     }
 
@@ -490,7 +495,10 @@ impl Server {
         let mut inner = self.inner.lock().expect("inner lock");
         loop {
             // Present: a record with a waiter is never evicted.
-            let terminal = inner.jobs.get(&id).is_none_or(|job| job.state.is_terminal());
+            let terminal = inner
+                .jobs
+                .get(&id)
+                .is_none_or(|job| job.state.is_terminal());
             let now = Instant::now();
             if terminal || now >= deadline {
                 break;
@@ -560,7 +568,11 @@ impl Server {
         let queued: Vec<u64> = inner.queue.drain().map(|slot| slot.id).collect();
         self.metrics.queue_depth.store(0, Ordering::Relaxed);
         for id in queued {
-            if inner.jobs.get(&id).is_some_and(|job| job.state == JobState::Queued) {
+            if inner
+                .jobs
+                .get(&id)
+                .is_some_and(|job| job.state == JobState::Queued)
+            {
                 let job = inner.touch(id).expect("job present");
                 job.state = JobState::Shutdown;
                 job.error = Some("daemon drained before the job ran".to_owned());
@@ -600,8 +612,12 @@ impl Server {
     /// race to publish.
     fn sync_cache_stats(&self, cache: &ResultCache) {
         let (hits, misses, evictions) = cache.stats();
-        self.metrics.cache_hits_total.fetch_max(hits, Ordering::Relaxed);
-        self.metrics.cache_misses_total.fetch_max(misses, Ordering::Relaxed);
+        self.metrics
+            .cache_hits_total
+            .fetch_max(hits, Ordering::Relaxed);
+        self.metrics
+            .cache_misses_total
+            .fetch_max(misses, Ordering::Relaxed);
         self.metrics
             .cache_evictions_total
             .fetch_max(evictions, Ordering::Relaxed);
@@ -738,8 +754,7 @@ impl Server {
                     self.metrics
                         .record_worker_rate(index, cycles as f64 / 1_000.0 / wall_seconds);
                 }
-                let report: Arc<str> =
-                    Arc::from(scenario::report_value(&plan, &study).to_pretty());
+                let report: Arc<str> = Arc::from(scenario::report_value(&plan, &study).to_pretty());
                 let stopped = work.stop.error();
                 if let Some(stop_error) = stopped {
                     let state = match stop_error {

@@ -33,17 +33,7 @@ fn the_retired_baseline_flag_is_an_unknown_flag() {
         .expect("collect lnuca-serve output");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !out.status.success(),
-        "exit {:?}, stderr: {stderr}",
-        out.status
-    );
-    assert!(
-        stderr.contains("unknown flag \"--baseline\""),
-        "stderr: {stderr}"
-    );
-    assert!(
-        !stdout.contains("listening on"),
-        "the daemon bound: {stdout}"
-    );
+    assert!(!out.status.success(), "exit {:?}, stderr: {stderr}", out.status);
+    assert!(stderr.contains("unknown flag \"--baseline\""), "stderr: {stderr}");
+    assert!(!stdout.contains("listening on"), "the daemon bound: {stdout}");
 }

@@ -83,14 +83,13 @@ fn drain_mid_study_journals_and_a_restarted_daemon_resumes_byte_identical() {
                 if records >= 2 {
                     break;
                 }
-                assert!(
-                    Instant::now() < deadline,
-                    "no journal record appeared within 120s"
-                );
+                assert!(Instant::now() < deadline, "no journal record appeared within 120s");
                 std::thread::sleep(Duration::from_millis(1));
             }
             server_a.begin_drain();
-            let snapshot = server_a.wait(id, Duration::from_secs(300)).expect("job exists");
+            let snapshot = server_a
+                .wait(id, Duration::from_secs(300))
+                .expect("job exists");
             assert!(
                 snapshot.state.is_terminal(),
                 "drain must terminate the job, got {:?}",
@@ -126,17 +125,13 @@ fn drain_mid_study_journals_and_a_restarted_daemon_resumes_byte_identical() {
         baseline_path: None,
     });
     let id = accepted_id(server_b.submit_document(&document, 0));
-    let snapshot = server_b.wait(id, Duration::from_secs(300)).expect("job exists");
+    let snapshot = server_b
+        .wait(id, Duration::from_secs(300))
+        .expect("job exists");
     assert_eq!(snapshot.state, JobState::Done, "error: {:?}", snapshot.error);
     let report = snapshot.report.expect("done jobs report");
-    assert_eq!(
-        &*report, &expected,
-        "resumed report differs from the uninterrupted run"
-    );
-    assert!(
-        !journal_path.exists(),
-        "a completed job's journal is consumed"
-    );
+    assert_eq!(&*report, &expected, "resumed report differs from the uninterrupted run");
+    assert!(!journal_path.exists(), "a completed job's journal is consumed");
 
     // And the resumed result is cached like any other completed job.
     match server_b.submit_document(&document, 0) {

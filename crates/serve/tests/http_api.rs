@@ -80,12 +80,15 @@ fn http_surface_submits_polls_caches_cancels_and_drains() {
         .expect("async submit");
     assert_eq!(accepted.status, 202);
     let parsed = serde::json::parse(&accepted.text()).expect("ticket parses");
-    let id = parsed.get("id").and_then(|v| v.as_u64()).expect("ticket id");
-    let polled = http::request(&addr, "GET", &format!("/v1/jobs/{id}"), b"", TIMEOUT)
-        .expect("poll");
+    let id = parsed
+        .get("id")
+        .and_then(|v| v.as_u64())
+        .expect("ticket id");
+    let polled =
+        http::request(&addr, "GET", &format!("/v1/jobs/{id}"), b"", TIMEOUT).expect("poll");
     assert_eq!(polled.status, 200);
-    let cancel = http::request(&addr, "DELETE", &format!("/v1/jobs/{id}"), b"", TIMEOUT)
-        .expect("cancel");
+    let cancel =
+        http::request(&addr, "DELETE", &format!("/v1/jobs/{id}"), b"", TIMEOUT).expect("cancel");
     assert_eq!(cancel.status, 200);
 
     // Registry-name submission (cancelled immediately — full-scale plans
@@ -94,7 +97,10 @@ fn http_surface_submits_polls_caches_cancels_and_drains() {
         .expect("registry submit");
     assert_eq!(named.status, 202);
     let ticket = serde::json::parse(&named.text()).expect("ticket parses");
-    let named_id = ticket.get("id").and_then(|v| v.as_u64()).expect("ticket id");
+    let named_id = ticket
+        .get("id")
+        .and_then(|v| v.as_u64())
+        .expect("ticket id");
     let _ = http::request(&addr, "DELETE", &format!("/v1/jobs/{named_id}"), b"", TIMEOUT);
 
     // Error surface: bad JSON is 400, unknown routes/jobs are 404.
@@ -104,8 +110,8 @@ fn http_surface_submits_polls_caches_cancels_and_drains() {
     assert_eq!(missing.status, 404);
     let nowhere = http::request(&addr, "GET", "/nowhere", b"", TIMEOUT).expect("nowhere");
     assert_eq!(nowhere.status, 404);
-    let unknown_name = http::request(&addr, "POST", "/v1/scenarios/blorp", b"", TIMEOUT)
-        .expect("unknown name");
+    let unknown_name =
+        http::request(&addr, "POST", "/v1/scenarios/blorp", b"", TIMEOUT).expect("unknown name");
     assert_eq!(unknown_name.status, 400);
 
     // Drain: the loop notices `begin_drain` (the in-process stand-in for

@@ -48,11 +48,7 @@ fn wait_terminal(server: &Server, id: u64) -> lnuca_serve::JobSnapshot {
     let snapshot = server
         .wait(id, Duration::from_secs(300))
         .expect("job exists");
-    assert!(
-        snapshot.state.is_terminal(),
-        "job {id} still {:?} after 300s",
-        snapshot.state
-    );
+    assert!(snapshot.state.is_terminal(), "job {id} still {:?} after 300s", snapshot.state);
     snapshot
 }
 
@@ -123,8 +119,14 @@ fn completed_job_is_cached_and_resubmission_is_byte_identical() {
     );
 
     let (hits, misses, _) = (
-        server.metrics().cache_hits_total.load(std::sync::atomic::Ordering::Relaxed),
-        server.metrics().cache_misses_total.load(std::sync::atomic::Ordering::Relaxed),
+        server
+            .metrics()
+            .cache_hits_total
+            .load(std::sync::atomic::Ordering::Relaxed),
+        server
+            .metrics()
+            .cache_misses_total
+            .load(std::sync::atomic::Ordering::Relaxed),
         (),
     );
     assert_eq!(hits, 2, "two hits (identical + knob variant)");
@@ -160,10 +162,7 @@ fn evicted_digest_reruns_and_never_serves_stale_bytes() {
         other => panic!("unexpected submission outcome {other:?}"),
     };
     assert_eq!(a2.state, JobState::Done);
-    assert_eq!(
-        a1.report, a2.report,
-        "the re-run after eviction reproduces the original bytes"
-    );
+    assert_eq!(a1.report, a2.report, "the re-run after eviction reproduces the original bytes");
     let evictions = server
         .metrics()
         .cache_evictions_total
@@ -379,10 +378,7 @@ fn priority_orders_the_queue_and_ties_stay_fifo() {
         assert!(Instant::now() < deadline, "queue never drained");
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(
-        claim_order, expected,
-        "claims must follow priority desc, FIFO within a level"
-    );
+    assert_eq!(claim_order, expected, "claims must follow priority desc, FIFO within a level");
     for &id in &expected {
         assert_eq!(wait_terminal(&server, id).state, JobState::Done);
     }
@@ -443,10 +439,7 @@ fn registry_submission_runs_and_caches_like_the_cli() {
     };
     let _ = server.cancel(first);
     let snapshot = wait_terminal(&server, first);
-    assert!(matches!(
-        snapshot.state,
-        JobState::Cancelled | JobState::Done
-    ));
+    assert!(matches!(snapshot.state, JobState::Cancelled | JobState::Done));
     server.begin_drain();
     server.drain_join();
 }
@@ -529,7 +522,10 @@ fn concurrent_waiting_submissions_at_capacity_one_each_get_their_own_report() {
                         })
                     })
                     .collect();
-                handles.into_iter().map(|h| h.join().expect("submitter")).collect()
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("submitter"))
+                    .collect()
             });
         for (seed, submission, waited) in outcomes {
             let Submission::Accepted { id, digest } = submission else {

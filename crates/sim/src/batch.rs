@@ -388,8 +388,7 @@ fn start<P: ProbeSink>(member: &mut Member<'_, P>) -> Running<P> {
     let job = member.job;
     let probe = member.probe.take().expect("a member starts once");
     Running {
-        machine: Machine::build(&job, probe)
-            .expect("a spec that passed validation always builds"),
+        machine: Machine::build(&job, probe).expect("a spec that passed validation always builds"),
         cap: job.instructions.saturating_mul(400) + 1_000_000,
         now: Cycle(0),
         guard: member.guard.take(),
@@ -450,7 +449,11 @@ fn advance<P: ProbeSink>(running: &mut Running<P>, engine: Engine) -> bool {
 /// code small.
 #[cold]
 #[inline(never)]
-fn retire<P: ProbeSink>(machine: &mut Machine<P>, now: Cycle, profile: &WorkloadProfile) -> RunResult {
+fn retire<P: ProbeSink>(
+    machine: &mut Machine<P>,
+    now: Cycle,
+    profile: &WorkloadProfile,
+) -> RunResult {
     match machine {
         Machine::Solo { hierarchy, core } => {
             core.finalize_stats(now);
@@ -508,9 +511,14 @@ mod tests {
                 .collect();
             let batched = BatchRunner::new(engine, &jobs).unwrap().run_results();
             for (job, result) in jobs.iter().zip(&batched) {
-                let solo =
-                    System::run_spec_with(engine, job.spec, job.profile, job.instructions, job.seed)
-                        .unwrap();
+                let solo = System::run_spec_with(
+                    engine,
+                    job.spec,
+                    job.profile,
+                    job.instructions,
+                    job.seed,
+                )
+                .unwrap();
                 assert_eq!(result, &solo, "{} under {:?}", job.profile.name, engine);
             }
         }
@@ -533,7 +541,11 @@ mod tests {
             .collect();
         let mut runner = BatchRunner::new(Engine::EventHorizon, &jobs).unwrap();
         assert_eq!(runner.len(), 3);
-        assert_eq!(runner.live(), 3, "even a zero-budget member gets its first tick, as solo would");
+        assert_eq!(
+            runner.live(),
+            3,
+            "even a zero-budget member gets its first tick, as solo would"
+        );
         // Members run in job order: the live count drops as each retires.
         let mut live_seen = vec![runner.live()];
         while runner.step() {

@@ -219,19 +219,13 @@ impl<P: ProbeSink> CmpMemory<P> {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let (shared, shared_level, memory_block) = match &spec.backing {
-            BackingSpec::Cache(cfg) => (
-                Some(ConventionalCache::new(cfg.clone())?),
-                ServiceLevel::L3,
-                cfg.block_size,
-            ),
+            BackingSpec::Cache(cfg) => {
+                (Some(ConventionalCache::new(cfg.clone())?), ServiceLevel::L3, cfg.block_size)
+            }
             BackingSpec::DNuca(cfg) => {
                 let equivalent = dnuca_equivalent(cfg)?;
                 let block = equivalent.block_size;
-                (
-                    Some(ConventionalCache::new(equivalent)?),
-                    ServiceLevel::DNucaRow(0),
-                    block,
-                )
+                (Some(ConventionalCache::new(equivalent)?), ServiceLevel::DNucaRow(0), block)
             }
             BackingSpec::Memory => (None, ServiceLevel::Memory, block_size),
         };
@@ -773,8 +767,8 @@ fn fabric_equivalent(
     fabric: &lnuca_core::LNucaConfig,
     block_size: u64,
 ) -> Result<CacheConfig, ConfigError> {
-    let capacity = lnuca_core::LNucaGeometry::new(fabric.levels)?
-        .capacity_bytes(fabric.tile_size_bytes);
+    let capacity =
+        lnuca_core::LNucaGeometry::new(fabric.levels)?.capacity_bytes(fabric.tile_size_bytes);
     let size = pow2_floor(capacity.max(block_size * 2));
     let ways = pow2_floor(fabric.tile_ways.max(1) as u64) as usize;
     let levels = u64::from(fabric.levels);
@@ -952,11 +946,7 @@ mod tests {
         [
             cmp_spec(2, false, BackingSpec::Cache(configs::paper_l3())),
             cmp_spec(4, false, BackingSpec::Cache(configs::paper_l3())),
-            cmp_spec(
-                4,
-                false,
-                BackingSpec::DNuca(lnuca_dnuca::DNucaConfig::paper()),
-            ),
+            cmp_spec(4, false, BackingSpec::DNuca(lnuca_dnuca::DNucaConfig::paper())),
         ]
     }
 

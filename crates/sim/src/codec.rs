@@ -561,14 +561,8 @@ mod tests {
             extra: Vec::new(),
         };
         let json = OuterDoc::encode(&value);
-        assert!(
-            json.get("extra").is_none(),
-            "empty Omit members are left out"
-        );
-        assert_eq!(
-            json.get("exact"),
-            Some(&Value::UInt((0.1f64 + 0.2).to_bits()))
-        );
+        assert!(json.get("extra").is_none(), "empty Omit members are left out");
+        assert_eq!(json.get("exact"), Some(&Value::UInt((0.1f64 + 0.2).to_bits())));
         assert_eq!(read::<OuterDoc>(root(), &json).unwrap(), value);
         let text = json.to_compact();
         assert_eq!(read::<OuterDoc>(root(), &parse(&text)).unwrap(), value);
@@ -589,10 +583,7 @@ mod tests {
 
         let doc = r#"{"name": "x", "ratio": 1, "exact": 0, "inner": {"n": 1, "tags": ["a", 2]}}"#;
         let err = read::<OuterDoc>(root(), &parse(doc)).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "$.inner.tags[1]: expected a string, got number"
-        );
+        assert_eq!(err.to_string(), "$.inner.tags[1]: expected a string, got number");
 
         let doc = r#"{"name": "x", "ratio": 1, "exact": 0, "inner": {"n": 0, "tags": []}}"#;
         let err = read::<OuterDoc>(root(), &parse(doc)).unwrap_err();
@@ -631,10 +622,7 @@ mod tests {
             }
         );
         let err = read::<u8>(root(), &Value::UInt(256)).unwrap_err();
-        assert_eq!(
-            err.message,
-            "expected a non-negative integer that fits in u8, got number"
-        );
+        assert_eq!(err.message, "expected a non-negative integer that fits in u8, got number");
     }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -652,19 +640,10 @@ mod tests {
 
     #[test]
     fn name_tables_write_the_first_name_and_accept_aliases() {
-        assert_eq!(
-            Shade::encode(&Shade::Light),
-            Value::String("light".to_owned())
-        );
-        assert_eq!(
-            read::<Shade>(root(), &Value::String("pale".to_owned())).unwrap(),
-            Shade::Light
-        );
+        assert_eq!(Shade::encode(&Shade::Light), Value::String("light".to_owned()));
+        assert_eq!(read::<Shade>(root(), &Value::String("pale".to_owned())).unwrap(), Shade::Light);
         let err = read::<Shade>(root(), &Value::String("grey".to_owned())).unwrap_err();
-        assert_eq!(
-            err.message,
-            "unknown shade \"grey\" (expected light, dark or dim)"
-        );
+        assert_eq!(err.message, "unknown shade \"grey\" (expected light, dark or dim)");
         assert_eq!(Shade::base(), Shade::Light);
     }
 }

@@ -136,8 +136,14 @@ mod tests {
     #[test]
     fn conventional_static_l3_dominates() {
         let mut stats = base_stats();
-        stats.l2 = Some(CacheStats { accesses: 100, ..CacheStats::default() });
-        stats.l3 = Some(CacheStats { accesses: 10, ..CacheStats::default() });
+        stats.l2 = Some(CacheStats {
+            accesses: 100,
+            ..CacheStats::default()
+        });
+        stats.l3 = Some(CacheStats {
+            accesses: 10,
+            ..CacheStats::default()
+        });
         let account = account_for(&stats, 1_000_000);
         assert!(account.static_pj(STATIC_LAST) > account.static_pj(STATIC_SECOND));
         assert!(account.static_pj(STATIC_LAST) > account.static_pj(STATIC_L1));

@@ -803,14 +803,14 @@ impl Study {
     /// 5(a)).
     #[must_use]
     pub fn ipc_summary(&self) -> Vec<IpcSummaryRow> {
-        let base_int = harmonic_mean(&self.suite_ipcs(&self.baseline, Suite::Integer)).unwrap_or(1.0);
+        let base_int =
+            harmonic_mean(&self.suite_ipcs(&self.baseline, Suite::Integer)).unwrap_or(1.0);
         let base_fp =
             harmonic_mean(&self.suite_ipcs(&self.baseline, Suite::FloatingPoint)).unwrap_or(1.0);
         self.configs
             .iter()
             .map(|label| {
-                let int_ipc =
-                    harmonic_mean(&self.suite_ipcs(label, Suite::Integer)).unwrap_or(0.0);
+                let int_ipc = harmonic_mean(&self.suite_ipcs(label, Suite::Integer)).unwrap_or(0.0);
                 let fp_ipc =
                     harmonic_mean(&self.suite_ipcs(label, Suite::FloatingPoint)).unwrap_or(0.0);
                 IpcSummaryRow {
@@ -846,7 +846,13 @@ impl Study {
             .iter()
             .map(|label| {
                 let (d, l1, sec, last) = mean_components(label);
-                let norm = |v: f64| if baseline_total > 0.0 { v / baseline_total } else { 0.0 };
+                let norm = |v: f64| {
+                    if baseline_total > 0.0 {
+                        v / baseline_total
+                    } else {
+                        0.0
+                    }
+                };
                 EnergySummaryRow {
                     label: label.clone(),
                     dynamic: norm(d),
@@ -1163,12 +1169,13 @@ mod tests {
         let adv = conventional(&opts).unwrap();
         // 2 configs x 7 adversarial classes.
         assert_eq!(adv.results.len(), 2 * 7);
-        assert!(adv.results.iter().any(|r| r.workload == "adv.pointer_chase"));
+        assert!(adv
+            .results
+            .iter()
+            .any(|r| r.workload == "adv.pointer_chase"));
 
-        opts.workloads = WorkloadSelection::Named(vec![
-            "ADV.GUPS".to_owned(),
-            "int.compress".to_owned(),
-        ]);
+        opts.workloads =
+            WorkloadSelection::Named(vec!["ADV.GUPS".to_owned(), "int.compress".to_owned()]);
         let named = conventional(&opts).unwrap();
         assert_eq!(named.results.len(), 2 * 2);
         assert_eq!(named.results[0].workload, "adv.gups", "names resolve case-insensitively");
@@ -1229,7 +1236,10 @@ mod tests {
         assert_eq!(sequential.configs, parallel.configs);
         // Perf is recorded for every run either way (values are host noise).
         assert_eq!(parallel.perf.len(), parallel.results.len());
-        assert!(parallel.perf.iter().all(|p| p.wall_nanos > 0 && p.cycles > 0));
+        assert!(parallel
+            .perf
+            .iter()
+            .all(|p| p.wall_nanos > 0 && p.cycles > 0));
     }
 
     #[test]
@@ -1357,6 +1367,9 @@ mod tests {
         let study = Study::run_controlled(&plan, None, false, &stop).unwrap();
         assert!(study.results.is_empty());
         assert_eq!(study.failures.len(), 2 * 2);
-        assert!(study.failures.iter().all(|f| f.error == lnuca_types::RunError::Shutdown));
+        assert!(study
+            .failures
+            .iter()
+            .all(|f| f.error == lnuca_types::RunError::Shutdown));
     }
 }

@@ -249,7 +249,10 @@ mod tests {
         // Evict from L1 by conflicting blocks, then re-access: now served by
         // the D-NUCA.
         for i in 0..5u64 {
-            assert!(h.issue(read(10 + i, 0x7_0000 + 0x8000 * (i + 1), 10_000 + i * 600), Cycle(10_000 + i * 600)));
+            assert!(h.issue(
+                read(10 + i, 0x7_0000 + 0x8000 * (i + 1), 10_000 + i * 600),
+                Cycle(10_000 + i * 600)
+            ));
             let _ = wait_for(&mut h, 10 + i);
         }
         assert!(h.issue(read(99, 0x7_0000, 100_000), Cycle(100_000)));

@@ -149,16 +149,16 @@ impl OuterLevel {
         let outcome = {
             let level = &mut self.levels[idx];
             // The request pays this level's bus transfer to reach it.
-            level.cache.access(addr, is_write, start + level.request_transfer)
+            level
+                .cache
+                .access(addr, is_write, start + level.request_transfer)
         };
         match outcome {
-            AccessOutcome::Hit { ready_at } => (
-                ready_at + self.levels[idx].response_transfer,
-                intermediate_service_level(idx),
-            ),
+            AccessOutcome::Hit { ready_at } => {
+                (ready_at + self.levels[idx].response_transfer, intermediate_service_level(idx))
+            }
             AccessOutcome::Miss { determined_at } => {
-                let (ready, served) =
-                    self.fetch_level(idx + 1, addr, false, determined_at, memory);
+                let (ready, served) = self.fetch_level(idx + 1, addr, false, determined_at, memory);
                 // The block is installed at this level on its way up; dirty
                 // victims are written back one level down.
                 let victim = self.levels[idx].cache.fill(addr, false);
@@ -386,7 +386,10 @@ mod tests {
         let addr = Addr(0x20_0000);
         outer.fetch(addr, false, Cycle(0), &mut mem);
         outer.write_through(addr);
-        let l2 = outer.intermediate_caches().next().expect("one intermediate");
+        let l2 = outer
+            .intermediate_caches()
+            .next()
+            .expect("one intermediate");
         assert!(l2.probe(addr));
     }
 

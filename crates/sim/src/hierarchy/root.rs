@@ -51,11 +51,7 @@ impl RootTile {
     pub(super) fn from_spec(spec: &HierarchySpec) -> Result<Self, ConfigError> {
         Ok(RootTile {
             l1: ConventionalCache::new(spec.root.clone())?,
-            mshrs: MshrFile::new(
-                configs::L1_MSHRS,
-                configs::MSHR_SECONDARY,
-                spec.root.block_size,
-            )?,
+            mshrs: MshrFile::new(configs::L1_MSHRS, configs::MSHR_SECONDARY, spec.root.block_size)?,
             write_buffer: WriteBuffer::new(
                 configs::WRITE_BUFFER_ENTRIES,
                 spec.below_root_block_size(),

@@ -79,10 +79,7 @@ fn plan_semantic_value(plan: &ExperimentPlan) -> Result<Value, ConfigError> {
     let mut members = Vec::new();
     codec::push_schema(&mut members, JOURNAL_SCHEMA);
     members.extend([
-        (
-            "instructions".to_owned(),
-            Value::UInt(plan.options.instructions),
-        ),
+        ("instructions".to_owned(), Value::UInt(plan.options.instructions)),
         ("seed".to_owned(), Value::UInt(plan.options.seed)),
         ("workloads".to_owned(), Value::Array(workloads)),
         (
@@ -358,11 +355,7 @@ impl Kind for JournalEnergy {
                 bucket_at.error(format!("expected an object, got {}", bucket.type_name()))
             })?;
             for (name, pj) in entries {
-                add(
-                    &mut account,
-                    name,
-                    codec::read::<Bits>(bucket_at.key(name), pj)?,
-                );
+                add(&mut account, name, codec::read::<Bits>(bucket_at.key(name), pj)?);
             }
         }
         *slot = account;
@@ -449,10 +442,7 @@ impl JournalWriter {
         members.push(("check".to_owned(), Value::String(hex(check))));
         let mut line = Value::Object(members).to_compact();
         line.push('\n');
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.error.is_some() {
             return;
         }
@@ -507,7 +497,10 @@ pub fn read_journal(
 ) -> Result<Vec<Option<(RunResult, RunPerf)>>, RunError> {
     let text = std::fs::read_to_string(path).map_err(|e| corrupt(path, &e.to_string()))?;
     let digest = plan_digest(plan)?;
-    let lines: Vec<&str> = text.lines().filter(|line| !line.trim().is_empty()).collect();
+    let lines: Vec<&str> = text
+        .lines()
+        .filter(|line| !line.trim().is_empty())
+        .collect();
     let Some((&header_line, records)) = lines.split_first() else {
         return Err(corrupt(path, "journal is empty (no header line)"));
     };
@@ -530,10 +523,7 @@ pub fn read_journal(
     if header.jobs != jobs {
         return Err(corrupt(
             path,
-            &format!(
-                "journal header declares {} jobs, this plan has {jobs}",
-                header.jobs
-            ),
+            &format!("journal header declares {} jobs, this plan has {jobs}", header.jobs),
         ));
     }
 
@@ -545,9 +535,7 @@ pub fn read_journal(
             // The only tolerated defect: the final line was torn by the
             // crash/kill this journal exists to survive. That run re-runs.
             Err(_) if last => break,
-            Err(detail) => {
-                return Err(corrupt(path, &format!("record line {}: {detail}", i + 2)))
-            }
+            Err(detail) => return Err(corrupt(path, &format!("record line {}: {detail}", i + 2))),
         }
     }
     Ok(loaded)
@@ -567,16 +555,11 @@ fn decode_record(line: &str, jobs: usize) -> Result<(usize, RunResult, RunPerf),
     let body = Value::Object(body);
     let computed = hex(fnv1a(body.to_compact().as_bytes()));
     if stored_check != computed {
-        return Err(format!(
-            "checksum mismatch (stored {stored_check}, computed {computed})"
-        ));
+        return Err(format!("checksum mismatch (stored {stored_check}, computed {computed})"));
     }
     let record = codec::read::<JournalRecord>(At::Root("$"), &body).map_err(|e| e.to_string())?;
     if record.job >= jobs {
-        return Err(format!(
-            "job index {} out of range (plan has {jobs} jobs)",
-            record.job
-        ));
+        return Err(format!("job index {} out of range (plan has {jobs} jobs)", record.job));
     }
     Ok((record.job, record.result, record.perf))
 }
@@ -611,10 +594,7 @@ mod tests {
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         let mut path = std::env::temp_dir();
-        path.push(format!(
-            "lnuca-journal-test-{tag}-{}.jsonl",
-            std::process::id()
-        ));
+        path.push(format!("lnuca-journal-test-{tag}-{}.jsonl", std::process::id()));
         path
     }
 
@@ -671,8 +651,8 @@ mod tests {
         let mangled = text.replacen("\"cycles\":", "\"cycles\":9", 1);
         assert_ne!(text, mangled, "expected to mangle a record");
         std::fs::write(&path, mangled).expect("journal writable");
-        let err = Study::run_journaled(&plan, &path, true)
-            .expect_err("mangled journal must be rejected");
+        let err =
+            Study::run_journaled(&plan, &path, true).expect_err("mangled journal must be rejected");
         assert!(matches!(err, RunError::JournalCorrupt { .. }), "got {err}");
         std::fs::remove_file(&path).ok();
     }

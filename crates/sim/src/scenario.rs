@@ -377,9 +377,9 @@ fn hierarchy_preset(
     let fabric_levels = levels.unwrap_or(3);
     let spec = match (name, levels) {
         ("conventional" | "dnuca", Some(_)) => {
-            return Err(at.key("levels").error(format!(
-                "the {name:?} preset has no fabric; \"levels\" does not apply"
-            )))
+            return Err(at
+                .key("levels")
+                .error(format!("the {name:?} preset has no fabric; \"levels\" does not apply")))
         }
         ("conventional", None) => Ok(HierarchySpec::conventional()),
         ("dnuca", None) => Ok(HierarchySpec::dnuca()),
@@ -428,9 +428,7 @@ fn kib(obj: &mut Obj<'_, '_>, stem: &str, bytes: &mut u64) -> Result<(), DecodeE
     let at = here.key(&key);
     let bytes_key = format!("{stem}_bytes");
     if obj.present(&bytes_key).is_some() {
-        return Err(at.error(format!(
-            "conflicts with {bytes_key:?}; give the size one way"
-        )));
+        return Err(at.error(format!("conflicts with {bytes_key:?}; give the size one way")));
     }
     *bytes = codec::read::<u64>(at, json)?
         .checked_mul(1024)
@@ -520,10 +518,7 @@ impl Kind for Backing {
         BackingSpec::Memory
     }
     fn encode(backing: &BackingSpec) -> Value {
-        let mut out = vec![(
-            "kind".to_owned(),
-            Value::String(backing.kind_name().to_owned()),
-        )];
+        let mut out = vec![("kind".to_owned(), Value::String(backing.kind_name().to_owned()))];
         match backing {
             BackingSpec::Cache(cache) => {
                 out.push(("cache".to_owned(), ScenarioCache::encode(cache)));
@@ -1286,10 +1281,7 @@ mod tests {
                 }}"#
             );
             let err = Scenario::from_json(&text).unwrap_err().to_string();
-            assert!(
-                err.contains("levels") && err.contains("no fabric"),
-                "{preset}: {err}"
-            );
+            assert!(err.contains("levels") && err.contains("no fabric"), "{preset}: {err}");
         }
         // On the fabric presets it is meaningful and accepted.
         let text = r#"{
@@ -1312,7 +1304,8 @@ mod tests {
             assert_eq!(decode(&format!(r#"{{"preset": "{name}"}}"#)), spec, "{name}");
             assert_eq!(spec.label(), label);
         }
-        type FabricPreset = (&'static str, fn(u8) -> Result<HierarchySpec, ConfigError>, [&'static str; 3]);
+        type FabricPreset =
+            (&'static str, fn(u8) -> Result<HierarchySpec, ConfigError>, [&'static str; 3]);
         let fabric: [FabricPreset; 2] = [
             ("lnuca-l3", HierarchySpec::lnuca_l3, ["LN2-72KB", "LN3-144KB", "LN4-248KB"]),
             (
@@ -1342,9 +1335,10 @@ mod tests {
 
     #[test]
     fn wrong_schema_marker_is_rejected() {
-        let err = Scenario::from_json(r#"{"schema": "lnuca-scenario/v9", "name": "t", "configs": []}"#)
-            .unwrap_err()
-            .to_string();
+        let err =
+            Scenario::from_json(r#"{"schema": "lnuca-scenario/v9", "name": "t", "configs": []}"#)
+                .unwrap_err()
+                .to_string();
         assert!(err.contains("lnuca-scenario/v1"), "{err}");
     }
 
@@ -1353,8 +1347,8 @@ mod tests {
         for name in builtin_names() {
             for (i, spec) in builtin(name).unwrap().plan.configs.iter().enumerate() {
                 let value = spec_to_value(spec);
-                let back = spec_from_value("$", &value)
-                    .unwrap_or_else(|e| panic!("{name}[{i}]: {e}"));
+                let back =
+                    spec_from_value("$", &value).unwrap_or_else(|e| panic!("{name}[{i}]: {e}"));
                 assert_eq!(&back, spec, "{name}[{i}]: spec → JSON → spec is identity");
             }
         }
@@ -1384,7 +1378,9 @@ mod tests {
             ("schema".to_owned(), Value::String(REPORT_SCHEMA.to_owned())),
             ("scenario".to_owned(), Value::String("t".to_owned())),
         ];
-        assert!(validate_report(&Value::Object(members.clone())).unwrap_err().contains("options"));
+        assert!(validate_report(&Value::Object(members.clone()))
+            .unwrap_err()
+            .contains("options"));
         members.push(("options".to_owned(), Value::Object(vec![])));
         members.push(("baseline".to_owned(), Value::String("b".to_owned())));
         members.push(("configs".to_owned(), Value::Array(vec![])));
@@ -1404,14 +1400,20 @@ mod tests {
     }
 
     fn push_field(value: &mut Value, path: &[&str], key: &str, v: Value) {
-        let Value::Object(members) = value else { panic!("expected object") };
+        let Value::Object(members) = value else {
+            panic!("expected object")
+        };
         if let [head, rest @ ..] = path {
             let slot = members
                 .iter_mut()
                 .find(|(k, _)| k == head)
                 .map(|(_, v)| v)
                 .expect("path exists");
-            let target = if let Value::Array(items) = slot { &mut items[0] } else { slot };
+            let target = if let Value::Array(items) = slot {
+                &mut items[0]
+            } else {
+                slot
+            };
             push_field(target, rest, key, v);
         } else {
             members.push((key.to_owned(), v));
@@ -1501,8 +1503,10 @@ mod tests {
             "the error names the offending knob: {err}"
         );
         // 1 stays accepted.
-        Scenario::from_json(&scenario_with_options(r#"{"batch_size": 1, "benchmarks_per_suite": 1}"#))
-            .expect("nonzero values are valid");
+        Scenario::from_json(&scenario_with_options(
+            r#"{"batch_size": 1, "benchmarks_per_suite": 1}"#,
+        ))
+        .expect("nonzero values are valid");
     }
 
     #[test]
@@ -1538,10 +1542,7 @@ mod tests {
             assert!(message.contains("does not fit in 64 bits"), "{message}");
         }
         for (config, at) in [
-            (
-                r#"{"root": {"size_bytes": 16384, "size_kb": 16}}"#,
-                "$.configs[0].root.size_kb",
-            ),
+            (r#"{"root": {"size_bytes": 16384, "size_kb": 16}}"#, "$.configs[0].root.size_kb"),
             (
                 r#"{"preset": "lnuca-l3", "fabric": {"tile_size_bytes": 8192, "tile_size_kb": 8}}"#,
                 "$.configs[0].fabric.tile_size_kb",

@@ -318,11 +318,7 @@ impl HierarchySpec {
                     parts.push(self.fabric_label(fabric));
                 }
                 for level in intermediates {
-                    parts.push(format!(
-                        "{}-{}KB",
-                        level.cache.name,
-                        level.cache.size_bytes / 1024
-                    ));
+                    parts.push(format!("{}-{}KB", level.cache.name, level.cache.size_bytes / 1024));
                 }
                 match backing {
                     BackingSpec::Cache(cache) => {
@@ -344,11 +340,7 @@ impl HierarchySpec {
         let tiles = lnuca_core::LNucaGeometry::new(fabric.levels)
             .map(|g| g.capacity_bytes(fabric.tile_size_bytes))
             .unwrap_or(0);
-        format!(
-            "LN{}-{}KB",
-            fabric.levels,
-            (tiles + self.root.size_bytes) / 1024
-        )
+        format!("LN{}-{}KB", fabric.levels, (tiles + self.root.size_bytes) / 1024)
     }
 
     /// Block size of the first level below the root/fabric — the
@@ -552,7 +544,11 @@ mod tests {
             .unwrap();
         assert_eq!(cmp.label(), "4x LN2 + DN-4x8");
         let solo = HierarchySpec::builder().cores(1).build().unwrap();
-        assert!(!solo.label().contains('x'), "single-core labels are unchanged: {}", solo.label());
+        assert!(
+            !solo.label().contains('x'),
+            "single-core labels are unchanged: {}",
+            solo.label()
+        );
 
         let err = HierarchySpec::builder().cores(0).build().unwrap_err();
         assert!(err.to_string().contains("cores"), "{err}");

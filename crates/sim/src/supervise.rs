@@ -76,7 +76,9 @@ impl Budgets {
     /// Whether any watchdog is armed.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.cycle_budget.is_some() || self.run_timeout_ms.is_some() || self.livelock_window.is_some()
+        self.cycle_budget.is_some()
+            || self.run_timeout_ms.is_some()
+            || self.livelock_window.is_some()
     }
 }
 
@@ -122,7 +124,9 @@ pub fn clear_fault_hook() {
 fn lock_hook() -> std::sync::MutexGuard<'static, Option<Arc<FaultHook>>> {
     // A hook that panicked while a test held the lock must not poison every
     // later test: the Option inside is always valid.
-    FAULT_HOOK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    FAULT_HOOK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn current_fault_hook() -> Option<Arc<FaultHook>> {
@@ -200,19 +204,28 @@ impl JobGuard {
         }
         if let Some(budget) = self.cycle_budget {
             if now.0 >= budget {
-                return Err(RunError::CycleBudgetExceeded { budget, at_cycle: now.0 });
+                return Err(RunError::CycleBudgetExceeded {
+                    budget,
+                    at_cycle: now.0,
+                });
             }
         }
         if let Some(window) = self.livelock_window {
             if now.0.saturating_sub(self.last_commit_cycle) >= window {
-                return Err(RunError::Livelock { window, at_cycle: now.0, committed });
+                return Err(RunError::Livelock {
+                    window,
+                    at_cycle: now.0,
+                    committed,
+                });
             }
         }
         if let Some(timeout) = self.timeout {
             // Sampled: the first observation (so a zero timeout trips
             // deterministically before any work) and then periodically.
             if self.observed % WALL_CHECK_PERIOD == 1 && self.started.elapsed() >= timeout {
-                return Err(RunError::WallClockTimeout { timeout_ms: self.timeout_ms });
+                return Err(RunError::WallClockTimeout {
+                    timeout_ms: self.timeout_ms,
+                });
             }
         }
         Ok(())

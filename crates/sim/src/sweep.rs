@@ -181,7 +181,11 @@ impl SweepConfig {
                                 // `{N}x ` prefix, so the core count is
                                 // encoded here; single-core labels keep
                                 // their historical form.
-                                let cmp = if cores > 1 { format!("{cores}x-") } else { String::new() };
+                                let cmp = if cores > 1 {
+                                    format!("{cores}x-")
+                                } else {
+                                    String::new()
+                                };
                                 let label = format!(
                                     "{cmp}LN{levels}-t{tile_kb}k-{routing_short}-{}-m{scale}",
                                     backing.short()
@@ -194,7 +198,9 @@ impl SweepConfig {
                                     .memory(memory)
                                     .cores(cores);
                                 builder = match backing {
-                                    SweepBacking::PaperL3 => builder.backing_cache(configs::paper_l3()),
+                                    SweepBacking::PaperL3 => {
+                                        builder.backing_cache(configs::paper_l3())
+                                    }
                                     SweepBacking::Memory => builder.backing(BackingSpec::Memory),
                                 };
                                 specs.push(builder.build()?);
@@ -326,8 +332,7 @@ fn frontier_points(
         }
         let inv_sum: f64 = runs.iter().map(|r| 1.0 / r.ipc).sum();
         let ipc = runs.len() as f64 / inv_sum;
-        let energy_pj =
-            runs.iter().map(|r| r.energy.total_pj()).sum::<f64>() / runs.len() as f64;
+        let energy_pj = runs.iter().map(|r| r.energy.total_pj()).sum::<f64>() / runs.len() as f64;
         let area_mm2 = probes
             .iter()
             .find(|p| &p.label == label)
@@ -511,10 +516,30 @@ mod tests {
 
     #[test]
     fn dominance_requires_a_clear_margin() {
-        let a = ProbePoint { label: "a".into(), ipc: 1.0, energy_pj: 100.0, area_mm2: 1.0 };
-        let near = ProbePoint { label: "b".into(), ipc: 0.99, energy_pj: 100.5, area_mm2: 1.0 };
-        let worse = ProbePoint { label: "c".into(), ipc: 0.8, energy_pj: 130.0, area_mm2: 1.0 };
-        let tradeoff = ProbePoint { label: "d".into(), ipc: 1.3, energy_pj: 90.0, area_mm2: 2.0 };
+        let a = ProbePoint {
+            label: "a".into(),
+            ipc: 1.0,
+            energy_pj: 100.0,
+            area_mm2: 1.0,
+        };
+        let near = ProbePoint {
+            label: "b".into(),
+            ipc: 0.99,
+            energy_pj: 100.5,
+            area_mm2: 1.0,
+        };
+        let worse = ProbePoint {
+            label: "c".into(),
+            ipc: 0.8,
+            energy_pj: 130.0,
+            area_mm2: 1.0,
+        };
+        let tradeoff = ProbePoint {
+            label: "d".into(),
+            ipc: 1.3,
+            energy_pj: 90.0,
+            area_mm2: 2.0,
+        };
         assert!(dominates(&a, &worse, 0.02));
         assert!(!dominates(&a, &near, 0.02), "near-ties are kept");
         assert!(!dominates(&a, &tradeoff, 0.02) && !dominates(&tradeoff, &a, 0.02));
@@ -524,8 +549,18 @@ mod tests {
     fn slow_memory_points_are_always_dominated() {
         // Same shape at paper vs 3x DRAM latency: equal area, worse IPC and
         // energy — the guaranteed-prunable axis of the default grids.
-        let fast = ProbePoint { label: "m1".into(), ipc: 0.9, energy_pj: 100.0, area_mm2: 1.5 };
-        let slow = ProbePoint { label: "m3".into(), ipc: 0.5, energy_pj: 140.0, area_mm2: 1.5 };
+        let fast = ProbePoint {
+            label: "m1".into(),
+            ipc: 0.9,
+            energy_pj: 100.0,
+            area_mm2: 1.5,
+        };
+        let slow = ProbePoint {
+            label: "m3".into(),
+            ipc: 0.5,
+            energy_pj: 140.0,
+            area_mm2: 1.5,
+        };
         assert!(dominates(&fast, &slow, 0.02));
         let mask = dominated_mask(&[fast, slow], 0.02);
         assert_eq!(mask, vec![false, true]);
@@ -555,10 +590,16 @@ mod tests {
         assert_eq!(specs.len(), mini.point_count());
         let cmp: Vec<_> = specs.iter().filter(|s| s.cores > 1).collect();
         assert_eq!(cmp.len(), specs.len() / 2, "half the points are 4-core");
-        assert!(cmp.iter().all(|s| s.label().starts_with("4x-")), "CMP labels encode the core count");
+        assert!(
+            cmp.iter().all(|s| s.label().starts_with("4x-")),
+            "CMP labels encode the core count"
+        );
         // Replicated private front ends cost area: with no shared backing
         // the 4-core twin of a point is exactly four front ends.
-        let solo = specs.iter().find(|s| s.cores == 1 && s.label().contains("-mem-")).unwrap();
+        let solo = specs
+            .iter()
+            .find(|s| s.cores == 1 && s.label().contains("-mem-"))
+            .unwrap();
         let quad = specs
             .iter()
             .find(|s| s.cores == 4 && s.label().ends_with(solo.label().as_str()))

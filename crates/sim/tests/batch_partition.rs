@@ -77,14 +77,15 @@ fn solo(
 fn arbitrary_partitions_and_permutations_preserve_every_run() {
     let specs = spec_pool();
     let profiles = profile_pool();
-    let mut runner = TestRunner { cases: 10, ..TestRunner::default() };
+    let mut runner = TestRunner {
+        cases: 10,
+        ..TestRunner::default()
+    };
 
     // One case = a random job list, a random permutation of it, and a
     // random list of batch widths applied cyclically as the cut.
-    let jobs_strat = collection::vec(
-        (0..specs.len(), 0..profiles.len(), 200u64..700, 1u64..6),
-        2..8,
-    );
+    let jobs_strat =
+        collection::vec((0..specs.len(), 0..profiles.len(), 200u64..700, 1u64..6), 2..8);
     let swaps_strat = collection::vec((0usize..64, 0usize..64), 0..24);
     let widths_strat = collection::vec(1usize..5, 1..5);
 
@@ -147,7 +148,10 @@ fn arbitrary_partitions_and_permutations_preserve_every_run() {
 /// per-run path exactly, whatever the thread count.
 #[test]
 fn study_outcomes_are_invariant_to_batch_size() {
-    let mut runner = TestRunner { cases: 4, ..TestRunner::default() };
+    let mut runner = TestRunner {
+        cases: 4,
+        ..TestRunner::default()
+    };
 
     let batch_strat = proptest::prop_oneof![2usize..7, proptest::Just(usize::MAX)];
     for case in 0..runner.cases {

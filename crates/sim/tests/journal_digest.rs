@@ -89,11 +89,7 @@ fn digest_tracks_semantics_and_ignores_execution_knobs() {
         mutated
     };
     for options in knobs {
-        assert_eq!(
-            rebuild(options),
-            base,
-            "an execution knob moved the journal digest"
-        );
+        assert_eq!(rebuild(options), base, "an execution knob moved the journal digest");
     }
 
     // Dropping a configuration is semantic too.

@@ -239,7 +239,11 @@ impl fmt::Display for RunError {
                 f,
                 "cycle budget exceeded: clock reached {at_cycle} with a budget of {budget}"
             ),
-            RunError::Livelock { window, at_cycle, committed } => write!(
+            RunError::Livelock {
+                window,
+                at_cycle,
+                committed,
+            } => write!(
                 f,
                 "livelock: no instruction committed for {window} cycles \
                  (stuck at {committed} committed, cycle {at_cycle})"
@@ -312,11 +316,34 @@ mod tests {
     #[test]
     fn run_error_statuses_are_stable_and_known() {
         let cases: Vec<(RunError, &str)> = vec![
-            (RunError::Panic { message: "boom".into() }, "panic"),
-            (RunError::CycleBudgetExceeded { budget: 5, at_cycle: 5 }, "cycle-budget"),
-            (RunError::Livelock { window: 8, at_cycle: 20, committed: 3 }, "livelock"),
+            (
+                RunError::Panic {
+                    message: "boom".into(),
+                },
+                "panic",
+            ),
+            (
+                RunError::CycleBudgetExceeded {
+                    budget: 5,
+                    at_cycle: 5,
+                },
+                "cycle-budget",
+            ),
+            (
+                RunError::Livelock {
+                    window: 8,
+                    at_cycle: 20,
+                    committed: 3,
+                },
+                "livelock",
+            ),
             (RunError::WallClockTimeout { timeout_ms: 10 }, "timeout"),
-            (RunError::JournalCorrupt { detail: "bad digest".into() }, "journal-corrupt"),
+            (
+                RunError::JournalCorrupt {
+                    detail: "bad digest".into(),
+                },
+                "journal-corrupt",
+            ),
             (RunError::Config(ConfigError::new("ways", "must be nonzero")), "config"),
             (RunError::Cancelled, "cancelled"),
             (RunError::Shutdown, "shutdown"),
@@ -333,10 +360,22 @@ mod tests {
 
     #[test]
     fn only_panic_and_timeout_are_transient() {
-        assert!(RunError::Panic { message: "x".into() }.is_transient());
+        assert!(RunError::Panic {
+            message: "x".into()
+        }
+        .is_transient());
         assert!(RunError::WallClockTimeout { timeout_ms: 1 }.is_transient());
-        assert!(!RunError::CycleBudgetExceeded { budget: 1, at_cycle: 1 }.is_transient());
-        assert!(!RunError::Livelock { window: 1, at_cycle: 1, committed: 0 }.is_transient());
+        assert!(!RunError::CycleBudgetExceeded {
+            budget: 1,
+            at_cycle: 1
+        }
+        .is_transient());
+        assert!(!RunError::Livelock {
+            window: 1,
+            at_cycle: 1,
+            committed: 0
+        }
+        .is_transient());
         assert!(!RunError::JournalCorrupt { detail: "x".into() }.is_transient());
         assert!(!RunError::Config(ConfigError::new("p", "m")).is_transient());
         assert!(!RunError::Cancelled.is_transient(), "a cancelled job must not retry itself");

@@ -77,7 +77,10 @@ impl RunningMean {
     /// Creates an empty mean.
     #[must_use]
     pub fn new() -> Self {
-        RunningMean { count: 0, mean: 0.0 }
+        RunningMean {
+            count: 0,
+            mean: 0.0,
+        }
     }
 
     /// Adds a sample.
@@ -190,10 +193,7 @@ impl Histogram {
     /// bucket are not individually tracked and therefore never returned.
     #[must_use]
     pub fn min_bucketed(&self) -> Option<u64> {
-        self.buckets
-            .iter()
-            .position(|&c| c > 0)
-            .map(|i| i as u64)
+        self.buckets.iter().position(|&c| c > 0).map(|i| i as u64)
     }
 }
 

@@ -138,7 +138,10 @@ impl SequentialBaseline {
     ///
     /// Returns a [`DifferentialError`] naming the diverging run, or the
     /// member configuration that failed to build.
-    pub fn check_batched(&self, batch_size: usize) -> Result<BatchEquivalenceReport, DifferentialError> {
+    pub fn check_batched(
+        &self,
+        batch_size: usize,
+    ) -> Result<BatchEquivalenceReport, DifferentialError> {
         let width = if batch_size == 0 {
             self.cases.len().max(1)
         } else {
@@ -161,17 +164,13 @@ impl SequentialBaseline {
                     seed: case.seed,
                 })
                 .collect();
-            let runner =
-                BatchRunner::with_probes(self.engine, &jobs, RecordingProbe::default).map_err(
-                    |e| DifferentialError {
-                        context: format!("batch #{batch_index} of width {width}"),
-                        details: vec![format!("configuration error: {e}")],
-                    },
-                )?;
+            let runner = BatchRunner::with_probes(self.engine, &jobs, RecordingProbe::default)
+                .map_err(|e| DifferentialError {
+                    context: format!("batch #{batch_index} of width {width}"),
+                    details: vec![format!("configuration error: {e}")],
+                })?;
             batches += 1;
-            for ((case, expect), (result, probe)) in
-                cases.iter().zip(expected).zip(runner.run())
-            {
+            for ((case, expect), (result, probe)) in cases.iter().zip(expected).zip(runner.run()) {
                 let context = format!(
                     "{} / {} / seed {} / {} / {} instructions / batch #{batch_index} width {width}",
                     case.spec.label(),
@@ -184,7 +183,7 @@ impl SequentialBaseline {
                     return Err(DifferentialError {
                         context,
                         details: vec![
-                            "batched RunResult differs from the sequential run".to_owned(),
+                            "batched RunResult differs from the sequential run".to_owned()
                         ],
                     });
                 }
@@ -257,7 +256,10 @@ mod tests {
     #[test]
     fn the_reports_carry_real_oracle_traffic() {
         let baseline = SequentialBaseline::capture(Engine::CycleStep, small_cases()).unwrap();
-        assert!(baseline.reports.iter().all(|r| r.accesses > 0 && r.events as u64 >= r.accesses));
+        assert!(baseline
+            .reports
+            .iter()
+            .all(|r| r.accesses > 0 && r.events as u64 >= r.accesses));
         baseline.check_batched(2).unwrap();
     }
 }

@@ -286,9 +286,7 @@ impl Model {
                 self.send_invalidations(l.sharers);
             }
             ref other => {
-                self.fail(format!(
-                    "event {index}: non-coherence event in a CMP stream: {other:?}"
-                ));
+                self.fail(format!("event {index}: non-coherence event in a CMP stream: {other:?}"));
             }
         }
         // MSI invariant after every transition: Modified is exclusive.
@@ -315,11 +313,7 @@ impl Model {
             ("evictions", self.evictions, counters.evictions),
             ("hits", self.dir_hits, counters.hits),
             ("misses", self.dir_misses, counters.misses),
-            (
-                "invalidations_sent",
-                self.invalidations_sent,
-                counters.invalidations_sent,
-            ),
+            ("invalidations_sent", self.invalidations_sent, counters.invalidations_sent),
             ("downgrades", self.downgrades, counters.downgrades),
             ("writebacks", self.writebacks, counters.writebacks),
             ("recalls", self.recalls, counters.recalls),

@@ -4,8 +4,8 @@
 //! totals agree — for any hierarchy spec, workload, seed and engine.
 
 use crate::hierarchy::RefHierarchy;
-use crate::reference::RefBacking;
 use crate::recorder::RecordingProbe;
+use crate::reference::RefBacking;
 use lnuca_cpu::DataMemory;
 use lnuca_mem::{Line, ProbeEvent};
 use lnuca_sim::hierarchy::{AnyHierarchy, Backing, HierarchyStats};
@@ -124,8 +124,7 @@ pub(crate) fn run_differential_impl(
     // in output queues or writes parked in the write buffer: with every
     // in-flight transaction resolved, all ledgers must close *exactly*.
     let live_event_count = hierarchy.probe().events.len();
-    let final_stats = quiesce(&mut hierarchy, Cycle(result.cycles))
-        .map_err(|e| fail(vec![e]))?;
+    let final_stats = quiesce(&mut hierarchy, Cycle(result.cycles)).map_err(|e| fail(vec![e]))?;
 
     let events: &[ProbeEvent] = &hierarchy.probe().events;
 
@@ -168,9 +167,7 @@ pub(crate) fn run_differential_impl(
     // 3. Per-level hit/miss counters, writeback totals, memory traffic
     //    (against the post-quiescing snapshot, so in-flight truncation
     //    cannot mask a divergence).
-    reference
-        .check_stats(&final_stats)
-        .map_err(&fail)?;
+    reference.check_stats(&final_stats).map_err(&fail)?;
 
     // 4. Final resident line sets, level by level.
     check_residency(&reference, &hierarchy).map_err(fail)?;
@@ -187,7 +184,13 @@ pub(crate) fn run_differential_impl(
         write_drains: reference.write_drains,
     };
     let live_events = hierarchy.probe().events[..live_event_count].to_vec();
-    Ok((report, LiveRun { result, live_events }))
+    Ok((
+        report,
+        LiveRun {
+            result,
+            live_events,
+        },
+    ))
 }
 
 /// Runs the differential oracle under the event-horizon engine and
@@ -207,12 +210,8 @@ pub fn run_differential_spec_both_engines(
     let (report, eh) =
         run_differential_impl(spec, profile, instructions, seed, Engine::EventHorizon)?;
 
-    let context = format!(
-        "{} / {} / seed {} / engine comparison",
-        spec.label(),
-        profile.name,
-        seed
-    );
+    let context =
+        format!("{} / {} / seed {} / engine comparison", spec.label(), profile.name, seed);
     let fail = |details: Vec<String>| DifferentialError {
         context: context.clone(),
         details,
@@ -297,10 +296,16 @@ fn check_residency(
         modelled: Vec<(u64, bool)>,
     ) {
         if detailed != modelled {
-            let only_detailed: Vec<_> =
-                detailed.iter().filter(|x| !modelled.contains(x)).take(4).collect();
-            let only_model: Vec<_> =
-                modelled.iter().filter(|x| !detailed.contains(x)).take(4).collect();
+            let only_detailed: Vec<_> = detailed
+                .iter()
+                .filter(|x| !modelled.contains(x))
+                .take(4)
+                .collect();
+            let only_model: Vec<_> = modelled
+                .iter()
+                .filter(|x| !detailed.contains(x))
+                .take(4)
+                .collect();
             errors.push(format!(
                 "{name} residency differs: {} detailed vs {} reference lines; \
                  only-detailed (first 4): {only_detailed:x?}; \
@@ -324,12 +329,7 @@ fn check_residency(
             ]);
         }
     };
-    compare(
-        &mut errors,
-        "L1",
-        sorted_lines(l1.lines()),
-        sorted_lines(reference.l1.lines()),
-    );
+    compare(&mut errors, "L1", sorted_lines(l1.lines()), sorted_lines(reference.l1.lines()));
     let detailed_intermediates: Vec<_> = outer.intermediate_caches().collect();
     if detailed_intermediates.len() != reference.outer.intermediates.len() {
         errors.push(format!(

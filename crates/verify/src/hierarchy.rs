@@ -117,24 +117,28 @@ impl RefHierarchy {
             }
         }
         match event {
-            ProbeEvent::Access { addr, is_write, class } => {
-                self.apply_access(addr, is_write, class)
-            }
+            ProbeEvent::Access {
+                addr,
+                is_write,
+                class,
+            } => self.apply_access(addr, is_write, class),
             ProbeEvent::FabricHit { addr, level, dirty } => {
                 self.apply_fabric_hit(addr, level, dirty)
             }
-            ProbeEvent::OuterFetch { addr, is_write, served } => {
-                self.apply_outer_fetch(addr, is_write, served)
-            }
+            ProbeEvent::OuterFetch {
+                addr,
+                is_write,
+                served,
+            } => self.apply_outer_fetch(addr, is_write, served),
             ProbeEvent::RootVictim { addr, dirty } => self.apply_root_victim(addr, dirty),
             ProbeEvent::Spill { addr, dirty } => self.apply_spill(addr, dirty),
             ProbeEvent::CoherentAccess { .. }
             | ProbeEvent::CoherentEvict { .. }
-            | ProbeEvent::CoherentRecall { .. } => Err(
-                "coherence events cannot occur in a single-core run; \
+            | ProbeEvent::CoherentRecall { .. } => {
+                Err("coherence events cannot occur in a single-core run; \
                  CMP streams are checked by the coherence oracle instead"
-                    .to_owned(),
-            ),
+                    .to_owned())
+            }
             ProbeEvent::WriteDrain { addr } => {
                 self.outer.write_through(addr);
                 self.write_drains += 1;
@@ -143,7 +147,12 @@ impl RefHierarchy {
         }
     }
 
-    fn apply_access(&mut self, addr: Addr, is_write: bool, class: AccessClass) -> Result<(), String> {
+    fn apply_access(
+        &mut self,
+        addr: Addr,
+        is_write: bool,
+        class: AccessClass,
+    ) -> Result<(), String> {
         match class {
             AccessClass::Merged => {
                 // Scheduling input: the detailed MSHRs merged this access
@@ -153,9 +162,7 @@ impl RefHierarchy {
             }
             AccessClass::Hit => {
                 if !self.l1.access(addr, is_write) {
-                    return Err(format!(
-                        "detailed L1 hit at {addr} but the reference says miss"
-                    ));
+                    return Err(format!("detailed L1 hit at {addr} but the reference says miss"));
                 }
                 Ok(())
             }
@@ -166,9 +173,7 @@ impl RefHierarchy {
                     ));
                 }
                 if self.l1.access(addr, is_write) {
-                    return Err(format!(
-                        "detailed L1 miss at {addr} but the reference says hit"
-                    ));
+                    return Err(format!("detailed L1 miss at {addr} but the reference says hit"));
                 }
                 let served_ref = self.outer.fetch(addr, is_write, &mut self.memory_accesses);
                 if served_ref != served {
@@ -307,9 +312,7 @@ impl RefHierarchy {
             return Err(format!("spill at {addr} without a fabric"));
         };
         match fabric.blocks.remove(&base) {
-            None => Err(format!(
-                "spill of {addr} which the reference custody set does not hold"
-            )),
+            None => Err(format!("spill of {addr} which the reference custody set does not hold")),
             Some(ref_dirty) if ref_dirty != dirty => Err(format!(
                 "spill of {addr} reported dirty={dirty}, reference tracked {ref_dirty}"
             )),
@@ -342,11 +345,8 @@ impl RefHierarchy {
         );
         // Intermediate chain: the first level sits in `stats.l2`, deeper
         // ones in `stats.deeper_levels`.
-        let detailed_intermediates: Vec<&lnuca_mem::CacheStats> = stats
-            .l2
-            .iter()
-            .chain(stats.deeper_levels.iter())
-            .collect();
+        let detailed_intermediates: Vec<&lnuca_mem::CacheStats> =
+            stats.l2.iter().chain(stats.deeper_levels.iter()).collect();
         if detailed_intermediates.len() != self.outer.intermediates.len() {
             errors.push(format!(
                 "intermediate chain length differs: detailed {} != reference {}",
@@ -361,7 +361,11 @@ impl RefHierarchy {
             {
                 check(
                     &mut errors,
-                    if i == 0 { "L2 stats" } else { "deeper intermediate stats" },
+                    if i == 0 {
+                        "L2 stats"
+                    } else {
+                        "deeper intermediate stats"
+                    },
                     **detailed == reference.stats,
                     format!("level {i}: detailed {detailed:?} != reference {:?}", reference.stats),
                 );
@@ -463,16 +467,15 @@ impl RefHierarchy {
                 }
             }
         } else if stats.lnuca.is_some() {
-            errors.push("detailed stats carry fabric counters but the reference has no fabric".to_owned());
+            errors.push(
+                "detailed stats carry fabric counters but the reference has no fabric".to_owned(),
+            );
         }
         check(
             &mut errors,
             "memory accesses",
             stats.memory_accesses == self.memory_accesses,
-            format!(
-                "detailed {} != reference {}",
-                stats.memory_accesses, self.memory_accesses
-            ),
+            format!("detailed {} != reference {}", stats.memory_accesses, self.memory_accesses),
         );
         check(
             &mut errors,

@@ -9,8 +9,10 @@
 //! — hit/miss, victim choice, dirty propagation, writeback — is recomputed
 //! here and cross-checked against what the detailed simulator did.
 
-use lnuca_mem::{CacheConfig, CacheGeometry, CacheStats, EvictedLine, Line, ReplacementPolicy, WritePolicy};
 use lnuca_dnuca::DNucaConfig;
+use lnuca_mem::{
+    CacheConfig, CacheGeometry, CacheStats, EvictedLine, Line, ReplacementPolicy, WritePolicy,
+};
 use lnuca_types::{Addr, ConfigError, ServiceLevel};
 
 /// A nested-`Vec`, `Option`-per-way set-associative array with explicit LRU
@@ -430,7 +432,10 @@ impl RefOuter {
             other => {
                 return Err(ConfigError::new(
                     "backing",
-                    format!("the reference model does not implement {} backings yet", other.kind_name()),
+                    format!(
+                        "the reference model does not implement {} backings yet",
+                        other.kind_name()
+                    ),
                 ))
             }
         };

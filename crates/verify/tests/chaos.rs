@@ -44,7 +44,11 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 
 /// A one-configuration plan over `workloads`, all in one full-width batch
 /// on one worker. The base seed is 0, so workload `i` runs at seed `i`.
-fn full_batch_plan(name: &str, workloads: &[&str], mut options: ExperimentOptions) -> ExperimentPlan {
+fn full_batch_plan(
+    name: &str,
+    workloads: &[&str],
+    mut options: ExperimentOptions,
+) -> ExperimentPlan {
     options.instructions = instructions();
     options.seed = 0;
     options.threads = 1;
@@ -74,7 +78,10 @@ fn with_recorded_chaos<R>(plan: ChaosPlan, body: impl FnOnce() -> R) -> (R, BTre
         },
         body,
     );
-    let attempts = attempts.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    let attempts = attempts
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
     (value, attempts)
 }
 
@@ -117,7 +124,10 @@ fn panic_in_a_full_batch_fails_only_the_poisoned_job() {
     assert!(matches!(failure.error, RunError::Panic { .. }), "got {:?}", failure.error);
     assert_eq!(failure.attempts, 2);
 
-    let healthy: Vec<_> = baselines.iter().filter(|r| r.workload != poisoned).collect();
+    let healthy: Vec<_> = baselines
+        .iter()
+        .filter(|r| r.workload != poisoned)
+        .collect();
     assert_eq!(study.results.iter().collect::<Vec<_>>(), healthy);
     for name in names.iter().filter(|&&n| n != poisoned) {
         assert_eq!(attempts.get(*name), Some(&0), "{name} needed more than one attempt");
@@ -136,11 +146,17 @@ fn watchdog_trips_are_deterministic_across_engines_and_never_retried() {
 
     for (options, status) in [
         (
-            ExperimentOptions::builder().cycle_budget(Some(64)).retries(3).build(),
+            ExperimentOptions::builder()
+                .cycle_budget(Some(64))
+                .retries(3)
+                .build(),
             "cycle-budget",
         ),
         (
-            ExperimentOptions::builder().livelock_window(Some(1)).retries(3).build(),
+            ExperimentOptions::builder()
+                .livelock_window(Some(1))
+                .retries(3)
+                .build(),
             "livelock",
         ),
     ] {
@@ -190,17 +206,13 @@ fn watchdog_trips_are_deterministic_across_engines_and_never_retried() {
 fn zero_wall_clock_timeout_consumes_the_retry_budget() {
     let spec = fabric_spec();
     let profile = suites::by_name("int.compress").expect("workload exists");
-    let options = ExperimentOptions::builder().run_timeout_ms(Some(0)).retries(2).build();
+    let options = ExperimentOptions::builder()
+        .run_timeout_ms(Some(0))
+        .retries(2)
+        .build();
     let supervisor = Supervisor::from_options(&options);
     let outcome = without_faults(|| {
-        run_job_supervised(
-            Engine::EventHorizon,
-            &spec,
-            &profile,
-            instructions(),
-            1,
-            &supervisor,
-        )
+        run_job_supervised(Engine::EventHorizon, &spec, &profile, instructions(), 1, &supervisor)
     });
     let err = outcome.outcome.expect_err("zero timeout always trips");
     assert_eq!(err.status(), "timeout");
@@ -215,9 +227,8 @@ fn transient_panic_is_retried_to_a_bit_identical_result() {
     let instructions = instructions();
     let spec = fabric_spec();
     let profile = suites::by_name("fp.wave_solver").expect("workload exists");
-    let baseline =
-        System::run_spec_with(Engine::EventHorizon, &spec, &profile, instructions, 7)
-            .expect("baseline runs");
+    let baseline = System::run_spec_with(Engine::EventHorizon, &spec, &profile, instructions, 7)
+        .expect("baseline runs");
 
     let supervisor = Supervisor::from_options(&ExperimentOptions::default());
     let outcome = with_fault(
@@ -247,7 +258,10 @@ fn injected_trip_fails_one_job_of_a_full_batch() {
         ChaosPlan::new().fault(ScheduledFault {
             workload: Some(tripped.to_owned()),
             at_cycle: 10,
-            kind: FaultKind::Trip(RunError::CycleBudgetExceeded { budget: 10, at_cycle: 10 }),
+            kind: FaultKind::Trip(RunError::CycleBudgetExceeded {
+                budget: 10,
+                at_cycle: 10,
+            }),
             ..ScheduledFault::any()
         }),
         || Study::run(&plan).expect("the study completes"),
@@ -362,8 +376,8 @@ fn torn_journal_resumes_to_a_byte_identical_report() {
         .expect("plan is valid");
 
     let path = temp_path("resume");
-    let full =
-        without_faults(|| Study::run_journaled(&plan, &path, false)).expect("journaled run succeeds");
+    let full = without_faults(|| Study::run_journaled(&plan, &path, false))
+        .expect("journaled run succeeds");
     let full_report = report_value(&plan, &full).to_pretty();
 
     // Tear the journal the way a kill mid-write would: keep the header and

@@ -33,7 +33,9 @@ fn sharing_profiles() -> Vec<WorkloadProfile> {
         .filter(|p| {
             matches!(
                 p.pattern,
-                AccessPattern::ProducerConsumer | AccessPattern::Migratory | AccessPattern::FalseSharing
+                AccessPattern::ProducerConsumer
+                    | AccessPattern::Migratory
+                    | AccessPattern::FalseSharing
             )
         })
         .collect();

@@ -40,7 +40,15 @@ fn fabric_over_bare_memory_matches_the_reference_model() {
         .build()
         .unwrap();
     assert_eq!(spec.label(), "LN3-144KB + mem");
-    verify_spec(&spec, &["int.compress", "fp.wave_solver", "adv.gups", "adv.phase_mix"]);
+    verify_spec(
+        &spec,
+        &[
+            "int.compress",
+            "fp.wave_solver",
+            "adv.gups",
+            "adv.phase_mix",
+        ],
+    );
 }
 
 /// A four-level conventional stack: L1 + L2 + 1 MB L2B + L3, deeper than

@@ -23,7 +23,10 @@ fn committed_corpus_matches_its_textual_dump() {
     let records = trace::ingest_text(&text).expect("the committed dump ingests");
     let encoded = trace::encode(&records).expect("ingested records encode");
     let committed = std::fs::read(sample_path("sample.lnt")).expect("sample corpus reads");
-    assert_eq!(encoded, committed, "scenarios/traces/sample.lnt is stale; re-run `lnuca ingest`");
+    assert_eq!(
+        encoded, committed,
+        "scenarios/traces/sample.lnt is stale; re-run `lnuca ingest`"
+    );
 
     // And the corpus decodes back to the very records the dump spells out.
     let data = TraceData::from_bytes(committed).expect("the committed corpus loads");

@@ -204,7 +204,9 @@ impl DepDistanceTable {
             .expect("BUCKETS entries");
         for steps_above in 0..=thresholds.len() {
             let start = thresholds.get(steps_above).copied().unwrap_or(0);
-            let end = steps_above.checked_sub(1).map_or(DRAW_MAX + 1, |i| thresholds[i]);
+            let end = steps_above
+                .checked_sub(1)
+                .map_or(DRAW_MAX + 1, |i| thresholds[i]);
             let first = start.div_ceil(1 << BUCKET_SHIFT) as usize;
             let past = (end >> BUCKET_SHIFT) as usize;
             if first < past {
@@ -569,7 +571,11 @@ impl TraceGenerator {
                 .expect("replay instructions only occur with a loaded trace")
                 .next_record();
             Instr {
-                kind: if record.write { InstrKind::Store } else { InstrKind::Load },
+                kind: if record.write {
+                    InstrKind::Store
+                } else {
+                    InstrKind::Load
+                },
                 addr: Some(Addr(record.addr)),
                 dep_distance: self.next_dep_distance(),
             }
@@ -774,7 +780,9 @@ mod tests {
     #[test]
     fn per_core_streams_are_decorrelated() {
         let p = WorkloadProfile::default();
-        let a: Vec<_> = TraceGenerator::for_core(p.clone(), 7, 0, 4).take(1_000).collect();
+        let a: Vec<_> = TraceGenerator::for_core(p.clone(), 7, 0, 4)
+            .take(1_000)
+            .collect();
         let b: Vec<_> = TraceGenerator::for_core(p, 7, 1, 4).take(1_000).collect();
         assert_ne!(a, b);
     }
@@ -796,11 +804,11 @@ mod tests {
         let p = sharing_profile(AccessPattern::ProducerConsumer);
         let window = 64 / 4;
         for core in 0..4usize {
-            let trace: Vec<_> =
-                TraceGenerator::for_core(p.clone(), 3, core, 4).take(20_000).collect();
+            let trace: Vec<_> = TraceGenerator::for_core(p.clone(), 3, core, 4)
+                .take(20_000)
+                .collect();
             let own = SHARED_BASE + core as u64 * window * TRACE_BLOCK_BYTES;
-            let upstream =
-                SHARED_BASE + ((core as u64 + 3) % 4) * window * TRACE_BLOCK_BYTES;
+            let upstream = SHARED_BASE + ((core as u64 + 3) % 4) * window * TRACE_BLOCK_BYTES;
             for i in &trace {
                 let Some(addr) = i.addr else { continue };
                 if addr.0 < SHARED_BASE {
@@ -822,8 +830,9 @@ mod tests {
         let p = sharing_profile(AccessPattern::FalseSharing);
         let mut words_per_core = Vec::new();
         for core in 0..4usize {
-            let trace: Vec<_> =
-                TraceGenerator::for_core(p.clone(), 5, core, 4).take(5_000).collect();
+            let trace: Vec<_> = TraceGenerator::for_core(p.clone(), 5, core, 4)
+                .take(5_000)
+                .collect();
             let words: HashSet<u64> = trace
                 .iter()
                 .filter_map(|i| i.addr)
@@ -950,7 +959,10 @@ mod tests {
     fn a_table_spans_distance_1_to_the_smallest_draws_distance() {
         // The smallest float draw is 1e-9, so the largest distance is
         // `ceil(ln(1e9) * mean)`, clamped: 42 at mean 2, 64 from 3.5 up.
-        for mean in table_means().into_iter().filter(|m| (1.0..=12.0).contains(m)) {
+        for mean in table_means()
+            .into_iter()
+            .filter(|m| (1.0..=12.0).contains(m))
+        {
             let table = DepDistanceTable::new(mean);
             let top = (1e9f64.ln() * mean).ceil().min(64.0) as usize;
             assert_eq!((table.base, table.thresholds.len()), (1, top - 1), "mean {mean}");

@@ -283,7 +283,10 @@ impl WorkloadProfile {
             (pattern, Some(_)) if *pattern != AccessPattern::Trace => {
                 return Err(ConfigError::new(
                     "trace_path",
-                    format!("only pattern `trace` replays a file, this profile is `{}`", pattern.label()),
+                    format!(
+                        "only pattern `trace` replays a file, this profile is `{}`",
+                        pattern.label()
+                    ),
                 ));
             }
             _ => {}
@@ -485,16 +488,63 @@ mod tests {
     #[test]
     fn validation_rejects_bad_fields() {
         let base = WorkloadProfile::default();
-        assert!(WorkloadProfile { load_fraction: 1.5, ..base.clone() }.validate().is_err());
-        assert!(WorkloadProfile { load_fraction: 0.6, store_fraction: 0.6, ..base.clone() }.validate().is_err());
-        assert!(WorkloadProfile { hot_prob: 0.7, warm_prob: 0.6, ..base.clone() }.validate().is_err());
-        assert!(WorkloadProfile { hot_blocks: 0, ..base.clone() }.validate().is_err());
-        assert!(WorkloadProfile { mean_dep_distance: 0.5, ..base.clone() }.validate().is_err());
-        assert!(WorkloadProfile { phase_period: 0, ..base.clone() }.validate().is_err());
-        assert!(WorkloadProfile { stream_stride_blocks: 0, ..base.clone() }.validate().is_err());
-        assert!(WorkloadProfile { branch_bias: -0.1, ..base.clone() }.validate().is_err());
+        assert!(WorkloadProfile {
+            load_fraction: 1.5,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(WorkloadProfile {
+            load_fraction: 0.6,
+            store_fraction: 0.6,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(WorkloadProfile {
+            hot_prob: 0.7,
+            warm_prob: 0.6,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(WorkloadProfile {
+            hot_blocks: 0,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(WorkloadProfile {
+            mean_dep_distance: 0.5,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(WorkloadProfile {
+            phase_period: 0,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(WorkloadProfile {
+            stream_stride_blocks: 0,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(WorkloadProfile {
+            branch_bias: -0.1,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
         // pattern/trace_path coupling, both directions.
-        assert!(WorkloadProfile { pattern: AccessPattern::Trace, ..base.clone() }.validate().is_err());
+        assert!(WorkloadProfile {
+            pattern: AccessPattern::Trace,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
         assert!(WorkloadProfile {
             pattern: AccessPattern::Trace,
             trace_path: Some(String::new()),
@@ -502,15 +552,28 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(WorkloadProfile { trace_path: Some("x.lnt".to_owned()), ..base }.validate().is_err());
+        assert!(WorkloadProfile {
+            trace_path: Some("x.lnt".to_owned()),
+            ..base
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]
     fn validation_rejects_a_nan_dependency_distance() {
-        let nan = WorkloadProfile { mean_dep_distance: f64::NAN, ..WorkloadProfile::default() };
+        let nan = WorkloadProfile {
+            mean_dep_distance: f64::NAN,
+            ..WorkloadProfile::default()
+        };
         let err = nan.validate().unwrap_err();
         assert_eq!(err.parameter(), "mean_dep_distance");
-        assert!(WorkloadProfile { mean_dep_distance: 1.0, ..WorkloadProfile::default() }.validate().is_ok());
+        assert!(WorkloadProfile {
+            mean_dep_distance: 1.0,
+            ..WorkloadProfile::default()
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]
@@ -554,7 +617,9 @@ mod tests {
         assert_eq!(p.pattern, AccessPattern::PhaseMix);
         assert_eq!(p.phase_period, 1_000);
 
-        let err = WorkloadProfile::builder("b.bad").mix(0.7, 0.7, 0.0, 0.0).build();
+        let err = WorkloadProfile::builder("b.bad")
+            .mix(0.7, 0.7, 0.0, 0.0)
+            .build();
         assert!(err.is_err(), "the builder validates on build");
     }
 
@@ -562,9 +627,6 @@ mod tests {
     fn derived_quantities() {
         let p = WorkloadProfile::default();
         assert!((p.memory_fraction() - 0.35).abs() < 1e-12);
-        assert_eq!(
-            p.footprint_bytes(),
-            (512 + 4_096 + 131_072 + 4_000_000) * 32
-        );
+        assert_eq!(p.footprint_bytes(), (512 + 4_096 + 131_072 + 4_000_000) * 32);
     }
 }

@@ -219,7 +219,9 @@ fn get_u64(bytes: &[u8], offset: usize) -> Result<u64, TraceError> {
 /// PC, constant signed address stride.
 fn run_len(records: &[TraceRecord], i: usize) -> usize {
     let first = records[i];
-    let Some(second) = records.get(i + 1) else { return 1 };
+    let Some(second) = records.get(i + 1) else {
+        return 1;
+    };
     if second.write != first.write || second.pc != first.pc {
         return 1;
     }
@@ -252,7 +254,10 @@ pub fn encode(records: &[TraceRecord]) -> Result<Vec<u8>, TraceError> {
         if r.addr >= ADDR_LIMIT || r.pc >= ADDR_LIMIT {
             return Err(TraceError::format(
                 0,
-                format!("record {i}: address/pc must be below 2^56, got addr {:#x} pc {:#x}", r.addr, r.pc),
+                format!(
+                    "record {i}: address/pc must be below 2^56, got addr {:#x} pc {:#x}",
+                    r.addr, r.pc
+                ),
             ));
         }
     }
@@ -301,7 +306,9 @@ pub fn encode(records: &[TraceRecord]) -> Result<Vec<u8>, TraceError> {
         offset += payload.len() as u64;
     }
 
-    let mut out = Vec::with_capacity(HEADER_BYTES + index.len() + payloads.iter().map(Vec::len).sum::<usize>());
+    let mut out = Vec::with_capacity(
+        HEADER_BYTES + index.len() + payloads.iter().map(Vec::len).sum::<usize>(),
+    );
     out.extend_from_slice(&TRACE_MAGIC);
     push_u32(&mut out, TRACE_VERSION);
     push_u32(&mut out, chunks.len() as u32);
@@ -363,7 +370,10 @@ impl TraceData {
         if bytes.len() < HEADER_BYTES {
             return Err(TraceError::format(
                 bytes.len(),
-                format!("file is {} bytes, shorter than the {HEADER_BYTES}-byte header", bytes.len()),
+                format!(
+                    "file is {} bytes, shorter than the {HEADER_BYTES}-byte header",
+                    bytes.len()
+                ),
             ));
         }
         if bytes[..8] != TRACE_MAGIC {
@@ -425,7 +435,10 @@ impl TraceData {
                 ));
             };
             if fnv1a(payload) != checksum {
-                return Err(TraceError::format(offset, format!("chunk {i} payload checksum mismatch")));
+                return Err(TraceError::format(
+                    offset,
+                    format!("chunk {i} payload checksum mismatch"),
+                ));
             }
             chunks.push(ChunkIndex {
                 offset,
@@ -488,7 +501,11 @@ impl TraceData {
     /// Validation happened at load time, so decoding cannot fail on a
     /// loaded trace; an inconsistency here would mean the bytes changed
     /// underneath us and is reported as an error anyway.
-    fn decode_chunk_into(&self, chunk: usize, out: &mut Vec<TraceRecord>) -> Result<(), TraceError> {
+    fn decode_chunk_into(
+        &self,
+        chunk: usize,
+        out: &mut Vec<TraceRecord>,
+    ) -> Result<(), TraceError> {
         let idx = self.chunks[chunk];
         let payload = &self.bytes[idx.offset..idx.offset + idx.len];
         out.clear();
@@ -497,7 +514,10 @@ impl TraceData {
         let mut pos = 0;
         while out.len() < idx.records {
             let Some(&op) = payload.get(pos) else {
-                return Err(TraceError::format(idx.offset + pos, "payload ends before its record count"));
+                return Err(TraceError::format(
+                    idx.offset + pos,
+                    "payload ends before its record count",
+                ));
             };
             pos += 1;
             match op {
@@ -559,7 +579,12 @@ impl TraceData {
     }
 }
 
-fn checked_record(addr: i64, write: bool, pc: i64, offset: usize) -> Result<TraceRecord, TraceError> {
+fn checked_record(
+    addr: i64,
+    write: bool,
+    pc: i64,
+    offset: usize,
+) -> Result<TraceRecord, TraceError> {
     if !(0..ADDR_LIMIT as i64).contains(&addr) || !(0..ADDR_LIMIT as i64).contains(&pc) {
         return Err(TraceError::format(
             offset,
@@ -690,7 +715,10 @@ fn looks_like_lackey(text: &str) -> bool {
 }
 
 fn parse_lackey_hex(raw: &str, line: usize, what: &str) -> Result<u64, IngestError> {
-    let digits = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")).unwrap_or(raw);
+    let digits = raw
+        .strip_prefix("0x")
+        .or_else(|| raw.strip_prefix("0X"))
+        .unwrap_or(raw);
     let value = u64::from_str_radix(digits, 16).map_err(|_| IngestError {
         line,
         message: format!("{what} {raw:?} is not a hex integer"),
@@ -726,7 +754,9 @@ fn ingest_lackey(text: &str) -> Result<Vec<TraceRecord>, IngestError> {
         if let Some(extra) = fields.next() {
             return Err(IngestError {
                 line,
-                message: format!("unexpected trailing field {extra:?} (lackey lines are `<kind> <addr>,<size>`)"),
+                message: format!(
+                    "unexpected trailing field {extra:?} (lackey lines are `<kind> <addr>,<size>`)"
+                ),
             });
         }
         let Some((addr_raw, size_raw)) = operand.split_once(',') else {
@@ -748,16 +778,34 @@ fn ingest_lackey(text: &str) -> Result<Vec<TraceRecord>, IngestError> {
         }
         match kind {
             "I" => pc = addr,
-            "L" => records.push(TraceRecord { addr, write: false, pc }),
-            "S" => records.push(TraceRecord { addr, write: true, pc }),
+            "L" => records.push(TraceRecord {
+                addr,
+                write: false,
+                pc,
+            }),
+            "S" => records.push(TraceRecord {
+                addr,
+                write: true,
+                pc,
+            }),
             "M" => {
-                records.push(TraceRecord { addr, write: false, pc });
-                records.push(TraceRecord { addr, write: true, pc });
+                records.push(TraceRecord {
+                    addr,
+                    write: false,
+                    pc,
+                });
+                records.push(TraceRecord {
+                    addr,
+                    write: true,
+                    pc,
+                });
             }
             other => {
                 return Err(IngestError {
                     line,
-                    message: format!("unknown lackey access kind {other:?} (expected I, L, S or M)"),
+                    message: format!(
+                        "unknown lackey access kind {other:?} (expected I, L, S or M)"
+                    ),
                 })
             }
         }
@@ -807,7 +855,9 @@ fn ingest_native(text: &str) -> Result<Vec<TraceRecord>, IngestError> {
         if let Some(extra) = fields.next() {
             return Err(IngestError {
                 line,
-                message: format!("unexpected trailing field {extra:?} (lines are `<kind> <addr> [pc]`)"),
+                message: format!(
+                    "unexpected trailing field {extra:?} (lines are `<kind> <addr> [pc]`)"
+                ),
             });
         }
         records.push(TraceRecord { addr, write, pc });
@@ -850,9 +900,21 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let record = match i % 16 {
-                0..=7 => TraceRecord { addr: 0x1000 + i as u64 * 64, write: false, pc: 0x400100 },
-                8..=11 => TraceRecord { addr: 0x8_0000 + i as u64 * 8, write: true, pc: 0x400200 },
-                _ => TraceRecord { addr: x % ADDR_LIMIT, write: x & 1 == 0, pc: x >> 9 & (ADDR_LIMIT - 1) },
+                0..=7 => TraceRecord {
+                    addr: 0x1000 + i as u64 * 64,
+                    write: false,
+                    pc: 0x400100,
+                },
+                8..=11 => TraceRecord {
+                    addr: 0x8_0000 + i as u64 * 8,
+                    write: true,
+                    pc: 0x400200,
+                },
+                _ => TraceRecord {
+                    addr: x % ADDR_LIMIT,
+                    write: x & 1 == 0,
+                    pc: x >> 9 & (ADDR_LIMIT - 1),
+                },
             };
             records.push(record);
         }
@@ -861,7 +923,15 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip_is_identity() {
-        for n in [1, 2, 3, 100, CHUNK_RECORDS, CHUNK_RECORDS + 1, 3 * CHUNK_RECORDS + 17] {
+        for n in [
+            1,
+            2,
+            3,
+            100,
+            CHUNK_RECORDS,
+            CHUNK_RECORDS + 1,
+            3 * CHUNK_RECORDS + 17,
+        ] {
             let records = mixed_records(n);
             let bytes = encode(&records).unwrap();
             let data = TraceData::from_bytes(bytes).unwrap();
@@ -873,7 +943,11 @@ mod tests {
     #[test]
     fn runs_compress_strided_traces() {
         let strided: Vec<TraceRecord> = (0..2000)
-            .map(|i| TraceRecord { addr: 0x1000 + i * 64, write: false, pc: 0x400 })
+            .map(|i| TraceRecord {
+                addr: 0x1000 + i * 64,
+                write: false,
+                pc: 0x400,
+            })
             .collect();
         let bytes = encode(&strided).unwrap();
         // One run op per chunk: far below a byte per record.
@@ -885,7 +959,14 @@ mod tests {
     fn truncation_anywhere_is_rejected() {
         let records = mixed_records(600);
         let bytes = encode(&records).unwrap();
-        for cut in [0, 4, HEADER_BYTES - 1, HEADER_BYTES + 10, bytes.len() / 2, bytes.len() - 1] {
+        for cut in [
+            0,
+            4,
+            HEADER_BYTES - 1,
+            HEADER_BYTES + 10,
+            bytes.len() / 2,
+            bytes.len() - 1,
+        ] {
             let err = TraceData::from_bytes(bytes[..cut].to_vec());
             assert!(err.is_err(), "truncation at {cut} must be rejected");
         }
@@ -897,26 +978,43 @@ mod tests {
         // Magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
-        assert!(TraceData::from_bytes(bad).unwrap_err().to_string().contains("magic"));
+        assert!(TraceData::from_bytes(bad)
+            .unwrap_err()
+            .to_string()
+            .contains("magic"));
         // Version.
         let mut bad = bytes.clone();
         bad[8] = 9;
-        assert!(TraceData::from_bytes(bad).unwrap_err().to_string().contains("version"));
+        assert!(TraceData::from_bytes(bad)
+            .unwrap_err()
+            .to_string()
+            .contains("version"));
         // Index bytes (checksum catches it).
         let mut bad = bytes.clone();
         bad[HEADER_BYTES + 3] ^= 0x55;
-        assert!(TraceData::from_bytes(bad).unwrap_err().to_string().contains("checksum"));
+        assert!(TraceData::from_bytes(bad)
+            .unwrap_err()
+            .to_string()
+            .contains("checksum"));
         // Payload bytes (per-chunk checksum catches it).
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x55;
-        assert!(TraceData::from_bytes(bad).unwrap_err().to_string().contains("checksum"));
+        assert!(TraceData::from_bytes(bad)
+            .unwrap_err()
+            .to_string()
+            .contains("checksum"));
     }
 
     #[test]
     fn empty_and_out_of_range_traces_are_rejected() {
         assert!(encode(&[]).is_err());
-        let err = encode(&[TraceRecord { addr: ADDR_LIMIT, write: false, pc: 0 }]).unwrap_err();
+        let err = encode(&[TraceRecord {
+            addr: ADDR_LIMIT,
+            write: false,
+            pc: 0,
+        }])
+        .unwrap_err();
         assert!(err.to_string().contains("2^56"), "{err}");
     }
 
@@ -943,10 +1041,26 @@ mod tests {
         assert_eq!(
             records,
             vec![
-                TraceRecord { addr: 0x1000, write: false, pc: 0x400 },
-                TraceRecord { addr: 4096, write: true, pc: 0 },
-                TraceRecord { addr: 0x2000, write: false, pc: 0x404 },
-                TraceRecord { addr: 0x3000, write: true, pc: 16 },
+                TraceRecord {
+                    addr: 0x1000,
+                    write: false,
+                    pc: 0x400
+                },
+                TraceRecord {
+                    addr: 4096,
+                    write: true,
+                    pc: 0
+                },
+                TraceRecord {
+                    addr: 0x2000,
+                    write: false,
+                    pc: 0x404
+                },
+                TraceRecord {
+                    addr: 0x3000,
+                    write: true,
+                    pc: 16
+                },
             ]
         );
     }
@@ -956,7 +1070,10 @@ mod tests {
         let err = ingest_text("r 0x10\nq 0x20\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("line 2"), "{err}");
-        assert!(ingest_text("r\n").unwrap_err().message.contains("missing address"));
+        assert!(ingest_text("r\n")
+            .unwrap_err()
+            .message
+            .contains("missing address"));
         assert_eq!(ingest_text("r 0x10\nw zzz\n").unwrap_err().line, 2);
         assert_eq!(ingest_text("r 0x10 0x20 0x30\n").unwrap_err().line, 1);
         let err = ingest_text("# nothing\n\n").unwrap_err();
@@ -976,10 +1093,26 @@ mod tests {
         assert_eq!(
             records,
             vec![
-                TraceRecord { addr: 0x04f0_a828, write: false, pc: 0x0400_d7d4 },
-                TraceRecord { addr: 0x04f0_a7f0, write: true, pc: 0x0400_d7d4 },
-                TraceRecord { addr: 0x0421_b7f0, write: false, pc: 0x0400_d7e0 },
-                TraceRecord { addr: 0x0421_b7f0, write: true, pc: 0x0400_d7e0 },
+                TraceRecord {
+                    addr: 0x04f0_a828,
+                    write: false,
+                    pc: 0x0400_d7d4
+                },
+                TraceRecord {
+                    addr: 0x04f0_a7f0,
+                    write: true,
+                    pc: 0x0400_d7d4
+                },
+                TraceRecord {
+                    addr: 0x0421_b7f0,
+                    write: false,
+                    pc: 0x0400_d7e0
+                },
+                TraceRecord {
+                    addr: 0x0421_b7f0,
+                    write: true,
+                    pc: 0x0400_d7e0
+                },
             ]
         );
     }
@@ -989,12 +1122,20 @@ mod tests {
         // Uppercase native kinds without a comma stay native.
         assert_eq!(
             ingest_text("L 0x1000 0x400\n").unwrap(),
-            vec![TraceRecord { addr: 0x1000, write: false, pc: 0x400 }]
+            vec![TraceRecord {
+                addr: 0x1000,
+                write: false,
+                pc: 0x400
+            }]
         );
         // Data records with no preceding fetch carry pc 0.
         assert_eq!(
             ingest_text("S 1000,4\n").unwrap(),
-            vec![TraceRecord { addr: 0x1000, write: true, pc: 0 }]
+            vec![TraceRecord {
+                addr: 0x1000,
+                write: true,
+                pc: 0
+            }]
         );
     }
 

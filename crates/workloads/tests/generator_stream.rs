@@ -316,7 +316,11 @@ impl FrozenGenerator {
                 .expect("replay instructions only occur with a loaded trace")
                 .next_record();
             Instr {
-                kind: if record.write { InstrKind::Store } else { InstrKind::Load },
+                kind: if record.write {
+                    InstrKind::Store
+                } else {
+                    InstrKind::Load
+                },
                 addr: Some(Addr(record.addr)),
                 dep_distance: self.next_dep_distance(),
             }

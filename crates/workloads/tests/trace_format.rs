@@ -12,13 +12,14 @@ use proptest::prelude::*;
 fn records_strategy() -> impl Strategy<Value = Vec<TraceRecord>> {
     let single = (0..ADDR_LIMIT, any::<bool>(), 0..ADDR_LIMIT)
         .prop_map(|(addr, write, pc)| vec![TraceRecord { addr, write, pc }]);
-    let run = (
-        (0..ADDR_LIMIT / 2, any::<bool>()),
-        (0..ADDR_LIMIT, 1u64..512, 3usize..40),
-    )
+    let run = ((0..ADDR_LIMIT / 2, any::<bool>()), (0..ADDR_LIMIT, 1u64..512, 3usize..40))
         .prop_map(|((base, write), (pc, stride, len))| {
             (0..len)
-                .map(|i| TraceRecord { addr: base + i as u64 * stride, write, pc })
+                .map(|i| TraceRecord {
+                    addr: base + i as u64 * stride,
+                    write,
+                    pc,
+                })
                 .collect::<Vec<_>>()
         });
     prop::collection::vec(prop_oneof![single, run], 1..60)
@@ -64,10 +65,7 @@ fn replayed_memory(path: &str, seed: u64, n: usize) -> Vec<(u64, bool)> {
     let profile = trace::trace_profile(path);
     TraceGenerator::new(profile, seed)
         .take(n)
-        .filter_map(|i: Instr| {
-            i.addr
-                .map(|a| (a.0, matches!(i.kind, InstrKind::Store)))
-        })
+        .filter_map(|i: Instr| i.addr.map(|a| (a.0, matches!(i.kind, InstrKind::Store))))
         .collect()
 }
 
@@ -97,7 +95,11 @@ fn trace_replay_is_deterministic_and_in_order() {
         let replayed = replayed_memory(&path, seed, 40_000);
         for (i, &(addr, write)) in replayed.iter().enumerate() {
             let expected = records[i % records.len()];
-            assert_eq!((addr, write), (expected.addr, expected.write), "record {i} under seed {seed}");
+            assert_eq!(
+                (addr, write),
+                (expected.addr, expected.write),
+                "record {i} under seed {seed}"
+            );
         }
     }
 }

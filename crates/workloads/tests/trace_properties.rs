@@ -153,11 +153,7 @@ fn streaming_strides_by_the_configured_stride() {
         .map(|a| a.block_index(TRACE_BLOCK_BYTES) - STREAM_BASE / TRACE_BLOCK_BYTES)
         .collect();
     for pair in blocks.windows(2) {
-        assert_eq!(
-            (pair[0] + 5) % stream_blocks,
-            pair[1],
-            "walker advances by exactly the stride"
-        );
+        assert_eq!((pair[0] + 5) % stream_blocks, pair[1], "walker advances by exactly the stride");
     }
 }
 

@@ -26,11 +26,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     workloads.extend(fp);
     let area = AreaModel::paper();
 
-    println!("L-NUCA design space ({} instructions per run, 4 synthetic benchmarks)\n", instructions);
+    println!(
+        "L-NUCA design space ({} instructions per run, 4 synthetic benchmarks)\n",
+        instructions
+    );
 
     let mut rows = Vec::new();
     for levels in 2..=5u8 {
-        for (routing_name, routing) in [("random", RoutingPolicy::RandomValid), ("dim-order", RoutingPolicy::DimensionOrder)] {
+        for (routing_name, routing) in [
+            ("random", RoutingPolicy::RandomValid),
+            ("dim-order", RoutingPolicy::DimensionOrder),
+        ] {
             let spec = HierarchySpec::builder()
                 .fabric(LNucaConfig {
                     routing,
@@ -60,7 +66,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 format!("{:.3}", harmonic_mean(&ipcs).unwrap_or(0.0)),
                 format!(
                     "{:.3}",
-                    if ratio_den == 0 { 1.0 } else { ratio_num as f64 / ratio_den as f64 }
+                    if ratio_den == 0 {
+                        1.0
+                    } else {
+                        ratio_num as f64 / ratio_den as f64
+                    }
                 ),
             ]);
         }
@@ -68,7 +78,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "{}",
         format_table(
-            &["fabric", "routing", "capacity (with L1)", "area", "harmonic-mean IPC", "avg/min transport"],
+            &[
+                "fabric",
+                "routing",
+                "capacity (with L1)",
+                "area",
+                "harmonic-mean IPC",
+                "avg/min transport"
+            ],
             &rows
         )
     );

@@ -33,7 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lnuca = HierarchySpec::lnuca_l3(3)?;
 
     // Beyond the paper: the same fabric with nothing behind it but DRAM.
-    let no_l3 = HierarchySpec::builder().fabric(LNucaConfig::paper(3)?).build()?;
+    let no_l3 = HierarchySpec::builder()
+        .fabric(LNucaConfig::paper(3)?)
+        .build()?;
 
     let base = System::run_spec(&baseline, &profile, instructions, 42)?;
     let ln = System::run_spec(&lnuca, &profile, instructions, 42)?;
@@ -51,7 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (ln.energy.total_pj() / base.energy.total_pj() - 1.0) * 100.0
     );
 
-    let fabric = ln.hierarchy.lnuca.as_ref().expect("the L-NUCA hierarchy has a fabric");
+    let fabric = ln
+        .hierarchy
+        .lnuca
+        .as_ref()
+        .expect("the L-NUCA hierarchy has a fabric");
     println!("\nL-NUCA fabric activity (LN3-144KB):");
     println!("  searches injected        {:>9}", fabric.searches);
     for (i, hits) in fabric.read_hits_per_level.iter().enumerate() {
@@ -59,9 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("  global misses            {:>9}", fabric.global_misses);
     println!("  blocks spilled to the L3 {:>9}", fabric.spills);
-    println!(
-        "  avg/min transport latency {:>8.3}",
-        fabric.transport_latency_ratio()
-    );
+    println!("  avg/min transport latency {:>8.3}", fabric.transport_latency_ratio());
     Ok(())
 }

@@ -13,10 +13,7 @@ use lnuca_suite::workloads::{suites, TraceGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sample = 200_000usize;
-    println!(
-        "synthetic workload profiles ({} sampled instructions per profile)\n",
-        sample
-    );
+    println!("synthetic workload profiles ({} sampled instructions per profile)\n", sample);
 
     // A 256 KB, 8-way array approximates the baseline L2's reach; a 72 KB
     // fully-associative array approximates LN2's reach (L1 + Le2 tiles).

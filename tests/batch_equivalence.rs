@@ -52,11 +52,9 @@ fn verify_spec(spec: &HierarchySpec) {
     };
     for batch_size in BATCH_SIZES {
         match baseline.check_batched(batch_size) {
-            Ok(report) => assert_eq!(
-                report.runs, expected,
-                "width {} compared every run",
-                report.batch_size
-            ),
+            Ok(report) => {
+                assert_eq!(report.runs, expected, "width {} compared every run", report.batch_size)
+            }
             Err(e) => panic!("{e}"),
         }
     }
@@ -109,8 +107,14 @@ fn cmp_batches_are_bit_identical_under_both_engines() {
         let solo: Vec<_> = cases
             .iter()
             .map(|&(i, seed)| {
-                System::run_spec_with(engine, &specs[i], &profiles[i * 2], 400 + 37 * i as u64, seed)
-                    .unwrap()
+                System::run_spec_with(
+                    engine,
+                    &specs[i],
+                    &profiles[i * 2],
+                    400 + 37 * i as u64,
+                    seed,
+                )
+                .unwrap()
             })
             .collect();
         for batch_size in [1, 2, 0] {
@@ -123,7 +127,11 @@ fn cmp_batches_are_bit_identical_under_both_engines() {
                     seed,
                 })
                 .collect();
-            let width = if batch_size == 0 { jobs.len() } else { batch_size };
+            let width = if batch_size == 0 {
+                jobs.len()
+            } else {
+                batch_size
+            };
             let batched: Vec<_> = jobs
                 .chunks(width)
                 .flat_map(|chunk| BatchRunner::new(engine, chunk).unwrap().run_results())

@@ -34,25 +34,16 @@ fn event_horizon_is_bit_identical_to_cycle_stepping_everywhere() {
     for spec in all_presets() {
         for &seed in &SEEDS {
             for profile in profiles {
-                let stepped = System::run_spec_with(
-                    Engine::CycleStep,
-                    &spec,
-                    profile,
-                    INSTRUCTIONS,
-                    seed,
-                )
-                .expect("valid configuration");
-                let jumped = System::run_spec_with(
-                    Engine::EventHorizon,
-                    &spec,
-                    profile,
-                    INSTRUCTIONS,
-                    seed,
-                )
-                .expect("valid configuration");
+                let stepped =
+                    System::run_spec_with(Engine::CycleStep, &spec, profile, INSTRUCTIONS, seed)
+                        .expect("valid configuration");
+                let jumped =
+                    System::run_spec_with(Engine::EventHorizon, &spec, profile, INSTRUCTIONS, seed)
+                        .expect("valid configuration");
                 // Field-by-field first so a mismatch names the field…
                 assert_eq!(
-                    stepped.cycles, jumped.cycles,
+                    stepped.cycles,
+                    jumped.cycles,
                     "{} on {} seed {seed}: cycle counts diverge",
                     spec.label(),
                     profile.name
@@ -65,19 +56,22 @@ fn event_horizon_is_bit_identical_to_cycle_stepping_everywhere() {
                     profile.name
                 );
                 assert_eq!(
-                    stepped.core, jumped.core,
+                    stepped.core,
+                    jumped.core,
                     "{} on {} seed {seed}: core counters diverge",
                     spec.label(),
                     profile.name
                 );
                 assert_eq!(
-                    stepped.hierarchy, jumped.hierarchy,
+                    stepped.hierarchy,
+                    jumped.hierarchy,
                     "{} on {} seed {seed}: hierarchy counters diverge",
                     spec.label(),
                     profile.name
                 );
                 assert_eq!(
-                    stepped.energy, jumped.energy,
+                    stepped.energy,
+                    jumped.energy,
                     "{} on {} seed {seed}: energy ledgers diverge",
                     spec.label(),
                     profile.name
@@ -119,23 +113,10 @@ fn event_horizon_is_bit_identical_to_cycle_stepping_on_cmp_shapes() {
                 };
                 let (stepped, jumped) = (run(Engine::CycleStep), run(Engine::EventHorizon));
                 let context = format!("{} on {} seed {seed}", spec.label(), profile.name);
-                assert_eq!(
-                    stepped.per_core.len(),
-                    spec.cores,
-                    "{context}: per-core rows"
-                );
-                assert_eq!(
-                    stepped.per_core, jumped.per_core,
-                    "{context}: per-core rows diverge"
-                );
-                assert!(
-                    stepped.coherence.is_some(),
-                    "{context}: CMP runs carry coherence"
-                );
-                assert_eq!(
-                    stepped.coherence, jumped.coherence,
-                    "{context}: coherence diverges"
-                );
+                assert_eq!(stepped.per_core.len(), spec.cores, "{context}: per-core rows");
+                assert_eq!(stepped.per_core, jumped.per_core, "{context}: per-core rows diverge");
+                assert!(stepped.coherence.is_some(), "{context}: CMP runs carry coherence");
+                assert_eq!(stepped.coherence, jumped.coherence, "{context}: coherence diverges");
                 assert_eq!(stepped, jumped, "{context}");
             }
         }

@@ -52,8 +52,8 @@ fn fabric_recovers_victims_faster_than_the_l3_would() {
 /// block is resident in more than one place of the L1 + fabric pair.
 #[test]
 fn full_system_run_preserves_exclusion_invariants() {
-    use lnuca_suite::sim::hierarchy::LNucaHierarchy;
     use lnuca_suite::cpu::DataMemory as _;
+    use lnuca_suite::sim::hierarchy::LNucaHierarchy;
 
     let spec = HierarchySpec::lnuca_l3(2).expect("valid config");
     let mut hierarchy = LNucaHierarchy::from_spec(&spec).expect("valid config");
@@ -70,8 +70,7 @@ fn full_system_run_preserves_exclusion_invariants() {
     // The fabric never holds more blocks than its capacity.
     let fabric = hierarchy.fabric();
     assert!(
-        fabric.resident_blocks() as u64
-            <= fabric.capacity_bytes() / fabric.config().block_size,
+        fabric.resident_blocks() as u64 <= fabric.capacity_bytes() / fabric.config().block_size,
         "fabric holds more blocks than it has room for"
     );
 }
@@ -138,7 +137,9 @@ fn tile_hit_distribution_is_monotone_in_level() {
 #[test]
 fn memory_hierarchy_is_the_bottleneck() {
     let profile = suites::spec_int_like()[0].clone();
-    let trace: Vec<_> = TraceGenerator::new(profile.clone(), 1).take(10_000).collect();
+    let trace: Vec<_> = TraceGenerator::new(profile.clone(), 1)
+        .take(10_000)
+        .collect();
 
     let mut ideal_core = OooCore::new(CoreConfig::paper(), trace.into_iter()).expect("valid");
     let mut ideal_mem = FixedLatencyMemory::new(1);
@@ -169,6 +170,9 @@ fn end_to_end_determinism() {
     let a = System::run_spec(&spec, &profile, 6_000, 77).expect("valid config");
     let b = System::run_spec(&spec, &profile, 6_000, 77).expect("valid config");
     assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.hierarchy.lnuca.as_ref().map(|s| s.read_hits()), b.hierarchy.lnuca.as_ref().map(|s| s.read_hits()));
+    assert_eq!(
+        a.hierarchy.lnuca.as_ref().map(|s| s.read_hits()),
+        b.hierarchy.lnuca.as_ref().map(|s| s.read_hits())
+    );
     assert_eq!(a.hierarchy.memory_accesses, b.hierarchy.memory_accesses);
 }

@@ -28,9 +28,18 @@ fn conventional_study(opts: &ExperimentOptions) -> Study {
 #[test]
 fn area_claims_hold() {
     let rows = area_table();
-    let baseline = rows.iter().find(|r| r.label == "L2-256KB").expect("baseline row");
-    let ln3 = rows.iter().find(|r| r.label == "LN3-144KB").expect("LN3 row");
-    let ln4 = rows.iter().find(|r| r.label == "LN4-248KB").expect("LN4 row");
+    let baseline = rows
+        .iter()
+        .find(|r| r.label == "L2-256KB")
+        .expect("baseline row");
+    let ln3 = rows
+        .iter()
+        .find(|r| r.label == "LN3-144KB")
+        .expect("LN3 row");
+    let ln4 = rows
+        .iter()
+        .find(|r| r.label == "LN4-248KB")
+        .expect("LN4 row");
     assert!(ln3.model_mm2 < baseline.model_mm2);
     assert!(ln4.model_mm2 > baseline.model_mm2);
     for row in &rows {
@@ -85,7 +94,9 @@ fn hit_distribution_claims_hold() {
             .expect("row present")
     };
     assert!(total_for("LN3", Suite::Integer) >= total_for("LN2", Suite::Integer) - 1e-9);
-    assert!(total_for("LN3", Suite::FloatingPoint) >= total_for("LN2", Suite::FloatingPoint) - 1e-9);
+    assert!(
+        total_for("LN3", Suite::FloatingPoint) >= total_for("LN2", Suite::FloatingPoint) - 1e-9
+    );
 }
 
 /// Energy shape of Fig. 4(b): static L3 energy dominates every configuration,

@@ -141,7 +141,9 @@ fn builtin_plan_digests_are_pinned() {
         ("cmp-sharing", "447bc996c3bfba97"),
         ("cmp-lnuca-dnuca", "29c6635117b655f6"),
     ] {
-        let plan = scenario::builtin(name).expect("registry resolves its own names").plan;
+        let plan = scenario::builtin(name)
+            .expect("registry resolves its own names")
+            .plan;
         let digest = journal::plan_digest(&plan).expect("built-in workloads resolve");
         assert_eq!(format!("{digest:016x}"), expected, "{name}: plan digest drifted");
     }

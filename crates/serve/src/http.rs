@@ -59,11 +59,15 @@ impl Message {
 pub fn read_message(stream: &mut TcpStream, expect_response: bool) -> Result<Message, String> {
     let mut reader = BufReader::new(&*stream);
     let mut head = String::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        let n = reader
-            .read_line(&mut line)
+        // At most one byte past the cap: a line that never ends trips the
+        // cap as soon as it is over it, not at the next newline or timeout.
+        let left = (MAX_HEAD_BYTES - head.len() + 1) as u64;
+        let n = (&mut reader)
+            .take(left)
+            .read_until(b'\n', &mut line)
             .map_err(|e| format!("read: {e}"))?;
         if n == 0 {
             return Err("connection closed before the header block ended".into());
@@ -71,10 +75,10 @@ pub fn read_message(stream: &mut TcpStream, expect_response: bool) -> Result<Mes
         if head.len() + line.len() > MAX_HEAD_BYTES {
             return Err(format!("header block exceeds {MAX_HEAD_BYTES} bytes"));
         }
-        if line == "\r\n" || line == "\n" {
+        if line == b"\r\n" || line == b"\n" {
             break;
         }
-        head.push_str(&line);
+        head.push_str(std::str::from_utf8(&line).map_err(|_| "header block is not UTF-8")?);
     }
     let mut lines = head.lines();
     let start = lines.next().ok_or("empty header block")?;
@@ -264,5 +268,32 @@ mod tests {
         let err = read_message(&mut stream, false).expect_err("must reject");
         assert!(err.contains("exceeds"), "got: {err}");
         client.join().expect("client thread");
+    }
+
+    #[test]
+    fn rejects_an_unterminated_header_line_at_the_cap_not_the_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (answered, hang_up) = std::sync::mpsc::channel::<()>();
+        let client = thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // One 20 KiB header line with no newline, and the socket held
+            // open until the server has answered.
+            let line = format!("GET / HTTP/1.1\r\nx-pad: {}", "a".repeat(20 * 1024));
+            stream.write_all(line.as_bytes()).expect("write");
+            let _ = hang_up.recv();
+        });
+        let (mut stream, _) = listener.accept().expect("accept");
+        let timeout = Duration::from_secs(5);
+        stream
+            .set_read_timeout(Some(timeout))
+            .expect("read timeout");
+        let started = std::time::Instant::now();
+        let err = read_message(&mut stream, false).expect_err("must reject");
+        let waited = started.elapsed();
+        drop(answered);
+        client.join().expect("client thread");
+        assert!(err.contains("header block exceeds"), "got: {err}");
+        assert!(waited < timeout / 2, "rejected only after {waited:?}");
     }
 }

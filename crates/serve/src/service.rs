@@ -25,7 +25,7 @@ use crate::metrics::Metrics;
 use lnuca_bench::cli::{self, ResolvedScenario};
 use lnuca_sim::experiments::{ExperimentPlan, Study};
 use lnuca_sim::scenario::{self, Scenario};
-use lnuca_sim::{journal, StopSignal};
+use lnuca_sim::{journal, StopSignal, Supervisor};
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -698,7 +698,8 @@ impl Server {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             // resume = true: a journal left by a drained predecessor (same
             // digest → same plan semantics) is continued, not restarted.
-            Study::run_controlled(&plan, journal_path.as_deref(), true, &stop)
+            let supervisor = Supervisor::from_options(&plan.options);
+            Study::run_controlled(&plan, journal_path.as_deref(), true, &stop, &supervisor)
         }));
         let wall_seconds = started.elapsed().as_secs_f64();
         {

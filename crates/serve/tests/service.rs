@@ -9,7 +9,6 @@ use lnuca_serve::{JobState, ServeConfig, Server, Source, Submission};
 use lnuca_sim::experiments::ExperimentOptions;
 use lnuca_sim::scenario;
 use lnuca_types::RUN_STATUSES;
-use lnuca_verify::chaos::{with_fault, ScheduledFault};
 use std::time::{Duration, Instant};
 
 /// A small single-configuration scenario document. Distinct `seed`s give
@@ -277,33 +276,30 @@ fn cancelling_a_running_job_stops_it_at_run_granularity() {
 #[test]
 fn poisoned_scenario_fails_its_own_job_and_the_worker_survives() {
     let server = Server::start(config(1, 8));
-    let poison_seed = 777_777;
-    let (poisoned, healthy) = with_fault(
-        ScheduledFault {
-            seed: Some(poison_seed),
-            first_attempt_only: false,
-            ..ScheduledFault::any()
-        },
-        || {
-            let poisoned = accepted_id(server.submit_document(&doc(poison_seed, 5_000), 0));
-            let healthy = accepted_id(server.submit_document(&doc(301, 5_000), 0));
-            (wait_terminal(&server, poisoned), wait_terminal(&server, healthy))
-        },
-    );
+    // The poison is in the document itself: a cycle budget far below the
+    // run's length trips the watchdog in every run of the study.
+    let mut scenario = scenario::Scenario::from_json(&doc(777_777, 5_000)).expect("doc parses");
+    scenario.plan.options.cycle_budget = Some(100);
+    let poison = scenario.to_json();
+
+    let poisoned = accepted_id(server.submit_document(&poison, 0));
+    let healthy = accepted_id(server.submit_document(&doc(301, 5_000), 0));
+    let (poisoned, healthy) = (wait_terminal(&server, poisoned), wait_terminal(&server, healthy));
     assert_eq!(
         poisoned.state,
         JobState::Degraded,
-        "the injected panic quarantines into the poisoned job's own report"
+        "the tripped runs land in the poisoned job's own report"
     );
     let report = poisoned.report.expect("degraded jobs still report");
-    assert!(report.contains("\"panic\""), "failure rows carry the panic status");
+    assert!(report.contains("\"cycle-budget\""), "failure rows carry the trip status");
     assert_eq!(healthy.state, JobState::Done, "the sibling job is untouched");
 
-    // The worker that absorbed the poison is still alive and serves the
-    // next submission — and the degraded report was *not* cached.
-    match server.submit_document(&doc(poison_seed, 5_000), 0) {
+    // The worker that absorbed the poison is still alive and runs the
+    // next submission — and the degraded report was *not* cached, so the
+    // same document is accepted as new work rather than served.
+    match server.submit_document(&poison, 0) {
         Submission::Accepted { id, .. } => {
-            assert_eq!(wait_terminal(&server, id).state, JobState::Done);
+            assert_eq!(wait_terminal(&server, id).state, JobState::Degraded);
         }
         other => panic!("degraded reports must not be cached, got {other:?}"),
     }

@@ -634,7 +634,7 @@ impl Study {
     /// invalid, or a named workload does not exist. Per-run failures do
     /// **not** error — they are collected in [`Study::failures`].
     pub fn run(plan: &ExperimentPlan) -> Result<Self, ConfigError> {
-        Self::run_inner(plan, None, Vec::new(), None)
+        Self::run_inner(plan, None, Vec::new(), None, &Supervisor::from_options(&plan.options))
     }
 
     /// Runs a plan with a crash-safe journal at `path`: every completed run
@@ -659,12 +659,15 @@ impl Study {
         path: &Path,
         resume: bool,
     ) -> Result<Self, RunError> {
-        Self::run_controlled(plan, Some(path), resume, &StopSignal::new())
+        let supervisor = Supervisor::from_options(&plan.options);
+        Self::run_controlled(plan, Some(path), resume, &StopSignal::new(), &supervisor)
     }
 
     /// The full-control entry point behind the serve daemon: an optional
-    /// crash-safe journal (as in [`Study::run_journaled`]) plus a
-    /// cooperative [`StopSignal`].
+    /// crash-safe journal (as in [`Study::run_journaled`]), a cooperative
+    /// [`StopSignal`] and the [`Supervisor`] every worker runs its jobs
+    /// under (normally [`Supervisor::from_options`] of the plan's options;
+    /// the chaos harness attaches a fault hook to it).
     ///
     /// Raising the signal mid-study stops the worker pool cleanly at run
     /// granularity, whatever the batch size: the signal is checked before
@@ -686,9 +689,10 @@ impl Study {
         journal: Option<&Path>,
         resume: bool,
         stop: &StopSignal,
+        supervisor: &Supervisor,
     ) -> Result<Self, RunError> {
         let Some(path) = journal else {
-            return Ok(Self::run_inner(plan, None, Vec::new(), Some(stop))?);
+            return Ok(Self::run_inner(plan, None, Vec::new(), Some(stop), supervisor)?);
         };
         let total = journal::job_count(plan)?;
         let (writer, preloaded) = if resume && path.exists() {
@@ -697,7 +701,7 @@ impl Study {
         } else {
             (JournalWriter::create(path, plan, total)?, Vec::new())
         };
-        let study = Self::run_inner(plan, Some(&writer), preloaded, Some(stop))?;
+        let study = Self::run_inner(plan, Some(&writer), preloaded, Some(stop), supervisor)?;
         writer.finish()?;
         Ok(study)
     }
@@ -711,6 +715,7 @@ impl Study {
         journal: Option<&JournalWriter>,
         mut preloaded: Vec<Option<(RunResult, RunPerf)>>,
         stop: Option<&StopSignal>,
+        supervisor: &Supervisor,
     ) -> Result<Self, ConfigError> {
         let opts = &plan.options;
         let workloads = opts.workloads()?;
@@ -722,7 +727,6 @@ impl Study {
         }
         let configs: Vec<String> = plan.configs.iter().map(HierarchySpec::label).collect();
         let baseline = configs[0].clone();
-        let supervisor = Supervisor::from_options(opts);
         let mut jobs = Vec::with_capacity(plan.configs.len() * workloads.len());
         for spec in &plan.configs {
             for (i, profile) in workloads.iter().enumerate() {
@@ -744,7 +748,7 @@ impl Study {
             opts.instructions,
             opts.threads,
             opts.engine,
-            &supervisor,
+            supervisor,
             journal,
             stop,
         );
@@ -1334,11 +1338,12 @@ mod tests {
         opts.lnuca_levels = vec![2];
         opts.benchmarks_per_suite = Some(1);
         let plan = ExperimentPlan::paper_conventional(&opts).unwrap();
+        let supervisor = Supervisor::from_options(&plan.options);
 
         let stop = StopSignal::new();
         stop.cancel();
         stop.shutdown(); // the first raise wins
-        let study = Study::run_controlled(&plan, None, false, &stop).unwrap();
+        let study = Study::run_controlled(&plan, None, false, &stop, &supervisor).unwrap();
         assert!(study.results.is_empty(), "no run may start after the signal");
         assert_eq!(study.failures.len(), 2 * 2);
         assert!(study
@@ -1348,7 +1353,8 @@ mod tests {
 
         // An unraised signal is invisible: bit-identical to Study::run.
         let baseline = Study::run(&plan).unwrap();
-        let unstopped = Study::run_controlled(&plan, None, false, &StopSignal::new()).unwrap();
+        let unstopped =
+            Study::run_controlled(&plan, None, false, &StopSignal::new(), &supervisor).unwrap();
         assert_eq!(baseline.results, unstopped.results);
         assert!(unstopped.failures.is_empty());
     }
@@ -1361,10 +1367,11 @@ mod tests {
         opts.benchmarks_per_suite = Some(1);
         opts.batch_size = 3;
         let plan = ExperimentPlan::paper_dnuca(&opts).unwrap();
+        let supervisor = Supervisor::from_options(&plan.options);
 
         let stop = StopSignal::new();
         stop.shutdown();
-        let study = Study::run_controlled(&plan, None, false, &stop).unwrap();
+        let study = Study::run_controlled(&plan, None, false, &stop, &supervisor).unwrap();
         assert!(study.results.is_empty());
         assert_eq!(study.failures.len(), 2 * 2);
         assert!(study

@@ -22,10 +22,11 @@
 //!   trips (cycle budget, livelock) reproduce identically and are never
 //!   retried.
 //!
-//! The deterministic fault-injection hook ([`install_fault_hook`]) is the
-//! seam the `lnuca_verify::chaos` harness uses to schedule panics and
-//! watchdog trips at exact cycles; it is process-global, off by default,
-//! and costs one relaxed atomic load per guard construction when unarmed.
+//! The deterministic fault-injection hook ([`Supervisor::with_fault_hook`])
+//! is the seam the `lnuca_verify::chaos` harness uses to schedule panics
+//! and watchdog trips at exact cycles. It rides on the `Supervisor` a
+//! study's workers share, so it reaches that study's runs and no others;
+//! production runs never set one.
 
 use crate::batch::{BatchJob, BatchRunner};
 use crate::experiments::{ExperimentOptions, RunPerf};
@@ -36,8 +37,8 @@ use lnuca_types::{Cycle, RunError};
 use lnuca_workloads::WorkloadProfile;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often (in loop observations) a guard samples the wall clock: the
@@ -99,44 +100,10 @@ pub struct RunKey {
 
 /// A deterministic fault hook: observes `(key, cycle, committed)` at every
 /// guarded loop iteration and may inject a failure by returning it — or
-/// model a hard crash by panicking. See [`install_fault_hook`].
+/// model a hard crash by panicking. See [`Supervisor::with_fault_hook`].
 pub type FaultHook = dyn Fn(&RunKey, u64, u64) -> Option<RunError> + Send + Sync;
 
-static FAULT_ARMED: AtomicBool = AtomicBool::new(false);
-static FAULT_HOOK: Mutex<Option<Arc<FaultHook>>> = Mutex::new(None);
-
-/// Installs the process-global fault-injection hook (replacing any previous
-/// one). **Test harness seam** — `lnuca_verify::chaos` schedules panics and
-/// watchdog trips through it; production runs never install one. Guards
-/// snapshot the hook at construction, so a swap mid-run affects only runs
-/// started afterwards.
-pub fn install_fault_hook(hook: Arc<FaultHook>) {
-    *lock_hook() = Some(hook);
-    FAULT_ARMED.store(true, Ordering::SeqCst);
-}
-
-/// Removes the fault-injection hook (no-op when none is installed).
-pub fn clear_fault_hook() {
-    FAULT_ARMED.store(false, Ordering::SeqCst);
-    *lock_hook() = None;
-}
-
-fn lock_hook() -> std::sync::MutexGuard<'static, Option<Arc<FaultHook>>> {
-    // A hook that panicked while a test held the lock must not poison every
-    // later test: the Option inside is always valid.
-    FAULT_HOOK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn current_fault_hook() -> Option<Arc<FaultHook>> {
-    if !FAULT_ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    lock_hook().clone()
-}
-
-/// The per-run watchdog: budgets plus the fault-hook snapshot for one
+/// The per-run watchdog: budgets plus the supervisor's fault hook for one
 /// attempt. Constructed by a [`Supervisor`]; the [`BatchRunner`] calls
 /// [`JobGuard::observe`] at the top of every engine iteration of its
 /// member and bounds its event-horizon jumps by
@@ -260,34 +227,57 @@ pub struct SupervisedOutcome {
 }
 
 /// Supervision policy for a set of runs: watchdog budgets plus the bounded
-/// retry count, derived from one [`ExperimentOptions`]. Cheap to copy and
-/// `Sync` — one instance drives every worker of a study.
-#[derive(Debug, Clone, Copy, Default)]
+/// retry count, derived from one [`ExperimentOptions`], and an optional
+/// fault hook. Cheap to clone and `Sync` — one instance drives every
+/// worker of a study.
+#[derive(Clone, Default)]
 pub struct Supervisor {
     /// Watchdog budgets applied to every run.
     pub budgets: Budgets,
     /// Extra attempts granted to transiently-failed runs
     /// ([`RunError::is_transient`]); deterministic trips never retry.
     pub retries: u32,
+    hook: Option<Arc<FaultHook>>,
+}
+
+impl std::fmt::Debug for Supervisor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Supervisor")
+            .field("budgets", &self.budgets)
+            .field("retries", &self.retries)
+            .field("hooked", &self.hook.is_some())
+            .finish()
+    }
 }
 
 impl Supervisor {
-    /// Derives the policy from run options.
+    /// Derives the policy from run options (no fault hook).
     #[must_use]
     pub fn from_options(options: &ExperimentOptions) -> Self {
         Supervisor {
             budgets: Budgets::from_options(options),
             retries: options.retries,
+            hook: None,
         }
     }
 
+    /// Attaches a fault-injection hook, replacing any previous one. **Test
+    /// harness seam** — `lnuca_verify::chaos` schedules panics and
+    /// watchdog trips through it. Every guard this supervisor builds calls
+    /// the hook, so it reaches exactly the runs driven by this supervisor
+    /// (and its clones).
+    #[must_use]
+    pub fn with_fault_hook(mut self, hook: Arc<FaultHook>) -> Self {
+        self.hook = Some(hook);
+        self
+    }
+
     /// Builds the guard for one run attempt — `None` when no watchdog is
-    /// armed and no fault hook is installed, so the unsupervised fast path
+    /// armed and no fault hook is set, so the unsupervised fast path
     /// (bit-identical, zero observation overhead) is taken.
     #[must_use]
     pub fn guard(&self, label: &str, workload: &str, seed: u64, attempt: u32) -> Option<JobGuard> {
-        let hook = current_fault_hook();
-        if !self.budgets.is_active() && hook.is_none() {
+        if !self.budgets.is_active() && self.hook.is_none() {
             return None;
         }
         Some(JobGuard::new(
@@ -298,7 +288,7 @@ impl Supervisor {
                 attempt,
             },
             self.budgets,
-            hook,
+            self.hook.clone(),
         ))
     }
 }

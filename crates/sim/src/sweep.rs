@@ -127,7 +127,7 @@ impl SweepConfig {
     }
 
     /// Quick-mode options for the survivor stage: one benchmark per suite,
-    /// the batched data-parallel engine at full batch width.
+    /// at full batch width (a batch runs its members one after another).
     fn survivor_options(instructions: u64) -> ExperimentOptions {
         ExperimentOptions::builder()
             .instructions(instructions)

@@ -6,8 +6,9 @@
 //! reproducible cycles, a killed study resumes to a byte-identical report —
 //! are only worth anything if something hostile exercises them. This module
 //! is that something: a declarative [`ChaosPlan`] of [`ScheduledFault`]s is
-//! compiled into the process-global fault hook of
-//! [`lnuca_sim::supervise`], so panics and watchdog trips fire at **exact
+//! compiled into a fault hook ([`ChaosPlan::hook`]) that a test attaches to
+//! one [`Supervisor`](lnuca_sim::supervise::Supervisor) with
+//! `with_fault_hook`, so panics and watchdog trips fire at **exact
 //! simulated cycles** of **exact runs** — no timing, no randomness, every
 //! chaos test replays identically.
 //!
@@ -18,13 +19,10 @@
 //! model transient failures that a retry survives, or fire on every attempt
 //! to model deterministic poison.
 //!
-//! The hook is process-global, so concurrent chaos scopes would trample
-//! each other; [`with_hook`] (behind [`ChaosPlan::with_chaos`]) serialises
-//! all chaos scopes behind one mutex and guarantees the hook is disarmed
-//! again even if the scope's body panics. A supervised run outside any
-//! scope would still see a sibling scope's hook, so the unfaulted
-//! baselines of chaos tests run inside [`without_faults`], which takes the
-//! same mutex with no hook installed.
+//! The hook reaches only the runs driven by the supervisor it is attached
+//! to (`run_job_supervised`, or a whole study through
+//! `Study::run_controlled`), so chaos tests and their unfaulted baselines
+//! run concurrently without seeing each other's faults.
 //!
 //! # Example
 //!
@@ -44,18 +42,17 @@
 //!     kind: FaultKind::Panic,
 //!     ..ScheduledFault::any()
 //! });
-//! let supervisor = Supervisor::from_options(&ExperimentOptions::default());
-//! let outcome = plan.with_chaos(|| {
-//!     run_job_supervised(Engine::EventHorizon, &spec, &profile, 1_000, 1, &supervisor)
-//! });
+//! let supervisor =
+//!     Supervisor::from_options(&ExperimentOptions::default()).with_fault_hook(plan.hook());
+//! let outcome = run_job_supervised(Engine::EventHorizon, &spec, &profile, 1_000, 1, &supervisor);
 //! assert_eq!(outcome.attempts, 2); // attempt 0 panicked, attempt 1 succeeded
 //! assert!(outcome.outcome.is_ok());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use lnuca_sim::supervise::{clear_fault_hook, install_fault_hook, RunKey};
+use lnuca_sim::supervise::{FaultHook, RunKey};
 use lnuca_types::RunError;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// What an armed [`ScheduledFault`] does when it fires.
 #[derive(Debug, Clone)]
@@ -117,29 +114,16 @@ impl ScheduledFault {
     }
 }
 
-/// A set of [`ScheduledFault`]s plus the scope machinery to arm them. The
-/// first fault (in insertion order) matching an observation fires.
+/// A set of [`ScheduledFault`]s, attached to a supervisor through
+/// [`ChaosPlan::hook`]. The first fault (in insertion order) matching an
+/// observation fires.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     faults: Vec<ScheduledFault>,
 }
 
-/// Serialises chaos scopes: the fault hook is process-global state, so two
-/// concurrent [`with_hook`] bodies would observe each other's faults.
-static CHAOS_SCOPE: Mutex<()> = Mutex::new(());
-
-/// Disarms the hook when a chaos scope ends — including by panic, so one
-/// failing chaos test cannot leave the hook armed for unrelated tests.
-struct Disarm<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-impl Drop for Disarm<'_> {
-    fn drop(&mut self) {
-        clear_fault_hook();
-    }
-}
-
 impl ChaosPlan {
-    /// An empty plan (no faults; [`ChaosPlan::with_chaos`] still serialises the scope).
+    /// An empty plan (no faults).
     #[must_use]
     pub fn new() -> Self {
         ChaosPlan::default()
@@ -154,9 +138,9 @@ impl ChaosPlan {
 
     /// Fires the first fault matching `key` at `cycle`: panics for a
     /// [`FaultKind::Panic`], returns the error of a [`FaultKind::Trip`],
-    /// and returns `None` when no fault matches. This is the hook
-    /// [`ChaosPlan::with_chaos`] installs; a test hook that also observes
-    /// runs delegates to it.
+    /// and returns `None` when no fault matches. This is what
+    /// [`ChaosPlan::hook`] calls; a test hook that also observes runs
+    /// delegates to it.
     pub fn fire(&self, key: &RunKey, cycle: u64) -> Option<RunError> {
         let fault = self.faults.iter().find(|f| f.matches(key, cycle))?;
         match &fault.kind {
@@ -168,40 +152,11 @@ impl ChaosPlan {
         }
     }
 
-    /// Runs `body` with this plan's faults armed (see [`with_hook`]).
-    pub fn with_chaos<R>(&self, body: impl FnOnce() -> R) -> R {
+    /// This plan's faults as a fault hook backed by [`ChaosPlan::fire`],
+    /// for `Supervisor::with_fault_hook`.
+    #[must_use]
+    pub fn hook(&self) -> Arc<FaultHook> {
         let plan = self.clone();
-        with_hook(move |key, cycle, _committed| plan.fire(key, cycle), body)
+        Arc::new(move |key, cycle, _committed| plan.fire(key, cycle))
     }
-}
-
-/// Runs `body` with `hook` as the process-global fault hook: takes the
-/// global chaos scope, installs the hook, runs `body`, and disarms the hook
-/// again (even if `body` panics). [`ChaosPlan::with_chaos`] installs a
-/// plan's faults this way; a test installs its own hook to observe every
-/// guarded run or to act on a study from inside one of its jobs.
-pub fn with_hook<R>(
-    hook: impl Fn(&RunKey, u64, u64) -> Option<RunError> + Send + Sync + 'static,
-    body: impl FnOnce() -> R,
-) -> R {
-    // A previous scope whose body panicked poisoned nothing real — the
-    // lock guards no data — so recover the guard and continue.
-    let scope = CHAOS_SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
-    let _disarm = Disarm(scope);
-    install_fault_hook(Arc::new(hook));
-    body()
-}
-
-/// Convenience: [`ChaosPlan::with_chaos`] with a single fault.
-pub fn with_fault<R>(fault: ScheduledFault, body: impl FnOnce() -> R) -> R {
-    ChaosPlan::new().fault(fault).with_chaos(body)
-}
-
-/// Runs `body` with no fault hook installed: takes the global chaos scope
-/// (so no [`with_hook`] body runs concurrently) and runs `body`
-/// unguarded by any fault. Chaos tests run their unfaulted baselines here,
-/// so a sibling test's faults cannot leak into them.
-pub fn without_faults<R>(body: impl FnOnce() -> R) -> R {
-    let _scope = CHAOS_SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
-    body()
 }

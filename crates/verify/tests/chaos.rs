@@ -15,12 +15,10 @@
 use lnuca_sim::experiments::{ExperimentOptions, ExperimentPlan, Study, WorkloadSelection};
 use lnuca_sim::scenario::report_value;
 use lnuca_sim::spec::HierarchySpec;
-use lnuca_sim::supervise::{run_job_supervised, RunKey, StopSignal, Supervisor};
+use lnuca_sim::supervise::{run_job_supervised, FaultHook, RunKey, StopSignal, Supervisor};
 use lnuca_sim::system::{Engine, System};
 use lnuca_types::RunError;
-use lnuca_verify::chaos::{
-    with_fault, with_hook, without_faults, ChaosPlan, FaultKind, ScheduledFault,
-};
+use lnuca_verify::chaos::{ChaosPlan, FaultKind, ScheduledFault};
 use lnuca_workloads::suites;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -62,27 +60,31 @@ fn full_batch_plan(
         .expect("plan is valid")
 }
 
-/// Runs `body` under `plan`'s faults and returns, beside its value, the
-/// highest attempt number each workload's guard was observed at.
-fn with_recorded_chaos<R>(plan: ChaosPlan, body: impl FnOnce() -> R) -> (R, BTreeMap<String, u32>) {
+/// Runs `plan` as one study whose supervisor carries `hook`.
+fn run_hooked(plan: &ExperimentPlan, hook: Arc<FaultHook>) -> Result<Study, RunError> {
+    let supervisor = Supervisor::from_options(&plan.options).with_fault_hook(hook);
+    Study::run_controlled(plan, None, false, &StopSignal::new(), &supervisor)
+}
+
+/// Runs `plan` as one study under `chaos`'s faults and returns, beside
+/// it, the highest attempt number each workload's guard was observed at.
+fn run_recorded(plan: &ExperimentPlan, chaos: ChaosPlan) -> (Study, BTreeMap<String, u32>) {
     let attempts = Arc::new(Mutex::new(BTreeMap::new()));
     let seen = Arc::clone(&attempts);
-    let value = with_hook(
-        move |key: &RunKey, cycle, _committed| {
-            {
-                let mut seen = seen.lock().unwrap_or_else(PoisonError::into_inner);
-                let max = seen.entry(key.workload.clone()).or_insert(0);
-                *max = key.attempt.max(*max);
-            }
-            plan.fire(key, cycle)
-        },
-        body,
-    );
+    let hook: Arc<FaultHook> = Arc::new(move |key: &RunKey, cycle, _committed| {
+        {
+            let mut seen = seen.lock().unwrap_or_else(PoisonError::into_inner);
+            let max = seen.entry(key.workload.clone()).or_insert(0);
+            *max = key.attempt.max(*max);
+        }
+        chaos.fire(key, cycle)
+    });
+    let study = run_hooked(plan, hook).expect("the study completes");
     let attempts = attempts
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    (value, attempts)
+    (study, attempts)
 }
 
 /// A panic injected into one job of a full-width batch fails that job
@@ -107,13 +109,13 @@ fn panic_in_a_full_batch_fails_only_the_poisoned_job() {
         })
         .collect();
 
-    let (study, attempts) = with_recorded_chaos(
+    let (study, attempts) = run_recorded(
+        &plan,
         ChaosPlan::new().fault(ScheduledFault {
             workload: Some(poisoned.to_owned()),
             at_cycle: 40,
             ..ScheduledFault::any()
         }),
-        || Study::run(&plan).expect("the study completes"),
     );
 
     // Attempt 0 plus the default single retry, both poisoned: the failure
@@ -164,9 +166,8 @@ fn watchdog_trips_are_deterministic_across_engines_and_never_retried() {
         let trips: Vec<_> = [Engine::EventHorizon, Engine::CycleStep]
             .into_iter()
             .map(|engine| {
-                let outcome = without_faults(|| {
-                    run_job_supervised(engine, &spec, &profile, instructions(), 1, &supervisor)
-                });
+                let outcome =
+                    run_job_supervised(engine, &spec, &profile, instructions(), 1, &supervisor);
                 let err = outcome.outcome.expect_err("watchdog trips");
                 assert_eq!(err.status(), status);
                 // Deterministic trips reproduce identically: no retry is
@@ -182,7 +183,7 @@ fn watchdog_trips_are_deterministic_across_engines_and_never_retried() {
                     &[&siblings[0].name, &profile.name, &siblings[1].name],
                     batch_options,
                 );
-                let batched = without_faults(|| Study::run(&plan)).expect("the study completes");
+                let batched = Study::run(&plan).expect("the study completes");
                 let member = batched
                     .failures
                     .iter()
@@ -211,9 +212,8 @@ fn zero_wall_clock_timeout_consumes_the_retry_budget() {
         .retries(2)
         .build();
     let supervisor = Supervisor::from_options(&options);
-    let outcome = without_faults(|| {
-        run_job_supervised(Engine::EventHorizon, &spec, &profile, instructions(), 1, &supervisor)
-    });
+    let outcome =
+        run_job_supervised(Engine::EventHorizon, &spec, &profile, instructions(), 1, &supervisor);
     let err = outcome.outcome.expect_err("zero timeout always trips");
     assert_eq!(err.status(), "timeout");
     assert_eq!(outcome.attempts, 3, "attempt 0 plus retries = 2");
@@ -230,16 +230,16 @@ fn transient_panic_is_retried_to_a_bit_identical_result() {
     let baseline = System::run_spec_with(Engine::EventHorizon, &spec, &profile, instructions, 7)
         .expect("baseline runs");
 
-    let supervisor = Supervisor::from_options(&ExperimentOptions::default());
-    let outcome = with_fault(
-        ScheduledFault {
-            workload: Some(profile.name.clone()),
-            at_cycle: 25,
-            first_attempt_only: true,
-            ..ScheduledFault::any()
-        },
-        || run_job_supervised(Engine::EventHorizon, &spec, &profile, instructions, 7, &supervisor),
-    );
+    let chaos = ChaosPlan::new().fault(ScheduledFault {
+        workload: Some(profile.name.clone()),
+        at_cycle: 25,
+        first_attempt_only: true,
+        ..ScheduledFault::any()
+    });
+    let supervisor =
+        Supervisor::from_options(&ExperimentOptions::default()).with_fault_hook(chaos.hook());
+    let outcome =
+        run_job_supervised(Engine::EventHorizon, &spec, &profile, instructions, 7, &supervisor);
     assert_eq!(outcome.attempts, 2);
     let (result, _) = outcome.outcome.expect("retry succeeds");
     assert_eq!(result, baseline);
@@ -254,7 +254,8 @@ fn injected_trip_fails_one_job_of_a_full_batch() {
     let names: Vec<&str> = profiles[..3].iter().map(|p| p.name.as_str()).collect();
     let plan = full_batch_plan("chaos-injected-trip", &names, ExperimentOptions::default());
     let tripped = names[2];
-    let (study, attempts) = with_recorded_chaos(
+    let (study, attempts) = run_recorded(
+        &plan,
         ChaosPlan::new().fault(ScheduledFault {
             workload: Some(tripped.to_owned()),
             at_cycle: 10,
@@ -264,7 +265,6 @@ fn injected_trip_fails_one_job_of_a_full_batch() {
             }),
             ..ScheduledFault::any()
         }),
-        || Study::run(&plan).expect("the study completes"),
     );
     assert_eq!(study.failures.len(), 1, "exactly the tripped job fails");
     let failure = &study.failures[0];
@@ -289,16 +289,16 @@ fn stop_raised_in_the_first_job_of_a_full_batch_cancels_the_rest() {
     let path = temp_path("stop");
     let stop = StopSignal::new();
     let raise = stop.clone();
-    let study = with_hook(
+    let supervisor = Supervisor::from_options(&plan.options).with_fault_hook(Arc::new(
         move |key: &RunKey, _cycle, _committed| {
             if key.workload == first {
                 raise.cancel();
             }
             None
         },
-        || Study::run_controlled(&plan, Some(&path), false, &stop),
-    )
-    .expect("the stopped study completes");
+    ));
+    let study = Study::run_controlled(&plan, Some(&path), false, &stop, &supervisor)
+        .expect("the stopped study completes");
 
     assert_eq!(study.results.len(), 1, "job 0 was already running and finishes");
     assert_eq!(study.results[0].workload, names[0]);
@@ -331,17 +331,16 @@ fn threaded_study_survives_a_poisoned_workload() {
         .build()
         .expect("plan is valid");
 
-    let clean = without_faults(|| Study::run(&plan)).expect("clean study runs");
+    let clean = Study::run(&plan).expect("clean study runs");
     assert!(clean.failures.is_empty());
     let poisoned = clean.results[0].workload.clone();
 
-    let study = ChaosPlan::new()
-        .fault(ScheduledFault {
-            workload: Some(poisoned.clone()),
-            at_cycle: 30,
-            ..ScheduledFault::any()
-        })
-        .with_chaos(|| Study::run(&plan).expect("poisoned study still completes"));
+    let chaos = ChaosPlan::new().fault(ScheduledFault {
+        workload: Some(poisoned.clone()),
+        at_cycle: 30,
+        ..ScheduledFault::any()
+    });
+    let study = run_hooked(&plan, chaos.hook()).expect("poisoned study still completes");
 
     assert_eq!(study.failures.len(), 1, "exactly the poisoned workload fails");
     let failure = &study.failures[0];
@@ -376,8 +375,7 @@ fn torn_journal_resumes_to_a_byte_identical_report() {
         .expect("plan is valid");
 
     let path = temp_path("resume");
-    let full = without_faults(|| Study::run_journaled(&plan, &path, false))
-        .expect("journaled run succeeds");
+    let full = Study::run_journaled(&plan, &path, false).expect("journaled run succeeds");
     let full_report = report_value(&plan, &full).to_pretty();
 
     // Tear the journal the way a kill mid-write would: keep the header and
@@ -387,8 +385,7 @@ fn torn_journal_resumes_to_a_byte_identical_report() {
     std::fs::write(&path, format!("{}\n{{\"job\":1,\"result\":{{\"lab", keep.join("\n")))
         .expect("journal writable");
 
-    let resumed =
-        without_faults(|| Study::run_journaled(&plan, &path, true)).expect("resume succeeds");
+    let resumed = Study::run_journaled(&plan, &path, true).expect("resume succeeds");
     assert_eq!(
         report_value(&plan, &resumed).to_pretty(),
         full_report,
